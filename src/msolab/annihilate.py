@@ -21,7 +21,7 @@ from .errors import AdmissibilityError, DimensionError, InputError
 from .inner import DEFAULT_TAIL_CAP, BlaschkeProduct, expand
 from .laurent import (LaurentPolynomial, conj_function, inner_product,
                       minus_part, monomial, multiply, plus_part)
-from .operators import BlockOperator, DenseComplexMatrix
+from .operators import BlockOperator, DenseComplexMatrix, apply
 from .spaces import project
 
 MEMBERSHIP_TOL = 1e-8
@@ -66,10 +66,8 @@ def pair(T, t: FiniteRankOperator, *,
     """
     if isinstance(T, BlockOperator):
         dom, cod = T.domain_basis(), T.codomain_basis()
-        mat = T.assemble()
     elif isinstance(T, DenseComplexMatrix):
         dom, cod = T.domain, T.codomain
-        mat = T.entries
     else:
         raise InputError("pair expects a BlockOperator or DenseComplexMatrix")
     acc = 0j
@@ -80,7 +78,7 @@ def pair(T, t: FiniteRankOperator, *,
             if defect > membership_tol * max(1.0, vec.norm()):
                 raise DimensionError(
                     f"dyad vector leaves the {basis.label} span by {defect:.2e}")
-        acc += np.vdot(y, mat @ x)
+        acc += np.vdot(y, apply(T, x))
     return complex(acc)
 
 

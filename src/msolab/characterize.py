@@ -32,7 +32,7 @@ from .inner import DEFAULT_TAIL_CAP, BlaschkeProduct, expand
 from .laurent import (LaurentPolynomial, conj_function, inner_product,
                       involution_J, minus_part, monomial, multiply)
 from .operators import (BlockOperator, DenseComplexMatrix, SymbolFunction,
-                        build_dtto, build_tto, that_shift, tcheck_shift)
+                        build_dtto, coefficient_matrix)
 from .spaces import admissible_for_shift, basis_Kperp, model_basis
 
 
@@ -104,22 +104,26 @@ def shift_invariance_defect(A, domain: OrthonormalBasis,
         tol = default_tolerance(*inners) if inners else 1e-10
     adm_d = admissible_for_shift(domain)
     adm_c = admissible_for_shift(codomain)
-    defect = 0.0
-    witnesses = []
-    for p, f in enumerate(adm_d):
-        xf = domain.coords(f)
-        xzf = domain.coords(f.shift(1))
-        af, azf = mat @ xf, mat @ xzf
-        for q, g in enumerate(adm_c):
-            yg = codomain.coords(g)
-            yzg = codomain.coords(g.shift(1))
-            dev = abs(np.vdot(yzg, azf) - np.vdot(yg, af))
-            if dev > defect:
-                defect = dev
-            if dev > tol:
-                witnesses.append((p, q, float(dev)))
-    witnesses.sort(key=lambda w: -w[2])
-    return DefectReport("shift-invariance", float(defect), tol, witnesses[:3])
+    if not adm_d.dim or not adm_c.dim:
+        return DefectReport("shift-invariance", 0.0, tol, [])
+    X, Xz = _coordinate_columns(domain, adm_d)
+    Y, Yz = _coordinate_columns(codomain, adm_c)
+    # dev[p, q] = |<A(z f_p), z g_q> - <A f_p, g_q>|
+    dev = np.abs(Yz.conj().T @ (mat @ Xz) - Y.conj().T @ (mat @ X)).T
+    defect = float(np.max(dev))
+    # witnesses above tol, largest first, ties in (p, q) order
+    flat = dev.ravel()
+    over = np.flatnonzero(flat > tol)
+    top = over[np.argsort(-flat[over], kind="stable")[:3]]
+    witnesses = [(*divmod(int(k), dev.shape[1]), float(flat[k])) for k in top]
+    return DefectReport("shift-invariance", defect, tol, witnesses)
+
+
+def _coordinate_columns(basis: OrthonormalBasis, adm: OrthonormalBasis):
+    """Coordinates of the admissible vectors f and of z*f, one per column."""
+    X = np.column_stack([basis.coords(f) for f in adm])
+    Xz = np.column_stack([basis.coords(f.shift(1)) for f in adm])
+    return X, Xz
 
 
 class ShiftInvariantSolution(NamedTuple):
@@ -152,16 +156,13 @@ def solve_shift_invariant_space(theta: BlaschkeProduct, alpha: BlaschkeProduct,
         raise InputError(f"unknown operator space {space!r}")
     adm_d = admissible_for_shift(dom)
     adm_c = admissible_for_shift(cod)
-    rows = []
-    for f in adm_d:
-        xf, xzf = dom.coords(f), dom.coords(f.shift(1))
-        for g in adm_c:
-            yg, yzg = cod.coords(g), cod.coords(g.shift(1))
-            rows.append((np.outer(np.conjugate(yzg), xzf)
-                         - np.outer(np.conjugate(yg), xf)).ravel())
     size = dom.dim * cod.dim
-    if rows:
-        C = np.vstack(rows)
+    if adm_d.dim and adm_c.dim:
+        X, Xz = _coordinate_columns(dom, adm_d)
+        Y, Yz = _coordinate_columns(cod, adm_c)
+        # row (p, q): outer(conj(yz_q), xz_p) - outer(conj(y_q), x_p), flattened
+        C = (Yz.conj().T[None, :, :, None] * Xz.T[:, None, None, :]
+             - Y.conj().T[None, :, :, None] * X.T[:, None, None, :]).reshape(-1, size)
         _, s, Vh = np.linalg.svd(C, full_matrices=True)
         null = [Vh[k].conj() for k in range(Vh.shape[0])
                 if k >= len(s) or s[k] < sv_tol]
@@ -199,13 +200,11 @@ def check_block_conditions(D: BlockOperator, *,
     if tol is None:
         tol = default_tolerance(D.theta, D.alpha)
     M = D.M
-    sz_t, szb_a = that_shift(M, 1), that_shift(M, -1)
-    tz, tzb = tcheck_shift(M, 1), tcheck_shift(M, -1)
-    r1 = (D.that - szb_a @ D.that @ sz_t)[:M, :M]
-    r2 = (D.t_check - tz @ D.t_check @ tzb)[:M, :M]
-    r3 = (tz @ D.gamma_hat - D.gamma_hat @ sz_t)[:M, :M]
+    r1 = D.that[:M, :M] - D.that[1:, 1:]
+    r2 = D.t_check[:M, :M] - D.t_check[1:, 1:]
+    r3 = D.gamma_hat[1:, :M] - D.gamma_hat[:M, 1:]
     gc_adj = D.gamma_check.conj().T
-    r4 = (gc_adj @ that_shift(M, 1) - tz @ gc_adj)[:M, :M]
+    r4 = gc_adj[:M, 1:] - gc_adj[1:, :M]
     return [_report("that-shift-sandwich", r1, tol),
             _report("tcheck-shift-sandwich", r2, tol),
             _report("gammahat-intertwine", r3, tol),
@@ -229,15 +228,9 @@ def _tcheck_symbol(D: BlockOperator) -> LaurentPolynomial:
     (entry (i, j) of that block carries coefficient j - i); each diagonal is
     sampled at its middle entry."""
     M = D.M
-    coeffs = {}
-    for m in range(-M, M + 1):
-        lo = max(0, -m)
-        hi = M - max(0, m)
-        i = (lo + hi) // 2
-        c = complex(D.t_check[i, i + m])
-        if c != 0:
-            coeffs[m] = c
-    return LaurentPolynomial(coeffs)
+    m = np.arange(-M, M + 1)
+    i = (np.maximum(0, -m) + M - np.maximum(0, m)) // 2
+    return LaurentPolynomial._from_dense(-M, D.t_check[i, i + m])
 
 
 class AdttoVerdict(NamedTuple):
@@ -274,11 +267,8 @@ def check_adtto(D: BlockOperator, *, tol: float | None = None,
     al = expand(D.alpha, max(D.alpha.degree_for_cap(tail_cap), 2 * M + 4),
                 tail_cap=None)
     g = multiply(phi_t, multiply(th, conj_function(al)))
-    predicted = np.empty_like(D.that)
-    for d in range(-M, M + 1):
-        val = g.coeff(d)
-        for i in range(max(0, d), M + 1 + min(0, d)):
-            predicted[i, i - d] = val
+    i, j = np.ogrid[:M + 1, :M + 1]
+    predicted = coefficient_matrix(g, i - j)
     coupling = _report("tcheck-coupling", D.that - predicted, tol)
     r2 = DefectReport("tcheck-coupling",
                       max(blocks[1].defect, coupling.defect), tol,
@@ -325,6 +315,11 @@ def recover_symbol(D: BlockOperator, method: str = "zbar", *,
     if method not in ("zbar", "boundary"):
         raise InputError(f"unknown recovery method {method!r}")
     M = D.M
+    # the rebuild needs the guard depth of a constant symbol
+    guard = D.theta.degree + D.alpha.degree + 2
+    if M < guard:
+        raise InputError(f"M={M} below the guard depth {guard} for symbol "
+                         "recovery (deg theta + deg alpha + 2)")
     phi_z = _zbar_symbol(D)
     if method == "zbar":
         symbol = phi_z
@@ -356,7 +351,7 @@ def recover_symbol(D: BlockOperator, method: str = "zbar", *,
 
     # residual: rebuild and compare; clip the reach so the rebuild satisfies
     # its own guard (only relevant for noise inputs)
-    max_reach = M - D.theta.degree - D.alpha.degree - 2
+    max_reach = M - guard
     from .laurent import project_band
     clipped = project_band(symbol.value, -max_reach, max_reach)
     rebuilt = build_dtto(D.theta, D.alpha, SymbolFunction(clipped), M,

@@ -79,6 +79,8 @@ def _load_operator(payload: dict):
             entries = _matrix_from_json(payload["entries"])
         except KeyError as exc:
             raise InputError(f"matrix payload missing {exc}") from exc
+        except (TypeError, ValueError, IndexError) as exc:
+            raise InputError(f"malformed matrix payload: {exc}") from exc
         return DenseComplexMatrix(entries, model_basis(theta),
                                   model_basis(alpha))
     raise InputError("operator payload needs either 'blocks' or 'entries'")

@@ -43,6 +43,8 @@ class BlaschkeProduct:
         if len(zeros) == 0:
             raise InputError("constant inner function: at least one zero required")
         for a in zeros:
+            if not cmath.isfinite(a):
+                raise InputError(f"non-finite zero: {a}")
             if abs(a) >= 1.0:
                 raise InputError(f"zero outside open disk: {a}")
             if abs(a) > RHO_SOFT_LIMIT and not allow_near_boundary:
@@ -50,7 +52,7 @@ class BlaschkeProduct:
                     f"zero {a} has modulus > {RHO_SOFT_LIMIT}; pass "
                     "allow_near_boundary=True to accept the expansion cost")
         constant = complex(constant)
-        if abs(abs(constant) - 1.0) > 1e-14:
+        if not abs(abs(constant) - 1.0) <= 1e-14:  # also rejects nan
             raise InputError(f"constant must be unimodular, got |c|={abs(constant)}")
         object.__setattr__(self, "zeros", zeros)
         object.__setattr__(self, "constant", constant)
@@ -127,7 +129,12 @@ class BlaschkeProduct:
         except (TypeError, ValueError) as exc:
             raise InputError(f"bad zeros entry: {obj['zeros']!r}") from exc
         const = obj.get("constant", [1.0, 0.0])
-        return cls(zeros, complex(float(const[0]), float(const[1])),
+        try:
+            re_, im = const
+            constant = complex(float(re_), float(im))
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"bad constant {const!r}: expected [re, im]") from exc
+        return cls(zeros, constant,
                    allow_near_boundary=bool(obj.get("allow_near_boundary", False)))
 
     @classmethod

@@ -14,6 +14,7 @@ widen their tolerances by it.
 
 from __future__ import annotations
 
+import cmath
 from typing import Mapping
 
 import numpy as np
@@ -177,13 +178,20 @@ class LaurentPolynomial:
     def from_json(cls, obj) -> "LaurentPolynomial":
         if not isinstance(obj, dict) or "coeffs" not in obj:
             raise InputError("expected an object with a 'coeffs' list")
+        try:
+            items = list(obj["coeffs"])
+        except TypeError as exc:
+            raise InputError("'coeffs' must be a list of [k, re, im] entries") from exc
         coeffs: dict[int, complex] = {}
-        for item in obj["coeffs"]:
+        for item in items:
             try:
                 k, re, im = item
-                coeffs[int(k)] = coeffs.get(int(k), 0j) + complex(float(re), float(im))
-            except (TypeError, ValueError) as exc:
+                c = complex(float(re), float(im))
+                coeffs[int(k)] = coeffs.get(int(k), 0j) + c
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise InputError(f"bad coefficient entry {item!r}") from exc
+            if not cmath.isfinite(c):
+                raise InputError(f"non-finite coefficient entry {item!r}")
         return cls(coeffs)
 
     def __repr__(self) -> str:
@@ -210,8 +218,11 @@ def multiply(f: LaurentPolynomial, g: LaurentPolynomial) -> LaurentPolynomial:
 
     The tail bound propagates as f.tail*|g| + g.tail*|f| + f.tail*g.tail.
     """
-    tail = f.tail_bound * g.norm() + g.tail_bound * f.norm() \
-        + f.tail_bound * g.tail_bound
+    if f.tail_bound == 0.0 and g.tail_bound == 0.0:
+        tail = 0.0
+    else:
+        tail = f.tail_bound * g.norm() + g.tail_bound * f.norm() \
+            + f.tail_bound * g.tail_bound
     if f.is_zero() or g.is_zero():
         return LaurentPolynomial._from_dense(0, _ZERO, tail)
     if len(f._data) == 1:

@@ -9,11 +9,21 @@ spaces.basis_Kperp:
     [ That        GammaCheck ]   thetaH2@M -> alphaH2@M | Hminus@M -> alphaH2@M
     [ GammaHat    TCheck     ]   thetaH2@M -> Hminus@M  | Hminus@M -> Hminus@M
 
-Entries are exact pairings (up to expansion tails), so truncation shows up
-only structurally: identities involving products of blocks are reliable on
-interior indices, at distance >= (symbol reach + deg theta + deg alpha)
-from the truncation edge. Builders tag the symbol reach as `edge` so checks
-can size that margin.
+Each block is a Toeplitz or Hankel matrix in one coefficient sequence. With
+th, al the truncated expansions behind the sections (spaces.section_expansion)
+and 0 <= i, j <= M:
+
+    That[i, j]       = coefficient i - j       of phi * th * conj(al)
+    GammaCheck[i, j] = coefficient i + j + 1   of phi * conj(al)
+    GammaHat[i, j]   = coefficient -(i + j + 1) of phi * th
+    TCheck[i, j]     = coefficient j - i       of phi
+
+so `build_dtto` forms three products and gathers. Entries are exact
+pairings (up to expansion tails), so truncation shows up only structurally:
+identities involving products of blocks are reliable on interior indices,
+at distance >= (symbol reach + deg theta + deg alpha) from the truncation
+edge. Builders tag the symbol reach as `edge` so checks can size that
+margin.
 """
 
 from __future__ import annotations
@@ -27,7 +37,8 @@ from .errors import DimensionError, InputError
 from .inner import DEFAULT_TAIL_CAP, BlaschkeProduct
 from .laurent import (LaurentPolynomial, conj_function, minus_part, multiply,
                       plus_part)
-from .spaces import basis_Kperp, conjugation_C, hminus_basis, model_basis, thetaH2_basis
+from .spaces import (basis_Kperp, conjugation_C, hminus_basis, model_basis,
+                     section_expansion, thetaH2_basis)
 
 
 class SymbolFunction:
@@ -64,9 +75,6 @@ class SymbolFunction:
         if self.value.is_zero():
             return 0
         return max(self.value.hi, -self.value.lo, 0)
-
-    def conjugated(self) -> "SymbolFunction":
-        return SymbolFunction(conj_function(self.value))
 
     def to_json(self) -> dict:
         return self.value.to_json()
@@ -166,12 +174,14 @@ class BlockOperator:
         x = np.asarray(x, dtype=np.complex128)
         if x.shape != (self.dim,):
             raise DimensionError(f"vector of length {x.shape} for dimension {self.dim}")
-        return self.assemble() @ x
+        head, tail = x[:self.M + 1], x[self.M + 1:]
+        return np.concatenate([self.that @ head + self.gamma_check @ tail,
+                               self.gamma_hat @ head + self.t_check @ tail])
 
     def apply_poly(self, f: LaurentPolynomial) -> LaurentPolynomial:
         """Apply to a function lying in the domain section."""
         dom = self.domain_basis()
-        return self.codomain_basis().reconstruct(self.assemble() @ dom.coords(f))
+        return self.codomain_basis().reconstruct(self.apply(dom.coords(f)))
 
     def to_json(self) -> dict:
         out = {
@@ -202,7 +212,7 @@ class BlockOperator:
                        t_check=_matrix_from_json(blocks["TCheck"]),
                        theta=theta, alpha=alpha, M=M,
                        edge=obj.get("edge"))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise InputError(f"malformed block operator payload: {exc}") from exc
 
     def __repr__(self):
@@ -215,8 +225,11 @@ def _matrix_to_json(a: np.ndarray) -> list:
 
 
 def _matrix_from_json(rows) -> np.ndarray:
-    return np.array([[complex(float(v[0]), float(v[1])) for v in row]
-                     for row in rows], dtype=np.complex128)
+    a = np.array([[complex(float(v[0]), float(v[1])) for v in row]
+                  for row in rows], dtype=np.complex128)
+    if not np.all(np.isfinite(a)):
+        raise InputError("non-finite matrix entry in payload")
+    return a
 
 
 def _pairing_matrix(images, codomain: OrthonormalBasis) -> np.ndarray:
@@ -250,16 +263,22 @@ def build_dtto(theta: BlaschkeProduct, alpha: BlaschkeProduct, phi, M: int, *,
     guard = phi.reach + theta.degree + alpha.degree + 2
     if M < guard:
         raise InputError(f"M={M} below the guard depth {guard} for this symbol")
-    dom = basis_Kperp(theta, M, tail_cap=tail_cap)
-    cod_head = thetaH2_basis(alpha, M, name="alpha", tail_cap=tail_cap)
-    cod_tail = hminus_basis(M)
-    images = [multiply(phi.value, v) for v in dom.vectors]
-    n = M + 1
-    upper = _pairing_matrix(images, cod_head)
-    lower = _pairing_matrix(images, cod_tail)
-    return BlockOperator(that=upper[:, :n], gamma_check=upper[:, n:],
-                         gamma_hat=lower[:, :n], t_check=lower[:, n:],
-                         theta=theta, alpha=alpha, M=M, edge=phi.reach)
+    phi_th = multiply(phi.value, section_expansion(theta, M, tail_cap))
+    al_bar = conj_function(section_expansion(alpha, M, tail_cap))
+    i, j = np.ogrid[:M + 1, :M + 1]
+    return BlockOperator(
+        that=coefficient_matrix(multiply(phi_th, al_bar), i - j),
+        gamma_check=coefficient_matrix(multiply(phi.value, al_bar), i + j + 1),
+        gamma_hat=coefficient_matrix(phi_th, -(i + j + 1)),
+        t_check=coefficient_matrix(phi.value, j - i),
+        theta=theta, alpha=alpha, M=M, edge=phi.reach)
+
+
+def coefficient_matrix(p: LaurentPolynomial, degrees: np.ndarray) -> np.ndarray:
+    """Coefficients of p at an integer array of degrees (a Toeplitz matrix
+    for degrees i - j, a Hankel matrix for degrees +-(i + j + 1))."""
+    lo = int(np.min(degrees))
+    return p.dense(lo, int(np.max(degrees)))[degrees - lo]
 
 
 def split_blocks(full: np.ndarray, theta: BlaschkeProduct,
@@ -286,35 +305,6 @@ def apply(op, x: np.ndarray) -> np.ndarray:
     return op.entries @ x
 
 
-# -- canonical shift blocks --------------------------------------------------
-#
-# The compressions of multiplication by z / zbar to the truncated sections
-# have exactly-known matrices for every inner function (unimodularity makes
-# the cross terms vanish): on thetaH2 the shift moves theta z^k to
-# theta z^{k+1}, on Hminus it moves zbar^{k+1} to zbar^k (z) or zbar^{k+2}
-# (zbar), with the truncation killing the top layer. Tests cross-check these
-# against the generic builder.
-
-def that_shift(M: int, power: int = 1) -> np.ndarray:
-    """Matrix of multiplication by z (power=1) or zbar (power=-1) compressed
-    to a thetaH2 section of depth M."""
-    if power == 1:
-        return np.eye(M + 1, k=-1, dtype=np.complex128)
-    if power == -1:
-        return np.eye(M + 1, k=1, dtype=np.complex128)
-    raise InputError("power must be +1 or -1")
-
-
-def tcheck_shift(M: int, power: int = 1) -> np.ndarray:
-    """Matrix of multiplication by z (power=1) or zbar (power=-1) compressed
-    to the Hminus section of depth M."""
-    if power == 1:
-        return np.eye(M + 1, k=1, dtype=np.complex128)
-    if power == -1:
-        return np.eye(M + 1, k=-1, dtype=np.complex128)
-    raise InputError("power must be +1 or -1")
-
-
 @functools.lru_cache(maxsize=128)
 def conjugation_corner_maps(theta: BlaschkeProduct, alpha: BlaschkeProduct,
                             M: int, tail_cap: float = DEFAULT_TAIL_CAP):
@@ -328,7 +318,7 @@ def conjugation_corner_maps(theta: BlaschkeProduct, alpha: BlaschkeProduct,
     """
     al_basis = thetaH2_basis(alpha, M, name="alpha", tail_cap=tail_cap)
     hm_basis = hminus_basis(M)
-    th = _theta_expansion(theta, M, tail_cap)
+    th = section_expansion(theta, M, tail_cap)
 
     images1 = [minus_part(conjugation_C(alpha, LaurentPolynomial.monomial(k),
                                         tail_cap=tail_cap))
@@ -341,9 +331,3 @@ def conjugation_corner_maps(theta: BlaschkeProduct, alpha: BlaschkeProduct,
     W2 = _pairing_matrix(images2, al_basis)
     return W1, W2
 
-
-@functools.lru_cache(maxsize=128)
-def _theta_expansion(theta: BlaschkeProduct, M: int, cap: float) -> LaurentPolynomial:
-    from .inner import expand
-    return expand(theta, max(theta.degree_for_cap(cap), M + theta.degree + 2),
-                  tail_cap=None)

@@ -7,7 +7,11 @@ H2minus at depth M use the fixed vector order
 
     theta*z^k for k = 0..M,  then  zbar^k for k = 1..M+1,
 
-and that order defines every block matrix in the package.
+and that order defines every block matrix in the package. Coordinates in
+these sections are coefficient slices: with th = section_expansion(theta, M),
+the theta*H2 coordinates of f are the coefficients 0..M of f*conj(th) and
+the H2minus coordinates are the coefficients of f at degrees -1..-(M+1)
+(see msolab.bases).
 """
 
 from __future__ import annotations
@@ -73,12 +77,12 @@ def model_basis(theta: BlaschkeProduct, *,
     return tm_basis(theta, tail_cap=tail_cap)
 
 
-@functools.lru_cache(maxsize=256)
-def _theta_h2_vectors(theta: BlaschkeProduct, M: int,
-                      cap: float) -> tuple[LaurentPolynomial, ...]:
-    th = expand(theta, max(theta.degree_for_cap(cap), M + theta.degree + 2),
-                tail_cap=None)
-    return tuple(th.shift(k) for k in range(M + 1))
+def section_expansion(theta: BlaschkeProduct, M: int,
+                      cap: float = DEFAULT_TAIL_CAP) -> LaurentPolynomial:
+    """The truncated expansion th behind the depth-M theta*H2 section: deep
+    enough for the tail cap and for the section itself."""
+    return expand(theta, max(theta.degree_for_cap(cap), M + theta.degree + 2),
+                  tail_cap=None)
 
 
 @functools.lru_cache(maxsize=256)
@@ -87,9 +91,9 @@ def thetaH2_basis(theta: BlaschkeProduct, M: int, *, name: str = "theta",
     """{theta z^k : 0 <= k <= M}; orthonormal since |theta| = 1 on the circle."""
     if M < 0:
         raise InputError("truncation depth must be nonnegative")
-    vectors = _theta_h2_vectors(theta, M, tail_cap)
-    return OrthonormalBasis(f"{name}H2@{M}", vectors, kind="thetaH2",
-                            inner=theta, depth=M)
+    th = section_expansion(theta, M, tail_cap)
+    return OrthonormalBasis(f"{name}H2@{M}", (th.shift(k) for k in range(M + 1)),
+                            kind="thetaH2", inner=theta, depth=M, expansion=th)
 
 
 @functools.lru_cache(maxsize=256)
@@ -109,7 +113,8 @@ def basis_Kperp(theta: BlaschkeProduct, M: int, *, name: str = "theta",
     head = thetaH2_basis(theta, M, name=name, tail_cap=tail_cap)
     tail = hminus_basis(M)
     return OrthonormalBasis(f"Kperp({name})@{M}", head.vectors + tail.vectors,
-                            kind="model_perp", inner=theta, depth=M)
+                            kind="model_perp", inner=theta, depth=M,
+                            expansion=head.expansion)
 
 
 _AMBIENT_OF = {"model": "model", "model_perp": "model_perp",

@@ -51,6 +51,8 @@ class SuiteConfig:
     def validate(self):
         if self.tol is not None and self.tol <= 0:
             raise InputError("tolerance must be positive")
+        if self.cases is not None and self.cases <= 0:
+            raise InputError(f"cases must be positive, got {self.cases}")
         if (self.M is not None and self.symbol is not None
                 and self.theta is not None and self.alpha is not None):
             guard = (SymbolFunction(self.symbol).reach + self.theta.degree
@@ -487,7 +489,7 @@ def run_acceptance(config: SuiteConfig | None = None) -> dict:
 def run_fuzz(config: SuiteConfig | None = None) -> dict:
     """Random-case sweep: build, check, recover, pair; everything must agree."""
     config = (config or SuiteConfig()).validate()
-    cases = config.cases or 50
+    cases = 50 if config.cases is None else config.cases
     tol = config.tol or 1e-10
     root = Xoshiro256StarStar(config.seed)
 

@@ -1,0 +1,87 @@
+"""Generic reference implementations of the structured fast paths.
+
+Each function here computes the same quantity as a library routine through
+the generic route it replaced: pairings of polynomial images against a
+dense matrix of basis vectors, or a Python loop over admissible pairs. The
+tests compare the library against them.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from msolab.characterize import DefectReport
+from msolab.laurent import LaurentPolynomial, multiply
+from msolab.operators import BlockOperator, SymbolFunction, _pairing_matrix
+from msolab.spaces import admissible_for_shift, basis_Kperp, hminus_basis, thetaH2_basis
+
+
+def pairing_build_dtto(theta, alpha, phi, M, *, tail_cap=1e-13) -> BlockOperator:
+    """build_dtto through 2(M+1) polynomial products paired against the
+    dense codomain sections."""
+    phi = SymbolFunction.parse(phi)
+    dom = basis_Kperp(theta, M, tail_cap=tail_cap)
+    cod_head = thetaH2_basis(alpha, M, name="alpha", tail_cap=tail_cap)
+    cod_tail = hminus_basis(M)
+    images = [multiply(phi.value, v) for v in dom.vectors]
+    n = M + 1
+    upper = _pairing_matrix(images, cod_head)
+    lower = _pairing_matrix(images, cod_tail)
+    return BlockOperator(that=upper[:, :n], gamma_check=upper[:, n:],
+                         gamma_hat=lower[:, :n], t_check=lower[:, n:],
+                         theta=theta, alpha=alpha, M=M, edge=phi.reach)
+
+
+def dense_coords(basis, f: LaurentPolynomial) -> np.ndarray:
+    """Pairings <f, v_k> against the stacked basis vectors."""
+    lo, hi = basis.band()
+    return basis.stacked(lo, hi).conj() @ f.dense(lo, hi)
+
+
+def dense_reconstruct(basis, x) -> LaurentPolynomial:
+    """sum_k x_k v_k over the stacked basis vectors."""
+    lo, _ = basis.band()
+    tails = np.array([v.tail_bound for v in basis.vectors])
+    return LaurentPolynomial._from_dense(lo, np.asarray(x) @ basis.stacked(),
+                                         float(np.abs(x) @ tails))
+
+
+def dense_coords_and_defect(basis, f: LaurentPolynomial):
+    """Coordinates and the norm of f minus its reconstruction."""
+    x = dense_coords(basis, f)
+    return x, (f - dense_reconstruct(basis, x)).norm()
+
+
+def loop_shift_invariance_defect(mat, domain, codomain, tol) -> DefectReport:
+    """shift_invariance_defect as a double loop over admissible pairs."""
+    adm_d = admissible_for_shift(domain)
+    adm_c = admissible_for_shift(codomain)
+    defect = 0.0
+    witnesses = []
+    for p, f in enumerate(adm_d):
+        xf = domain.coords(f)
+        xzf = domain.coords(f.shift(1))
+        af, azf = mat @ xf, mat @ xzf
+        for q, g in enumerate(adm_c):
+            yg = codomain.coords(g)
+            yzg = codomain.coords(g.shift(1))
+            dev = abs(np.vdot(yzg, azf) - np.vdot(yg, af))
+            if dev > defect:
+                defect = dev
+            if dev > tol:
+                witnesses.append((p, q, float(dev)))
+    witnesses.sort(key=lambda w: -w[2])
+    return DefectReport("shift-invariance", float(defect), tol, witnesses[:3])
+
+
+def loop_shift_system(domain, codomain) -> np.ndarray:
+    """The homogeneous shift-invariance system of solve_shift_invariant_space,
+    one row per admissible pair (p, q) in loop order."""
+    rows = []
+    for f in admissible_for_shift(domain):
+        xf, xzf = domain.coords(f), domain.coords(f.shift(1))
+        for g in admissible_for_shift(codomain):
+            yg, yzg = codomain.coords(g), codomain.coords(g.shift(1))
+            rows.append((np.outer(np.conjugate(yzg), xzf)
+                         - np.outer(np.conjugate(yg), xf)).ravel())
+    return np.vstack(rows)

@@ -270,3 +270,11 @@ def test_default_tolerance_schedule():
     assert default_tolerance(Z2, Z3) == 1e-10
     assert default_tolerance(BlaschkeProduct([0.4])) == 1e-10
     assert default_tolerance(Z2, BlaschkeProduct([0.7])) == 1e-8
+
+
+def test_recover_below_guard_depth_raises_input_error():
+    z2 = monomial_inner(2)
+    D = BlockOperator(*[np.zeros((3, 3))] * 4, z2, z2, 2)
+    for method in ("zbar", "boundary"):
+        with pytest.raises(InputError, match="guard depth 6"):
+            recover_symbol(D, method)

@@ -168,3 +168,72 @@ def test_entry_point_and_pure_python_fallback():
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["entries"][1][0] == [1.0, 0.0]
+
+
+# -- invalid input exits 2 with a one-line message ------------------------------
+
+def assert_one_line_input_error(code, out, err):
+    __tracebackhide__ = True
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("theta", [
+    '{"zeros": [["nan", 0]]}',
+    '{"zeros": [[0.2, Infinity]]}',
+    '{"zeros": [[0.5, 0]], "constant": [1]}',
+    '{"zeros": [[0.5, 0]], "constant": ["one", 0]}',
+    '{"zeros": [[0.5, 0]], "constant": [NaN, 0]}',
+], ids=["nan-zero", "inf-zero", "short-constant", "text-constant", "nan-constant"])
+def test_build_rejects_bad_inner_function(capsys, theta):
+    assert_one_line_input_error(*run_cli(capsys, "build", "dtto", "--theta", theta,
+                                         "--symbol", "z"))
+
+
+@pytest.mark.parametrize("symbol", [
+    '{"coeffs": [[0, "nan", 0]]}',
+    '{"coeffs": [[1, 1, -Infinity]]}',
+    '{"coeffs": [[Infinity, 1, 0]]}',
+    '{"coeffs": 3}',
+], ids=["nan", "inf", "inf-degree", "not-a-list"])
+def test_build_rejects_bad_symbol(capsys, symbol):
+    assert_one_line_input_error(*run_cli(capsys, "build", "dtto", "--theta", Z2,
+                                         "--symbol", symbol))
+    assert_one_line_input_error(*run_cli(capsys, "suite", "fuzz", "--cases", "1",
+                                         "--symbol", symbol))
+
+
+def test_check_rejects_non_finite_or_short_entries(tmp_path, capsys):
+    path = tmp_path / "op.json"
+    assert run_cli(capsys, "build", "dtto", "--theta", Z2, "--symbol", "z",
+                   "--M", "8", "--out", str(path))[0] == 0
+    payload = json.loads(path.read_text())
+    payload["blocks"]["TCheck"][2][3] = ["nan", 0.0]
+    path.write_text(json.dumps(payload))
+    assert_one_line_input_error(*run_cli(capsys, "check", str(path)))
+    payload["blocks"]["TCheck"][2][3] = [1.0]
+    path.write_text(json.dumps(payload))
+    assert_one_line_input_error(*run_cli(capsys, "check", str(path)))
+    path.write_text(json.dumps({"theta": {"zeros": [[0, 0]]}, "alpha": {"zeros": [[0, 0]]},
+                                "entries": [[[1.0]]]}))
+    assert_one_line_input_error(*run_cli(capsys, "check", str(path)))
+
+
+@pytest.mark.parametrize("cases", ["0", "-3"])
+def test_suite_fuzz_rejects_nonpositive_cases(capsys, cases):
+    code, out, err = run_cli(capsys, "suite", "fuzz", "--cases", cases)
+    assert_one_line_input_error(code, out, err)
+    assert "cases must be positive" in err
+
+
+def test_recover_below_guard_depth_names_it(tmp_path, capsys):
+    zeros = [[0.0, 0.0], [0.0, 0.0]]
+    block = [[[0.0, 0.0]] * 3] * 3
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps({
+        "theta": {"zeros": zeros}, "alpha": {"zeros": zeros}, "M": 2,
+        "blocks": {name: block for name in ("That", "GammaCheck", "GammaHat", "TCheck")}}))
+    for method in ("zbar", "boundary"):
+        code, out, err = run_cli(capsys, "recover", str(path), "--method", method)
+        assert_one_line_input_error(code, out, err)
+        assert "guard depth 6" in err

@@ -1,0 +1,219 @@
+"""The structured fast paths against their generic oracles (tests/oracles.py):
+closed-form DTTO blocks, slice coordinates on the complement sections, and
+the vectorised shift-invariance defect."""
+
+import cmath
+
+import numpy as np
+import pytest
+
+from msolab.annihilate import FiniteRankOperator, pair
+from msolab.characterize import shift_invariance_defect, solve_shift_invariant_space
+from msolab.errors import DimensionError
+from msolab.inner import BlaschkeProduct, monomial_inner, tm_basis
+from msolab.laurent import LaurentPolynomial, monomial, multiply
+from msolab.operators import SymbolFunction, build_dtto, build_tto, split_blocks
+from msolab.rng import Xoshiro256StarStar
+from msolab.spaces import basis_Kperp, hminus_basis, thetaH2_basis
+from msolab.suites import random_inner, random_symbol
+
+from conftest import random_poly
+from oracles import (dense_coords, dense_coords_and_defect, dense_reconstruct,
+                     loop_shift_invariance_defect, loop_shift_system,
+                     pairing_build_dtto)
+
+ORACLE_TOL = 1e-13
+
+
+def _near_boundary(r, count):
+    return BlaschkeProduct(
+        [0.95 * cmath.exp(2j * cmath.pi * r.uniform()) for _ in range(count)],
+        allow_near_boundary=True)
+
+
+def _guard(theta, alpha, phi):
+    return SymbolFunction(phi).reach + theta.degree + alpha.degree + 2
+
+
+def _dtto_cases():
+    """210 seeded (theta, alpha, symbol, M) cases: random Blaschke products
+    at and just above the guard depth, monomial inner functions, the zero
+    symbol, zeros of modulus 0.95, and depths 200 and 240."""
+    r = Xoshiro256StarStar(20261017)
+    cases = []
+    for i in range(180):
+        theta, alpha = random_inner(r), random_inner(r)
+        phi = random_symbol(r)
+        M = _guard(theta, alpha, phi) + (0 if i % 3 == 0 else r.integer(1, 6))
+        cases.append((theta, alpha, phi, M))
+    for m in (1, 2, 3):
+        for n in (1, 3):
+            phi = random_symbol(r)
+            theta, alpha = monomial_inner(m), monomial_inner(n)
+            cases.append((theta, alpha, phi, _guard(theta, alpha, phi) + 2))
+    for _ in range(3):
+        theta, alpha = random_inner(r), monomial_inner(2)
+        zero = LaurentPolynomial()
+        cases.append((theta, alpha, zero, _guard(theta, alpha, zero)))
+    for k in range(1, 4):
+        theta, alpha = _near_boundary(r, k), _near_boundary(r, 4 - k)
+        phi = random_symbol(r, reach=3)
+        cases.append((theta, alpha, phi, _guard(theta, alpha, phi)))
+        cases.append((alpha, random_inner(r), phi, 12))
+    theta, alpha = _near_boundary(r, 2), random_inner(r)
+    cases.append((theta, alpha, LaurentPolynomial(), theta.degree + alpha.degree + 2))
+    for M in (200, 240):
+        theta, alpha = random_inner(r), random_inner(r)
+        cases.append((theta, alpha, random_symbol(r), M))
+        cases.append((_near_boundary(r, 1), alpha, random_symbol(r), M))
+    while len(cases) < 210:
+        theta, alpha = random_inner(r, rho=0.9), random_inner(r, rho=0.9)
+        phi = random_symbol(r, reach=2)
+        cases.append((theta, alpha, phi, _guard(theta, alpha, phi) + 4))
+    return cases
+
+
+def test_closed_form_dtto_matches_pairing_oracle():
+    cases = _dtto_cases()
+    assert len(cases) >= 200
+    assert any(M >= 200 for *_, M in cases)
+    assert any(M == _guard(t, a, p) for t, a, p, M in cases)
+    worst = 0.0
+    for theta, alpha, phi, M in cases:
+        fast = build_dtto(theta, alpha, phi, M)
+        slow = pairing_build_dtto(theta, alpha, phi, M)
+        assert fast.edge == slow.edge
+        worst = max(worst, float(np.max(np.abs(fast.assemble() - slow.assemble()))))
+    assert worst <= ORACLE_TOL
+
+
+# -- slice coordinates on the sections --------------------------------------------
+
+SECTION_INNERS = [monomial_inner(2), BlaschkeProduct([0.5, -0.3j]),
+                  BlaschkeProduct([0.95, 0.2j], allow_near_boundary=True)]
+
+
+def _sections(theta, M):
+    return [thetaH2_basis(theta, M), hminus_basis(M), basis_Kperp(theta, M)]
+
+
+@pytest.mark.parametrize("theta", SECTION_INNERS, ids=["z^2", "blaschke", "rho=0.95"])
+@pytest.mark.parametrize("M", [0, 3, 12])
+def test_section_slices_match_dense_stack(theta, M, rng):
+    model = tm_basis(theta)
+    for basis in _sections(theta, M):
+        x = np.array([rng.complex_box() for _ in range(basis.dim)])
+        rebuilt = basis.reconstruct(x)
+        expected = dense_reconstruct(basis, x)
+        assert (rebuilt - expected).norm() <= ORACLE_TOL
+        assert rebuilt.tail_bound == pytest.approx(expected.tail_bound, rel=1e-12)
+        outside = [monomial(-(M + 2)), monomial(0) if basis.kind == "Hminus"
+                   else model.reconstruct(np.ones(model.dim))]
+        probes = [rebuilt, random_poly(rng, -M - 4, M + 9)]
+        probes += [rebuilt + v.scale(s) for v in outside for s in (1.0, 1e-6)]
+        for f in probes:
+            np.testing.assert_allclose(basis.coords(f), dense_coords(basis, f),
+                                       rtol=0, atol=ORACLE_TOL)
+            x_fast, d_fast = basis.coords_and_defect(f)
+            x_slow, d_slow = dense_coords_and_defect(basis, f)
+            np.testing.assert_allclose(x_fast, x_slow, rtol=0, atol=ORACLE_TOL)
+            assert d_fast == pytest.approx(d_slow, rel=1e-9, abs=ORACLE_TOL)
+        assert basis.membership_defect(rebuilt) <= 1e-12
+        for v in outside:
+            assert basis.membership_defect(rebuilt + v.scale(1e-6)) == \
+                pytest.approx(1e-6 * v.norm(), rel=1e-6)
+
+
+@pytest.mark.parametrize("theta", SECTION_INNERS[1:], ids=["blaschke", "rho=0.95"])
+def test_pair_membership_error_still_fires(theta, rng):
+    alpha = BlaschkeProduct([0.3 + 0.1j])
+    M = 14
+    D = build_dtto(theta, alpha, random_symbol(rng, reach=3), M)
+    dom, cod = D.domain_basis(), D.codomain_basis()
+    f = dom.reconstruct(np.ones(dom.dim))
+    g = cod.reconstruct(np.ones(cod.dim))
+    assert abs(pair(D, FiniteRankOperator([(f, g)]))) > 0
+    leak = tm_basis(theta).reconstruct(np.ones(theta.degree)).scale(1e-6)
+    for dyad in ((f + leak, g), (f, g + monomial(-(M + 2)).scale(1e-6))):
+        with pytest.raises(DimensionError, match="leaves the"):
+            pair(D, FiniteRankOperator([dyad]))
+
+
+# -- vectorised shift-invariance defect ------------------------------------------
+
+def _shift_cases(rng):
+    z2, b = monomial_inner(2), BlaschkeProduct([0.4 - 0.2j, 0.1j])
+    out = []
+    D = build_dtto(z2, z2, random_symbol(Xoshiro256StarStar(5), reach=2), 8)
+    out.append((D.assemble(), D.domain_basis(), D.codomain_basis()))
+    # exact ties: four pairs deviate by exactly 1, the top three are kept in
+    # (p, q) order
+    bumped = D.assemble()
+    bumped[3, 3] += 1.0
+    bumped[12, 3] += 1.0
+    out.append((bumped, D.domain_basis(), D.codomain_basis()))
+    D = build_dtto(b, z2, random_symbol(Xoshiro256StarStar(6), reach=2), 9)
+    noise = np.array([[rng.complex_box() for _ in range(D.dim)]
+                      for _ in range(D.dim)])
+    out.append((D.assemble() + 1e-3 * noise, D.domain_basis(), D.codomain_basis()))
+    A = build_tto(b, BlaschkeProduct([0.5, 0.0, -0.2]), monomial(1))
+    out.append((A.entries, A.domain, A.codomain))
+    out.append((A.entries + 1e-2, A.domain, A.codomain))
+    # a one-dimensional model space has no admissible vectors
+    A = build_tto(monomial_inner(1), z2, monomial(0))
+    out.append((A.entries, A.domain, A.codomain))
+    return out
+
+
+def test_shift_invariance_defect_matches_loop_oracle(rng):
+    for mat, dom, cod in _shift_cases(rng):
+        for tol in (1e-10, 1e-3):
+            fast = shift_invariance_defect(mat, dom, cod, tol=tol)
+            slow = loop_shift_invariance_defect(mat, dom, cod, tol)
+            assert fast.tolerance == slow.tolerance
+            assert fast.defect == pytest.approx(slow.defect, rel=1e-12, abs=1e-14)
+            assert [w[:2] for w in fast.witnesses] == [w[:2] for w in slow.witnesses]
+            np.testing.assert_allclose([w[2] for w in fast.witnesses],
+                                       [w[2] for w in slow.witnesses], rtol=1e-12)
+
+
+def test_shift_invariance_defect_block_operator_argument():
+    D = build_dtto(monomial_inner(2), BlaschkeProduct([0.3]),
+                   LaurentPolynomial({-1: 1.0, 2: 0.5j}), 8)
+    bumped = D.assemble()
+    bumped[0, 0] += 1e-4
+    Dp = split_blocks(bumped, D.theta, D.alpha, D.M)
+    rep = shift_invariance_defect(Dp, Dp.domain_basis(), Dp.codomain_basis())
+    slow = loop_shift_invariance_defect(Dp.assemble(), Dp.domain_basis(),
+                                        Dp.codomain_basis(), rep.tolerance)
+    assert not rep.passed
+    assert rep.defect == pytest.approx(slow.defect, rel=1e-12)
+    assert rep.witnesses and [w[:2] for w in rep.witnesses] == \
+        [w[:2] for w in slow.witnesses]
+
+
+@pytest.mark.parametrize("theta, alpha, space, M", [
+    (monomial_inner(3), monomial_inner(2), "model", None),
+    (BlaschkeProduct([0.5, 0.2j]), BlaschkeProduct([0.3, -0.4]), "model", None),
+    (monomial_inner(2), monomial_inner(2), "model_perp", 5),
+])
+def test_shift_invariant_solve_matches_loop_system(theta, alpha, space, M):
+    sol = solve_shift_invariant_space(theta, alpha, space, M)
+    if space == "model":
+        dom, cod = tm_basis(theta), tm_basis(alpha)
+    else:
+        dom, cod = basis_Kperp(theta, M), basis_Kperp(alpha, M, name="alpha")
+    s = np.linalg.svd(loop_shift_system(dom, cod), full_matrices=True)[1]
+    np.testing.assert_array_equal(sol.singular_values, s)
+
+
+# -- exact-polynomial products ------------------------------------------------------
+
+def test_multiply_without_tails_is_exact_convolution(rng):
+    f, g = random_poly(rng, -3, 5), random_poly(rng, 0, 7)
+    h = multiply(f, g)
+    assert h.tail_bound == 0.0
+    np.testing.assert_array_equal(h.dense(-3, 12),
+                                  np.convolve(f.dense(-3, 5), g.dense(0, 7)))
+    f_tail = LaurentPolynomial({0: 1.0, 2: 2.0}, tail_bound=1e-6)
+    assert multiply(f_tail, g).tail_bound == pytest.approx(1e-6 * g.norm())

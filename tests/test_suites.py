@@ -45,3 +45,9 @@ def test_workers_do_not_change_results():
     serial = run_fuzz(SuiteConfig(cases=4, seed=17, workers=1))
     parallel = run_fuzz(SuiteConfig(cases=4, seed=17, workers=4))
     assert serial["records"] == parallel["records"]
+
+
+@pytest.mark.parametrize("cases", [0, -3])
+def test_fuzz_rejects_vacuous_case_counts(cases):
+    with pytest.raises(InputError, match="cases must be positive"):
+        run_fuzz(SuiteConfig(cases=cases))
