@@ -18,7 +18,6 @@ from .characterize import (DefectReport, check_adtto, check_block_conditions,
 from .errors import (AdmissibilityError, DimensionError, InputError,
                      MsolabError, TruncationError)
 from .inner import BlaschkeProduct, expand, monomial_inner, tm_basis, verify_inner
-from .kernels import HAVE_COMPILED
 from .laurent import (LaurentPolynomial, conj_function, inner_product,
                       involution_J, minus_part, multiply, plus_part,
                       project_band)
@@ -34,7 +33,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AdmissibilityError", "BlaschkeProduct", "BlockOperator", "DefectReport",
     "DenseComplexMatrix", "DimensionError", "FiniteRankOperator",
-    "HAVE_COMPILED", "InputError", "LaurentPolynomial", "MsolabError",
+    "InputError", "LaurentPolynomial", "MsolabError",
     "OrthonormalBasis", "SuiteConfig", "SymbolFunction", "TruncationError",
     "Xoshiro256StarStar", "admissible_for_shift", "apply", "basis_Kperp",
     "build_dtto", "build_tto", "check_adtto", "check_block_conditions",

@@ -38,11 +38,12 @@ def _parse_symbol(text: str) -> LaurentPolynomial:
     text = text.strip()
     m = re.fullmatch(r"z(?:\^(-?\d+))?", text)
     if m:
-        return LaurentPolynomial.monomial(int(m.group(1) or 1))
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"cannot parse symbol {text!r}: {exc}") from exc
+        payload = {"coeffs": [[int(m.group(1) or 1), 1.0, 0.0]]}
+    else:
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"cannot parse symbol {text!r}: {exc}") from exc
     return LaurentPolynomial.from_json(payload)
 
 
@@ -196,7 +197,7 @@ def _cmd_suite(args) -> int:
         alpha=_parse_inner(args.alpha) if args.alpha else None,
         symbol=_parse_symbol(args.symbol) if args.symbol else None,
         M=args.M, tol=args.tol, seed=args.seed, suite=args.name,
-        cases=args.cases, workers=args.workers)
+        cases=args.cases)
     started = time.monotonic()
     report = suites.run_suite(args.name, config)
     print(f"suite {args.name}: {time.monotonic() - started:.1f}s",
@@ -247,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--symbol")
     p.add_argument("--M", type=int)
     p.add_argument("--tol", type=float)
-    p.add_argument("--workers", type=int)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_suite)
     return parser

@@ -19,7 +19,7 @@ import numpy as np
 
 from .bases import OrthonormalBasis
 from .errors import InputError, TruncationError
-from .laurent import LaurentPolynomial
+from .laurent import MAX_DEGREE, LaurentPolynomial
 
 DEFAULT_TAIL_CAP = 1e-13
 RHO_SOFT_LIMIT = 0.95
@@ -42,6 +42,7 @@ class BlaschkeProduct:
         zeros = tuple(complex(a) for a in zeros)
         if len(zeros) == 0:
             raise InputError("constant inner function: at least one zero required")
+        _check_degree(len(zeros))
         for a in zeros:
             if not cmath.isfinite(a):
                 raise InputError(f"non-finite zero: {a}")
@@ -147,9 +148,16 @@ class BlaschkeProduct:
         if isinstance(spec, str):
             m = re.fullmatch(r"z(?:\^(\d+))?", spec.strip())
             if m:
-                return cls([0.0] * int(m.group(1) or 1))
+                degree = int(m.group(1) or 1)
+                _check_degree(degree)
+                return cls([0.0] * degree)
             raise InputError(f"cannot parse inner function spec {spec!r}")
         raise InputError(f"cannot parse inner function spec {spec!r}")
+
+
+def _check_degree(degree: int) -> None:
+    if degree > MAX_DEGREE:
+        raise InputError(f"{degree} zeros exceed the cap MAX_DEGREE={MAX_DEGREE}")
 
 
 def monomial_inner(m: int) -> BlaschkeProduct:

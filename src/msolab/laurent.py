@@ -24,6 +24,13 @@ from .errors import InputError
 
 _ZERO = np.zeros(0, dtype=np.complex128)
 
+# Largest degree accepted at a parse boundary: the number of zeros of an
+# inner function, and |k| for every coefficient of a function payload (so a
+# parsed band is at most 2 * MAX_DEGREE + 1 wide). It sits above the symbol
+# reach and inner degrees any section of depth <= operators.MAX_DEPTH can
+# use, and keeps a payload from asking for an unbounded dense allocation.
+MAX_DEGREE = 2048
+
 
 class LaurentPolynomial:
     __slots__ = ("_lo", "_data", "tail_bound", "_coeffs_cache")
@@ -192,6 +199,9 @@ class LaurentPolynomial:
                 raise InputError(f"bad coefficient entry {item!r}") from exc
             if not cmath.isfinite(c):
                 raise InputError(f"non-finite coefficient entry {item!r}")
+            if abs(int(k)) > MAX_DEGREE:
+                raise InputError(f"coefficient degree {int(k)} beyond the cap "
+                                 f"MAX_DEGREE={MAX_DEGREE}")
         return cls(coeffs)
 
     def __repr__(self) -> str:

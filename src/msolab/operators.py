@@ -28,8 +28,6 @@ margin.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from .bases import OrthonormalBasis
@@ -37,8 +35,13 @@ from .errors import DimensionError, InputError
 from .inner import DEFAULT_TAIL_CAP, BlaschkeProduct
 from .laurent import (LaurentPolynomial, conj_function, minus_part, multiply,
                       plus_part)
-from .spaces import (basis_Kperp, conjugation_C, hminus_basis, model_basis,
-                     section_expansion, thetaH2_basis)
+from .spaces import basis_Kperp, model_basis, section_expansion
+
+# Largest truncation depth M of a complement section. Deeper sections were
+# never needed (the deepest suite depth is 256, the deep benchmark runs 400),
+# and at this cap one block is 1025 x 1025 complex (17 MB), the assembled
+# operator 68 MB.
+MAX_DEPTH = 1024
 
 
 class SymbolFunction:
@@ -260,6 +263,8 @@ def build_dtto(theta: BlaschkeProduct, alpha: BlaschkeProduct, phi, M: int, *,
     few interior indices survive the truncation edge.
     """
     phi = SymbolFunction.parse(phi)
+    if M > MAX_DEPTH:
+        raise InputError(f"M={M} above the depth cap MAX_DEPTH={MAX_DEPTH}")
     guard = phi.reach + theta.degree + alpha.degree + 2
     if M < guard:
         raise InputError(f"M={M} below the guard depth {guard} for this symbol")
@@ -303,31 +308,3 @@ def apply(op, x: np.ndarray) -> np.ndarray:
         raise DimensionError(
             f"vector of length {x.shape} for domain dimension {op.entries.shape[1]}")
     return op.entries @ x
-
-
-@functools.lru_cache(maxsize=128)
-def conjugation_corner_maps(theta: BlaschkeProduct, alpha: BlaschkeProduct,
-                            M: int, tail_cap: float = DEFAULT_TAIL_CAP):
-    """Matrices of the two antilinear corner maps linking the sections.
-
-    W1 represents theta z^k -> P-( C_alpha(z^k) ) from thetaH2@M to Hminus@M;
-    W2 represents zbar^(j+1) -> theta * C_alpha(zbar^(j+1)) from Hminus@M into
-    the alphaH2@M section (the image theta*alpha*z^j lies in both sections;
-    alphaH2 coordinates are the ones the adjoint of a That block consumes).
-    Both act on coordinates via x -> W conj(x) (antilinear).
-    """
-    al_basis = thetaH2_basis(alpha, M, name="alpha", tail_cap=tail_cap)
-    hm_basis = hminus_basis(M)
-    th = section_expansion(theta, M, tail_cap)
-
-    images1 = [minus_part(conjugation_C(alpha, LaurentPolynomial.monomial(k),
-                                        tail_cap=tail_cap))
-               for k in range(M + 1)]
-    W1 = _pairing_matrix(images1, hm_basis)
-
-    images2 = [multiply(th, conjugation_C(alpha, LaurentPolynomial.monomial(-(j + 1)),
-                                          tail_cap=tail_cap))
-               for j in range(M + 1)]
-    W2 = _pairing_matrix(images2, al_basis)
-    return W1, W2
-

@@ -2,8 +2,8 @@
 
 Every suite is deterministic under a fixed seed: case streams come from the
 xoshiro256** generator in msolab.rng, reports contain no timestamps, and
-case records are assembled in index order regardless of the worker pool
-scheduling, so identical config + seed gives byte-identical reports.
+cases run serially in index order, so identical config + seed gives
+byte-identical reports.
 
 Case sizing policy: checks that are entrywise-exact on the section run at
 the tight depth M = reach + deg theta + deg alpha + 6; pairing suites whose
@@ -15,8 +15,6 @@ the tolerance.
 from __future__ import annotations
 
 import cmath
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +24,8 @@ from .errors import InputError
 from .inner import BlaschkeProduct, expand
 from .laurent import (LaurentPolynomial, conj_function, inner_product,
                       involution_J, minus_part, monomial, multiply, plus_part)
-from .operators import BlockOperator, SymbolFunction, build_dtto, build_tto
+from .operators import (MAX_DEPTH, BlockOperator, SymbolFunction, build_dtto,
+                        build_tto)
 from .rng import Xoshiro256StarStar
 from .spaces import (admissible_for_shift, basis_Kperp, conjugation_C,
                      model_basis, project)
@@ -46,13 +45,14 @@ class SuiteConfig:
     seed: int = DEFAULT_SEED
     suite: str = "acceptance"
     cases: int | None = None
-    workers: int | None = None
 
     def validate(self):
         if self.tol is not None and self.tol <= 0:
             raise InputError("tolerance must be positive")
         if self.cases is not None and self.cases <= 0:
             raise InputError(f"cases must be positive, got {self.cases}")
+        if self.M is not None and self.M > MAX_DEPTH:
+            raise InputError(f"M={self.M} above the depth cap MAX_DEPTH={MAX_DEPTH}")
         if (self.M is not None and self.symbol is not None
                 and self.theta is not None and self.alpha is not None):
             guard = (SymbolFunction(self.symbol).reach + self.theta.degree
@@ -60,16 +60,6 @@ class SuiteConfig:
             if self.M < guard:
                 raise InputError(f"M={self.M} below the guard depth {guard}")
         return self
-
-
-def _ordered_map(fn, count: int, workers: int | None = None) -> list:
-    """Run fn(0..count-1) on a small pool, results in index order."""
-    if workers is None:
-        workers = min(4, os.cpu_count() or 1)
-    if workers <= 1 or count <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count)))
 
 
 # -- random case material -----------------------------------------------------
@@ -103,8 +93,8 @@ def random_in_basis(r: Xoshiro256StarStar, basis) -> LaurentPolynomial:
 
 # -- criteria -----------------------------------------------------------------
 
-def forward_and_roundtrip(seed: int = DEFAULT_SEED, cases: int = 200,
-                          workers: int | None = None) -> tuple[dict, dict]:
+def forward_and_roundtrip(seed: int = DEFAULT_SEED,
+                          cases: int = 200) -> tuple[dict, dict]:
     """Criterion 1 (membership checks pass on built operators) and
     criterion 2 (symbol round trip, both methods, methods agree), sharing
     one 200-case stream at depth M = reach + deg theta + deg alpha + 6."""
@@ -129,7 +119,7 @@ def forward_and_roundtrip(seed: int = DEFAULT_SEED, cases: int = 200,
         agree = (s1.value - s2.value).norm()
         return fwd, max(rt, agree), max(res1, res2)
 
-    rows = _ordered_map(one, cases, workers)
+    rows = [one(i) for i in range(cases)]
     fwd = max(row[0] for row in rows)
     rt = max(max(row[1] for row in rows), max(row[2] for row in rows))
     c1 = {"criterion": "forward-membership", "cases": cases, "seed": seed,
@@ -204,8 +194,7 @@ def _scripted_perturbations(D: BlockOperator):
     }
 
 
-def annihilator_families(seed: int = DEFAULT_SEED, cases: int = 100,
-                         workers: int | None = None) -> dict:
+def annihilator_families(seed: int = DEFAULT_SEED, cases: int = 100) -> dict:
     """Criterion 5: generated shifted dyads and all six wrapped families pair
     to zero against built operators; scripted single-condition perturbations
     produce a pairing >= 1e-4 with the matching family."""
@@ -232,7 +221,7 @@ def annihilator_families(seed: int = DEFAULT_SEED, cases: int = 100,
             worst = max(worst, abs(annihilate.pair(D, t)))
         return worst
 
-    vanish = max(_ordered_map(one, cases, workers))
+    vanish = max(one(i) for i in range(cases))
 
     # discrimination against the rank-two families, scanned over monomials
     z2 = BlaschkeProduct([0.0, 0.0])
@@ -316,8 +305,8 @@ def isometry_convergence(depths=(16, 32, 64, 128, 256),
             "monotone": monotone, "bounded": bounded, "pass": ok}
 
 
-def functional_representation(seed: int = DEFAULT_SEED, densities: int = 50,
-                              workers: int | None = None) -> dict:
+def functional_representation(seed: int = DEFAULT_SEED,
+                              densities: int = 50) -> dict:
     """Criterion 8: the rank-one representer reproduces the moment pairing
     sum psi_hat(k) f_hat(-k) for all monomial symbols up to reach 4."""
     root = Xoshiro256StarStar(seed)
@@ -337,14 +326,13 @@ def functional_representation(seed: int = DEFAULT_SEED, densities: int = 50,
                         abs(annihilate.pair(D, t) - density.coeff(-k)))
         return worst
 
-    worst = max(_ordered_map(one, densities, workers))
+    worst = max(one(i) for i in range(densities))
     return {"criterion": "functional-representation", "densities": densities,
             "seed": seed, "max_error": worst, "tolerance": tol,
             "pass": worst <= tol}
 
 
-def conjugation_suite(seed: int = DEFAULT_SEED, cases: int = 100,
-                      workers: int | None = None) -> dict:
+def conjugation_suite(seed: int = DEFAULT_SEED, cases: int = 100) -> dict:
     """Criterion 9: involution, reversed-pairing isometry, the multiplication
     intertwining, and the subspace swaps of the model-space conjugation."""
     root = Xoshiro256StarStar(seed)
@@ -378,13 +366,12 @@ def conjugation_suite(seed: int = DEFAULT_SEED, cases: int = 100,
             worst = max(worst, (cfk - project(theta, "model", cfk)).norm())
         return worst
 
-    worst = max(_ordered_map(one, cases, workers))
+    worst = max(one(i) for i in range(cases))
     return {"criterion": "conjugation", "cases": cases, "seed": seed,
             "max_defect": worst, "tolerance": tol, "pass": worst <= tol}
 
 
-def proposition_suite(seed: int = DEFAULT_SEED, cases: int = 100,
-                      workers: int | None = None) -> dict:
+def proposition_suite(seed: int = DEFAULT_SEED, cases: int = 100) -> dict:
     """Criterion 10: the compression factorizations through classical
     Toeplitz/Hankel operators, the conjugation links between the blocks,
     the one-sided semicommutation, and the Hankel symbol-kill, all evaluated
@@ -457,7 +444,7 @@ def proposition_suite(seed: int = DEFAULT_SEED, cases: int = 100,
                     project(alpha, "thetaH2", multiply(kill, zbar_j)).norm())
         return worst
 
-    worst = max(_ordered_map(one, cases, workers))
+    worst = max(one(i) for i in range(cases))
     return {"criterion": "propositions", "cases": cases, "seed": seed,
             "max_defect": worst, "tolerance": tol, "pass": worst <= tol}
 
@@ -467,19 +454,18 @@ def proposition_suite(seed: int = DEFAULT_SEED, cases: int = 100,
 def run_acceptance(config: SuiteConfig | None = None) -> dict:
     config = (config or SuiteConfig()).validate()
     seed = config.seed
-    w = config.workers
-    c1, c2 = forward_and_roundtrip(seed, workers=w)
+    c1, c2 = forward_and_roundtrip(seed)
     criteria = [
         c1,
         c2,
         nullspace_dimensions(),
         block_structure_scan(),
-        annihilator_families(seed, workers=w),
+        annihilator_families(seed),
         transitivity_scan(seed),
         isometry_convergence(),
-        functional_representation(seed, workers=w),
-        conjugation_suite(seed, workers=w),
-        proposition_suite(seed, workers=w),
+        functional_representation(seed),
+        conjugation_suite(seed),
+        proposition_suite(seed),
     ]
     return {"suite": "acceptance", "seed": seed,
             "criteria": criteria,
@@ -499,7 +485,8 @@ def run_fuzz(config: SuiteConfig | None = None) -> dict:
         alpha = config.alpha or random_inner(r)
         phi = config.symbol or random_symbol(r)
         sym = SymbolFunction(phi)
-        M = config.M or (sym.reach + theta.degree + alpha.degree + 6)
+        M = (config.M if config.M is not None
+             else sym.reach + theta.degree + alpha.degree + 6)
         D = build_dtto(theta, alpha, sym, M)
         verdict = characterize.check_adtto(D)
         sym1, res1 = characterize.recover_symbol(D, "zbar")
@@ -522,7 +509,7 @@ def run_fuzz(config: SuiteConfig | None = None) -> dict:
         record["pass"] = worst <= tol
         return record
 
-    records = _ordered_map(one, cases, config.workers)
+    records = [one(i) for i in range(cases)]
     return {"suite": "fuzz", "seed": config.seed, "cases": cases,
             "tolerance": tol, "records": records,
             "pass": all(rec["pass"] for rec in records)}

@@ -3,7 +3,9 @@
 Each function here computes the same quantity as a library routine through
 the generic route it replaced: pairings of polynomial images against a
 dense matrix of basis vectors, or a Python loop over admissible pairs. The
-tests compare the library against them.
+tests compare the library against them. `conjugation_corner_maps` has no
+library counterpart: the operator tests use it to check the corner identity
+TCheck = W1 That^T conj(W2).
 """
 
 from __future__ import annotations
@@ -11,9 +13,10 @@ from __future__ import annotations
 import numpy as np
 
 from msolab.characterize import DefectReport
-from msolab.laurent import LaurentPolynomial, multiply
+from msolab.laurent import LaurentPolynomial, minus_part, multiply
 from msolab.operators import BlockOperator, SymbolFunction, _pairing_matrix
-from msolab.spaces import admissible_for_shift, basis_Kperp, hminus_basis, thetaH2_basis
+from msolab.spaces import (admissible_for_shift, basis_Kperp, conjugation_C,
+                           hminus_basis, section_expansion, thetaH2_basis)
 
 
 def pairing_build_dtto(theta, alpha, phi, M, *, tail_cap=1e-13) -> BlockOperator:
@@ -85,3 +88,28 @@ def loop_shift_system(domain, codomain) -> np.ndarray:
             rows.append((np.outer(np.conjugate(yzg), xzf)
                          - np.outer(np.conjugate(yg), xf)).ravel())
     return np.vstack(rows)
+
+
+def conjugation_corner_maps(theta, alpha, M, tail_cap=1e-13):
+    """Matrices of the two antilinear corner maps linking the sections.
+
+    W1 represents theta z^k -> P-( C_alpha(z^k) ) from thetaH2@M to Hminus@M;
+    W2 represents zbar^(j+1) -> theta * C_alpha(zbar^(j+1)) from Hminus@M into
+    the alphaH2@M section (the image theta*alpha*z^j lies in both sections;
+    alphaH2 coordinates are the ones the adjoint of a That block consumes).
+    Both act on coordinates via x -> W conj(x) (antilinear).
+    """
+    al_basis = thetaH2_basis(alpha, M, name="alpha", tail_cap=tail_cap)
+    hm_basis = hminus_basis(M)
+    th = section_expansion(theta, M, tail_cap)
+
+    images1 = [minus_part(conjugation_C(alpha, LaurentPolynomial.monomial(k),
+                                        tail_cap=tail_cap))
+               for k in range(M + 1)]
+    W1 = _pairing_matrix(images1, hm_basis)
+
+    images2 = [multiply(th, conjugation_C(alpha, LaurentPolynomial.monomial(-(j + 1)),
+                                          tail_cap=tail_cap))
+               for j in range(M + 1)]
+    W2 = _pairing_matrix(images2, al_basis)
+    return W1, W2

@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 
@@ -7,6 +6,7 @@ import numpy as np
 import pytest
 
 from msolab.cli import main
+from msolab.laurent import MAX_DEGREE
 
 Z2 = "z^2"
 SHIFT_SYMBOL = '{"coeffs": [[1, 1, 0], [-1, 2, 0]]}'
@@ -155,17 +155,11 @@ def test_suite_reports_are_byte_identical(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_entry_point_and_pure_python_fallback():
-    env = dict(os.environ, MSOLAB_PURE_PYTHON="1")
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import msolab.kernels as k; print(k.HAVE_COMPILED)"],
-        capture_output=True, text=True, env=env)
-    assert proc.stdout.strip() == "False"
+def test_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "msolab.cli", "build", "tto",
          "--theta", "z^2", "--symbol", "z"],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["entries"][1][0] == [1.0, 0.0]
 
@@ -217,6 +211,32 @@ def test_check_rejects_non_finite_or_short_entries(tmp_path, capsys):
     path.write_text(json.dumps({"theta": {"zeros": [[0, 0]]}, "alpha": {"zeros": [[0, 0]]},
                                 "entries": [[[1.0]]]}))
     assert_one_line_input_error(*run_cli(capsys, "check", str(path)))
+
+
+@pytest.mark.parametrize("symbol", [
+    f"z^{MAX_DEGREE + 1}",
+    f"z^-{MAX_DEGREE + 1}",
+    json.dumps({"coeffs": [[0, 1, 0], [MAX_DEGREE + 1, 1, 0]]}),
+], ids=["shorthand", "negative-shorthand", "json"])
+def test_build_rejects_symbol_degree_above_cap(capsys, symbol):
+    code, out, err = run_cli(capsys, "build", "tto", "--theta", "z",
+                             "--symbol", symbol)
+    assert_one_line_input_error(code, out, err)
+    assert "MAX_DEGREE" in err
+
+
+@pytest.mark.parametrize("M", ["0", "-3", "1"])
+def test_suite_fuzz_rejects_depth_below_guard(capsys, M):
+    code, out, err = run_cli(capsys, "suite", "fuzz", "--cases", "1",
+                             "--M", M, "--seed", "5")
+    assert_one_line_input_error(code, out, err)
+    assert "below the guard depth" in err
+
+
+def test_suite_rejects_removed_workers_flag(capsys):
+    code, _, err = run_cli(capsys, "suite", "fuzz", "--cases", "1",
+                           "--workers", "2")
+    assert code == 2 and "--workers" in err
 
 
 @pytest.mark.parametrize("cases", ["0", "-3"])

@@ -5,7 +5,7 @@ import pytest
 
 from msolab.errors import InputError, TruncationError
 from msolab.inner import BlaschkeProduct, expand, monomial_inner, tm_basis, verify_inner
-from msolab.laurent import inner_product, monomial, multiply
+from msolab.laurent import MAX_DEGREE, inner_product, monomial, multiply
 
 from conftest import assert_poly_close
 
@@ -112,6 +112,14 @@ def test_json_and_shorthand_parsing():
     assert BlaschkeProduct.parse("z") == monomial_inner(1)
     with pytest.raises(InputError):
         BlaschkeProduct.parse("w^2")
+
+
+def test_zero_count_cap():
+    assert BlaschkeProduct.parse(f"z^{MAX_DEGREE}").degree == MAX_DEGREE
+    with pytest.raises(InputError, match="MAX_DEGREE"):
+        BlaschkeProduct.parse(f"z^{MAX_DEGREE + 1}")
+    with pytest.raises(InputError, match="MAX_DEGREE"):
+        BlaschkeProduct.from_json({"zeros": [[0.0, 0.0]] * (MAX_DEGREE + 1)})
 
 
 def test_hashable_and_monomial_flags():

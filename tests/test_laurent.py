@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from msolab.errors import InputError
-from msolab.laurent import (LaurentPolynomial, conj_function, inner_product,
-                            involution_J, minus_part, monomial, multiply,
-                            one, plus_part, project_band)
+from msolab.laurent import (MAX_DEGREE, LaurentPolynomial, conj_function,
+                            inner_product, involution_J, minus_part, monomial,
+                            multiply, one, plus_part, project_band)
 
 from conftest import assert_poly_close, random_poly
 
@@ -163,6 +163,15 @@ def test_json_rejects_garbage():
         LaurentPolynomial.from_json({"nope": []})
     with pytest.raises(InputError):
         LaurentPolynomial.from_json({"coeffs": [["x", 1]]})
+
+
+def test_json_degree_cap():
+    edge = LaurentPolynomial.from_json(
+        {"coeffs": [[-MAX_DEGREE, 1, 0], [MAX_DEGREE, 1, 0]]})
+    assert edge.band == (-MAX_DEGREE, MAX_DEGREE)
+    for k in (MAX_DEGREE + 1, -(MAX_DEGREE + 1)):
+        with pytest.raises(InputError, match="MAX_DEGREE"):
+            LaurentPolynomial.from_json({"coeffs": [[0, 1, 0], [k, 1, 0]]})
 
 
 def test_zero_polynomial_behaviour():

@@ -5,12 +5,12 @@ from msolab.errors import DimensionError, InputError
 from msolab.inner import BlaschkeProduct, expand, monomial_inner
 from msolab.laurent import (LaurentPolynomial, conj_function, involution_J,
                             minus_part, monomial, multiply, one, plus_part)
-from msolab.operators import (BlockOperator, SymbolFunction, apply,
-                              build_dtto, build_tto, conjugation_corner_maps,
-                              split_blocks)
+from msolab.operators import (MAX_DEPTH, BlockOperator, SymbolFunction, apply,
+                              build_dtto, build_tto, split_blocks)
 from msolab.spaces import project
 
 from conftest import assert_poly_close, random_poly
+from oracles import conjugation_corner_maps
 
 Z1, Z2, Z3 = monomial_inner(1), monomial_inner(2), monomial_inner(3)
 
@@ -75,6 +75,11 @@ def test_dtto_zbar_actions():
 def test_dtto_guard_depth():
     with pytest.raises(InputError, match="guard"):
         build_dtto(Z2, Z2, monomial(1), 4)
+
+
+def test_dtto_depth_cap():
+    with pytest.raises(InputError, match="depth cap"):
+        build_dtto(monomial_inner(1), monomial_inner(1), one(), MAX_DEPTH + 1)
 
 
 def test_dtto_adjoint_is_conjugate_symbol(rng):

@@ -3,6 +3,7 @@ import pytest
 from msolab.errors import InputError
 from msolab.inner import monomial_inner
 from msolab.laurent import LaurentPolynomial
+from msolab.operators import MAX_DEPTH
 from msolab.suites import SuiteConfig, run_fuzz, run_suite
 
 
@@ -14,7 +15,7 @@ def test_run_suite_dispatch_and_unknown():
 
 
 def test_fuzz_records_are_ordered_and_detailed():
-    report = run_fuzz(SuiteConfig(cases=4, seed=5, workers=2))
+    report = run_fuzz(SuiteConfig(cases=4, seed=5))
     assert [rec["case"] for rec in report["records"]] == [0, 1, 2, 3]
     rec = report["records"][0]
     assert set(rec["membership_defects"]) == {
@@ -39,12 +40,8 @@ def test_config_guard_validation():
         config.validate()
     with pytest.raises(InputError):
         SuiteConfig(tol=-1.0).validate()
-
-
-def test_workers_do_not_change_results():
-    serial = run_fuzz(SuiteConfig(cases=4, seed=17, workers=1))
-    parallel = run_fuzz(SuiteConfig(cases=4, seed=17, workers=4))
-    assert serial["records"] == parallel["records"]
+    with pytest.raises(InputError, match="depth cap"):
+        SuiteConfig(M=MAX_DEPTH + 1).validate()
 
 
 @pytest.mark.parametrize("cases", [0, -3])
