@@ -19,8 +19,8 @@ import numpy as np
 from .bases import OrthonormalBasis
 from .errors import AdmissibilityError, DimensionError, InputError
 from .inner import DEFAULT_TAIL_CAP, BlaschkeProduct, expand
-from .laurent import (LaurentPolynomial, conj_function, inner_product,
-                      minus_part, monomial, multiply, plus_part)
+from .laurent import (LaurentPolynomial, conj_function, minus_part,
+                      monomial, multiply, plus_part)
 from .operators import BlockOperator, DenseComplexMatrix, apply
 from .spaces import project
 
@@ -91,17 +91,13 @@ def gen_shift_pair(f: LaurentPolynomial, g: LaurentPolynomial, *,
     f and g must be shift-admissible in their spaces. With explicit bases the
     residual of z*vector outside the ambient space is checked; without them
     the orthogonality to zbar is checked, which is the admissibility
-    criterion in the complement sections.
+    criterion in the complement sections. A basis whose kind names none of
+    the four subspaces (an admissible basis, say) raises InputError.
     """
     for name, vec, basis in (("f", f, domain), ("g", g, codomain)):
         if basis is not None:
-            ambient = {"model": "model", "model_perp": "model_perp",
-                       "thetaH2": "thetaH2", "Hminus": "Hminus"}[basis.kind]
-            if ambient == "Hminus":
-                res = (vec.shift(1) - minus_part(vec.shift(1))).norm()
-            else:
-                res = (vec.shift(1) - project(basis.inner, ambient,
-                                              vec.shift(1))).norm()
+            zv = vec.shift(1)
+            res = (zv - project(basis.inner, basis.kind, zv)).norm()
             if res > tol * max(1.0, vec.norm()):
                 raise AdmissibilityError(
                     f"{name} is not shift-admissible: residual {res:.2e}")

@@ -30,7 +30,7 @@ from .bases import OrthonormalBasis
 from .errors import InputError
 from .inner import DEFAULT_TAIL_CAP, BlaschkeProduct, expand
 from .laurent import (LaurentPolynomial, conj_function, inner_product,
-                      involution_J, minus_part, monomial, multiply)
+                      minus_part, multiply)
 from .operators import (BlockOperator, DenseComplexMatrix, SymbolFunction,
                         build_dtto, coefficient_matrix)
 from .spaces import admissible_for_shift, basis_Kperp, model_basis
@@ -214,13 +214,13 @@ def check_block_conditions(D: BlockOperator, *,
 # -- full membership ----------------------------------------------------------
 
 def _zbar_symbol(D: BlockOperator) -> SymbolFunction:
-    """Symbol read off the zbar corner: the antianalytic part from z*D(zbar),
-    the analytic part from the reflected D*(zbar). Complete on the section."""
-    d_zbar = D.apply_poly(monomial(-1))
-    dstar_zbar = D.adjoint().apply_poly(monomial(-1))
-    phi_minus = minus_part(d_zbar.shift(1))
-    phi_plus = involution_J(minus_part(dstar_zbar))
-    return SymbolFunction(phi_plus + phi_minus)
+    """Symbol read off the zbar corner, i.e. the border of TCheck (entry
+    (i, j) carries coefficient j - i): coefficient -t is
+    t_check[t, 0] = <D zbar, zbar^(t+1)> and coefficient +j is
+    t_check[0, j] = <D zbar^(j+1), zbar>. Complete on the section."""
+    M = D.M
+    border = np.concatenate([D.t_check[M:0:-1, 0], D.t_check[0]])
+    return SymbolFunction(LaurentPolynomial._from_dense(-M, border))
 
 
 def _tcheck_symbol(D: BlockOperator) -> LaurentPolynomial:
@@ -368,8 +368,9 @@ class AnalyticVerdict(NamedTuple):
 
 def is_analytic_adtto(D: BlockOperator, *, tol: float = 1e-11) -> AnalyticVerdict:
     """True when the antianalytic part of the recovered symbol vanishes,
-    i.e. all pairings of D(zbar) against zbar * (the Hminus basis) are zero."""
-    phi_minus = minus_part(D.apply_poly(monomial(-1)).shift(1))
+    i.e. all pairings of D(zbar) against zbar * (the Hminus basis) are zero:
+    the first column of TCheck below its corner, t_check[1:, 0]."""
+    phi_minus = _zbar_symbol(D).minus
     norm = phi_minus.norm()
     if norm <= tol:
         return AnalyticVerdict(True, None, norm)

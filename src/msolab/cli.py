@@ -196,8 +196,7 @@ def _cmd_suite(args) -> int:
         theta=_parse_inner(args.theta) if args.theta else None,
         alpha=_parse_inner(args.alpha) if args.alpha else None,
         symbol=_parse_symbol(args.symbol) if args.symbol else None,
-        M=args.M, tol=args.tol, seed=args.seed, suite=args.name,
-        cases=args.cases)
+        M=args.M, tol=args.tol, seed=args.seed, cases=args.cases)
     started = time.monotonic()
     report = suites.run_suite(args.name, config)
     print(f"suite {args.name}: {time.monotonic() - started:.1f}s",

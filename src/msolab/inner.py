@@ -26,6 +26,11 @@ RHO_SOFT_LIMIT = 0.95
 # margin added to the tail-derived expansion degree; keeps roundoff in the
 # discarded range even when zeros cluster
 _DEGREE_MARGIN = 8
+# Largest expansion degree an inner function may need at the default tail
+# cap. A zero of modulus 0.999 needs 36,832 coefficients and is accepted;
+# one of modulus 0.9999 needs 391,429, and 0.999999 would need 43,749,104
+# (about 700 MB per expansion array), so payloads stay bounded.
+MAX_EXPANSION_DEGREE = 1 << 16
 
 
 class BlaschkeProduct:
@@ -58,6 +63,11 @@ class BlaschkeProduct:
         object.__setattr__(self, "zeros", zeros)
         object.__setattr__(self, "constant", constant)
         object.__setattr__(self, "allow_near_boundary", allow_near_boundary)
+        degree = self.degree_for_cap(DEFAULT_TAIL_CAP)
+        if degree > MAX_EXPANSION_DEGREE:
+            raise InputError(
+                f"zeros up to modulus {self.rho} need expansion degree {degree}, "
+                f"above the cap MAX_EXPANSION_DEGREE={MAX_EXPANSION_DEGREE}")
 
     def __setattr__(self, name, value):
         raise AttributeError("BlaschkeProduct is immutable")

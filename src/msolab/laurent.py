@@ -294,11 +294,6 @@ def conj_function(f: LaurentPolynomial) -> LaurentPolynomial:
     return LaurentPolynomial._from_dense(-f.hi, data, f.tail_bound)
 
 
-def distance(f: LaurentPolynomial, g: LaurentPolynomial) -> float:
-    """L2 distance between two values."""
-    return (f - g).norm()
-
-
 zero = LaurentPolynomial.zero
 one = LaurentPolynomial.one
 monomial = LaurentPolynomial.monomial

@@ -28,9 +28,9 @@ from .laurent import (LaurentPolynomial, conj_function, minus_part,
 
 SUBSPACES = ("model", "thetaH2", "model_perp", "Hminus")
 
-# kernel detection threshold for admissible-subspace computation: an order of
-# magnitude above accumulated projection error, well below genuine singular
-# values for rho <= 0.95
+# kernel detection threshold for the admissible vectors of a model space: an
+# order of magnitude above accumulated projection error, well below genuine
+# singular values for rho <= 0.95
 SHIFT_KERNEL_TOL = 1e-10
 
 
@@ -117,56 +117,35 @@ def basis_Kperp(theta: BlaschkeProduct, M: int, *, name: str = "theta",
                             expansion=head.expansion)
 
 
-_AMBIENT_OF = {"model": "model", "model_perp": "model_perp",
-               "thetaH2": "thetaH2", "Hminus": "Hminus"}
-
-
-def admissible_for_shift(V: OrthonormalBasis, *,
-                         sv_tol: float = SHIFT_KERNEL_TOL,
-                         tail_cap: float | None = DEFAULT_TAIL_CAP) -> OrthonormalBasis:
+def admissible_for_shift(V: OrthonormalBasis) -> OrthonormalBasis:
     """Orthonormal basis of {f in span V : z*f stays in the ambient space}.
 
-    Computed generically as the kernel of (I - P_ambient) o M_z restricted to
-    span V, with singular values below `sv_tol` treated as zero. For the
-    truncated sections the top analytic layer is dropped first so that z*f
-    also stays inside the truncation.
+    On the depth-M sections the shift is an index shift, theta z^k ->
+    theta z^(k+1) and zbar^k -> zbar^(k-1), so the admissible vectors are
+    the section's own vectors, in section order, minus the two the shift
+    pushes out: theta z^M (z*theta z^M leaves the truncation) and zbar
+    (z*zbar = 1 has the nonzero model-space part 1 - conj(theta(0)) theta).
+    Only the model space needs the generic route: the kernel of
+    (I - P_model) o M_z restricted to span V, with singular values below
+    SHIFT_KERNEL_TOL treated as zero.
     """
-    if V.kind not in _AMBIENT_OF:
+    if V.kind not in SUBSPACES:
         raise InputError(f"unsupported basis kind {V.kind!r}")
-    candidates = list(V.vectors)
-    if V.kind == "model_perp":
-        M = V.depth
-        candidates = candidates[:M] + candidates[M + 1:]
-    elif V.kind == "thetaH2":
-        candidates = candidates[:-1]
-    if not candidates:
-        return OrthonormalBasis(f"admissible[{V.label}]", (), kind="admissible",
+    label = f"admissible[{V.label}]"
+    if V.kind != "model":
+        n = V.depth + 1
+        vectors = {"thetaH2": V.vectors[:n - 1],
+                   "Hminus": V.vectors[1:],
+                   "model_perp": V.vectors[:n - 1] + V.vectors[n + 1:]}[V.kind]
+        return OrthonormalBasis(label, vectors, kind="admissible",
                                 inner=V.inner, depth=V.depth)
-
-    residuals = []
-    for v in candidates:
-        zv = v.shift(1)
-        if V.kind == "Hminus":
-            res = zv - minus_part(zv)
-        else:
-            res = zv - project(V.inner, _AMBIENT_OF[V.kind], zv,
-                               tail_cap=tail_cap)
-        residuals.append(res)
-    lo = min(r.lo for r in residuals if not r.is_zero()) if any(
-        not r.is_zero() for r in residuals) else 0
-    hi = max(r.hi for r in residuals if not r.is_zero()) if any(
-        not r.is_zero() for r in residuals) else 0
+    shifted = [v.shift(1) for v in V]
+    residuals = [zv - project(V.inner, "model", zv) for zv in shifted]
+    live = [r for r in residuals if not r.is_zero()]
+    lo = min(r.lo for r in live)
+    hi = max(r.hi for r in live)
     R = np.vstack([r.dense(lo, hi) for r in residuals])
     U, s, _ = np.linalg.svd(R, full_matrices=True)
-    kernel_cols = [k for k in range(U.shape[1])
-                   if k >= len(s) or s[k] < sv_tol]
-    vectors = []
-    for k in kernel_cols:
-        acc = LaurentPolynomial.zero()
-        for i, v in enumerate(candidates):
-            c = complex(U[i, k].conjugate())
-            if c != 0:
-                acc = acc + v.scale(c)
-        vectors.append(acc)
-    return OrthonormalBasis(f"admissible[{V.label}]", vectors,
+    kernel = [k for k in range(U.shape[1]) if k >= len(s) or s[k] < SHIFT_KERNEL_TOL]
+    return OrthonormalBasis(label, [V.reconstruct(U[:, k].conj()) for k in kernel],
                             kind="admissible", inner=V.inner, depth=V.depth)

@@ -15,7 +15,7 @@ the tolerance.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,8 +27,7 @@ from .laurent import (LaurentPolynomial, conj_function, inner_product,
 from .operators import (MAX_DEPTH, BlockOperator, SymbolFunction, build_dtto,
                         build_tto)
 from .rng import Xoshiro256StarStar
-from .spaces import (admissible_for_shift, basis_Kperp, conjugation_C,
-                     model_basis, project)
+from .spaces import conjugation_C, model_basis, project
 
 DEFAULT_SEED = 42
 
@@ -43,7 +42,6 @@ class SuiteConfig:
     M: int | None = None
     tol: float | None = None
     seed: int = DEFAULT_SEED
-    suite: str = "acceptance"
     cases: int | None = None
 
     def validate(self):

@@ -2,7 +2,8 @@
 
 Each function here computes the same quantity as a library routine through
 the generic route it replaced: pairings of polynomial images against a
-dense matrix of basis vectors, or a Python loop over admissible pairs. The
+dense matrix of basis vectors, a Python loop over admissible pairs, an SVD
+of shift residuals, or polynomial round trips through the operator. The
 tests compare the library against them. `conjugation_corner_maps` has no
 library counterpart: the operator tests use it to check the corner identity
 TCheck = W1 That^T conj(W2).
@@ -12,11 +13,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from msolab.characterize import DefectReport
-from msolab.laurent import LaurentPolynomial, minus_part, multiply
+from msolab.bases import OrthonormalBasis
+from msolab.characterize import AnalyticVerdict, DefectReport
+from msolab.laurent import (LaurentPolynomial, involution_J, minus_part,
+                            monomial, multiply)
 from msolab.operators import BlockOperator, SymbolFunction, _pairing_matrix
-from msolab.spaces import (admissible_for_shift, basis_Kperp, conjugation_C,
-                           hminus_basis, section_expansion, thetaH2_basis)
+from msolab.spaces import (SHIFT_KERNEL_TOL, admissible_for_shift, basis_Kperp,
+                           conjugation_C, hminus_basis, project,
+                           section_expansion, thetaH2_basis)
 
 
 def pairing_build_dtto(theta, alpha, phi, M, *, tail_cap=1e-13) -> BlockOperator:
@@ -113,3 +117,56 @@ def conjugation_corner_maps(theta, alpha, M, tail_cap=1e-13):
                for j in range(M + 1)]
     W2 = _pairing_matrix(images2, al_basis)
     return W1, W2
+
+
+def svd_admissible_for_shift(V) -> OrthonormalBasis:
+    """admissible_for_shift on a section through the generic route: drop the
+    top analytic layer, then take the kernel of (I - P_ambient) o M_z on the
+    remaining span from an SVD of the shift residuals."""
+    candidates = list(V.vectors)
+    if V.kind == "model_perp":
+        candidates = candidates[:V.depth] + candidates[V.depth + 1:]
+    elif V.kind == "thetaH2":
+        candidates = candidates[:-1]
+    label = f"admissible[{V.label}]"
+    if not candidates:
+        return OrthonormalBasis(label, (), kind="admissible", inner=V.inner,
+                                depth=V.depth)
+    residuals = [v.shift(1) - project(V.inner, V.kind, v.shift(1))
+                 for v in candidates]
+    live = [r for r in residuals if not r.is_zero()]
+    lo = min((r.lo for r in live), default=0)
+    hi = max((r.hi for r in live), default=0)
+    U, s, _ = np.linalg.svd(np.vstack([r.dense(lo, hi) for r in residuals]),
+                            full_matrices=True)
+    vectors = []
+    for k in range(U.shape[1]):
+        if k < len(s) and s[k] >= SHIFT_KERNEL_TOL:
+            continue
+        acc = LaurentPolynomial.zero()
+        for i, v in enumerate(candidates):
+            c = complex(U[i, k].conjugate())
+            if c != 0:
+                acc = acc + v.scale(c)
+        vectors.append(acc)
+    return OrthonormalBasis(label, vectors, kind="admissible", inner=V.inner,
+                            depth=V.depth)
+
+
+def poly_zbar_symbol(D: BlockOperator) -> SymbolFunction:
+    """The zbar-corner symbol from the images D(zbar) and D*(zbar): the
+    antianalytic part is P-(z D(zbar)), the analytic part J P-(D*(zbar))."""
+    d_zbar = D.apply_poly(monomial(-1))
+    dstar_zbar = D.adjoint().apply_poly(monomial(-1))
+    return SymbolFunction(involution_J(minus_part(dstar_zbar))
+                          + minus_part(d_zbar.shift(1)))
+
+
+def poly_is_analytic_adtto(D: BlockOperator, *, tol: float = 1e-11) -> AnalyticVerdict:
+    """is_analytic_adtto from the image D(zbar)."""
+    phi_minus = minus_part(D.apply_poly(monomial(-1)).shift(1))
+    norm = phi_minus.norm()
+    if norm <= tol:
+        return AnalyticVerdict(True, None, norm)
+    k, c = max(phi_minus.coeffs.items(), key=lambda kv: abs(kv[1]))
+    return AnalyticVerdict(False, (f"<D zbar, zbar^{1 - k}>", abs(c)), norm)

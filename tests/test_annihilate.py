@@ -9,7 +9,7 @@ from msolab.errors import AdmissibilityError, DimensionError, InputError
 from msolab.inner import BlaschkeProduct, expand, monomial_inner, tm_basis
 from msolab.laurent import LaurentPolynomial, monomial, multiply, one
 from msolab.operators import DenseComplexMatrix, build_dtto, build_tto
-from msolab.spaces import basis_Kperp
+from msolab.spaces import admissible_for_shift, basis_Kperp
 
 from conftest import random_poly
 
@@ -77,7 +77,6 @@ def test_shift_pair_annihilates_dtto(rng):
 def test_shift_pair_annihilates_tto(rng):
     b = BlaschkeProduct([0.4, -0.2j, 0.3])
     basis = tm_basis(b)
-    from msolab.spaces import admissible_for_shift
     adm = admissible_for_shift(basis)
     phi = random_poly(rng, -2, 2)
     A = build_tto(b, b, phi)
@@ -94,6 +93,14 @@ def test_shift_pair_rejects_inadmissible():
     with pytest.raises(AdmissibilityError):
         # z is the top layer of the model space of z^2: z*z leaves it
         gen_shift_pair(monomial(1), one(), domain=basis, codomain=basis)
+
+
+def test_shift_pair_rejects_admissible_kind_basis():
+    adm = admissible_for_shift(basis_Kperp(Z2, 3))
+    with pytest.raises(InputError, match="unknown subspace 'admissible'"):
+        gen_shift_pair(adm[0], adm[1], domain=adm)
+    with pytest.raises(InputError, match="unknown subspace 'admissible'"):
+        gen_shift_pair(adm[0], adm[1], codomain=adm)
 
 
 # -- the six families -----------------------------------------------------------

@@ -184,6 +184,14 @@ def test_build_rejects_bad_inner_function(capsys, theta):
                                          "--symbol", "z"))
 
 
+def test_build_rejects_expansion_degree_above_cap(capsys):
+    theta = '{"zeros": [[0.999999, 0]], "allow_near_boundary": true}'
+    code, out, err = run_cli(capsys, "build", "dtto", "--theta", theta,
+                             "--symbol", "z")
+    assert_one_line_input_error(code, out, err)
+    assert "MAX_EXPANSION_DEGREE" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("symbol", [
     '{"coeffs": [[0, "nan", 0]]}',
     '{"coeffs": [[1, 1, -Infinity]]}',

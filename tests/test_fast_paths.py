@@ -1,6 +1,7 @@
 """The structured fast paths against their generic oracles (tests/oracles.py):
-closed-form DTTO blocks, slice coordinates on the complement sections, and
-the vectorised shift-invariance defect."""
+closed-form DTTO blocks, slice coordinates on the complement sections, the
+section admissible vectors, the TCheck-border symbol, and the vectorised
+shift-invariance defect."""
 
 import cmath
 
@@ -8,19 +9,24 @@ import numpy as np
 import pytest
 
 from msolab.annihilate import FiniteRankOperator, pair
-from msolab.characterize import shift_invariance_defect, solve_shift_invariant_space
+from msolab.characterize import (_zbar_symbol, check_block_conditions,
+                                 is_analytic_adtto, shift_invariance_defect,
+                                 solve_shift_invariant_space)
 from msolab.errors import DimensionError
 from msolab.inner import BlaschkeProduct, monomial_inner, tm_basis
 from msolab.laurent import LaurentPolynomial, monomial, multiply
-from msolab.operators import SymbolFunction, build_dtto, build_tto, split_blocks
+from msolab.operators import (BlockOperator, SymbolFunction, build_dtto,
+                              build_tto, split_blocks)
 from msolab.rng import Xoshiro256StarStar
-from msolab.spaces import basis_Kperp, hminus_basis, thetaH2_basis
+from msolab.spaces import (admissible_for_shift, basis_Kperp, hminus_basis,
+                           thetaH2_basis)
 from msolab.suites import random_inner, random_symbol
 
 from conftest import random_poly
 from oracles import (dense_coords, dense_coords_and_defect, dense_reconstruct,
                      loop_shift_invariance_defect, loop_shift_system,
-                     pairing_build_dtto)
+                     pairing_build_dtto, poly_is_analytic_adtto,
+                     poly_zbar_symbol, svd_admissible_for_shift)
 
 ORACLE_TOL = 1e-13
 
@@ -137,6 +143,105 @@ def test_pair_membership_error_still_fires(theta, rng):
     for dyad in ((f + leak, g), (f, g + monomial(-(M + 2)).scale(1e-6))):
         with pytest.raises(DimensionError, match="leaves the"):
             pair(D, FiniteRankOperator([dyad]))
+
+
+# -- admissible vectors and the zbar corner on the sections ------------------------
+
+@pytest.mark.parametrize("theta", SECTION_INNERS, ids=["z^2", "blaschke", "rho=0.95"])
+@pytest.mark.parametrize("M", [0, 1, 6, 40])
+def test_admissible_sections_match_svd_oracle(theta, M):
+    for basis in _sections(theta, M):
+        fast = admissible_for_shift(basis)
+        slow = svd_admissible_for_shift(basis)
+        assert fast.dim == slow.dim == max(basis.dim - 1 - (basis.kind == "model_perp"), 0)
+        assert set(fast.vectors) <= set(basis.vectors)
+        if fast.dim:
+            lo = min(fast.band()[0], slow.band()[0])
+            hi = max(fast.band()[1], slow.band()[1])
+            P_fast, P_slow = (S.conj().T @ S for S in (fast.stacked(lo, hi),
+                                                        slow.stacked(lo, hi)))
+            assert np.max(np.abs(P_fast - P_slow)) <= 1e-12
+
+
+def _corner_operators():
+    """Seeded built operators, each with a noisy copy and a copy whose
+    TCheck first column is zeroed below the corner (an analytic symbol)."""
+    r = Xoshiro256StarStar(20261018)
+    noise = np.random.default_rng(20261018)
+    out = []
+    for i in range(40):
+        theta, alpha = random_inner(r), random_inner(r)
+        phi = random_symbol(r)
+        M = _guard(theta, alpha, phi) + r.integer(0, 20)
+        D = build_dtto(theta, alpha, phi, M)
+        bump = lambda b: b + 1e-3 * (noise.standard_normal(b.shape)
+                                     + 1j * noise.standard_normal(b.shape))
+        analytic = D.t_check.copy()
+        analytic[1:, 0] = 0.0
+        out += [D,
+                BlockOperator(bump(D.that), bump(D.gamma_check), bump(D.gamma_hat),
+                              bump(D.t_check), theta, alpha, M, edge=None),
+                BlockOperator(D.that, D.gamma_check, D.gamma_hat, analytic,
+                              theta, alpha, M, edge=None)]
+    return out
+
+
+def test_zbar_symbol_is_bit_identical_to_apply_poly_oracle():
+    analytic = 0
+    for D in _corner_operators():
+        fast, slow = _zbar_symbol(D).value, poly_zbar_symbol(D).value
+        assert fast.lo == slow.lo and fast._data.tobytes() == slow._data.tobytes()
+        verdict = is_analytic_adtto(D)
+        assert verdict == poly_is_analytic_adtto(D)
+        analytic += verdict.analytic
+    assert 0 < analytic < 120
+
+
+def _built_operators():
+    r = Xoshiro256StarStar(77)
+    out = []
+    for theta, alpha in ((monomial_inner(2), monomial_inner(3)),
+                         (BlaschkeProduct([0.4 - 0.2j, 0.1j]), BlaschkeProduct([0.6])),
+                         (SECTION_INNERS[2], BlaschkeProduct([0.3 + 0.3j]))):
+        phi = random_symbol(r, reach=3)
+        out.append(build_dtto(theta, alpha, phi, _guard(theta, alpha, phi) + 9))
+    return out
+
+
+def test_block_shift_defect_is_largest_block_condition_defect():
+    noise = np.random.default_rng(77)
+    for D in _built_operators():
+        A = D.assemble() + 1e-3 * noise.standard_normal((D.dim, D.dim))
+        for op in (D, split_blocks(A, D.theta, D.alpha, D.M)):
+            rep = shift_invariance_defect(op, op.domain_basis(), op.codomain_basis())
+            blocks = max(r.defect for r in check_block_conditions(op))
+            assert abs(rep.defect - blocks) <= 1e-15
+
+
+def _section_index(p, M):
+    # admissible index -> section index: theta z^M and zbar are skipped
+    return p if p < M else p + 2
+
+
+def _shifted(i, M):
+    return i + 1 if i <= M else i - 1
+
+
+@pytest.mark.parametrize("row, col", [(2, 3), (1, "t2"), ("t3", 2), ("t2", "t4")],
+                         ids=["That", "GammaCheck", "GammaHat", "TCheck"])
+def test_block_shift_witness_names_perturbed_pair(row, col):
+    for D in _built_operators():
+        M = D.M
+        r = row if isinstance(row, int) else M + 1 + int(row[1:])
+        c = col if isinstance(col, int) else M + 1 + int(col[1:])
+        A = D.assemble()
+        A[r, c] += 1e-3
+        Dp = split_blocks(A, D.theta, D.alpha, M)
+        rep = shift_invariance_defect(Dp, Dp.domain_basis(), Dp.codomain_basis())
+        p, q, dev = rep.witnesses[0]
+        a, b = _section_index(p, M), _section_index(q, M)
+        assert (r, c) in {(b, a), (_shifted(b, M), _shifted(a, M))}
+        assert dev == pytest.approx(1e-3, rel=1e-9)
 
 
 # -- vectorised shift-invariance defect ------------------------------------------

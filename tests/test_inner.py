@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from msolab.errors import InputError, TruncationError
-from msolab.inner import BlaschkeProduct, expand, monomial_inner, tm_basis, verify_inner
+from msolab.inner import (DEFAULT_TAIL_CAP, MAX_EXPANSION_DEGREE, BlaschkeProduct,
+                          expand, monomial_inner, tm_basis, verify_inner)
 from msolab.laurent import MAX_DEGREE, inner_product, monomial, multiply
 
 from conftest import assert_poly_close
@@ -120,6 +121,21 @@ def test_zero_count_cap():
         BlaschkeProduct.parse(f"z^{MAX_DEGREE + 1}")
     with pytest.raises(InputError, match="MAX_DEGREE"):
         BlaschkeProduct.from_json({"zeros": [[0.0, 0.0]] * (MAX_DEGREE + 1)})
+
+
+@pytest.mark.parametrize("rho, degree", [(0.99, 3446), (0.999, 36832)])
+def test_expansion_degree_cap_accepts(rho, degree):
+    b = BlaschkeProduct([rho], allow_near_boundary=True)
+    assert b.degree_for_cap(DEFAULT_TAIL_CAP) == degree <= MAX_EXPANSION_DEGREE
+
+
+@pytest.mark.parametrize("rho", [0.9999, 0.999999])
+def test_expansion_degree_cap_rejects(rho):
+    with pytest.raises(InputError, match="MAX_EXPANSION_DEGREE"):
+        BlaschkeProduct([rho], allow_near_boundary=True)
+    with pytest.raises(InputError, match="MAX_EXPANSION_DEGREE"):
+        BlaschkeProduct.from_json({"zeros": [[0.0, rho]],
+                                   "allow_near_boundary": True})
 
 
 def test_hashable_and_monomial_flags():

@@ -1,5 +1,29 @@
+import ast
+from pathlib import Path
+
 import msolab
 
 
 def test_all_names_resolve():
     assert [name for name in msolab.__all__ if not hasattr(msolab, name)] == []
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Module-level imported names that the module never reads."""
+    tree = ast.parse(path.read_text())
+    imported = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [name for name in imported if name not in read]
+
+
+def test_no_unused_imports():
+    modules = sorted(Path(msolab.__file__).parent.glob("*.py"))
+    unused = {p.name: _unused_imports(p) for p in modules
+              if p.name != "__init__.py"}
+    assert len(unused) > 5
+    assert {name: names for name, names in unused.items() if names} == {}
