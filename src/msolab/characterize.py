@@ -33,7 +33,8 @@ from .laurent import (LaurentPolynomial, conj_function, inner_product,
                       minus_part, multiply)
 from .operators import (BlockOperator, DenseComplexMatrix, SymbolFunction,
                         build_dtto, coefficient_matrix)
-from .spaces import admissible_for_shift, basis_Kperp, model_basis
+from .spaces import (SHIFT_KERNEL_TOL, admissible_for_shift, basis_Kperp,
+                     model_basis, section_shift_index)
 
 
 def default_tolerance(*inners: BlaschkeProduct) -> float:
@@ -42,6 +43,13 @@ def default_tolerance(*inners: BlaschkeProduct) -> float:
     if any(b.rho > 0.5 for b in inners):
         return 1e-8
     return 1e-10
+
+
+def validated_tolerance(tol: float | None) -> float | None:
+    """A given tolerance must be finite and positive (None means default)."""
+    if tol is not None and not (np.isfinite(tol) and tol > 0):
+        raise InputError(f"tolerance must be finite and positive, got {tol}")
+    return tol
 
 
 @dataclass
@@ -69,15 +77,11 @@ class DefectReport:
         return f"DefectReport({self.condition}: {self.defect:.3e} [{state}])"
 
 
-def _report(condition: str, residual: np.ndarray, tol: float,
-            *, norm: str = "max") -> DefectReport:
+def _report(condition: str, residual: np.ndarray, tol: float) -> DefectReport:
     residual = np.atleast_2d(residual)
     if residual.size == 0:
         return DefectReport(condition, 0.0, tol)
-    if norm == "opnorm":
-        defect = float(np.linalg.norm(residual, 2))
-    else:
-        defect = float(np.max(np.abs(residual)))
+    defect = float(np.max(np.abs(residual)))
     witnesses = []
     if defect > tol:
         flat = np.abs(residual).ravel()
@@ -89,28 +93,30 @@ def _report(condition: str, residual: np.ndarray, tol: float,
 
 # -- shift invariance ---------------------------------------------------------
 
-def shift_invariance_defect(A, domain: OrthonormalBasis,
-                            codomain: OrthonormalBasis, *,
+def shift_invariance_defect(op: BlockOperator | DenseComplexMatrix, *,
                             tol: float | None = None) -> DefectReport:
-    """Largest deviation of <A(zf), zg> from <Af, g> over orthonormal bases of
-    the admissible vectors on both sides."""
-    mat = A.assemble() if isinstance(A, BlockOperator) else (
-        A.entries if isinstance(A, DenseComplexMatrix) else np.asarray(A))
-    if mat.shape != (codomain.dim, domain.dim):
-        raise InputError(f"matrix {mat.shape} does not fit bases "
-                         f"({codomain.dim}, {domain.dim})")
-    if tol is None:
-        inners = [b.inner for b in (domain, codomain) if b.inner is not None]
-        tol = default_tolerance(*inners) if inners else 1e-10
-    adm_d = admissible_for_shift(domain)
-    adm_c = admissible_for_shift(codomain)
-    if not adm_d.dim or not adm_c.dim:
-        return DefectReport("shift-invariance", 0.0, tol, [])
-    X, Xz = _coordinate_columns(domain, adm_d)
-    Y, Yz = _coordinate_columns(codomain, adm_c)
-    # dev[p, q] = |<A(z f_p), z g_q> - <A f_p, g_q>|
-    dev = np.abs(Yz.conj().T @ (mat @ Xz) - Y.conj().T @ (mat @ X)).T
-    defect = float(np.max(dev))
+    """Largest deviation dev[p, q] = |<A(z f_p), z g_q> - <A f_p, g_q>| over
+    the admissible vectors f_p of the domain and g_q of the codomain.
+
+    On the complement sections z f_p is again a section vector
+    (spaces.section_shift_index), so the deviations are one gather of
+    matrix entries and the defect is the largest block-identity deviation
+    of check_block_conditions. On model spaces they come from coordinates.
+    """
+    if isinstance(op, BlockOperator):
+        if tol is None:
+            tol = default_tolerance(op.theta, op.alpha)
+        A = op.assemble()
+        keep, moved = section_shift_index("model_perp", op.M)
+        dev = np.abs(A[np.ix_(moved, moved)] - A[np.ix_(keep, keep)]).T
+    else:
+        if tol is None:
+            tol = default_tolerance(op.domain.inner, op.codomain.inner)
+        X, Xz = _coordinate_columns(op.domain)
+        Y, Yz = _coordinate_columns(op.codomain)
+        dev = np.abs(Yz.conj().T @ (op.entries @ Xz)
+                     - Y.conj().T @ (op.entries @ X)).T
+    defect = float(np.max(dev, initial=0.0))
     # witnesses above tol, largest first, ties in (p, q) order
     flat = dev.ravel()
     over = np.flatnonzero(flat > tol)
@@ -119,11 +125,13 @@ def shift_invariance_defect(A, domain: OrthonormalBasis,
     return DefectReport("shift-invariance", defect, tol, witnesses)
 
 
-def _coordinate_columns(basis: OrthonormalBasis, adm: OrthonormalBasis):
-    """Coordinates of the admissible vectors f and of z*f, one per column."""
-    X = np.column_stack([basis.coords(f) for f in adm])
-    Xz = np.column_stack([basis.coords(f.shift(1)) for f in adm])
-    return X, Xz
+def _coordinate_columns(basis: OrthonormalBasis):
+    """Coordinates of the admissible vectors f of a model space and of z*f,
+    one per column."""
+    adm = admissible_for_shift(basis)
+    X = np.array([basis.coords(f) for f in adm], dtype=np.complex128)
+    Xz = np.array([basis.coords(f.shift(1)) for f in adm], dtype=np.complex128)
+    return X.reshape(-1, basis.dim).T, Xz.reshape(-1, basis.dim).T
 
 
 class ShiftInvariantSolution(NamedTuple):
@@ -133,18 +141,21 @@ class ShiftInvariantSolution(NamedTuple):
 
 
 def solve_shift_invariant_space(theta: BlaschkeProduct, alpha: BlaschkeProduct,
-                                space: str = "model", M: int | None = None, *,
-                                sv_tol: float = 1e-10) -> ShiftInvariantSolution:
+                                space: str = "model",
+                                M: int | None = None) -> ShiftInvariantSolution:
     """Nullspace of the homogeneous system <A(zf_i), zg_j> = <Af_i, g_j> over
     all admissible basis pairs: the space of shift-invariant operators.
 
     For "model" the domain/codomain are the model spaces of theta/alpha; for
     "model_perp" (monomial inner functions only, where the finite section is
-    structurally exact) they are the depth-M complement sections.
+    structurally exact) they are the depth-M complement sections, whose
+    admissible vectors and their shifts are section vectors.
     """
     if space == "model":
         dom = model_basis(theta)
         cod = model_basis(alpha)
+        X, Xz = _coordinate_columns(dom)
+        Y, Yz = _coordinate_columns(cod)
     elif space == "model_perp":
         if not (theta.is_monomial() and alpha.is_monomial()):
             raise InputError("model_perp solve supports monomial inner functions only")
@@ -152,20 +163,19 @@ def solve_shift_invariant_space(theta: BlaschkeProduct, alpha: BlaschkeProduct,
             raise InputError("model_perp solve requires a truncation depth M")
         dom = basis_Kperp(theta, M)
         cod = basis_Kperp(alpha, M, name="alpha")
+        keep, moved = section_shift_index("model_perp", M)
+        unit = np.eye(dom.dim, dtype=np.complex128)
+        X, Xz = Y, Yz = unit[:, keep], unit[:, moved]
     else:
         raise InputError(f"unknown operator space {space!r}")
-    adm_d = admissible_for_shift(dom)
-    adm_c = admissible_for_shift(cod)
     size = dom.dim * cod.dim
-    if adm_d.dim and adm_c.dim:
-        X, Xz = _coordinate_columns(dom, adm_d)
-        Y, Yz = _coordinate_columns(cod, adm_c)
+    if X.size and Y.size:
         # row (p, q): outer(conj(yz_q), xz_p) - outer(conj(y_q), x_p), flattened
         C = (Yz.conj().T[None, :, :, None] * Xz.T[:, None, None, :]
              - Y.conj().T[None, :, :, None] * X.T[:, None, None, :]).reshape(-1, size)
         _, s, Vh = np.linalg.svd(C, full_matrices=True)
         null = [Vh[k].conj() for k in range(Vh.shape[0])
-                if k >= len(s) or s[k] < sv_tol]
+                if k >= len(s) or s[k] < SHIFT_KERNEL_TOL]
         s = np.asarray(s)
     else:
         # no admissible pair constrains anything: every operator qualifies
@@ -239,8 +249,7 @@ class AdttoVerdict(NamedTuple):
     symbol: SymbolFunction
 
 
-def check_adtto(D: BlockOperator, *, tol: float | None = None,
-                tail_cap: float = DEFAULT_TAIL_CAP) -> AdttoVerdict:
+def check_adtto(D: BlockOperator, *, tol: float | None = None) -> AdttoVerdict:
     """Membership test: is the block operator the compression of a single
     multiplication operator?
 
@@ -262,9 +271,9 @@ def check_adtto(D: BlockOperator, *, tol: float | None = None,
     # coupling: TCheck's diagonal symbol, pushed through theta*conj(alpha),
     # must reproduce That entrywise
     phi_t = _tcheck_symbol(D)
-    th = expand(D.theta, max(D.theta.degree_for_cap(tail_cap), 2 * M + 4),
+    th = expand(D.theta, max(D.theta.degree_for_cap(DEFAULT_TAIL_CAP), 2 * M + 4),
                 tail_cap=None)
-    al = expand(D.alpha, max(D.alpha.degree_for_cap(tail_cap), 2 * M + 4),
+    al = expand(D.alpha, max(D.alpha.degree_for_cap(DEFAULT_TAIL_CAP), 2 * M + 4),
                 tail_cap=None)
     g = multiply(phi_t, multiply(th, conj_function(al)))
     i, j = np.ogrid[:M + 1, :M + 1]
@@ -299,8 +308,7 @@ def check_adtto(D: BlockOperator, *, tol: float | None = None,
 
 # -- symbol recovery ----------------------------------------------------------
 
-def recover_symbol(D: BlockOperator, method: str = "zbar", *,
-                   tail_cap: float = DEFAULT_TAIL_CAP):
+def recover_symbol(D: BlockOperator, method: str = "zbar"):
     """Recover the symbol of a block operator, with the residual of the
     rebuilt operator as the membership diagnostic.
 
@@ -325,8 +333,8 @@ def recover_symbol(D: BlockOperator, method: str = "zbar", *,
         symbol = phi_z
     else:
         n = M + 1
-        cap_deg = max(D.theta.degree_for_cap(tail_cap),
-                      D.alpha.degree_for_cap(tail_cap), 2 * M + 4)
+        cap_deg = max(D.theta.degree_for_cap(DEFAULT_TAIL_CAP),
+                      D.alpha.degree_for_cap(DEFAULT_TAIL_CAP), 2 * M + 4)
         th = expand(D.theta, cap_deg, tail_cap=None)
         al = expand(D.alpha, cap_deg, tail_cap=None)
         dom, cod = D.domain_basis(), D.codomain_basis()
@@ -354,8 +362,7 @@ def recover_symbol(D: BlockOperator, method: str = "zbar", *,
     max_reach = M - guard
     from .laurent import project_band
     clipped = project_band(symbol.value, -max_reach, max_reach)
-    rebuilt = build_dtto(D.theta, D.alpha, SymbolFunction(clipped), M,
-                         tail_cap=tail_cap)
+    rebuilt = build_dtto(D.theta, D.alpha, SymbolFunction(clipped), M)
     residual = float(np.linalg.norm(D.assemble() - rebuilt.assemble(), 2))
     return symbol, residual
 
@@ -377,23 +384,3 @@ def is_analytic_adtto(D: BlockOperator, *, tol: float = 1e-11) -> AnalyticVerdic
     k, c = max(phi_minus.coeffs.items(), key=lambda kv: abs(kv[1]))
     # coefficient k of P-(z D zbar) is the pairing <D zbar, zbar^(1-k)>
     return AnalyticVerdict(False, (f"<D zbar, zbar^{1 - k}>", abs(c)), norm)
-
-
-# -- structure scan (used by the nullspace suites) ---------------------------
-
-def block_structure_defect(D: BlockOperator, *, margin: int = 1) -> float:
-    """Max deviation of the diagonal blocks from constant diagonals and of
-    the antidiagonal blocks from constant antidiagonals, away from the edge."""
-    M = D.M
-    lo, hi = margin, M + 1 - margin
-    d1 = D.that[lo:hi, lo:hi]
-    d2 = D.t_check[lo:hi, lo:hi]
-    g1 = D.gamma_hat[lo:hi, lo:hi]
-    g2 = D.gamma_check[lo:hi, lo:hi]
-    out = 0.0
-    if d1.shape[0] >= 2:
-        out = max(out, float(np.max(np.abs(d1[1:, 1:] - d1[:-1, :-1]))))
-        out = max(out, float(np.max(np.abs(d2[1:, 1:] - d2[:-1, :-1]))))
-        out = max(out, float(np.max(np.abs(g1[1:, :-1] - g1[:-1, 1:]))))
-        out = max(out, float(np.max(np.abs(g2[1:, :-1] - g2[:-1, 1:]))))
-    return out

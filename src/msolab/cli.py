@@ -17,6 +17,7 @@ import json
 import re
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -34,38 +35,40 @@ EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
 
 
+def _loads(text: str, context: str):
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        # ValueError also covers integers past the interpreter's digit limit;
+        # RecursionError is nesting deeper than the decoder can follow
+        raise InputError(f"{context}: {exc}") from exc
+
+
 def _parse_symbol(text: str) -> LaurentPolynomial:
     text = text.strip()
     m = re.fullmatch(r"z(?:\^(-?\d+))?", text)
     if m:
         payload = {"coeffs": [[int(m.group(1) or 1), 1.0, 0.0]]}
     else:
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"cannot parse symbol {text!r}: {exc}") from exc
+        payload = _loads(text, f"cannot parse symbol {text!r}")
     return LaurentPolynomial.from_json(payload)
 
 
 def _parse_inner(text: str) -> BlaschkeProduct:
     text = text.strip()
     if text.startswith("{"):
-        try:
-            return BlaschkeProduct.from_json(json.loads(text))
-        except json.JSONDecodeError as exc:
-            raise InputError(f"cannot parse inner function {text!r}: {exc}") from exc
+        return BlaschkeProduct.from_json(
+            _loads(text, f"cannot parse inner function {text!r}"))
     return BlaschkeProduct.parse(text)
 
 
 def _read_payload(path: str) -> dict:
     try:
-        text = sys.stdin.read() if path == "-" else open(path).read()
-    except OSError as exc:
+        text = sys.stdin.read() if path == "-" else Path(path).read_text("utf-8")
+    except (OSError, ValueError) as exc:
+        # ValueError: undecodable bytes, or a NUL in the path
         raise InputError(f"cannot read {path!r}: {exc}") from exc
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON in {path!r}: {exc}") from exc
+    return _loads(text, f"invalid JSON in {path!r}")
 
 
 def _load_operator(payload: dict):
@@ -80,7 +83,7 @@ def _load_operator(payload: dict):
             entries = _matrix_from_json(payload["entries"])
         except KeyError as exc:
             raise InputError(f"matrix payload missing {exc}") from exc
-        except (TypeError, ValueError, IndexError) as exc:
+        except (TypeError, ValueError, IndexError, OverflowError) as exc:
             raise InputError(f"malformed matrix payload: {exc}") from exc
         return DenseComplexMatrix(entries, model_basis(theta),
                                   model_basis(alpha))
@@ -101,8 +104,10 @@ def _emit(report, out: str | None):
     text = json.dumps(report, sort_keys=True, indent=2,
                       default=_json_default) + "\n"
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            Path(out).write_text(text)
+        except (OSError, ValueError) as exc:
+            raise InputError(f"cannot write {out!r}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -137,21 +142,14 @@ def _cmd_check(args) -> int:
                              f"{_CHECK_NAMES}")
     if not selected:
         raise InputError("no checks selected")
-    is_block = isinstance(op, BlockOperator)
-    if not is_block and set(selected) - {"shift"}:
+    if not isinstance(op, BlockOperator) and set(selected) - {"shift"}:
         raise InputError("blocks/adtto/analytic checks require a dtto payload")
-    tol = args.tol
+    tol = characterize.validated_tolerance(args.tol)
     reports = []
     extra = {}
     for name in selected:
         if name == "shift":
-            if is_block:
-                rep = characterize.shift_invariance_defect(
-                    op, op.domain_basis(), op.codomain_basis(), tol=tol)
-            else:
-                rep = characterize.shift_invariance_defect(
-                    op, op.domain, op.codomain, tol=tol)
-            reports.append(rep)
+            reports.append(characterize.shift_invariance_defect(op, tol=tol))
         elif name == "blocks":
             reports.extend(characterize.check_block_conditions(op, tol=tol))
         elif name == "adtto":
@@ -178,9 +176,9 @@ def _cmd_recover(args) -> int:
     op = _load_operator(_read_payload(args.input))
     if not isinstance(op, BlockOperator):
         raise InputError("symbol recovery requires a dtto payload")
+    tol = characterize.validated_tolerance(args.tol) or \
+        characterize.default_tolerance(op.theta, op.alpha)
     symbol, residual = characterize.recover_symbol(op, args.method)
-    tol = args.tol if args.tol is not None else characterize.default_tolerance(
-        op.theta, op.alpha)
     report = {"method": args.method,
               "symbol": symbol.to_json(),
               "mean": [symbol.mean.real, symbol.mean.imag],
@@ -199,14 +197,21 @@ def _cmd_suite(args) -> int:
         M=args.M, tol=args.tol, seed=args.seed, cases=args.cases)
     started = time.monotonic()
     report = suites.run_suite(args.name, config)
+    _emit(report, args.out)
     print(f"suite {args.name}: {time.monotonic() - started:.1f}s",
           file=sys.stderr)
-    _emit(report, args.out)
     return EXIT_OK if report["pass"] else EXIT_CHECK_FAILED
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors are input errors: exit 2, one line."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="msolab",
         description="Truncated and dual truncated Toeplitz operators: "
                     "build, check, recover, verify.")
@@ -253,16 +258,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on bad usage, matching the input-error contract
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (InputError, MsolabError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except SystemExit as exc:
+        # --help prints and exits 0
+        return int(exc.code or 0)
+    except MsolabError as exc:
+        print("error:", " ".join(str(exc).splitlines()), file=sys.stderr)
         return EXIT_BAD_INPUT
 
 

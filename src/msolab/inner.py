@@ -137,13 +137,13 @@ class BlaschkeProduct:
             raise InputError("expected an object with 'zeros'")
         try:
             zeros = [complex(float(re_), float(im)) for re_, im in obj["zeros"]]
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"bad zeros entry: {obj['zeros']!r}") from exc
         const = obj.get("constant", [1.0, 0.0])
         try:
             re_, im = const
             constant = complex(float(re_), float(im))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"bad constant {const!r}: expected [re, im]") from exc
         return cls(zeros, constant,
                    allow_near_boundary=bool(obj.get("allow_near_boundary", False)))

@@ -22,8 +22,8 @@ so `build_dtto` forms three products and gathers. Entries are exact
 pairings (up to expansion tails), so truncation shows up only structurally:
 identities involving products of blocks are reliable on interior indices,
 at distance >= (symbol reach + deg theta + deg alpha) from the truncation
-edge. Builders tag the symbol reach as `edge` so checks can size that
-margin.
+edge. Builders tag the symbol reach as `edge`; it is provenance metadata
+that travels with the payload, and no check reads it.
 """
 
 from __future__ import annotations
@@ -125,9 +125,9 @@ class DenseComplexMatrix:
 class BlockOperator:
     """The four compressions of an operator between complement sections.
 
-    `edge` is the symbol reach used to size interior margins in checks; it is
-    None for operators of unknown provenance (e.g. loaded from JSON without
-    the optional metadata).
+    `edge` is provenance metadata: the symbol reach a builder used, None
+    for operators of unknown provenance (e.g. loaded from JSON without the
+    optional key). No check reads it.
     """
 
     __slots__ = ("that", "gamma_check", "gamma_hat", "t_check",
@@ -215,7 +215,7 @@ class BlockOperator:
                        t_check=_matrix_from_json(blocks["TCheck"]),
                        theta=theta, alpha=alpha, M=M,
                        edge=obj.get("edge"))
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+        except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
             raise InputError(f"malformed block operator payload: {exc}") from exc
 
     def __repr__(self):

@@ -117,28 +117,35 @@ def basis_Kperp(theta: BlaschkeProduct, M: int, *, name: str = "theta",
                             expansion=head.expansion)
 
 
+def section_shift_index(kind: str, M: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where the shift moves the admissible vectors of a depth-M section.
+
+    The shift is an index shift on the sections, theta z^k -> theta z^(k+1)
+    and zbar^k -> zbar^(k-1), so z*v[keep[p]] = v[moved[p]] exactly. The
+    two vectors the shift pushes out are not kept: theta z^M (z*theta z^M
+    leaves the truncation) and zbar (z*zbar = 1 has the nonzero model-space
+    part 1 - conj(theta(0)) theta).
+    """
+    k = np.arange(M)
+    return {"thetaH2": (k, k + 1), "Hminus": (k + 1, k),
+            "model_perp": (np.r_[k, k + M + 2], np.r_[k + 1, k + M + 1])}[kind]
+
+
 def admissible_for_shift(V: OrthonormalBasis) -> OrthonormalBasis:
     """Orthonormal basis of {f in span V : z*f stays in the ambient space}.
 
-    On the depth-M sections the shift is an index shift, theta z^k ->
-    theta z^(k+1) and zbar^k -> zbar^(k-1), so the admissible vectors are
-    the section's own vectors, in section order, minus the two the shift
-    pushes out: theta z^M (z*theta z^M leaves the truncation) and zbar
-    (z*zbar = 1 has the nonzero model-space part 1 - conj(theta(0)) theta).
-    Only the model space needs the generic route: the kernel of
-    (I - P_model) o M_z restricted to span V, with singular values below
-    SHIFT_KERNEL_TOL treated as zero.
+    On the depth-M sections these are the section's own vectors, in section
+    order, at the indices `section_shift_index` keeps. Only the model space
+    needs the generic route: the kernel of (I - P_model) o M_z restricted to
+    span V, with singular values below SHIFT_KERNEL_TOL treated as zero.
     """
     if V.kind not in SUBSPACES:
         raise InputError(f"unsupported basis kind {V.kind!r}")
     label = f"admissible[{V.label}]"
     if V.kind != "model":
-        n = V.depth + 1
-        vectors = {"thetaH2": V.vectors[:n - 1],
-                   "Hminus": V.vectors[1:],
-                   "model_perp": V.vectors[:n - 1] + V.vectors[n + 1:]}[V.kind]
-        return OrthonormalBasis(label, vectors, kind="admissible",
-                                inner=V.inner, depth=V.depth)
+        keep, _ = section_shift_index(V.kind, V.depth)
+        return OrthonormalBasis(label, [V.vectors[i] for i in keep],
+                                kind="admissible", inner=V.inner, depth=V.depth)
     shifted = [v.shift(1) for v in V]
     residuals = [zv - project(V.inner, "model", zv) for zv in shifted]
     live = [r for r in residuals if not r.is_zero()]

@@ -45,8 +45,7 @@ class SuiteConfig:
     cases: int | None = None
 
     def validate(self):
-        if self.tol is not None and self.tol <= 0:
-            raise InputError("tolerance must be positive")
+        characterize.validated_tolerance(self.tol)
         if self.cases is not None and self.cases <= 0:
             raise InputError(f"cases must be positive, got {self.cases}")
         if self.M is not None and self.M > MAX_DEPTH:
@@ -162,8 +161,8 @@ def block_structure_scan(M: int = 10) -> dict:
     theta = BlaschkeProduct([0.0, 0.0])
     sol = characterize.solve_shift_invariant_space(theta, theta,
                                                    space="model_perp", M=M)
-    worst = max(characterize.block_structure_defect(op, margin=1)
-                for op in sol.operators)
+    worst = max(rep.defect for op in sol.operators
+                for rep in characterize.check_block_conditions(op))
     return {"criterion": "block-structure", "dimension": sol.dimension,
             "max_structure_defect": worst, "tolerance": tol,
             "pass": worst <= tol}
@@ -489,8 +488,7 @@ def run_fuzz(config: SuiteConfig | None = None) -> dict:
         verdict = characterize.check_adtto(D)
         sym1, res1 = characterize.recover_symbol(D, "zbar")
         rt = (sym1.value - phi).norm()
-        shift_rep = characterize.shift_invariance_defect(
-            D, D.domain_basis(), D.codomain_basis())
+        shift_rep = characterize.shift_invariance_defect(D)
         record = {
             "case": i,
             "theta": theta.to_json(),

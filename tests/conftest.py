@@ -1,8 +1,20 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from msolab.laurent import LaurentPolynomial
 from msolab.rng import Xoshiro256StarStar
+
+# The same examples on every run. With no example database the only thing
+# hypothesis still stores is a cache of source constants, kept out of the
+# checkout.
+settings.register_profile("msolab", derandomize=True, database=None)
+settings.load_profile("msolab")
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "msolab-hypothesis")
 
 
 def assert_poly_close(f, g, tol=1e-12):

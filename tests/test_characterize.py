@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from msolab.characterize import (block_structure_defect, check_adtto,
-                                 check_block_conditions, default_tolerance,
-                                 distance_to_span, is_analytic_adtto,
-                                 recover_symbol, shift_invariance_defect,
+from msolab.characterize import (check_adtto, check_block_conditions,
+                                 default_tolerance, distance_to_span,
+                                 is_analytic_adtto, recover_symbol,
+                                 shift_invariance_defect,
                                  solve_shift_invariant_space)
 from msolab.errors import InputError
 from msolab.inner import BlaschkeProduct, monomial_inner, tm_basis
@@ -38,21 +38,21 @@ def bump(n, i, j):
 
 def test_tto_is_shift_invariant():
     A = build_tto(Z2, Z2, monomial(1))
-    rep = shift_invariance_defect(A, A.domain, A.codomain)
+    rep = shift_invariance_defect(A)
     assert rep.passed and rep.defect <= 1e-13
 
 
 def test_rank_one_dyad_not_shift_invariant():
     basis = tm_basis(Z2)
     A = DenseComplexMatrix(np.array([[1, 0], [0, 0]]), basis, basis)
-    rep = shift_invariance_defect(A, basis, basis)
+    rep = shift_invariance_defect(A)
     assert rep.defect == pytest.approx(1.0)
     assert not rep.passed and rep.witnesses
 
 
 def test_dtto_is_shift_invariant():
     D = build_dtto(Z2, Z3, LaurentPolynomial({1: 1, -1: 1}), 8)
-    rep = shift_invariance_defect(D, D.domain_basis(), D.codomain_basis())
+    rep = shift_invariance_defect(D)
     assert rep.defect <= 1e-12
 
 
@@ -60,7 +60,7 @@ def test_blaschke_dtto_is_shift_invariant(rng):
     b1 = BlaschkeProduct([0.5, -0.2j])
     b2 = BlaschkeProduct([0.35])
     D = build_dtto(b1, b2, random_poly(rng, -2, 2), 9)
-    rep = shift_invariance_defect(D, D.domain_basis(), D.codomain_basis())
+    rep = shift_invariance_defect(D)
     assert rep.defect <= 1e-11
 
 
@@ -88,7 +88,8 @@ def test_nullspace_dimension_blaschke():
 def test_complement_nullspace_has_block_structure():
     sol = solve_shift_invariant_space(Z2, Z2, space="model_perp", M=6)
     assert sol.dimension == 8 * 6 + 4
-    assert max(block_structure_defect(op) for op in sol.operators) <= 1e-10
+    assert max(rep.defect for op in sol.operators
+               for rep in check_block_conditions(op)) <= 1e-10
 
 
 def test_complement_solve_rejects_blaschke():

@@ -1,12 +1,17 @@
+import copy
 import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from msolab.cli import main
-from msolab.laurent import MAX_DEGREE
+from msolab.inner import BlaschkeProduct, monomial_inner
+from msolab.laurent import MAX_DEGREE, LaurentPolynomial
+from msolab.operators import build_dtto, build_tto
 
 Z2 = "z^2"
 SHIFT_SYMBOL = '{"coeffs": [[1, 1, 0], [-1, 2, 0]]}'
@@ -265,3 +270,151 @@ def test_recover_below_guard_depth_names_it(tmp_path, capsys):
         code, out, err = run_cli(capsys, "recover", str(path), "--method", method)
         assert_one_line_input_error(code, out, err)
         assert "guard depth 6" in err
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000],
+                         ids=["non-utf8", "nested-100000"])
+def test_check_rejects_unreadable_payload(tmp_path, capsys, content):
+    path = tmp_path / "op.json"
+    path.write_bytes(content)
+    assert_one_line_input_error(*run_cli(capsys, "check", str(path)))
+
+
+def test_output_path_that_cannot_be_written(tmp_path, capsys):
+    out = tmp_path / "missing" / "op.json"
+    assert_one_line_input_error(*run_cli(capsys, "build", "tto", "--theta", Z2,
+                                         "--symbol", "z", "--out", str(out)))
+
+
+def test_usage_errors_are_one_line(capsys):
+    assert_one_line_input_error(*run_cli(capsys, "check", "--tol"))
+    assert_one_line_input_error(*run_cli(capsys, "build", "tto", "--theta", Z2,
+                                         "--symbol", "z", "--bad", "a\nb"))
+
+
+_HUGE = 10 ** 400  # an integer JSON literal beyond the float range
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda p: {**p, "M": float("inf")},
+    lambda p: {**p, "blocks": {**p["blocks"], "That": [[[_HUGE, 0]]]}},
+    lambda p: {**p, "theta": {"zeros": [[_HUGE, 0]]}},
+    lambda p: {**p, "theta": {**p["theta"], "constant": [_HUGE, 0]}},
+    lambda p: {"theta": p["theta"], "alpha": p["alpha"], "entries": [[[_HUGE, 0]]]},
+], ids=["infinite-depth", "huge-entry", "huge-zero", "huge-constant", "huge-tto-entry"])
+def test_check_rejects_numbers_beyond_float_range(tmp_path, capsys, mutate):
+    path = tmp_path / "op.json"
+    assert run_cli(capsys, "build", "dtto", "--theta", Z2, "--symbol", "z",
+                   "--M", "8", "--out", str(path))[0] == 0
+    path.write_text(json.dumps(mutate(json.loads(path.read_text()))))
+    assert_one_line_input_error(*run_cli(capsys, "check", str(path)))
+
+
+@pytest.mark.parametrize("command", ["check", "recover", "suite"])
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+def test_tolerance_must_be_finite_and_positive(tmp_path, capsys, command, tol):
+    path = tmp_path / "op.json"
+    assert run_cli(capsys, "build", "dtto", "--theta", Z2, "--symbol", "z",
+                   "--M", "8", "--out", str(path))[0] == 0
+    argv = ["suite", "fuzz", "--cases", "1"] if command == "suite" else [command, str(path)]
+    code, out, err = run_cli(capsys, *argv, "--tol", tol)
+    assert_one_line_input_error(code, out, err)
+    assert "tolerance must be finite and positive" in err
+
+
+# -- the exit-code contract on arbitrary argv and payloads -----------------------
+
+PAYLOAD, BAD_OUT = object(), object()
+_VALID_PAYLOADS = (
+    build_dtto(monomial_inner(2), BlaschkeProduct([0.3]),
+               LaurentPolynomial({1: 1.0, -1: 0.5j}), 6).to_json(),
+    build_tto(monomial_inner(2), monomial_inner(3), LaurentPolynomial({-1: 1.0})).to_json(),
+)
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=8)
+_token = st.text(max_size=6)
+
+
+def _flag(flag, values):
+    return st.one_of(values.map(lambda v: [flag, v]), st.just([]))
+
+
+def _argv(*parts):
+    return st.tuples(*parts).map(lambda ps: [a for p in ps for a in p])
+
+
+@st.composite
+def _with_token(draw, grammar):
+    """An argv from the grammar, one word in four replaced by an arbitrary
+    token (the command word too)."""
+    argv = draw(grammar)
+    if draw(st.integers(0, 3)) == 3:
+        argv[draw(st.integers(1, len(argv))) - 1] = draw(_token)
+    return argv
+
+
+_depth = st.integers(-3, 32).map(str)
+_tol = st.sampled_from(["1e-3", "1e-12", "nan", "inf", "-1", "0"])
+_inner = st.sampled_from(["z", "z^2", "z^3"]) | st.lists(
+    st.tuples(st.floats(-1.2, 1.2), st.floats(-1.2, 1.2)), min_size=1, max_size=3).map(
+    lambda zeros: json.dumps({"zeros": zeros}))
+_symbol = st.integers(-4, 4).map(lambda k: f"z^{k}") | st.lists(
+    st.tuples(st.integers(-4, 4), st.floats(-2, 2), st.floats(-2, 2)), max_size=3).map(
+    lambda coeffs: json.dumps({"coeffs": coeffs}))
+_checks = st.lists(st.sampled_from(["shift", "blocks", "adtto", "analytic"]),
+                   min_size=1, max_size=4).map(",".join)
+_commands = _with_token(st.one_of(
+    _argv(st.just(["build"]), st.sampled_from([["tto"], ["dtto"]]),
+          _inner.map(lambda v: ["--theta", v]), _symbol.map(lambda v: ["--symbol", v]),
+          _flag("--alpha", _inner), _flag("--M", _depth)),
+    _argv(st.just(["check", PAYLOAD]), _flag("--checks", _checks), _flag("--tol", _tol)),
+    _argv(st.just(["recover", PAYLOAD]),
+          _flag("--method", st.sampled_from(["zbar", "boundary"])), _flag("--tol", _tol)),
+    _argv(st.just(["suite", "fuzz"]),
+          st.sampled_from(["1", "2", "0"]).map(lambda n: ["--cases", n]),
+          _flag("--M", _depth), _flag("--seed", _depth), _flag("--theta", _inner),
+          _flag("--symbol", _symbol), _flag("--tol", _tol))))
+
+
+@st.composite
+def _mutated(draw):
+    """A valid payload with one top-level field replaced by arbitrary JSON,
+    or the dtto payload with one block entry moved."""
+    payload = copy.deepcopy(draw(st.sampled_from(_VALID_PAYLOADS)))
+    if draw(st.booleans()):
+        matrix = draw(st.sampled_from(list(payload["blocks"].values()))) \
+            if "blocks" in payload else payload["entries"]
+        cell = draw(st.sampled_from(draw(st.sampled_from(matrix))))
+        cell[0] += draw(st.floats(0.01, 1))
+    else:
+        payload[draw(st.sampled_from(sorted(payload)))] = draw(_json_values)
+    return json.dumps(payload).encode()
+
+
+_payloads = st.one_of(
+    st.sampled_from(_VALID_PAYLOADS).map(lambda p: json.dumps(p).encode()),
+    _mutated(),
+    _json_values.map(lambda v: json.dumps(v).encode()),
+    st.binary(max_size=64))
+
+
+@given(argv=_commands, out=st.sampled_from([[], [], [], ["--out", BAD_OUT]]),
+       payload=_payloads)
+@settings(max_examples=250, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_main_keeps_exit_code_contract(tmp_path, monkeypatch, capsys, argv, out, payload):
+    """Any argv from the command grammar (with arbitrary tokens mixed in) and
+    any payload bytes: exit 0, 1 or 2, no exception, and exit 2 prints one
+    error line."""
+    # a token such as "--o" abbreviates --out, so stray outputs land here
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "payload.json"
+    path.write_bytes(payload)
+    where = {PAYLOAD: str(path), BAD_OUT: str(tmp_path / "missing" / "out.json")}
+    code, _, err = run_cli(capsys, *[where.get(a, a) for a in argv + out])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1, err

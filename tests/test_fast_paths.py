@@ -15,8 +15,8 @@ from msolab.characterize import (_zbar_symbol, check_block_conditions,
 from msolab.errors import DimensionError
 from msolab.inner import BlaschkeProduct, monomial_inner, tm_basis
 from msolab.laurent import LaurentPolynomial, monomial, multiply
-from msolab.operators import (BlockOperator, SymbolFunction, build_dtto,
-                              build_tto, split_blocks)
+from msolab.operators import (BlockOperator, DenseComplexMatrix, SymbolFunction,
+                              build_dtto, build_tto, split_blocks)
 from msolab.rng import Xoshiro256StarStar
 from msolab.spaces import (admissible_for_shift, basis_Kperp, hminus_basis,
                            thetaH2_basis)
@@ -213,9 +213,14 @@ def test_block_shift_defect_is_largest_block_condition_defect():
     for D in _built_operators():
         A = D.assemble() + 1e-3 * noise.standard_normal((D.dim, D.dim))
         for op in (D, split_blocks(A, D.theta, D.alpha, D.M)):
-            rep = shift_invariance_defect(op, op.domain_basis(), op.codomain_basis())
+            rep = shift_invariance_defect(op)
             blocks = max(r.defect for r in check_block_conditions(op))
-            assert abs(rep.defect - blocks) <= 1e-15
+            assert rep.defect == blocks
+
+
+def test_built_operators_have_exactly_zero_shift_defect():
+    for D in _built_operators():
+        assert shift_invariance_defect(D).defect == 0.0
 
 
 def _section_index(p, M):
@@ -237,7 +242,7 @@ def test_block_shift_witness_names_perturbed_pair(row, col):
         A = D.assemble()
         A[r, c] += 1e-3
         Dp = split_blocks(A, D.theta, D.alpha, M)
-        rep = shift_invariance_defect(Dp, Dp.domain_basis(), Dp.codomain_basis())
+        rep = shift_invariance_defect(Dp)
         p, q, dev = rep.witnesses[0]
         a, b = _section_index(p, M), _section_index(q, M)
         assert (r, c) in {(b, a), (_shifted(b, M), _shifted(a, M))}
@@ -270,10 +275,16 @@ def _shift_cases(rng):
     return out
 
 
+def _as_operator(mat, dom, cod):
+    if dom.kind == "model":
+        return DenseComplexMatrix(mat, dom, cod)
+    return split_blocks(mat, dom.inner, cod.inner, dom.depth)
+
+
 def test_shift_invariance_defect_matches_loop_oracle(rng):
     for mat, dom, cod in _shift_cases(rng):
         for tol in (1e-10, 1e-3):
-            fast = shift_invariance_defect(mat, dom, cod, tol=tol)
+            fast = shift_invariance_defect(_as_operator(mat, dom, cod), tol=tol)
             slow = loop_shift_invariance_defect(mat, dom, cod, tol)
             assert fast.tolerance == slow.tolerance
             assert fast.defect == pytest.approx(slow.defect, rel=1e-12, abs=1e-14)
@@ -288,7 +299,7 @@ def test_shift_invariance_defect_block_operator_argument():
     bumped = D.assemble()
     bumped[0, 0] += 1e-4
     Dp = split_blocks(bumped, D.theta, D.alpha, D.M)
-    rep = shift_invariance_defect(Dp, Dp.domain_basis(), Dp.codomain_basis())
+    rep = shift_invariance_defect(Dp)
     slow = loop_shift_invariance_defect(Dp.assemble(), Dp.domain_basis(),
                                         Dp.codomain_basis(), rep.tolerance)
     assert not rep.passed
