@@ -18,7 +18,7 @@ import numpy as np
 
 from .bases import OrthonormalBasis
 from .errors import AdmissibilityError, DimensionError, InputError
-from .inner import DEFAULT_TAIL_CAP, BlaschkeProduct, expand
+from .inner import BlaschkeProduct, expand
 from .laurent import (LaurentPolynomial, conj_function, minus_part,
                       monomial, multiply, plus_part)
 from .operators import BlockOperator, DenseComplexMatrix, apply
@@ -109,8 +109,7 @@ def gen_shift_pair(f: LaurentPolynomial, g: LaurentPolynomial, *,
 
 
 def gen_M(index: int, theta: BlaschkeProduct, alpha: BlaschkeProduct,
-          h: LaurentPolynomial | None, g: LaurentPolynomial, *,
-          tail_cap: float = DEFAULT_TAIL_CAP) -> FiniteRankOperator:
+          h: LaurentPolynomial | None, g: LaurentPolynomial) -> FiniteRankOperator:
     """The six two-dyad families tied to the four membership conditions.
 
     h and g are analytic polynomials (h is ignored by families 5 and 6).
@@ -123,8 +122,8 @@ def gen_M(index: int, theta: BlaschkeProduct, alpha: BlaschkeProduct,
     for name, vec in (("h", h), ("g", g)):
         if vec is not None and not vec.is_zero() and vec.lo < 0:
             raise InputError(f"{name} must be an analytic polynomial")
-    th = expand(theta, tail_cap=tail_cap)
-    al = expand(alpha, tail_cap=tail_cap)
+    th = expand(theta)
+    al = expand(alpha)
     zbar_gbar = multiply(monomial(-1), conj_function(g))
     if index in (1, 2, 3, 4):
         if h is None:
@@ -170,16 +169,15 @@ def transitivity_probe(f: LaurentPolynomial, g: LaurentPolynomial, *,
 
 def dual_transitivity_probe(f: LaurentPolynomial, g: LaurentPolynomial,
                             theta: BlaschkeProduct, alpha: BlaschkeProduct, *,
-                            tol: float = 1e-12,
-                            tail_cap: float = DEFAULT_TAIL_CAP) -> ProbeResult:
+                            tol: float = 1e-12) -> ProbeResult:
     """Three products driving the rank-one argument on the complement
     sections: with f = zbar conj(f-) + theta f+ and g likewise,
     (f+ conj(g+), conj(f-) g-, theta f+ z g-) must all vanish for f (x) g to
     annihilate the class."""
     if f.is_zero() or g.is_zero():
         raise InputError("transitivity probe requires nonzero vectors")
-    th = expand(theta, tail_cap=tail_cap)
-    al = expand(alpha, tail_cap=tail_cap)
+    th = expand(theta)
+    al = expand(alpha)
     f_plus = plus_part(multiply(conj_function(th), f))
     g_plus = plus_part(multiply(conj_function(al), g))
     f_minus = conj_function(minus_part(f).shift(1))
@@ -192,8 +190,7 @@ def dual_transitivity_probe(f: LaurentPolynomial, g: LaurentPolynomial,
 
 
 def represent_functional(density: LaurentPolynomial, theta: BlaschkeProduct,
-                         alpha: BlaschkeProduct, *,
-                         tail_cap: float = DEFAULT_TAIL_CAP) -> FiniteRankOperator:
+                         alpha: BlaschkeProduct) -> FiniteRankOperator:
     """A rank-one operator t with <D_psi, t> = integral of psi * density for
     every polynomial symbol psi: shift the density analytic, then wrap both
     legs in theta*alpha."""
@@ -201,8 +198,8 @@ def represent_functional(density: LaurentPolynomial, theta: BlaschkeProduct,
         return FiniteRankOperator([])
     n = max(0, -density.lo)
     h1 = density.shift(n)
-    th = expand(theta, tail_cap=tail_cap)
-    al = expand(alpha, tail_cap=tail_cap)
+    th = expand(theta)
+    al = expand(alpha)
     wrap = multiply(th, al)
     return FiniteRankOperator([(multiply(wrap, h1), wrap.shift(n))])
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .bases import OrthonormalBasis
 from .errors import DimensionError, InputError
-from .inner import DEFAULT_TAIL_CAP, BlaschkeProduct
+from .inner import BlaschkeProduct
 from .laurent import (LaurentPolynomial, conj_function, minus_part, multiply,
                       plus_part)
 from .spaces import basis_Kperp, model_basis, section_expansion
@@ -245,18 +245,18 @@ def _pairing_matrix(images, codomain: OrthonormalBasis) -> np.ndarray:
     return C.conj() @ A.T
 
 
-def build_tto(theta: BlaschkeProduct, alpha: BlaschkeProduct, phi, *,
-              tail_cap: float = DEFAULT_TAIL_CAP) -> DenseComplexMatrix:
+def build_tto(theta: BlaschkeProduct, alpha: BlaschkeProduct,
+              phi) -> DenseComplexMatrix:
     """Compression of multiplication by phi from K(theta) to K(alpha)."""
     phi = SymbolFunction.parse(phi)
-    dom = model_basis(theta, tail_cap=tail_cap)
-    cod = model_basis(alpha, tail_cap=tail_cap)
+    dom = model_basis(theta)
+    cod = model_basis(alpha)
     images = [multiply(phi.value, e) for e in dom.vectors]
     return DenseComplexMatrix(_pairing_matrix(images, cod), dom, cod)
 
 
-def build_dtto(theta: BlaschkeProduct, alpha: BlaschkeProduct, phi, M: int, *,
-               tail_cap: float = DEFAULT_TAIL_CAP) -> BlockOperator:
+def build_dtto(theta: BlaschkeProduct, alpha: BlaschkeProduct, phi,
+               M: int) -> BlockOperator:
     """Compression of multiplication by phi between complement sections.
 
     Requires M >= reach(phi) + deg theta + deg alpha + 2 so that at least a
@@ -268,8 +268,8 @@ def build_dtto(theta: BlaschkeProduct, alpha: BlaschkeProduct, phi, M: int, *,
     guard = phi.reach + theta.degree + alpha.degree + 2
     if M < guard:
         raise InputError(f"M={M} below the guard depth {guard} for this symbol")
-    phi_th = multiply(phi.value, section_expansion(theta, M, tail_cap))
-    al_bar = conj_function(section_expansion(alpha, M, tail_cap))
+    phi_th = multiply(phi.value, section_expansion(theta, M))
+    al_bar = conj_function(section_expansion(alpha, M))
     i, j = np.ogrid[:M + 1, :M + 1]
     return BlockOperator(
         that=coefficient_matrix(multiply(phi_th, al_bar), i - j),

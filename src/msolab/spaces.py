@@ -34,14 +34,14 @@ SUBSPACES = ("model", "thetaH2", "model_perp", "Hminus")
 SHIFT_KERNEL_TOL = 1e-10
 
 
-def project(theta: BlaschkeProduct, subspace: str, f: LaurentPolynomial, *,
-            tail_cap: float | None = DEFAULT_TAIL_CAP) -> LaurentPolynomial:
+def project(theta: BlaschkeProduct, subspace: str,
+            f: LaurentPolynomial) -> LaurentPolynomial:
     """Orthogonal projection of f onto the named subspace attached to theta."""
     if subspace not in SUBSPACES:
         raise InputError(f"unknown subspace {subspace!r}; expected one of {SUBSPACES}")
     if subspace == "Hminus":
         return minus_part(f)
-    th = _expansion_for(theta, f, tail_cap)
+    th = _expansion_for(theta, f)
     on_theta_h2 = multiply(th, plus_part(multiply(conj_function(th), f)))
     if subspace == "thetaH2":
         return on_theta_h2
@@ -50,48 +50,43 @@ def project(theta: BlaschkeProduct, subspace: str, f: LaurentPolynomial, *,
     return minus_part(f) + on_theta_h2  # model_perp
 
 
-def conjugation_C(theta: BlaschkeProduct, f: LaurentPolynomial, *,
-                  tail_cap: float | None = DEFAULT_TAIL_CAP) -> LaurentPolynomial:
+def conjugation_C(theta: BlaschkeProduct, f: LaurentPolynomial) -> LaurentPolynomial:
     """The antilinear involution f -> theta * zbar * conj(f).
 
     Isometric with reversed pairing order; preserves the model space and
     swaps theta*H2 with H2minus.
     """
-    th = _expansion_for(theta, f, tail_cap)
+    th = _expansion_for(theta, f)
     return multiply(th, conj_function(f).shift(-1))
 
 
-def _expansion_for(theta: BlaschkeProduct, f: LaurentPolynomial,
-                   tail_cap: float | None) -> LaurentPolynomial:
+def _expansion_for(theta: BlaschkeProduct, f: LaurentPolynomial) -> LaurentPolynomial:
     # the expansion must cover the band of f on both sides so the projected
     # coefficients are exact up to the reported tail
-    cap = DEFAULT_TAIL_CAP if tail_cap is None else tail_cap
-    n = theta.degree_for_cap(cap)
+    n = theta.degree_for_cap(DEFAULT_TAIL_CAP)
     if not f.is_zero():
         n = max(n, f.hi + theta.degree + 2, -f.lo + theta.degree + 2)
     return expand(theta, n, tail_cap=None)
 
 
-def model_basis(theta: BlaschkeProduct, *,
-                tail_cap: float | None = DEFAULT_TAIL_CAP) -> OrthonormalBasis:
-    return tm_basis(theta, tail_cap=tail_cap)
+def model_basis(theta: BlaschkeProduct) -> OrthonormalBasis:
+    return tm_basis(theta)
 
 
-def section_expansion(theta: BlaschkeProduct, M: int,
-                      cap: float = DEFAULT_TAIL_CAP) -> LaurentPolynomial:
+def section_expansion(theta: BlaschkeProduct, M: int) -> LaurentPolynomial:
     """The truncated expansion th behind the depth-M theta*H2 section: deep
-    enough for the tail cap and for the section itself."""
-    return expand(theta, max(theta.degree_for_cap(cap), M + theta.degree + 2),
-                  tail_cap=None)
+    enough for the default tail cap and for the section itself."""
+    return expand(theta, max(theta.degree_for_cap(DEFAULT_TAIL_CAP),
+                             M + theta.degree + 2), tail_cap=None)
 
 
 @functools.lru_cache(maxsize=256)
-def thetaH2_basis(theta: BlaschkeProduct, M: int, *, name: str = "theta",
-                  tail_cap: float = DEFAULT_TAIL_CAP) -> OrthonormalBasis:
+def thetaH2_basis(theta: BlaschkeProduct, M: int, *,
+                  name: str = "theta") -> OrthonormalBasis:
     """{theta z^k : 0 <= k <= M}; orthonormal since |theta| = 1 on the circle."""
     if M < 0:
         raise InputError("truncation depth must be nonnegative")
-    th = section_expansion(theta, M, tail_cap)
+    th = section_expansion(theta, M)
     return OrthonormalBasis(f"{name}H2@{M}", (th.shift(k) for k in range(M + 1)),
                             kind="thetaH2", inner=theta, depth=M, expansion=th)
 
@@ -106,11 +101,11 @@ def hminus_basis(M: int) -> OrthonormalBasis:
 
 
 @functools.lru_cache(maxsize=256)
-def basis_Kperp(theta: BlaschkeProduct, M: int, *, name: str = "theta",
-                tail_cap: float = DEFAULT_TAIL_CAP) -> OrthonormalBasis:
+def basis_Kperp(theta: BlaschkeProduct, M: int, *,
+                name: str = "theta") -> OrthonormalBasis:
     """Finite section of the complement of the model space: the theta*H2
     section followed by the H2minus section (this order is load-bearing)."""
-    head = thetaH2_basis(theta, M, name=name, tail_cap=tail_cap)
+    head = thetaH2_basis(theta, M, name=name)
     tail = hminus_basis(M)
     return OrthonormalBasis(f"Kperp({name})@{M}", head.vectors + tail.vectors,
                             kind="model_perp", inner=theta, depth=M,

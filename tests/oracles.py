@@ -3,10 +3,10 @@
 Each function here computes the same quantity as a library routine through
 the generic route it replaced: pairings of polynomial images against a
 dense matrix of basis vectors, a Python loop over admissible pairs, an SVD
-of shift residuals, or polynomial round trips through the operator. The
-tests compare the library against them. `conjugation_corner_maps` has no
-library counterpart: the operator tests use it to check the corner identity
-TCheck = W1 That^T conj(W2).
+of shift residuals, polynomial round trips through the operator, or an SVD
+of the assembled rebuild difference. The tests compare the library against
+them. `conjugation_corner_maps` has no library counterpart: the operator
+tests use it to check the corner identity TCheck = W1 That^T conj(W2).
 """
 
 from __future__ import annotations
@@ -23,12 +23,12 @@ from msolab.spaces import (SHIFT_KERNEL_TOL, admissible_for_shift, basis_Kperp,
                            section_expansion, thetaH2_basis)
 
 
-def pairing_build_dtto(theta, alpha, phi, M, *, tail_cap=1e-13) -> BlockOperator:
+def pairing_build_dtto(theta, alpha, phi, M) -> BlockOperator:
     """build_dtto through 2(M+1) polynomial products paired against the
     dense codomain sections."""
     phi = SymbolFunction.parse(phi)
-    dom = basis_Kperp(theta, M, tail_cap=tail_cap)
-    cod_head = thetaH2_basis(alpha, M, name="alpha", tail_cap=tail_cap)
+    dom = basis_Kperp(theta, M)
+    cod_head = thetaH2_basis(alpha, M, name="alpha")
     cod_tail = hminus_basis(M)
     images = [multiply(phi.value, v) for v in dom.vectors]
     n = M + 1
@@ -94,7 +94,7 @@ def loop_shift_system(domain, codomain) -> np.ndarray:
     return np.vstack(rows)
 
 
-def conjugation_corner_maps(theta, alpha, M, tail_cap=1e-13):
+def conjugation_corner_maps(theta, alpha, M):
     """Matrices of the two antilinear corner maps linking the sections.
 
     W1 represents theta z^k -> P-( C_alpha(z^k) ) from thetaH2@M to Hminus@M;
@@ -103,17 +103,15 @@ def conjugation_corner_maps(theta, alpha, M, tail_cap=1e-13):
     alphaH2 coordinates are the ones the adjoint of a That block consumes).
     Both act on coordinates via x -> W conj(x) (antilinear).
     """
-    al_basis = thetaH2_basis(alpha, M, name="alpha", tail_cap=tail_cap)
+    al_basis = thetaH2_basis(alpha, M, name="alpha")
     hm_basis = hminus_basis(M)
-    th = section_expansion(theta, M, tail_cap)
+    th = section_expansion(theta, M)
 
-    images1 = [minus_part(conjugation_C(alpha, LaurentPolynomial.monomial(k),
-                                        tail_cap=tail_cap))
+    images1 = [minus_part(conjugation_C(alpha, LaurentPolynomial.monomial(k)))
                for k in range(M + 1)]
     W1 = _pairing_matrix(images1, hm_basis)
 
-    images2 = [multiply(th, conjugation_C(alpha, LaurentPolynomial.monomial(-(j + 1)),
-                                          tail_cap=tail_cap))
+    images2 = [multiply(th, conjugation_C(alpha, LaurentPolynomial.monomial(-(j + 1))))
                for j in range(M + 1)]
     W2 = _pairing_matrix(images2, al_basis)
     return W1, W2
@@ -170,3 +168,9 @@ def poly_is_analytic_adtto(D: BlockOperator, *, tol: float = 1e-11) -> AnalyticV
         return AnalyticVerdict(True, None, norm)
     k, c = max(phi_minus.coeffs.items(), key=lambda kv: abs(kv[1]))
     return AnalyticVerdict(False, (f"<D zbar, zbar^{1 - k}>", abs(c)), norm)
+
+
+def svd_rebuild_residual(D: BlockOperator, rebuilt: BlockOperator) -> float:
+    """recover_symbol's residual through the assembled operators: the
+    spectral norm of D - rebuilt, always by SVD."""
+    return float(np.linalg.norm(D.assemble() - rebuilt.assemble(), 2))

@@ -129,6 +129,24 @@ def test_recover_flags_noise(tmp_path, capsys):
     assert json.loads(out)["residual"] > 0.01
 
 
+@pytest.mark.parametrize("block", ["That", "GammaCheck", "GammaHat", "TCheck"])
+def test_single_entry_bump_fails_check_and_recover(tmp_path, capsys, block):
+    path = tmp_path / "op.json"
+    run_cli(capsys, "build", "dtto", "--theta", Z2, "--alpha", "z^3",
+            "--symbol", SHIFT_SYMBOL, "--M", "16", "--out", str(path))
+    payload = json.loads(path.read_text())
+    payload["blocks"][block][5][4][0] += 1e-3
+    path.write_text(json.dumps(payload))
+    code, out, _ = run_cli(capsys, "check", str(path), "--checks", "blocks,adtto")
+    assert code == 1
+    assert not json.loads(out)["pass"]
+    code, out, _ = run_cli(capsys, "recover", str(path), "--method", "zbar")
+    assert code == 1
+    report = json.loads(out)
+    assert report["residual"] > report["tolerance"]
+    assert not report["pass"]
+
+
 def test_suite_unknown_name_exits_two(capsys):
     assert run_cli(capsys, "suite", "everything")[0] == 2
 

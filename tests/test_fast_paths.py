@@ -1,16 +1,18 @@
 """The structured fast paths against their generic oracles (tests/oracles.py):
 closed-form DTTO blocks, slice coordinates on the complement sections, the
-section admissible vectors, the TCheck-border symbol, and the vectorised
-shift-invariance defect."""
+section admissible vectors, the TCheck-border symbol, the vectorised
+shift-invariance defect, and the blockwise recovery residual."""
 
 import cmath
 
 import numpy as np
 import pytest
 
+from msolab import characterize
 from msolab.annihilate import FiniteRankOperator, pair
 from msolab.characterize import (_zbar_symbol, check_block_conditions,
-                                 is_analytic_adtto, shift_invariance_defect,
+                                 is_analytic_adtto, recover_symbol,
+                                 shift_invariance_defect,
                                  solve_shift_invariant_space)
 from msolab.errors import DimensionError
 from msolab.inner import BlaschkeProduct, monomial_inner, tm_basis
@@ -26,7 +28,8 @@ from conftest import random_poly
 from oracles import (dense_coords, dense_coords_and_defect, dense_reconstruct,
                      loop_shift_invariance_defect, loop_shift_system,
                      pairing_build_dtto, poly_is_analytic_adtto,
-                     poly_zbar_symbol, svd_admissible_for_shift)
+                     poly_zbar_symbol, svd_admissible_for_shift,
+                     svd_rebuild_residual)
 
 ORACLE_TOL = 1e-13
 
@@ -321,6 +324,82 @@ def test_shift_invariant_solve_matches_loop_system(theta, alpha, space, M):
         dom, cod = basis_Kperp(theta, M), basis_Kperp(alpha, M, name="alpha")
     s = np.linalg.svd(loop_shift_system(dom, cod), full_matrices=True)[1]
     np.testing.assert_array_equal(sol.singular_values, s)
+
+
+# -- recovery residual --------------------------------------------------------------
+
+BLOCKS = ("that", "gamma_check", "gamma_hat", "t_check")
+
+
+def _in_class_operators():
+    """Seeded built operators: monomial and Blaschke theta/alpha, each at
+    the guard depth and at M = 200."""
+    r = Xoshiro256StarStar(20261019)
+    out = []
+    for theta, alpha in ((monomial_inner(2), monomial_inner(3)),
+                         (monomial_inner(1), random_inner(r)),
+                         (random_inner(r), random_inner(r)),
+                         (SECTION_INNERS[2], random_inner(r))):
+        phi = random_symbol(r)
+        out += [build_dtto(theta, alpha, phi, _guard(theta, alpha, phi)),
+                build_dtto(theta, alpha, phi, 200)]
+    return out
+
+
+def _bumped(D, block, size=1e-3):
+    """D with one interior entry of the named block moved by `size`."""
+    blocks = {name: getattr(D, name).copy() for name in BLOCKS}
+    blocks[block][2, 1] += size
+    return BlockOperator(**blocks, theta=D.theta, alpha=D.alpha, M=D.M)
+
+
+def _dense_noise_operator():
+    D = build_dtto(monomial_inner(2), monomial_inner(2), monomial(1), 10)
+    noise = np.random.default_rng(20261019).standard_normal((D.dim, D.dim))
+    return split_blocks(D.assemble() + 0.5 * noise / np.linalg.norm(noise, 2),
+                        D.theta, D.alpha, D.M)
+
+
+def _record_rebuilds(monkeypatch):
+    """The list of operators recover_symbol rebuilds from here on."""
+    rebuilt = []
+
+    def keep(*args):
+        rebuilt.append(build_dtto(*args))
+        return rebuilt[-1]
+
+    monkeypatch.setattr(characterize, "build_dtto", keep)
+    return rebuilt
+
+
+@pytest.mark.parametrize("method", ["zbar", "boundary"])
+def test_recovery_residual_is_bit_identical_to_svd_oracle(monkeypatch, method):
+    rebuilt = _record_rebuilds(monkeypatch)
+    in_class = _in_class_operators()
+    bumped = [_bumped(D, block) for D in in_class[::2] for block in BLOCKS]
+    residuals = []
+    for D in in_class + bumped + [_dense_noise_operator()]:
+        _, residual = recover_symbol(D, method)
+        assert residual == svd_rebuild_residual(D, rebuilt[-1])
+        residuals.append(residual)
+    # every mismatch, down to one entry, takes the SVD branch
+    assert min(residuals[len(in_class):]) > 0.0
+
+
+def test_in_class_zbar_recovery_runs_no_svd(monkeypatch):
+    real_norm = np.linalg.norm
+
+    def no_spectral_norm(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            raise AssertionError("spectral norm computed")
+        return real_norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", no_spectral_norm)
+    in_class = _in_class_operators()
+    for D in in_class:
+        assert recover_symbol(D, "zbar")[1] == 0.0
+    with pytest.raises(AssertionError, match="spectral norm"):
+        recover_symbol(_bumped(in_class[0], "that"), "zbar")
 
 
 # -- exact-polynomial products ------------------------------------------------------
