@@ -28,13 +28,12 @@ import numpy as np
 
 from .bases import OrthonormalBasis
 from .errors import InputError
-from .inner import DEFAULT_TAIL_CAP, BlaschkeProduct, expand
+from .inner import DEFAULT_TAIL_CAP, BlaschkeProduct, expand, tm_basis
 from .laurent import (LaurentPolynomial, conj_function, inner_product,
                       minus_part, multiply, project_band)
 from .operators import (BlockOperator, DenseComplexMatrix, SymbolFunction,
-                        build_dtto, coefficient_matrix, split_blocks)
-from .spaces import (SHIFT_KERNEL_TOL, admissible_for_shift, basis_Kperp,
-                     model_basis, section_shift_index)
+                        block_degrees, build_dtto, coefficient_matrix)
+from .spaces import SHIFT_KERNEL_TOL, admissible_for_shift, section_shift_index
 
 
 def default_tolerance(*inners: BlaschkeProduct) -> float:
@@ -143,31 +142,40 @@ class ShiftInvariantSolution(NamedTuple):
 def solve_shift_invariant_space(theta: BlaschkeProduct, alpha: BlaschkeProduct,
                                 space: str = "model",
                                 M: int | None = None) -> ShiftInvariantSolution:
-    """Nullspace of the homogeneous system <A(zf_i), zg_j> = <Af_i, g_j> over
-    all admissible basis pairs: the space of shift-invariant operators.
+    """Basis of the space of shift-invariant operators: the solutions of
+    <A(zf_i), zg_j> = <Af_i, g_j> over all admissible basis pairs.
 
-    For "model" the domain/codomain are the model spaces of theta/alpha; for
-    "model_perp" (monomial inner functions only, where the finite section is
-    structurally exact) they are the depth-M complement sections, whose
-    admissible vectors and their shifts are section vectors.
+    "model": between the model spaces of theta and alpha, the nullspace of
+    that homogeneous system from an SVD (singular values below
+    SHIFT_KERNEL_TOL count as zero); `singular_values` holds the SVD's.
+
+    "model_perp": between the depth-M complement sections, for every theta
+    and alpha. The shift moves section vectors to section vectors (theta z^k
+    to theta z^(k+1), zbar^k to zbar^(k-1)), so the system asks each block
+    to be constant along the degrees of `operators.block_degrees`: the
+    Toeplitz diagonal blocks and Hankel off-diagonal blocks, dimension
+    4(2M+1). The basis holds one operator per block and degree, in block
+    order and ascending degree: the normalised indicator of that degree in
+    its block, zeros elsewhere. No rank decision is made, so
+    `singular_values` is empty.
     """
-    if space == "model":
-        dom = model_basis(theta)
-        cod = model_basis(alpha)
-        X, Xz = _coordinate_columns(dom)
-        Y, Yz = _coordinate_columns(cod)
-    elif space == "model_perp":
-        if not (theta.is_monomial() and alpha.is_monomial()):
-            raise InputError("model_perp solve supports monomial inner functions only")
-        if M is None:
-            raise InputError("model_perp solve requires a truncation depth M")
-        dom = basis_Kperp(theta, M)
-        cod = basis_Kperp(alpha, M, name="alpha")
-        keep, moved = section_shift_index("model_perp", M)
-        unit = np.eye(dom.dim, dtype=np.complex128)
-        X, Xz = Y, Yz = unit[:, keep], unit[:, moved]
-    else:
+    if space == "model_perp":
+        if M is None or M < 0:
+            raise InputError("model_perp solve requires a truncation depth M >= 0")
+        ops = []
+        for b, degrees in enumerate(block_degrees(M)):
+            for d in np.unique(degrees):
+                blocks = np.zeros((4, M + 1, M + 1))
+                on = degrees == d
+                blocks[b][on] = 1.0 / np.sqrt(np.count_nonzero(on))
+                ops.append(BlockOperator(*blocks, theta, alpha, M))
+        return ShiftInvariantSolution(len(ops), ops, np.zeros(0))
+    if space != "model":
         raise InputError(f"unknown operator space {space!r}")
+    dom = tm_basis(theta)
+    cod = tm_basis(alpha)
+    X, Xz = _coordinate_columns(dom)
+    Y, Yz = _coordinate_columns(cod)
     size = dom.dim * cod.dim
     if X.size and Y.size:
         # row (p, q): outer(conj(yz_q), xz_p) - outer(conj(y_q), x_p), flattened
@@ -181,12 +189,8 @@ def solve_shift_invariant_space(theta: BlaschkeProduct, alpha: BlaschkeProduct,
         # no admissible pair constrains anything: every operator qualifies
         null = list(np.eye(size, dtype=np.complex128))
         s = np.zeros(0)
-    if space == "model":
-        ops = [DenseComplexMatrix(v.reshape(cod.dim, dom.dim), dom, cod)
-               for v in null]
-    else:
-        ops = [split_blocks(v.reshape(cod.dim, dom.dim), theta, alpha, M)
-               for v in null]
+    ops = [DenseComplexMatrix(v.reshape(cod.dim, dom.dim), dom, cod)
+           for v in null]
     return ShiftInvariantSolution(len(null), ops, s)
 
 
@@ -275,8 +279,7 @@ def check_adtto(D: BlockOperator, *, tol: float | None = None) -> AdttoVerdict:
     al = expand(D.alpha, max(D.alpha.degree_for_cap(DEFAULT_TAIL_CAP), 2 * M + 4),
                 tail_cap=None)
     g = multiply(phi_t, multiply(th, conj_function(al)))
-    i, j = np.ogrid[:M + 1, :M + 1]
-    predicted = coefficient_matrix(g, i - j)
+    predicted = coefficient_matrix(g, block_degrees(M)[0])
     coupling = _report("tcheck-coupling", D.that - predicted, tol)
     r2 = DefectReport("tcheck-coupling",
                       max(blocks[1].defect, coupling.defect), tol,

@@ -23,12 +23,11 @@ import numpy as np
 
 from . import characterize, suites
 from .errors import InputError, MsolabError
-from .inner import BlaschkeProduct
+from .inner import BlaschkeProduct, tm_basis
 from .laurent import LaurentPolynomial
 from .operators import (BlockOperator, DenseComplexMatrix, SymbolFunction,
                         _matrix_from_json, _matrix_to_json, build_dtto,
                         build_tto)
-from .spaces import model_basis
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -85,8 +84,7 @@ def _load_operator(payload: dict):
             raise InputError(f"matrix payload missing {exc}") from exc
         except (TypeError, ValueError, IndexError, OverflowError) as exc:
             raise InputError(f"malformed matrix payload: {exc}") from exc
-        return DenseComplexMatrix(entries, model_basis(theta),
-                                  model_basis(alpha))
+        return DenseComplexMatrix(entries, tm_basis(theta), tm_basis(alpha))
     raise InputError("operator payload needs either 'blocks' or 'entries'")
 
 

@@ -217,10 +217,17 @@ def expand(B: BlaschkeProduct, n: int | None = None, *,
     return _expand_cached(B, n)
 
 
+def tm_basis(B: BlaschkeProduct) -> OrthonormalBasis:
+    """Takenaka-Malmquist orthonormal basis of the model space of B at the
+    default tail cap. Vector order follows the zero order; no re-sorting,
+    so matrices are reproducible across runs."""
+    return _tm_basis_wrapped(B)
+
+
 @functools.lru_cache(maxsize=128)
-def _tm_basis_cached(B: BlaschkeProduct, n: int) -> tuple[LaurentPolynomial, ...]:
+def _tm_basis_wrapped(B: BlaschkeProduct) -> OrthonormalBasis:
     # e_k = sqrt(1-|a_k|^2)/(1 - conj(a_k) z) * prod_{j<k} (z-a_j)/(1-conj(a_j) z)
-    d = B.degree
+    n = B.degree_for_cap(DEFAULT_TAIL_CAP)
     tail = B.tail_bound_at(n)
     kernel_parts = []
     running = np.array([1.0 + 0j])
@@ -238,32 +245,8 @@ def _tm_basis_cached(B: BlaschkeProduct, n: int) -> tuple[LaurentPolynomial, ...
     G = V @ V.conj().T
     L = np.linalg.cholesky(G)
     V = np.linalg.solve(L, V)
-    return tuple(LaurentPolynomial._from_dense(0, V[k], tail) for k in range(d))
-
-
-def tm_basis(B: BlaschkeProduct, n: int | None = None, *,
-             tail_cap: float | None = DEFAULT_TAIL_CAP) -> OrthonormalBasis:
-    """Takenaka-Malmquist orthonormal basis of the model space of B.
-
-    Vector order follows the zero order; no re-sorting, so matrices are
-    reproducible across runs.
-    """
-    if n is None:
-        if tail_cap is None:
-            raise InputError("tm_basis needs either a degree or a tail cap")
-        n = B.degree_for_cap(tail_cap)
-    n = int(n)
-    if tail_cap is not None and B.tail_bound_at(n) > tail_cap:
-        raise TruncationError(
-            f"tail bound {B.tail_bound_at(n):.3e} at degree {n} exceeds the cap "
-            f"{tail_cap:.1e}; degree {B.degree_for_cap(tail_cap)} would be needed",
-            required_degree=B.degree_for_cap(tail_cap))
-    return _tm_basis_wrapped(B, n)
-
-
-@functools.lru_cache(maxsize=128)
-def _tm_basis_wrapped(B: BlaschkeProduct, n: int) -> OrthonormalBasis:
-    return OrthonormalBasis(f"K({B.short_name()})", _tm_basis_cached(B, n),
+    return OrthonormalBasis(f"K({B.short_name()})",
+                            (LaurentPolynomial._from_dense(0, v, tail) for v in V),
                             kind="model", inner=B)
 
 

@@ -18,12 +18,12 @@ and 0 <= i, j <= M:
     GammaHat[i, j]   = coefficient -(i + j + 1) of phi * th
     TCheck[i, j]     = coefficient j - i       of phi
 
-so `build_dtto` forms three products and gathers. Entries are exact
-pairings (up to expansion tails), so truncation shows up only structurally:
-identities involving products of blocks are reliable on interior indices,
-at distance >= (symbol reach + deg theta + deg alpha) from the truncation
-edge. Builders tag the symbol reach as `edge`; it is provenance metadata
-that travels with the payload, and no check reads it.
+so `build_dtto` forms three products and gathers at `block_degrees`. Entries
+are exact pairings (up to expansion tails), so truncation shows up only
+structurally: identities involving products of blocks are reliable on
+interior indices, at distance >= (symbol reach + deg theta + deg alpha) from
+the truncation edge. Builders tag the symbol reach as `edge`; it is
+provenance metadata that travels with the payload, and no check reads it.
 """
 
 from __future__ import annotations
@@ -32,10 +32,10 @@ import numpy as np
 
 from .bases import OrthonormalBasis
 from .errors import DimensionError, InputError
-from .inner import BlaschkeProduct
+from .inner import BlaschkeProduct, tm_basis
 from .laurent import (LaurentPolynomial, conj_function, minus_part, multiply,
                       plus_part)
-from .spaces import basis_Kperp, model_basis, section_expansion
+from .spaces import basis_Kperp, section_expansion
 
 # Largest truncation depth M of a complement section. Deeper sections were
 # never needed (the deepest suite depth is 256, the deep benchmark runs 400),
@@ -249,8 +249,8 @@ def build_tto(theta: BlaschkeProduct, alpha: BlaschkeProduct,
               phi) -> DenseComplexMatrix:
     """Compression of multiplication by phi from K(theta) to K(alpha)."""
     phi = SymbolFunction.parse(phi)
-    dom = model_basis(theta)
-    cod = model_basis(alpha)
+    dom = tm_basis(theta)
+    cod = tm_basis(alpha)
     images = [multiply(phi.value, e) for e in dom.vectors]
     return DenseComplexMatrix(_pairing_matrix(images, cod), dom, cod)
 
@@ -270,13 +270,20 @@ def build_dtto(theta: BlaschkeProduct, alpha: BlaschkeProduct, phi,
         raise InputError(f"M={M} below the guard depth {guard} for this symbol")
     phi_th = multiply(phi.value, section_expansion(theta, M))
     al_bar = conj_function(section_expansion(alpha, M))
+    sequences = (multiply(phi_th, al_bar), multiply(phi.value, al_bar),
+                 phi_th, phi.value)
+    return BlockOperator(*(coefficient_matrix(p, degrees) for p, degrees
+                           in zip(sequences, block_degrees(M))),
+                         theta=theta, alpha=alpha, M=M, edge=phi.reach)
+
+
+def block_degrees(M: int) -> tuple[np.ndarray, ...]:
+    """The degree each entry (i, j) of a depth-M block reads, in block order
+    That, GammaCheck, GammaHat, TCheck: i - j, i + j + 1, -(i + j + 1) and
+    j - i. Entries of one block that share a degree share their value in
+    every compressed multiplication operator."""
     i, j = np.ogrid[:M + 1, :M + 1]
-    return BlockOperator(
-        that=coefficient_matrix(multiply(phi_th, al_bar), i - j),
-        gamma_check=coefficient_matrix(multiply(phi.value, al_bar), i + j + 1),
-        gamma_hat=coefficient_matrix(phi_th, -(i + j + 1)),
-        t_check=coefficient_matrix(phi.value, j - i),
-        theta=theta, alpha=alpha, M=M, edge=phi.reach)
+    return i - j, i + j + 1, -(i + j + 1), j - i
 
 
 def coefficient_matrix(p: LaurentPolynomial, degrees: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .bases import OrthonormalBasis
 from .errors import InputError
-from .inner import DEFAULT_TAIL_CAP, BlaschkeProduct, expand, tm_basis
+from .inner import DEFAULT_TAIL_CAP, BlaschkeProduct, expand
 from .laurent import (LaurentPolynomial, conj_function, minus_part,
                       multiply, plus_part)
 
@@ -67,10 +67,6 @@ def _expansion_for(theta: BlaschkeProduct, f: LaurentPolynomial) -> LaurentPolyn
     if not f.is_zero():
         n = max(n, f.hi + theta.degree + 2, -f.lo + theta.degree + 2)
     return expand(theta, n, tail_cap=None)
-
-
-def model_basis(theta: BlaschkeProduct) -> OrthonormalBasis:
-    return tm_basis(theta)
 
 
 def section_expansion(theta: BlaschkeProduct, M: int) -> LaurentPolynomial:

@@ -15,19 +15,19 @@ the tolerance.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import annihilate, characterize
 from .errors import InputError
-from .inner import BlaschkeProduct, expand
+from .inner import BlaschkeProduct, expand, tm_basis
 from .laurent import (LaurentPolynomial, conj_function, inner_product,
                       involution_J, minus_part, monomial, multiply, plus_part)
 from .operators import (MAX_DEPTH, BlockOperator, SymbolFunction, build_dtto,
                         build_tto)
 from .rng import Xoshiro256StarStar
-from .spaces import conjugation_C, model_basis, project
+from .spaces import conjugation_C, project
 
 DEFAULT_SEED = 42
 
@@ -257,7 +257,7 @@ def transitivity_scan(seed: int = DEFAULT_SEED, pairs: int = 50) -> dict:
         r = root.spawn(block)
         theta = random_inner(r)
         alpha = random_inner(r)
-        bt, ba = model_basis(theta), model_basis(alpha)
+        bt, ba = tm_basis(theta), tm_basis(alpha)
         for _ in range(per_pair):
             if count >= pairs:
                 break
@@ -520,11 +520,19 @@ def run_convergence(config: SuiteConfig | None = None) -> dict:
             "criteria": [result], "pass": result["pass"]}
 
 
-SUITES = {"acceptance": run_acceptance, "fuzz": run_fuzz,
-          "convergence": run_convergence}
+# each suite with the SuiteConfig fields it reads besides the seed; run_suite
+# rejects any other field that is set instead of silently ignoring it
+SUITES = {"acceptance": (run_acceptance, ()),
+          "fuzz": (run_fuzz, ("theta", "alpha", "symbol", "M", "tol", "cases")),
+          "convergence": (run_convergence, ("theta", "alpha", "symbol"))}
 
 
 def run_suite(name: str, config: SuiteConfig | None = None) -> dict:
     if name not in SUITES:
         raise InputError(f"unknown suite {name!r}; expected one of {sorted(SUITES)}")
-    return SUITES[name](config)
+    run, reads = SUITES[name]
+    config = config or SuiteConfig()
+    for f in fields(config):
+        if f.name not in reads + ("seed",) and getattr(config, f.name) is not None:
+            raise InputError(f"suite {name} does not read --{f.name}")
+    return run(config)

@@ -83,7 +83,8 @@ def loop_shift_invariance_defect(mat, domain, codomain, tol) -> DefectReport:
 
 def loop_shift_system(domain, codomain) -> np.ndarray:
     """The homogeneous shift-invariance system of solve_shift_invariant_space,
-    one row per admissible pair (p, q) in loop order."""
+    one row per admissible pair (p, q) in loop order (no rows when a side has
+    no admissible vector)."""
     rows = []
     for f in admissible_for_shift(domain):
         xf, xzf = domain.coords(f), domain.coords(f.shift(1))
@@ -91,7 +92,7 @@ def loop_shift_system(domain, codomain) -> np.ndarray:
             yg, yzg = codomain.coords(g), codomain.coords(g.shift(1))
             rows.append((np.outer(np.conjugate(yzg), xzf)
                          - np.outer(np.conjugate(yg), xf)).ravel())
-    return np.vstack(rows)
+    return np.reshape(rows, (-1, domain.dim * codomain.dim))
 
 
 def conjugation_corner_maps(theta, alpha, M):

@@ -86,16 +86,19 @@ def test_nullspace_dimension_blaschke():
 
 
 def test_complement_nullspace_has_block_structure():
-    sol = solve_shift_invariant_space(Z2, Z2, space="model_perp", M=6)
-    assert sol.dimension == 8 * 6 + 4
-    assert max(rep.defect for op in sol.operators
-               for rep in check_block_conditions(op)) <= 1e-10
+    for theta, alpha in ((Z2, Z2), (BlaschkeProduct([0.5]), Z3),
+                         (BlaschkeProduct([0.9j, 0.3]), BlaschkeProduct([-0.95]))):
+        sol = solve_shift_invariant_space(theta, alpha, space="model_perp", M=6)
+        assert sol.dimension == 8 * 6 + 4
+        for op in sol.operators:
+            assert shift_invariance_defect(op).defect == 0.0
+            assert [rep.defect for rep in check_block_conditions(op)] == [0.0] * 4
 
 
-def test_complement_solve_rejects_blaschke():
+@pytest.mark.parametrize("M", [None, -1])
+def test_complement_solve_requires_depth(M):
     with pytest.raises(InputError):
-        solve_shift_invariant_space(BlaschkeProduct([0.5]), Z2,
-                                    space="model_perp", M=6)
+        solve_shift_invariant_space(Z2, Z2, space="model_perp", M=M)
 
 
 # -- blockwise conditions ---------------------------------------------------------

@@ -270,6 +270,19 @@ def test_suite_rejects_removed_workers_flag(capsys):
     assert code == 2 and "--workers" in err
 
 
+@pytest.mark.parametrize("suite, flag, value", [
+    ("acceptance", "--cases", "3"), ("acceptance", "--tol", "1e-3"),
+    ("acceptance", "--M", "12"), ("acceptance", "--theta", Z2),
+    ("acceptance", "--alpha", Z2), ("acceptance", "--symbol", "z"),
+    ("convergence", "--cases", "3"), ("convergence", "--M", "12"),
+    ("convergence", "--tol", "1e-3"),
+])
+def test_suite_rejects_flags_it_does_not_read(capsys, suite, flag, value):
+    code, out, err = run_cli(capsys, "suite", suite, flag, value)
+    assert_one_line_input_error(code, out, err)
+    assert f"suite {suite} does not read {flag}" in err
+
+
 @pytest.mark.parametrize("cases", ["0", "-3"])
 def test_suite_fuzz_rejects_nonpositive_cases(capsys, cases):
     code, out, err = run_cli(capsys, "suite", "fuzz", "--cases", cases)

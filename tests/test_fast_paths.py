@@ -20,8 +20,8 @@ from msolab.laurent import LaurentPolynomial, monomial, multiply
 from msolab.operators import (BlockOperator, DenseComplexMatrix, SymbolFunction,
                               build_dtto, build_tto, split_blocks)
 from msolab.rng import Xoshiro256StarStar
-from msolab.spaces import (admissible_for_shift, basis_Kperp, hminus_basis,
-                           thetaH2_basis)
+from msolab.spaces import (SHIFT_KERNEL_TOL, admissible_for_shift, basis_Kperp,
+                           hminus_basis, thetaH2_basis)
 from msolab.suites import random_inner, random_symbol
 
 from conftest import random_poly
@@ -315,15 +315,44 @@ def test_shift_invariance_defect_block_operator_argument():
     (monomial_inner(3), monomial_inner(2), "model", None),
     (BlaschkeProduct([0.5, 0.2j]), BlaschkeProduct([0.3, -0.4]), "model", None),
     (monomial_inner(2), monomial_inner(2), "model_perp", 5),
+    (monomial_inner(2), monomial_inner(2), "model_perp", 0),
+    (monomial_inner(2), monomial_inner(2), "model_perp", 1),
+    (monomial_inner(2), monomial_inner(2), "model_perp", 10),
+    (monomial_inner(2), monomial_inner(3), "model_perp", 6),
+    (BlaschkeProduct([0.5, -0.3j]), BlaschkeProduct([0.2 + 0.2j]), "model_perp", 5),
+    (BlaschkeProduct([0.9 * cmath.exp(1j)]), BlaschkeProduct([0.95j, -0.4]),
+     "model_perp", 6),
 ])
 def test_shift_invariant_solve_matches_loop_system(theta, alpha, space, M):
+    """Model spaces: the singular values are the loop system's, bit for bit.
+    Sections: the closed-form basis is orthonormal and spans the loop
+    system's SVD nullspace (all operators at M = 0, where no pair is
+    admissible)."""
     sol = solve_shift_invariant_space(theta, alpha, space, M)
     if space == "model":
         dom, cod = tm_basis(theta), tm_basis(alpha)
     else:
         dom, cod = basis_Kperp(theta, M), basis_Kperp(alpha, M, name="alpha")
-    s = np.linalg.svd(loop_shift_system(dom, cod), full_matrices=True)[1]
-    np.testing.assert_array_equal(sol.singular_values, s)
+    _, s, Vh = np.linalg.svd(loop_shift_system(dom, cod), full_matrices=True)
+    if space == "model":
+        np.testing.assert_array_equal(sol.singular_values, s)
+        return
+    null = np.array([Vh[k].conj() for k in range(len(Vh))
+                     if k >= len(s) or s[k] < SHIFT_KERNEL_TOL]).T
+    basis = np.array([op.assemble().ravel() for op in sol.operators]).T
+    assert sol.dimension == len(sol.operators) == null.shape[1] == 8 * M + 4
+    assert sol.singular_values.size == 0
+    np.testing.assert_allclose(basis.conj().T @ basis, np.eye(sol.dimension),
+                               rtol=0, atol=1e-15)
+    assert np.linalg.norm(null - basis @ (basis.conj().T @ null), 2) <= 1e-12
+
+
+def test_section_shift_invariant_space_runs_no_svd(monkeypatch):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    theta, alpha = BlaschkeProduct([0.9, -0.3j]), monomial_inner(2)
+    assert solve_shift_invariant_space(theta, alpha, "model_perp", 10).dimension == 84
 
 
 # -- recovery residual --------------------------------------------------------------

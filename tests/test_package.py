@@ -27,3 +27,18 @@ def test_no_unused_imports():
               if p.name != "__init__.py"}
     assert len(unused) > 5
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def _defaulted_parameters(path: Path) -> int:
+    """Parameters with a default value, over every function of a module."""
+    tree = ast.parse(path.read_text())
+    return sum(len(n.args.defaults) + sum(d is not None for d in n.args.kw_defaults)
+               for n in ast.walk(tree)
+               if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)))
+
+
+def test_option_count():
+    """Every defaulted parameter is an option a caller may set; an added one
+    fails here until this count is raised on purpose."""
+    modules = sorted(Path(msolab.__file__).parent.glob("*.py"))
+    assert sum(_defaulted_parameters(p) for p in modules) == 64
