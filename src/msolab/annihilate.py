@@ -21,7 +21,7 @@ from .errors import AdmissibilityError, DimensionError, InputError
 from .inner import BlaschkeProduct, expand
 from .laurent import (LaurentPolynomial, conj_function, minus_part,
                       monomial, multiply, plus_part)
-from .operators import BlockOperator, DenseComplexMatrix, apply
+from .operators import BlockOperator, DenseComplexMatrix
 from .spaces import project
 
 MEMBERSHIP_TOL = 1e-8
@@ -57,29 +57,41 @@ class FiniteRankOperator:
         return f"FiniteRankOperator(rank<={self.rank_bound})"
 
 
-def pair(T, t: FiniteRankOperator, *,
-         membership_tol: float = MEMBERSHIP_TOL) -> complex:
-    """Trace pairing sum_n <T f_n, g_n> in the operator's coordinates.
+def pair_many(T, families) -> np.ndarray:
+    """Trace pairings sum_n <T f_n, g_n> of a list of finite-rank operators.
 
-    Raises when a dyad vector fails to lie in the matching section span
-    (its mass would silently be dropped otherwise).
+    The dyad vectors of all families go through one coordinate pass per
+    side and one product with the assembled matrix; the dyads of each family
+    are then summed in order. Raises when a dyad vector fails to lie in the
+    matching section span (its mass would silently be dropped otherwise).
     """
     if isinstance(T, BlockOperator):
-        dom, cod = T.domain_basis(), T.codomain_basis()
+        dom, cod, A = T.domain_basis(), T.codomain_basis(), T.assemble()
     elif isinstance(T, DenseComplexMatrix):
-        dom, cod = T.domain, T.codomain
+        dom, cod, A = T.domain, T.codomain, T.entries
     else:
-        raise InputError("pair expects a BlockOperator or DenseComplexMatrix")
-    acc = 0j
-    for f, g in t.dyads:
-        x, dx = dom.coords_and_defect(f)
-        y, dy = cod.coords_and_defect(g)
-        for basis, vec, defect in ((dom, f, dx), (cod, g, dy)):
-            if defect > membership_tol * max(1.0, vec.norm()):
-                raise DimensionError(
-                    f"dyad vector leaves the {basis.label} span by {defect:.2e}")
-        acc += np.vdot(y, apply(T, x))
-    return complex(acc)
+        raise InputError("pairing expects a BlockOperator or DenseComplexMatrix")
+    families = list(families)
+    dyads = [fg for t in families for fg in t.dyads]
+    X, dx, nx = dom.coords_and_defects(f for f, _ in dyads)
+    Y, dy, ny = cod.coords_and_defects(g for _, g in dyads)
+    bad_x = dx > MEMBERSHIP_TOL * np.maximum(1.0, nx)
+    bad_y = dy > MEMBERSHIP_TOL * np.maximum(1.0, ny)
+    if bad_x.any() or bad_y.any():
+        r = int(np.argmax(bad_x | bad_y))
+        basis, defect = (dom, dx[r]) if bad_x[r] else (cod, dy[r])
+        raise DimensionError(
+            f"dyad vector leaves the {basis.label} span by {defect:.2e}")
+    owner = np.repeat(np.arange(len(families)), [len(t.dyads) for t in families])
+    out = np.zeros(len(families), dtype=np.complex128)
+    np.add.at(out, owner, np.einsum("ri,ri->r", Y.conj(), X @ A.T))
+    return out
+
+
+def pair(T, t: FiniteRankOperator) -> complex:
+    """Trace pairing sum_n <T f_n, g_n> in the operator's coordinates: the
+    batch of one of `pair_many`."""
+    return complex(pair_many(T, [t])[0])
 
 
 def gen_shift_pair(f: LaurentPolynomial, g: LaurentPolynomial, *,

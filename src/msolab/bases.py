@@ -1,7 +1,7 @@
 """Labeled orthonormal bases of the subspaces the operators act between.
 
 Bases of the truncated complement sections (kinds "thetaH2", "Hminus" and
-"model_perp") never form a dense matrix of their vectors. With th the
+"model_perp") never stack their vector polynomials. With th the
 truncated expansion of the inner function, a section of depth M has the
 vectors th*z^k (k = 0..M) and zbar^k (k = 1..M+1), so
 
@@ -9,18 +9,28 @@ vectors th*z^k (k = 0..M) and zbar^k (k = 1..M+1), so
 * the tail coordinates of f are its coefficients at degrees -1..-(M+1),
 * reconstruction is th*(head polynomial) plus the tail monomials.
 
+A batch of polynomials (`coords_and_defects`) is stacked into one dense
+coefficient array; its head coordinates are one product with the Toeplitz
+matrix of conj(th), built from th alone, instead of a correlation per row.
 Model-space and admissible bases keep the dense path over a stacked matrix.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError
 from .laurent import LaurentPolynomial
 
 _HEAD_KINDS = ("thetaH2", "model_perp")
 _TAIL_KINDS = ("Hminus", "model_perp")
+
+
+def _row_norms(F: np.ndarray) -> np.ndarray:
+    # one pass over the real view, no conjugated temporary
+    R = F.view(np.float64)
+    return np.sqrt(np.einsum("ij,ij->i", R, R))
 
 
 class OrthonormalBasis:
@@ -107,19 +117,33 @@ class OrthonormalBasis:
             parts.append(f.dense(-(M + 1), -1)[::-1])
         return np.concatenate(parts) if len(parts) > 1 else parts[0]
 
+    def _section_band(self) -> tuple[int, int]:
+        n = self.depth + 1
+        th = self.expansion
+        lo = -n if self.kind in _TAIL_KINDS else th.lo
+        hi = th.hi + n - 1 if self.kind in _HEAD_KINDS else -1
+        return lo, hi
+
     def _section_dense(self, x: np.ndarray) -> tuple[int, np.ndarray]:
         """(lo, coefficients) of sum_k x_k v_k over the section band."""
         n = self.depth + 1
         th = self.expansion
-        head, tail = self.kind in _HEAD_KINDS, self.kind in _TAIL_KINDS
-        lo = -n if tail else th.lo
-        hi = th.hi + n - 1 if head else -1
+        lo, hi = self._section_band()
         data = np.zeros(hi - lo + 1, dtype=np.complex128)
-        if head:
+        if self.kind in _HEAD_KINDS:
             data[th.lo - lo:] = np.convolve(th._data, x[:n])
-        if tail:
+        if self.kind in _TAIL_KINDS:
             data[:n] = x[-n:][::-1]
         return lo, data
+
+    def _head_correlation(self) -> np.ndarray:
+        """The Toeplitz matrix H[m, j] = conj(th_(m - j)), m < len(th) + M,
+        j <= M: rows over [th.lo, th.hi + M] times H are the head
+        coordinates, and head coordinates times H^H rebuild th*(head)."""
+        n = self.depth + 1
+        pad = np.zeros(n - 1, dtype=np.complex128)
+        c = np.concatenate([pad, self.expansion._data.conj(), pad])
+        return np.ascontiguousarray(sliding_window_view(c, n)[:, ::-1])
 
     # -- coordinate maps ---------------------------------------------------------
 
@@ -150,33 +174,57 @@ class OrthonormalBasis:
         return LaurentPolynomial._from_dense(lo, x @ V,
                                              float(np.abs(x) @ tails))
 
+    def coords_and_defects(self, polys):
+        """Coordinates, membership defects and norms of a batch of polynomials.
+
+        The polynomials are stacked into one dense coefficient array over the
+        union of their bands and the basis band. Row r of the coordinates is
+        the projection of polys[r] onto the span, defects[r] the norm of
+        polys[r] minus its rebuild from them, norms[r] the norm of polys[r].
+        """
+        polys = list(polys)
+        if not self.vectors:
+            blo, bhi = 0, -1
+        elif self._is_section():
+            blo, bhi = self._section_band()
+        else:
+            blo, bhi, V, Vc, _ = self._stack()
+        live = [p for p in polys if not p.is_zero()]
+        lo = min([blo] + [p.lo for p in live])
+        hi = max([bhi] + [p.hi for p in live])
+        F = np.zeros((len(polys), hi - lo + 1), dtype=np.complex128)
+        for row, p in zip(F, polys):
+            row[p.lo - lo:p.hi - lo + 1] = p._data
+        norms = _row_norms(F)
+        # F becomes the residual: each coordinate block subtracts its rebuild,
+        # which on the tail is the slice itself
+        if not self.vectors:
+            X = np.zeros((len(polys), 0), dtype=np.complex128)
+        elif self._is_section():
+            n = self.depth + 1
+            parts = []
+            if self.kind in _HEAD_KINDS:
+                th = self.expansion
+                H = self._head_correlation()
+                head = F[:, th.lo - lo:th.hi + n - lo]
+                parts.append(head @ H)
+                head -= parts[-1] @ H.conj().T
+            if self.kind in _TAIL_KINDS:
+                tail = F[:, -n - lo:-lo]
+                parts.append(tail[:, ::-1].copy())
+                tail[:] = 0
+            X = np.hstack(parts)
+        else:
+            seg = F[:, blo - lo:bhi - lo + 1]
+            X = seg @ Vc.T
+            seg -= X @ V
+        return X, _row_norms(F), norms
+
     def coords_and_defect(self, f: LaurentPolynomial):
         """Projection coordinates together with the norm of the residual
-        component outside the span."""
-        if not self.vectors:
-            return np.zeros(0, dtype=np.complex128), f.norm()
-        if self._is_section():
-            x = self._section_coords(f)
-            start, data = self._section_dense(x)
-            stop = start + len(data) - 1
-            lo, hi = (start, stop) if f.is_zero() else \
-                (min(start, f.lo), max(stop, f.hi))
-            residual = f.dense(lo, hi)
-            residual[start - lo:stop - lo + 1] -= data
-            return x, float(np.linalg.norm(residual))
-        lo, hi, V, Vc, _ = self._stack()
-        fv = f.dense(lo, hi)
-        x = Vc @ fv
-        res_sq = float(np.sum(np.abs(fv - x @ V) ** 2))
-        # mass of f strictly outside the basis band, summed directly
-        if not f.is_zero():
-            if f.lo < lo:
-                seg = f._data[:min(lo - f.lo, len(f._data))]
-                res_sq += float(np.sum(np.abs(seg) ** 2))
-            if f.hi > hi:
-                start = max(0, hi + 1 - f.lo)
-                res_sq += float(np.sum(np.abs(f._data[start:]) ** 2))
-        return x, res_sq ** 0.5
+        component outside the span: the batch of one."""
+        X, defects, _ = self.coords_and_defects([f])
+        return X[0], float(defects[0])
 
     def membership_defect(self, f: LaurentPolynomial) -> float:
         """Norm of the component of f outside the span."""

@@ -115,6 +115,8 @@ def _cmd_build(args) -> int:
     alpha = _parse_inner(args.alpha) if args.alpha else theta
     symbol = SymbolFunction(_parse_symbol(args.symbol))
     if args.kind == "tto":
+        if args.M is not None:
+            raise InputError("build tto does not read --M")
         op = build_tto(theta, alpha, symbol)
         payload = {"theta": theta.to_json(), "alpha": alpha.to_json(),
                    "entries": _matrix_to_json(op.entries)}

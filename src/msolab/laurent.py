@@ -33,7 +33,7 @@ MAX_DEGREE = 2048
 
 
 class LaurentPolynomial:
-    __slots__ = ("_lo", "_data", "tail_bound", "_coeffs_cache")
+    __slots__ = ("_lo", "_data", "tail_bound", "_coeffs_cache", "_norm_sq")
 
     def __init__(self, coeffs: Mapping[int, complex] | None = None, *,
                  tail_bound: float = 0.0):
@@ -50,6 +50,7 @@ class LaurentPolynomial:
         self._data = data
         self.tail_bound = float(tail_bound)
         self._coeffs_cache = None
+        self._norm_sq = None
 
     @classmethod
     def _from_dense(cls, lo: int, data: np.ndarray,
@@ -60,6 +61,7 @@ class LaurentPolynomial:
         p._data = data
         p.tail_bound = float(tail_bound)
         p._coeffs_cache = None
+        p._norm_sq = None
         return p
 
     @classmethod
@@ -108,7 +110,9 @@ class LaurentPolynomial:
         return len(self._data) == 0
 
     def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self._data) ** 2))
+        if self._norm_sq is None:
+            self._norm_sq = float(np.sum(np.abs(self._data) ** 2))
+        return self._norm_sq
 
     def norm(self) -> float:
         return self.norm_sq() ** 0.5
@@ -212,12 +216,12 @@ class LaurentPolynomial:
 
 
 def _trim(lo: int, data: np.ndarray) -> tuple[int, np.ndarray]:
+    if len(data) and data[0] != 0 and data[-1] != 0:
+        return lo, data
     nz = np.nonzero(data)[0]
     if len(nz) == 0:
         return 0, _ZERO
     a, b = nz[0], nz[-1]
-    if a == 0 and b == len(data) - 1:
-        return lo, data
     return lo + int(a), data[a:b + 1]
 
 

@@ -205,18 +205,13 @@ def annihilator_families(seed: int = DEFAULT_SEED, cases: int = 100) -> dict:
         phi = random_symbol(r, reach=3)
         M = SymbolFunction(phi).reach + theta.degree + alpha.degree + 58
         D = build_dtto(theta, alpha, phi, M)
-        worst = 0.0
-        for l in range(1, 7):
-            for p in range(3):
-                for q in range(3):
-                    t = annihilate.gen_M(l, theta, alpha, monomial(p), monomial(q))
-                    worst = max(worst, abs(annihilate.pair(D, t)))
+        families = [annihilate.gen_M(l, theta, alpha, monomial(p), monomial(q))
+                    for l in range(1, 7) for p in range(3) for q in range(3)]
         dom, cod = D.domain_basis(), D.codomain_basis()
-        for fi, gi in ((0, 1), (M + 2, M + 3)):
-            t = annihilate.gen_shift_pair(dom.vectors[fi], cod.vectors[gi],
-                                          domain=dom, codomain=cod)
-            worst = max(worst, abs(annihilate.pair(D, t)))
-        return worst
+        families += [annihilate.gen_shift_pair(dom.vectors[fi], cod.vectors[gi],
+                                               domain=dom, codomain=cod)
+                     for fi, gi in ((0, 1), (M + 2, M + 3))]
+        return float(np.max(np.abs(annihilate.pair_many(D, families))))
 
     vanish = max(one(i) for i in range(cases))
 
@@ -227,12 +222,9 @@ def annihilator_families(seed: int = DEFAULT_SEED, cases: int = 100) -> dict:
     perturbed = _scripted_perturbations(base)
     detections = {}
     for l, Dp in perturbed.items():
-        best = 0.0
-        for p in range(3):
-            for q in range(3):
-                t = annihilate.gen_M(l, z2, z2, monomial(p), monomial(q))
-                best = max(best, abs(annihilate.pair(Dp, t)))
-        detections[l] = best
+        families = [annihilate.gen_M(l, z2, z2, monomial(p), monomial(q))
+                    for p in range(3) for q in range(3)]
+        detections[l] = float(np.max(np.abs(annihilate.pair_many(Dp, families))))
     condition_hits = {
         cond: max(detections[l] for l in fams)
         for cond, fams in family_of_condition.items()

@@ -2,10 +2,11 @@
 
 Each function here computes the same quantity as a library routine through
 the generic route it replaced: pairings of polynomial images against a
-dense matrix of basis vectors, a Python loop over admissible pairs, an SVD
-of shift residuals, polynomial round trips through the operator, or an SVD
-of the assembled rebuild difference. The tests compare the library against
-them. `conjugation_corner_maps` has no library counterpart: the operator
+dense matrix of basis vectors, a Python loop over admissible pairs or over
+the dyads of a finite-rank operator, an SVD of shift residuals, polynomial
+round trips through the operator, or an SVD of the assembled rebuild
+difference. The tests compare the library against them.
+`conjugation_corner_maps` has no library counterpart: the operator
 tests use it to check the corner identity TCheck = W1 That^T conj(W2).
 """
 
@@ -13,11 +14,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from msolab.annihilate import MEMBERSHIP_TOL
 from msolab.bases import OrthonormalBasis
 from msolab.characterize import AnalyticVerdict, DefectReport
+from msolab.errors import DimensionError
 from msolab.laurent import (LaurentPolynomial, involution_J, minus_part,
                             monomial, multiply)
-from msolab.operators import BlockOperator, SymbolFunction, _pairing_matrix
+from msolab.operators import (BlockOperator, SymbolFunction, _pairing_matrix,
+                              apply)
 from msolab.spaces import (SHIFT_KERNEL_TOL, admissible_for_shift, basis_Kperp,
                            conjugation_C, hminus_basis, project,
                            section_expansion, thetaH2_basis)
@@ -57,6 +61,26 @@ def dense_coords_and_defect(basis, f: LaurentPolynomial):
     """Coordinates and the norm of f minus its reconstruction."""
     x = dense_coords(basis, f)
     return x, (f - dense_reconstruct(basis, x)).norm()
+
+
+def loop_pair(T, t) -> complex:
+    """pair as a loop over the dyads: one vector at a time, its coordinates
+    and the norm of the vector minus its reconstruction, then one
+    matrix-vector product per dyad."""
+    if isinstance(T, BlockOperator):
+        dom, cod = T.domain_basis(), T.codomain_basis()
+    else:
+        dom, cod = T.domain, T.codomain
+    acc = 0j
+    for f, g in t.dyads:
+        x, y = dom.coords(f), cod.coords(g)
+        for basis, vec, coords in ((dom, f, x), (cod, g, y)):
+            defect = (vec - basis.reconstruct(coords)).norm()
+            if defect > MEMBERSHIP_TOL * max(1.0, vec.norm()):
+                raise DimensionError(
+                    f"dyad vector leaves the {basis.label} span by {defect:.2e}")
+        acc += np.vdot(y, apply(T, x))
+    return complex(acc)
 
 
 def loop_shift_invariance_defect(mat, domain, codomain, tol) -> DefectReport:

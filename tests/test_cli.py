@@ -283,6 +283,13 @@ def test_suite_rejects_flags_it_does_not_read(capsys, suite, flag, value):
     assert f"suite {suite} does not read {flag}" in err
 
 
+def test_build_tto_rejects_depth_it_does_not_read(capsys):
+    code, out, err = run_cli(capsys, "build", "tto", "--theta", Z2,
+                             "--symbol", "z", "--M", "5")
+    assert_one_line_input_error(code, out, err)
+    assert "build tto does not read --M" in err
+
+
 @pytest.mark.parametrize("cases", ["0", "-3"])
 def test_suite_fuzz_rejects_nonpositive_cases(capsys, cases):
     code, out, err = run_cli(capsys, "suite", "fuzz", "--cases", cases)

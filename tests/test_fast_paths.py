@@ -1,20 +1,22 @@
 """The structured fast paths against their generic oracles (tests/oracles.py):
 closed-form DTTO blocks, slice coordinates on the complement sections, the
-section admissible vectors, the TCheck-border symbol, the vectorised
+batched trace pairing, the section admissible vectors, the TCheck-border symbol, the vectorised
 shift-invariance defect, and the blockwise recovery residual."""
 
 import cmath
+import re
 
 import numpy as np
 import pytest
 
 from msolab import characterize
-from msolab.annihilate import FiniteRankOperator, pair
+from msolab.annihilate import (FiniteRankOperator, gen_M, gen_shift_pair, pair,
+                               pair_many, represent_functional)
 from msolab.characterize import (_zbar_symbol, check_block_conditions,
                                  is_analytic_adtto, recover_symbol,
                                  shift_invariance_defect,
                                  solve_shift_invariant_space)
-from msolab.errors import DimensionError
+from msolab.errors import DimensionError, InputError
 from msolab.inner import BlaschkeProduct, monomial_inner, tm_basis
 from msolab.laurent import LaurentPolynomial, monomial, multiply
 from msolab.operators import (BlockOperator, DenseComplexMatrix, SymbolFunction,
@@ -26,7 +28,7 @@ from msolab.suites import random_inner, random_symbol
 
 from conftest import random_poly
 from oracles import (dense_coords, dense_coords_and_defect, dense_reconstruct,
-                     loop_shift_invariance_defect, loop_shift_system,
+                     loop_pair, loop_shift_invariance_defect, loop_shift_system,
                      pairing_build_dtto, poly_is_analytic_adtto,
                      poly_zbar_symbol, svd_admissible_for_shift,
                      svd_rebuild_residual)
@@ -146,6 +148,129 @@ def test_pair_membership_error_still_fires(theta, rng):
     for dyad in ((f + leak, g), (f, g + monomial(-(M + 2)).scale(1e-6))):
         with pytest.raises(DimensionError, match="leaves the"):
             pair(D, FiniteRankOperator([dyad]))
+
+
+# -- batched trace pairing -----------------------------------------------------------
+
+@pytest.mark.parametrize("theta", SECTION_INNERS, ids=["z^2", "blaschke", "rho=0.95"])
+@pytest.mark.parametrize("M", [0, 3, 12])
+def test_batch_coords_match_dense_rows(theta, M, rng):
+    bases = _sections(theta, M) + [tm_basis(theta),
+                                   admissible_for_shift(basis_Kperp(theta, M))]
+    for basis in bases:
+        x = np.array([rng.complex_box() for _ in range(basis.dim)])
+        rebuilt = basis.reconstruct(x)
+        probes = [rebuilt, random_poly(rng, -M - 4, M + 9), LaurentPolynomial(),
+                  rebuilt + monomial(-(M + 2)).scale(1e-6), monomial(M + 40)]
+        X, defects, norms = basis.coords_and_defects(probes)
+        assert X.shape == (len(probes), basis.dim)
+        np.testing.assert_allclose(norms, [f.norm() for f in probes],
+                                   rtol=1e-15, atol=0)
+        if not basis.dim:
+            np.testing.assert_array_equal(defects, norms)
+            continue
+        for row, defect, f in zip(X, defects, probes):
+            x_slow, d_slow = dense_coords_and_defect(basis, f)
+            np.testing.assert_allclose(row, x_slow, rtol=0, atol=ORACLE_TOL)
+            assert defect == pytest.approx(d_slow, rel=1e-9, abs=ORACLE_TOL)
+
+
+def _analytic(r, degree=2):
+    return LaurentPolynomial({k: r.complex_box() for k in range(degree + 1)})
+
+
+def _pairing_cases():
+    """Seeded (operator, families) batches: on the sections, all six gen_M
+    families with random analytic h and g, shifted dyads of admissible
+    combinations and a represented functional, against a built operator
+    and a noisy copy; on model spaces, shifted dyads and random multi-dyad
+    operators against build_tto and a noisy copy. Monomial, Blaschke and
+    |a| = 0.95 inner functions."""
+    r = Xoshiro256StarStar(20261020)
+    noise = np.random.default_rng(20261020)
+
+    def noisy(A):
+        N = noise.standard_normal(A.shape) + 1j * noise.standard_normal(A.shape)
+        return A + N / np.linalg.norm(N)
+
+    def combination(basis, indices):
+        return sum((basis[i].scale(r.complex_box()) for i in indices[1:]),
+                   basis[indices[0]].scale(r.complex_box()))
+
+    near = BlaschkeProduct([0.95 * cmath.exp(0.7j), 0.2], allow_near_boundary=True)
+    out = []
+    for theta, alpha, M in ((monomial_inner(2), monomial_inner(3), 12),
+                            (BlaschkeProduct([0.5, -0.3j]),
+                             BlaschkeProduct([0.4 + 0.2j]), 70),
+                            (near, BlaschkeProduct([0.3, 0.6j]), 420)):
+        D = build_dtto(theta, alpha, random_symbol(r, reach=3), M)
+        dom, cod = D.domain_basis(), D.codomain_basis()
+        adm_d, adm_c = admissible_for_shift(dom), admissible_for_shift(cod)
+        families = [gen_M(l, theta, alpha, _analytic(r), _analytic(r))
+                    for l in range(1, 7) for _ in range(2)]
+        families += [gen_shift_pair(combination(adm_d, (0, M + 1)),
+                                    combination(adm_c, (1, 2 * M - 1)),
+                                    domain=dom, codomain=cod),
+                     gen_shift_pair(adm_d[M - 1], adm_c[M], domain=dom,
+                                    codomain=cod)]
+        density = LaurentPolynomial({k: r.complex_box() for k in range(-4, 5)})
+        families.append(represent_functional(density, theta, alpha))
+        out += [(D, families),
+                (split_blocks(noisy(D.assemble()), theta, alpha, M), families)]
+    for theta, alpha in ((monomial_inner(3), monomial_inner(2)),
+                         (near, BlaschkeProduct([0.5, -0.3j, 0.1]))):
+        A = build_tto(theta, alpha, random_symbol(r, reach=2))
+        adm_d, adm_c = admissible_for_shift(A.domain), admissible_for_shift(A.codomain)
+        families = [gen_shift_pair(f, g, domain=A.domain, codomain=A.codomain)
+                    for f in adm_d for g in adm_c]
+        families += [FiniteRankOperator(
+            [(A.domain.reconstruct([r.complex_box() for _ in range(A.domain.dim)]),
+              A.codomain.reconstruct([r.complex_box() for _ in range(A.codomain.dim)]))
+             for _ in range(rank)]) for rank in (1, 3)]
+        out += [(A, families),
+                (DenseComplexMatrix(noisy(A.entries), A.domain, A.codomain), families)]
+    return out
+
+
+def test_pair_many_matches_loop_pair():
+    for T, families in _pairing_cases():
+        fast = pair_many(T, families)
+        slow = np.array([loop_pair(T, t) for t in families])
+        assert fast.shape == (len(families),) and fast.dtype == np.complex128
+        # the represented functional and the noisy copies pair visibly
+        assert np.max(np.abs(slow)) > 1e-3
+        np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-13)
+        assert pair(T, families[0]) == pytest.approx(slow[0], rel=0, abs=1e-13)
+
+
+def test_pair_many_membership_error_names_the_leaving_vector():
+    theta, alpha, M = BlaschkeProduct([0.5, -0.3j]), BlaschkeProduct([0.4 + 0.2j]), 40
+    D = build_dtto(theta, alpha, LaurentPolynomial({-1: 1.0, 2: 0.5j}), M)
+    families = [gen_M(l, theta, alpha, monomial(p), monomial(q))
+                for l in range(1, 7) for p in range(3) for q in range(3)]
+    assert np.max(np.abs(pair_many(D, families))) <= 1e-10
+    (f1, g1), (f2, g2) = families[20].dyads
+    leak_f = tm_basis(theta).reconstruct(np.ones(theta.degree)).scale(1e-6)
+    leak_g = monomial(-(M + 2)).scale(1e-6)
+    for dyads, basis in (([(f1, g1), (f2, g2 + leak_g)], D.codomain_basis()),
+                         ([(f1 + leak_f, g1), (f2, g2)], D.domain_basis())):
+        batch = families[:20] + [FiniteRankOperator(dyads)] + families[21:]
+        with pytest.raises(DimensionError,
+                           match=f"leaves the {re.escape(basis.label)} span"):
+            pair_many(D, batch)
+
+
+def test_pair_many_empty_batches():
+    z2 = monomial_inner(2)
+    D = build_dtto(z2, z2, monomial(1), 8)
+    out = pair_many(D, [])
+    assert out.shape == (0,) and out.dtype == np.complex128
+    t = FiniteRankOperator([(monomial(2), monomial(3))])
+    empty = FiniteRankOperator([])
+    np.testing.assert_array_equal(pair_many(D, [empty, t, empty]), [0, 1, 0])
+    assert pair(D, empty) == 0
+    with pytest.raises(InputError):
+        pair_many(D.assemble(), [t])
 
 
 # -- admissible vectors and the zbar corner on the sections ------------------------

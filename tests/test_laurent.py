@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from msolab.errors import InputError
-from msolab.laurent import (MAX_DEGREE, LaurentPolynomial, conj_function,
-                            inner_product, involution_J, minus_part, monomial,
-                            multiply, one, plus_part, project_band)
+from msolab.inner import BlaschkeProduct, expand
+from msolab.laurent import (_ZERO, MAX_DEGREE, LaurentPolynomial, _trim,
+                            conj_function, inner_product, involution_J,
+                            minus_part, monomial, multiply, one, plus_part,
+                            project_band)
 
 from conftest import assert_poly_close, random_poly
 
@@ -185,3 +187,38 @@ def test_zero_polynomial_behaviour():
 def test_band_trimming():
     f = LaurentPolynomial({-3: 0.0, 0: 1.0, 5: 0.0})
     assert f.band == (0, 0)
+
+
+def _trim_by_nonzero(lo, data):
+    """_trim through np.nonzero on every array."""
+    nz = np.nonzero(data)[0]
+    if len(nz) == 0:
+        return 0, _ZERO
+    return lo + int(nz[0]), data[nz[0]:nz[-1] + 1]
+
+
+@pytest.mark.parametrize("data", [
+    [], [0], [2.5], [0, 0, 0], [1, 0, 2j], [0, 1, 2], [1, 2, 0], [0, 1j, 0],
+    [0, 0, 1, 0, 3, 0, 0], [-0.0, 1e-300, -0.0], [1e-300, 0, -1e-300],
+])
+def test_trim_matches_nonzero_route(data):
+    arr = np.array(data, dtype=np.complex128)
+    for lo in (-4, 0, 7):
+        got_lo, got = _trim(lo, arr)
+        want_lo, want = _trim_by_nonzero(lo, arr)
+        assert got_lo == want_lo and got.tobytes() == want.tobytes()
+
+
+def test_norm_sq_is_cached_and_bit_identical(rng):
+    th = expand(BlaschkeProduct([0.5j, -0.3]))
+    polys = [random_poly(rng, -5, 7), LaurentPolynomial(), monomial(3, 2j), th]
+    for f in polys:
+        want = float(np.sum(np.abs(f._data) ** 2))
+        assert f.norm_sq() == want and f.norm_sq() is f.norm_sq()
+        assert f.norm() == want ** 0.5
+    g = random_poly(rng, 0, 4)
+    h = multiply(th, g)
+    g_norm = float(np.sum(np.abs(g._data) ** 2)) ** 0.5
+    th_norm = float(np.sum(np.abs(th._data) ** 2)) ** 0.5
+    assert h.tail_bound == th.tail_bound * g_norm + g.tail_bound * th_norm \
+        + th.tail_bound * g.tail_bound
