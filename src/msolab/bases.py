@@ -9,10 +9,11 @@ vectors th*z^k (k = 0..M) and zbar^k (k = 1..M+1), so
 * the tail coordinates of f are its coefficients at degrees -1..-(M+1),
 * reconstruction is th*(head polynomial) plus the tail monomials.
 
-A batch of polynomials (`coords_and_defects`) is stacked into one dense
-coefficient array; its head coordinates are one product with the Toeplitz
-matrix of conj(th), built from th alone, instead of a correlation per row.
-Model-space and admissible bases keep the dense path over a stacked matrix.
+Coordinates are taken in batches (`coords_and_defects`; `coords` is the
+batch of one): the polynomials are stacked into one dense coefficient
+array, and its head coordinates are one product with the Toeplitz matrix of
+conj(th), built from th alone. Model-space and admissible bases keep the
+dense path over a stacked matrix.
 """
 
 from __future__ import annotations
@@ -106,17 +107,6 @@ class OrthonormalBasis:
     def _is_section(self) -> bool:
         return self.kind in _HEAD_KINDS or self.kind in _TAIL_KINDS
 
-    def _section_coords(self, f: LaurentPolynomial) -> np.ndarray:
-        M = self.depth
-        th = self.expansion
-        parts = []
-        if self.kind in _HEAD_KINDS:
-            parts.append(np.correlate(f.dense(th.lo, th.hi + M), th._data,
-                                      "valid"))
-        if self.kind in _TAIL_KINDS:
-            parts.append(f.dense(-(M + 1), -1)[::-1])
-        return np.concatenate(parts) if len(parts) > 1 else parts[0]
-
     def _section_band(self) -> tuple[int, int]:
         n = self.depth + 1
         th = self.expansion
@@ -148,13 +138,9 @@ class OrthonormalBasis:
     # -- coordinate maps ---------------------------------------------------------
 
     def coords(self, f: LaurentPolynomial) -> np.ndarray:
-        """Coefficient vector of the orthogonal projection of f onto the span."""
-        if not self.vectors:
-            return np.zeros(0, dtype=np.complex128)
-        if self._is_section():
-            return self._section_coords(f)
-        lo, hi, _, Vc, _ = self._stack()
-        return Vc @ f.dense(lo, hi)
+        """Coefficient vector of the orthogonal projection of f onto the span:
+        the batch of one of `coords_and_defects`."""
+        return self.coords_and_defects([f])[0][0]
 
     def reconstruct(self, x) -> LaurentPolynomial:
         x = np.asarray(x, dtype=np.complex128)

@@ -13,7 +13,10 @@ themselves exact on the section:
   one, and the corner consistency) are routed through the zbar corner of the
   operator, whose data is complete in the section, instead of through
   operator compositions whose intermediate vectors stick out of the section
-  and would leak geometrically for non-monomial inner functions.
+  and would leak geometrically for non-monomial inner functions;
+* theta = theta z^0 is the first section vector, so D(theta) is column 0 of
+  D and D*(alpha) the conjugate of row 0: corner consistency and boundary
+  recovery read these block entries and compute no coordinates.
 
 Membership is decided by defect thresholds, never symbolically; reports
 carry raw defects so thresholds can be re-audited.
@@ -29,11 +32,12 @@ import numpy as np
 from .bases import OrthonormalBasis
 from .errors import InputError
 from .inner import DEFAULT_TAIL_CAP, BlaschkeProduct, expand, tm_basis
-from .laurent import (LaurentPolynomial, conj_function, inner_product,
-                      minus_part, multiply, project_band)
+from .laurent import (LaurentPolynomial, conj_function, multiply,
+                      project_band)
 from .operators import (BlockOperator, DenseComplexMatrix, SymbolFunction,
                         block_degrees, build_dtto, coefficient_matrix)
-from .spaces import SHIFT_KERNEL_TOL, admissible_for_shift, section_shift_index
+from .spaces import (SHIFT_KERNEL_TOL, admissible_for_shift, section_expansion,
+                     section_shift_index)
 
 
 def default_tolerance(*inners: BlaschkeProduct) -> float:
@@ -262,7 +266,8 @@ def check_adtto(D: BlockOperator, *, tol: float | None = None) -> AdttoVerdict:
        theta * conj(alpha).
     3. "hankel-intertwine": both antidiagonal blocks intertwine the shifts.
     4. "corner-consistency": the antianalytic parts of D(theta) and
-       D*(alpha) match the ones predicted by the zbar-corner symbol.
+       D*(alpha), GammaHat[:, 0] and conj(GammaCheck[0]), match the ones
+       predicted by the zbar-corner symbol (defect: the larger 2-norm).
     """
     if tol is None:
         tol = default_tolerance(D.theta, D.alpha)
@@ -289,19 +294,23 @@ def check_adtto(D: BlockOperator, *, tol: float | None = None) -> AdttoVerdict:
                       max(blocks[2].defect, blocks[3].defect), tol,
                       blocks[2].witnesses or blocks[3].witnesses)
 
-    # corner consistency via the zbar symbol
+    # corner consistency: D(theta) is column 0 of D and D*(alpha) the
+    # conjugate of row 0, so their Hminus parts are the first column of
+    # GammaHat and the conjugated first row of GammaCheck
     phi_z = _zbar_symbol(D)
-    d_theta = D.apply_poly(th)
-    dstar_alpha = D.adjoint().apply_poly(al)
-    res_a = minus_part(d_theta) - minus_part(multiply(phi_z.value, th))
-    res_b = minus_part(dstar_alpha) - minus_part(
-        multiply(conj_function(phi_z.value), al))
-    defect4 = max(res_a.norm(), res_b.norm())
+    minus_degrees = -np.arange(1, M + 2)
+    res_a = D.gamma_hat[:, 0] - coefficient_matrix(
+        multiply(phi_z.value, th), minus_degrees)
+    res_b = D.gamma_check[0].conj() - coefficient_matrix(
+        multiply(conj_function(phi_z.value), al), minus_degrees)
+    defect4 = float(max(np.linalg.norm(res_a), np.linalg.norm(res_b)))
     witnesses4 = []
     if defect4 > tol:
         for name, res in (("D(theta)", res_a), ("D*(alpha)", res_b)):
-            for k, c in sorted(res.coeffs.items(), key=lambda kv: -abs(kv[1]))[:2]:
-                witnesses4.append((name, k, abs(c)))
+            # largest first, ties at the lower degree; entry i is degree -(i+1)
+            mags = np.abs(res[::-1])
+            witnesses4 += [(name, int(k) - M - 1, float(mags[k]))
+                           for k in np.argsort(-mags, kind="stable")[:2] if mags[k]]
     r4 = DefectReport("corner-consistency", defect4, tol, witnesses4[:3])
 
     reports = [r1, r2, r3, r4]
@@ -316,7 +325,8 @@ def recover_symbol(D: BlockOperator, method: str = "zbar"):
 
     "zbar" reads the symbol off the zbar corner (orthogonal split, complete
     on the section). "boundary" evaluates the three-term formula built from
-    D(theta) and D*(alpha); for non-monomial inner functions the analytic
+    D(theta) and D*(alpha), i.e. from the first column and row of That;
+    for non-monomial inner functions the analytic
     projections of those vectors extend geometrically past the section, so
     the formula is evaluated on the unique in-class extension of the section
     data (the tail is reproduced from the zbar-corner symbol; it vanishes
@@ -339,21 +349,18 @@ def recover_symbol(D: BlockOperator, method: str = "zbar"):
                       D.alpha.degree_for_cap(DEFAULT_TAIL_CAP), 2 * M + 4)
         th = expand(D.theta, cap_deg, tail_cap=None)
         al = expand(D.alpha, cap_deg, tail_cap=None)
-        dom, cod = D.domain_basis(), D.codomain_basis()
-        d_theta = D.apply_poly(th)
-        dstar_alpha = D.adjoint().apply_poly(al)
         g = multiply(phi_z.value, multiply(th, conj_function(al)))
-        # analytic projections: section coordinates plus the geometric tail
-        y = cod.coords(d_theta)[:n]
-        tail_y = {i: g.coeff(i) for i in range(n, g.hi + 1) if g.coeff(i) != 0}
-        p_alpha = cod.reconstruct(np.concatenate([y, np.zeros(n)])) \
-            + multiply(al, LaurentPolynomial(tail_y))
-        x = dom.coords(dstar_alpha)[:n]
-        tail_x = {i: g.coeff(-i).conjugate() for i in range(n, -g.lo + 1)
-                  if g.coeff(-i) != 0}
-        p_theta = dom.reconstruct(np.concatenate([x, np.zeros(n)])) \
-            + multiply(th, LaurentPolynomial(tail_x))
-        bracket = inner_product(dstar_alpha, th)
+        # analytic projections of D(theta) (column 0) and D*(alpha) (row 0,
+        # conjugated): the That entries on the section plus the geometric
+        # tail of g past it
+        p_alpha = multiply(section_expansion(D.alpha, M),
+                           LaurentPolynomial._from_dense(0, D.that[:, 0])) \
+            + multiply(al, project_band(g, n, None))
+        p_theta = multiply(section_expansion(D.theta, M),
+                           LaurentPolynomial._from_dense(0, D.that[0].conj())) \
+            + multiply(th, conj_function(project_band(g, None, -n)))
+        # <D*(alpha), theta> = conj(<D(theta), alpha>)
+        bracket = complex(D.that[0, 0]).conjugate()
         value = multiply(conj_function(th), p_alpha) \
             + multiply(al, conj_function(p_theta)) \
             - multiply(al, conj_function(th.scale(bracket)))
@@ -377,10 +384,13 @@ class AnalyticVerdict(NamedTuple):
     minus_norm: float
 
 
-def is_analytic_adtto(D: BlockOperator, *, tol: float = 1e-11) -> AnalyticVerdict:
+def is_analytic_adtto(D: BlockOperator, *,
+                      tol: float | None = None) -> AnalyticVerdict:
     """True when the antianalytic part of the recovered symbol vanishes,
     i.e. all pairings of D(zbar) against zbar * (the Hminus basis) are zero:
-    the first column of TCheck below its corner, t_check[1:, 0]."""
+    the first column of TCheck below its corner, t_check[1:, 0]. The
+    default tolerance is 1e-11."""
+    tol = 1e-11 if tol is None else tol
     phi_minus = _zbar_symbol(D).minus
     norm = phi_minus.norm()
     if norm <= tol:

@@ -156,8 +156,7 @@ def _cmd_check(args) -> int:
             verdict = characterize.check_adtto(op, tol=tol)
             reports.extend(verdict.reports)
         else:
-            verdict = characterize.is_analytic_adtto(
-                op, tol=tol if tol is not None else 1e-11)
+            verdict = characterize.is_analytic_adtto(op, tol=tol)
             extra["analytic"] = {"analytic": verdict.analytic,
                                  "minus_norm": verdict.minus_norm,
                                  "witness": list(verdict.witness)

@@ -198,14 +198,16 @@ class LaurentPolynomial:
             try:
                 k, re, im = item
                 c = complex(float(re), float(im))
-                coeffs[int(k)] = coeffs.get(int(k), 0j) + c
             except (TypeError, ValueError, OverflowError) as exc:
                 raise InputError(f"bad coefficient entry {item!r}") from exc
+            if isinstance(k, bool) or not isinstance(k, int):
+                raise InputError(f"coefficient degree {k!r} is not an integer")
             if not cmath.isfinite(c):
                 raise InputError(f"non-finite coefficient entry {item!r}")
-            if abs(int(k)) > MAX_DEGREE:
-                raise InputError(f"coefficient degree {int(k)} beyond the cap "
+            if abs(k) > MAX_DEGREE:
+                raise InputError(f"coefficient degree {k} beyond the cap "
                                  f"MAX_DEGREE={MAX_DEGREE}")
+            coeffs[k] = coeffs.get(k, 0j) + c
         return cls(coeffs)
 
     def __repr__(self) -> str:

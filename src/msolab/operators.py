@@ -181,11 +181,6 @@ class BlockOperator:
         return np.concatenate([self.that @ head + self.gamma_check @ tail,
                                self.gamma_hat @ head + self.t_check @ tail])
 
-    def apply_poly(self, f: LaurentPolynomial) -> LaurentPolynomial:
-        """Apply to a function lying in the domain section."""
-        dom = self.domain_basis()
-        return self.codomain_basis().reconstruct(self.apply(dom.coords(f)))
-
     def to_json(self) -> dict:
         out = {
             "theta": self.theta.to_json(),
@@ -207,7 +202,9 @@ class BlockOperator:
         try:
             theta = BlaschkeProduct.from_json(obj["theta"])
             alpha = BlaschkeProduct.from_json(obj["alpha"])
-            M = int(obj["M"])
+            M = obj["M"]
+            if isinstance(M, bool) or not isinstance(M, int):
+                raise InputError(f"depth M must be an integer, got {M!r}")
             blocks = obj["blocks"]
             return cls(that=_matrix_from_json(blocks["That"]),
                        gamma_check=_matrix_from_json(blocks["GammaCheck"]),

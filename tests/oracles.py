@@ -4,7 +4,8 @@ Each function here computes the same quantity as a library routine through
 the generic route it replaced: pairings of polynomial images against a
 dense matrix of basis vectors, a Python loop over admissible pairs or over
 the dyads of a finite-rank operator, an SVD of shift residuals, polynomial
-round trips through the operator, or an SVD of the assembled rebuild
+round trips through the operator (`poly_apply`: coordinates, a
+matrix-vector product, a rebuild), or an SVD of the assembled rebuild
 difference. The tests compare the library against them.
 `conjugation_corner_maps` has no library counterpart: the operator
 tests use it to check the corner identity TCheck = W1 That^T conj(W2).
@@ -16,10 +17,12 @@ import numpy as np
 
 from msolab.annihilate import MEMBERSHIP_TOL
 from msolab.bases import OrthonormalBasis
-from msolab.characterize import AnalyticVerdict, DefectReport
+from msolab.characterize import (AnalyticVerdict, DefectReport, _zbar_symbol,
+                                 default_tolerance)
 from msolab.errors import DimensionError
-from msolab.laurent import (LaurentPolynomial, involution_J, minus_part,
-                            monomial, multiply)
+from msolab.inner import DEFAULT_TAIL_CAP, expand
+from msolab.laurent import (LaurentPolynomial, conj_function, inner_product,
+                            involution_J, minus_part, monomial, multiply)
 from msolab.operators import (BlockOperator, SymbolFunction, _pairing_matrix,
                               apply)
 from msolab.spaces import (SHIFT_KERNEL_TOL, admissible_for_shift, basis_Kperp,
@@ -176,18 +179,24 @@ def svd_admissible_for_shift(V) -> OrthonormalBasis:
                             depth=V.depth)
 
 
+def poly_apply(D: BlockOperator, f: LaurentPolynomial) -> LaurentPolynomial:
+    """D applied to a function lying in its domain section: coordinates, a
+    matrix-vector product, then the rebuild in the codomain section."""
+    return D.codomain_basis().reconstruct(D.apply(D.domain_basis().coords(f)))
+
+
 def poly_zbar_symbol(D: BlockOperator) -> SymbolFunction:
     """The zbar-corner symbol from the images D(zbar) and D*(zbar): the
     antianalytic part is P-(z D(zbar)), the analytic part J P-(D*(zbar))."""
-    d_zbar = D.apply_poly(monomial(-1))
-    dstar_zbar = D.adjoint().apply_poly(monomial(-1))
+    d_zbar = poly_apply(D, monomial(-1))
+    dstar_zbar = poly_apply(D.adjoint(), monomial(-1))
     return SymbolFunction(involution_J(minus_part(dstar_zbar))
                           + minus_part(d_zbar.shift(1)))
 
 
 def poly_is_analytic_adtto(D: BlockOperator, *, tol: float = 1e-11) -> AnalyticVerdict:
     """is_analytic_adtto from the image D(zbar)."""
-    phi_minus = minus_part(D.apply_poly(monomial(-1)).shift(1))
+    phi_minus = minus_part(poly_apply(D, monomial(-1)).shift(1))
     norm = phi_minus.norm()
     if norm <= tol:
         return AnalyticVerdict(True, None, norm)
@@ -199,3 +208,57 @@ def svd_rebuild_residual(D: BlockOperator, rebuilt: BlockOperator) -> float:
     """recover_symbol's residual through the assembled operators: the
     spectral norm of D - rebuilt, always by SVD."""
     return float(np.linalg.norm(D.assemble() - rebuilt.assemble(), 2))
+
+
+def poly_corner_consistency(D: BlockOperator, *,
+                            tol: float | None = None) -> DefectReport:
+    """check_adtto's corner-consistency report from the images D(theta) and
+    D*(alpha), each a polynomial round trip through the operator."""
+    if tol is None:
+        tol = default_tolerance(D.theta, D.alpha)
+    th = expand(D.theta, max(D.theta.degree_for_cap(DEFAULT_TAIL_CAP), 2 * D.M + 4),
+                tail_cap=None)
+    al = expand(D.alpha, max(D.alpha.degree_for_cap(DEFAULT_TAIL_CAP), 2 * D.M + 4),
+                tail_cap=None)
+    phi_z = _zbar_symbol(D)
+    d_theta = poly_apply(D, th)
+    dstar_alpha = poly_apply(D.adjoint(), al)
+    res_a = minus_part(d_theta) - minus_part(multiply(phi_z.value, th))
+    res_b = minus_part(dstar_alpha) - minus_part(
+        multiply(conj_function(phi_z.value), al))
+    defect = max(res_a.norm(), res_b.norm())
+    witnesses = []
+    if defect > tol:
+        for name, res in (("D(theta)", res_a), ("D*(alpha)", res_b)):
+            for k, c in sorted(res.coeffs.items(), key=lambda kv: -abs(kv[1]))[:2]:
+                witnesses.append((name, k, abs(c)))
+    return DefectReport("corner-consistency", defect, tol, witnesses[:3])
+
+
+def poly_recover_boundary(D: BlockOperator) -> SymbolFunction:
+    """recover_symbol(method="boundary")'s symbol from the images D(theta)
+    and D*(alpha): section coordinates of each, their analytic heads
+    rebuilt, and the geometric tail appended from the zbar-corner symbol."""
+    n = D.M + 1
+    cap_deg = max(D.theta.degree_for_cap(DEFAULT_TAIL_CAP),
+                  D.alpha.degree_for_cap(DEFAULT_TAIL_CAP), 2 * D.M + 4)
+    th = expand(D.theta, cap_deg, tail_cap=None)
+    al = expand(D.alpha, cap_deg, tail_cap=None)
+    dom, cod = D.domain_basis(), D.codomain_basis()
+    phi_z = _zbar_symbol(D)
+    d_theta = poly_apply(D, th)
+    dstar_alpha = poly_apply(D.adjoint(), al)
+    g = multiply(phi_z.value, multiply(th, conj_function(al)))
+    y = cod.coords(d_theta)[:n]
+    tail_y = {i: g.coeff(i) for i in range(n, g.hi + 1) if g.coeff(i) != 0}
+    p_alpha = cod.reconstruct(np.concatenate([y, np.zeros(n)])) \
+        + multiply(al, LaurentPolynomial(tail_y))
+    x = dom.coords(dstar_alpha)[:n]
+    tail_x = {i: g.coeff(-i).conjugate() for i in range(n, -g.lo + 1)
+              if g.coeff(-i) != 0}
+    p_theta = dom.reconstruct(np.concatenate([x, np.zeros(n)])) \
+        + multiply(th, LaurentPolynomial(tail_x))
+    bracket = inner_product(dstar_alpha, th)
+    return SymbolFunction(multiply(conj_function(th), p_alpha)
+                          + multiply(al, conj_function(p_theta))
+                          - multiply(al, conj_function(th.scale(bracket))))

@@ -261,6 +261,13 @@ def test_analytic_flags():
     assert "zbar^2" in name
 
 
+def test_analytic_default_tolerance_is_1e_11():
+    for size, analytic in ((0.9e-11, True), (1.1e-11, False)):
+        D = build_dtto(Z2, Z2, LaurentPolynomial({-1: size, 1: 1.0}), 8)
+        assert is_analytic_adtto(D).analytic is analytic
+        assert is_analytic_adtto(D, tol=None) == is_analytic_adtto(D, tol=1e-11)
+
+
 def test_analytic_matches_symbol_split(rng):
     for _ in range(8):
         phi = random_poly(rng, -3, 3)

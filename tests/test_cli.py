@@ -220,7 +220,12 @@ def test_build_rejects_expansion_degree_above_cap(capsys):
     '{"coeffs": [[1, 1, -Infinity]]}',
     '{"coeffs": [[Infinity, 1, 0]]}',
     '{"coeffs": 3}',
-], ids=["nan", "inf", "inf-degree", "not-a-list"])
+    '{"coeffs": [[1.5, 1, 0]]}',
+    '{"coeffs": [[1.0, 1, 0]]}',
+    '{"coeffs": [[true, 1, 0]]}',
+    '{"coeffs": [["2", 1, 0]]}',
+], ids=["nan", "inf", "inf-degree", "not-a-list", "fractional-degree",
+        "float-degree", "bool-degree", "string-degree"])
 def test_build_rejects_bad_symbol(capsys, symbol):
     assert_one_line_input_error(*run_cli(capsys, "build", "dtto", "--theta", Z2,
                                          "--symbol", symbol))
@@ -346,6 +351,21 @@ def test_check_rejects_numbers_beyond_float_range(tmp_path, capsys, mutate):
                    "--M", "8", "--out", str(path))[0] == 0
     path.write_text(json.dumps(mutate(json.loads(path.read_text()))))
     assert_one_line_input_error(*run_cli(capsys, "check", str(path)))
+
+
+@pytest.mark.parametrize("depth", [8.5, 8.0, True, "8"],
+                         ids=["fractional-depth", "float-depth", "bool-depth",
+                              "string-depth"])
+@pytest.mark.parametrize("command", ["check", "recover"])
+def test_payload_depth_must_be_an_integer(tmp_path, capsys, command, depth):
+    path = tmp_path / "op.json"
+    assert run_cli(capsys, "build", "dtto", "--theta", Z2, "--symbol", "z",
+                   "--M", "8", "--out", str(path))[0] == 0
+    payload = json.loads(path.read_text())
+    path.write_text(json.dumps({**payload, "M": depth}))
+    code, out, err = run_cli(capsys, command, str(path))
+    assert_one_line_input_error(code, out, err)
+    assert "integer" in err
 
 
 @pytest.mark.parametrize("command", ["check", "recover", "suite"])

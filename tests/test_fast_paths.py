@@ -12,7 +12,8 @@ import pytest
 from msolab import characterize
 from msolab.annihilate import (FiniteRankOperator, gen_M, gen_shift_pair, pair,
                                pair_many, represent_functional)
-from msolab.characterize import (_zbar_symbol, check_block_conditions,
+from msolab.bases import OrthonormalBasis
+from msolab.characterize import (_zbar_symbol, check_adtto, check_block_conditions,
                                  is_analytic_adtto, recover_symbol,
                                  shift_invariance_defect,
                                  solve_shift_invariant_space)
@@ -29,7 +30,8 @@ from msolab.suites import random_inner, random_symbol
 from conftest import random_poly
 from oracles import (dense_coords, dense_coords_and_defect, dense_reconstruct,
                      loop_pair, loop_shift_invariance_defect, loop_shift_system,
-                     pairing_build_dtto, poly_is_analytic_adtto,
+                     pairing_build_dtto, poly_corner_consistency,
+                     poly_is_analytic_adtto, poly_recover_boundary,
                      poly_zbar_symbol, svd_admissible_for_shift,
                      svd_rebuild_residual)
 
@@ -314,7 +316,7 @@ def _corner_operators():
     return out
 
 
-def test_zbar_symbol_is_bit_identical_to_apply_poly_oracle():
+def test_zbar_symbol_is_bit_identical_to_poly_apply_oracle():
     analytic = 0
     for D in _corner_operators():
         fast, slow = _zbar_symbol(D).value, poly_zbar_symbol(D).value
@@ -554,6 +556,96 @@ def test_in_class_zbar_recovery_runs_no_svd(monkeypatch):
         assert recover_symbol(D, "zbar")[1] == 0.0
     with pytest.raises(AssertionError, match="spectral norm"):
         recover_symbol(_bumped(in_class[0], "that"), "zbar")
+
+
+# -- corner consistency and boundary recovery from the blocks ---------------------
+
+def _corner(D):
+    return check_adtto(D).reports[3]
+
+
+def _boundary(D):
+    return recover_symbol(D, "boundary")[0].value
+
+
+def _max_gap(f, g):
+    lo, hi = min(f.lo, g.lo), max(f.hi, g.hi)
+    return float(np.max(np.abs(f.dense(lo, hi) - g.dense(lo, hi))))
+
+
+def test_decision_procedures_touch_no_section_coordinates(monkeypatch):
+    theta, alpha = BlaschkeProduct([0.9, -0.3j]), BlaschkeProduct([0.5 + 0.2j])
+    D = build_dtto(theta, alpha, LaurentPolynomial({-2: 0.5, 0: 1.0, 1: -1j}), 24)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("section coordinates or an operator product used")
+    for owner, name in ((OrthonormalBasis, "coords"),
+                        (OrthonormalBasis, "coords_and_defects"),
+                        (OrthonormalBasis, "reconstruct"),
+                        (BlockOperator, "apply"), (BlockOperator, "adjoint")):
+        monkeypatch.setattr(owner, name, forbidden)
+    assert check_adtto(D).passed
+    for method in ("zbar", "boundary"):
+        assert recover_symbol(D, method)[1] <= 1e-12
+
+
+def test_monomial_corner_and_boundary_are_bit_identical_to_poly_oracle():
+    r = Xoshiro256StarStar(20261020)
+    for m, n in ((1, 1), (2, 3), (3, 1)):
+        theta, alpha = monomial_inner(m), monomial_inner(n)
+        phi = random_symbol(r)
+        D = build_dtto(theta, alpha, phi, _guard(theta, alpha, phi) + 5)
+        # a copy with the entries the two routes read moved
+        P = BlockOperator(D.that.copy(), D.gamma_check.copy(), D.gamma_hat.copy(),
+                          D.t_check, theta, alpha, D.M)
+        P.gamma_hat[3, 0] += 1e-3
+        P.gamma_check[0, 5] -= 2e-3
+        P.that[0, 0] += 1e-3
+        P.that[0, 2] -= 1e-3j
+        P.that[4, 0] += 1e-3
+        for op in (D, P):
+            assert _corner(op) == poly_corner_consistency(op)
+            fast, slow = _boundary(op), poly_recover_boundary(op).value
+            assert fast.lo == slow.lo and fast._data.tobytes() == slow._data.tobytes()
+
+
+@pytest.mark.parametrize("rho", [0.7, 0.95, 0.99])
+def test_blaschke_corner_and_boundary_match_poly_oracle(rho):
+    r = Xoshiro256StarStar(20261021)
+    theta = BlaschkeProduct([rho * cmath.exp(0.3j)], allow_near_boundary=True)
+    alpha = BlaschkeProduct([-rho, 0.2j], allow_near_boundary=True)
+    depths = [None, 60] + ([400] if rho == 0.99 else [])
+    for M in depths:
+        phi = random_symbol(r)
+        D = build_dtto(theta, alpha, phi, M or _guard(theta, alpha, phi))
+        assert abs(_corner(D).defect - poly_corner_consistency(D).defect) <= ORACLE_TOL
+        assert _max_gap(_boundary(D), poly_recover_boundary(D).value) <= ORACLE_TOL
+
+
+def test_noisy_corner_defect_matches_poly_oracle():
+    r = Xoshiro256StarStar(20261022)
+    noise = np.random.default_rng(20261022)
+    for theta in (monomial_inner(1), BlaschkeProduct([0.5]),
+                  BlaschkeProduct([0.9j, -0.4])):
+        D = build_dtto(theta, monomial_inner(2), random_symbol(r), 16)
+        N = noise.standard_normal((D.dim, 2 * D.dim)).view(np.complex128)
+        P = split_blocks(D.assemble() + 1e-3 * N, D.theta, D.alpha, D.M)
+        fast, slow = _corner(P), poly_corner_consistency(P)
+        assert not fast.passed
+        assert abs(fast.defect - slow.defect) <= 1e-9 * slow.defect
+        assert [w[:2] for w in fast.witnesses] == [w[:2] for w in slow.witnesses]
+
+
+def test_perturbed_corner_keeps_the_witnesses_above_tolerance():
+    theta, alpha = BlaschkeProduct([0.6, -0.3j]), BlaschkeProduct([0.4 + 0.1j])
+    D = build_dtto(theta, alpha, LaurentPolynomial({-1: 1.0, 2: 0.5j}), 20)
+    D.gamma_hat[3, 0] += 2e-3
+    fast, slow = _corner(D), poly_corner_consistency(D)
+
+    def above(report):
+        return [(name, k) for name, k, size in report.witnesses if size > report.tolerance]
+    assert above(fast) == above(slow) == [("D(theta)", -4)]
+    assert fast.defect == pytest.approx(slow.defect, rel=1e-9)
 
 
 # -- exact-polynomial products ------------------------------------------------------

@@ -10,7 +10,7 @@ from msolab.operators import (MAX_DEPTH, BlockOperator, SymbolFunction, apply,
 from msolab.spaces import project
 
 from conftest import assert_poly_close, random_poly
-from oracles import conjugation_corner_maps
+from oracles import conjugation_corner_maps, poly_apply
 
 Z1, Z2, Z3 = monomial_inner(1), monomial_inner(2), monomial_inner(3)
 
@@ -67,8 +67,8 @@ def test_dtto_identity_blocks():
 
 def test_dtto_zbar_actions():
     D = build_dtto(Z2, Z2, monomial(-1), 8)
-    assert_poly_close(D.apply_poly(monomial(2)), LaurentPolynomial(), 1e-13)
-    assert_poly_close(D.apply_poly(monomial(-1)), monomial(-2), 1e-13)
+    assert_poly_close(poly_apply(D, monomial(2)), LaurentPolynomial(), 1e-13)
+    assert_poly_close(poly_apply(D, monomial(-1)), monomial(-2), 1e-13)
     assert np.max(np.abs(D.gamma_check)) <= 1e-14
 
 
