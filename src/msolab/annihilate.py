@@ -22,6 +22,7 @@ from .inner import BlaschkeProduct, expand
 from .laurent import (LaurentPolynomial, conj_function, minus_part,
                       monomial, multiply, plus_part)
 from .operators import BlockOperator, DenseComplexMatrix
+from .payload import read_typed
 from .spaces import project
 
 MEMBERSHIP_TOL = 1e-8
@@ -46,12 +47,11 @@ class FiniteRankOperator:
 
     @classmethod
     def from_json(cls, obj) -> "FiniteRankOperator":
-        try:
-            return cls([(LaurentPolynomial.from_json(d["f"]),
-                         LaurentPolynomial.from_json(d["g"]))
-                        for d in obj["dyads"]])
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"malformed finite-rank payload: {exc}") from exc
+        obj = read_typed(obj, dict, "finite-rank payload")
+        dyads = [read_typed(d, dict, "dyad")
+                 for d in read_typed(obj.get("dyads"), list, "'dyads'")]
+        return cls([(LaurentPolynomial.from_json(d.get("f")),
+                     LaurentPolynomial.from_json(d.get("g"))) for d in dyads])
 
     def __repr__(self):
         return f"FiniteRankOperator(rank<={self.rank_bound})"

@@ -34,8 +34,9 @@ from .errors import InputError
 from .inner import DEFAULT_TAIL_CAP, BlaschkeProduct, expand, tm_basis
 from .laurent import (LaurentPolynomial, conj_function, multiply,
                       project_band)
-from .operators import (BlockOperator, DenseComplexMatrix, SymbolFunction,
-                        block_degrees, build_dtto, coefficient_matrix)
+from .operators import (MAX_DEPTH, BlockOperator, DenseComplexMatrix,
+                        SymbolFunction, block_degrees, build_dtto,
+                        coefficient_matrix)
 from .spaces import (SHIFT_KERNEL_TOL, admissible_for_shift, section_expansion,
                      section_shift_index)
 
@@ -166,6 +167,8 @@ def solve_shift_invariant_space(theta: BlaschkeProduct, alpha: BlaschkeProduct,
     if space == "model_perp":
         if M is None or M < 0:
             raise InputError("model_perp solve requires a truncation depth M >= 0")
+        if M > MAX_DEPTH:
+            raise InputError(f"M={M} above the depth cap MAX_DEPTH={MAX_DEPTH}")
         ops = []
         for b, degrees in enumerate(block_degrees(M)):
             for d in np.unique(degrees):

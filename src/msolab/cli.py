@@ -23,11 +23,11 @@ import numpy as np
 
 from . import characterize, suites
 from .errors import InputError, MsolabError
-from .inner import BlaschkeProduct, tm_basis
+from .inner import BlaschkeProduct
 from .laurent import LaurentPolynomial
 from .operators import (BlockOperator, DenseComplexMatrix, SymbolFunction,
-                        _matrix_from_json, _matrix_to_json, build_dtto,
-                        build_tto)
+                        build_dtto, build_tto)
+from .payload import read_typed, write_complex
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -55,10 +55,8 @@ def _parse_symbol(text: str) -> LaurentPolynomial:
 
 def _parse_inner(text: str) -> BlaschkeProduct:
     text = text.strip()
-    if text.startswith("{"):
-        return BlaschkeProduct.from_json(
-            _loads(text, f"cannot parse inner function {text!r}"))
-    return BlaschkeProduct.parse(text)
+    return BlaschkeProduct.parse(_loads(text, f"cannot parse inner function {text!r}")
+                                 if text.startswith("{") else text)
 
 
 def _read_payload(path: str) -> dict:
@@ -71,20 +69,10 @@ def _read_payload(path: str) -> dict:
 
 
 def _load_operator(payload: dict):
-    if not isinstance(payload, dict):
-        raise InputError("operator payload must be a JSON object")
-    if "blocks" in payload:
+    if "blocks" in read_typed(payload, dict, "operator payload"):
         return BlockOperator.from_json(payload)
     if "entries" in payload:
-        try:
-            theta = BlaschkeProduct.from_json(payload["theta"])
-            alpha = BlaschkeProduct.from_json(payload["alpha"])
-            entries = _matrix_from_json(payload["entries"])
-        except KeyError as exc:
-            raise InputError(f"matrix payload missing {exc}") from exc
-        except (TypeError, ValueError, IndexError, OverflowError) as exc:
-            raise InputError(f"malformed matrix payload: {exc}") from exc
-        return DenseComplexMatrix(entries, tm_basis(theta), tm_basis(alpha))
+        return DenseComplexMatrix.from_json(payload)
     raise InputError("operator payload needs either 'blocks' or 'entries'")
 
 
@@ -118,15 +106,12 @@ def _cmd_build(args) -> int:
         if args.M is not None:
             raise InputError("build tto does not read --M")
         op = build_tto(theta, alpha, symbol)
-        payload = {"theta": theta.to_json(), "alpha": alpha.to_json(),
-                   "entries": _matrix_to_json(op.entries)}
     else:
         M = args.M
         if M is None:
             M = symbol.reach + theta.degree + alpha.degree + 6
         op = build_dtto(theta, alpha, symbol, M)
-        payload = op.to_json()
-    _emit(payload, args.out)
+    _emit(op.to_json(), args.out)
     return EXIT_OK
 
 
@@ -180,7 +165,7 @@ def _cmd_recover(args) -> int:
     symbol, residual = characterize.recover_symbol(op, args.method)
     report = {"method": args.method,
               "symbol": symbol.to_json(),
-              "mean": [symbol.mean.real, symbol.mean.imag],
+              "mean": write_complex(symbol.mean),
               "residual": residual,
               "tolerance": tol,
               "pass": residual <= tol}

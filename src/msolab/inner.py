@@ -20,6 +20,7 @@ import numpy as np
 from .bases import OrthonormalBasis
 from .errors import InputError, TruncationError
 from .laurent import MAX_DEGREE, LaurentPolynomial
+from .payload import read_complex, read_typed, write_complex
 
 DEFAULT_TAIL_CAP = 1e-13
 RHO_SOFT_LIMIT = 0.95
@@ -128,25 +129,17 @@ class BlaschkeProduct:
     # -- encoding ----------------------------------------------------------
 
     def to_json(self) -> dict:
-        return {"zeros": [[a.real, a.imag] for a in self.zeros],
-                "constant": [self.constant.real, self.constant.imag]}
+        return {"zeros": [write_complex(a) for a in self.zeros],
+                "constant": write_complex(self.constant)}
 
     @classmethod
     def from_json(cls, obj) -> "BlaschkeProduct":
-        if not isinstance(obj, dict) or "zeros" not in obj:
-            raise InputError("expected an object with 'zeros'")
-        try:
-            zeros = [complex(float(re_), float(im)) for re_, im in obj["zeros"]]
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InputError(f"bad zeros entry: {obj['zeros']!r}") from exc
-        const = obj.get("constant", [1.0, 0.0])
-        try:
-            re_, im = const
-            constant = complex(float(re_), float(im))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InputError(f"bad constant {const!r}: expected [re, im]") from exc
-        return cls(zeros, constant,
-                   allow_near_boundary=bool(obj.get("allow_near_boundary", False)))
+        obj = read_typed(obj, dict, "inner function")
+        zeros = read_typed(obj.get("zeros"), list, "'zeros'")
+        return cls([read_complex(a, "zero") for a in zeros],
+                   read_complex(obj.get("constant", [1.0, 0.0]), "constant"),
+                   allow_near_boundary=read_typed(obj.get("allow_near_boundary", False),
+                                                  bool, "allow_near_boundary"))
 
     @classmethod
     def parse(cls, spec) -> "BlaschkeProduct":

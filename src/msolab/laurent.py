@@ -14,13 +14,13 @@ widen their tolerances by it.
 
 from __future__ import annotations
 
-import cmath
 from typing import Mapping
 
 import numpy as np
 
 from . import kernels
 from .errors import InputError
+from .payload import read_complex, read_int, read_typed, write_complex
 
 _ZERO = np.zeros(0, dtype=np.complex128)
 
@@ -183,27 +183,19 @@ class LaurentPolynomial:
     # -- encoding -----------------------------------------------------------
 
     def to_json(self) -> dict:
-        return {"coeffs": [[k, c.real, c.imag] for k, c in sorted(self.coeffs.items())]}
+        return {"coeffs": [[k, *write_complex(c)]
+                           for k, c in sorted(self.coeffs.items())]}
 
     @classmethod
     def from_json(cls, obj) -> "LaurentPolynomial":
-        if not isinstance(obj, dict) or "coeffs" not in obj:
-            raise InputError("expected an object with a 'coeffs' list")
-        try:
-            items = list(obj["coeffs"])
-        except TypeError as exc:
-            raise InputError("'coeffs' must be a list of [k, re, im] entries") from exc
+        items = read_typed(read_typed(obj, dict, "function").get("coeffs"), list,
+                           "'coeffs'")
         coeffs: dict[int, complex] = {}
         for item in items:
-            try:
-                k, re, im = item
-                c = complex(float(re), float(im))
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise InputError(f"bad coefficient entry {item!r}") from exc
-            if isinstance(k, bool) or not isinstance(k, int):
-                raise InputError(f"coefficient degree {k!r} is not an integer")
-            if not cmath.isfinite(c):
-                raise InputError(f"non-finite coefficient entry {item!r}")
+            if not isinstance(item, list) or len(item) != 3:
+                raise InputError(f"coefficient entry {item!r} is not [k, re, im]")
+            k = read_int(item[0], "coefficient degree")
+            c = read_complex(item[1:], f"coefficient of degree {k}")
             if abs(k) > MAX_DEGREE:
                 raise InputError(f"coefficient degree {k} beyond the cap "
                                  f"MAX_DEGREE={MAX_DEGREE}")

@@ -22,8 +22,8 @@ so `build_dtto` forms three products and gathers at `block_degrees`. Entries
 are exact pairings (up to expansion tails), so truncation shows up only
 structurally: identities involving products of blocks are reliable on
 interior indices, at distance >= (symbol reach + deg theta + deg alpha) from
-the truncation edge. Builders tag the symbol reach as `edge`; it is
-provenance metadata that travels with the payload, and no check reads it.
+the truncation edge. Builders record the symbol reach as `edge`, a
+non-negative integer of provenance that payloads carry and no check reads.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .errors import DimensionError, InputError
 from .inner import BlaschkeProduct, tm_basis
 from .laurent import (LaurentPolynomial, conj_function, minus_part, multiply,
                       plus_part)
+from .payload import read_int, read_matrix, read_typed, write_matrix
 from .spaces import basis_Kperp, section_expansion
 
 # Largest truncation depth M of a complement section. Deeper sections were
@@ -42,6 +43,8 @@ from .spaces import basis_Kperp, section_expansion
 # and at this cap one block is 1025 x 1025 complex (17 MB), the assembled
 # operator 68 MB.
 MAX_DEPTH = 1024
+
+_BLOCK_NAMES = ("That", "GammaCheck", "GammaHat", "TCheck")
 
 
 class SymbolFunction:
@@ -110,12 +113,19 @@ class DenseComplexMatrix:
         return DenseComplexMatrix(self.entries.conj().T, self.codomain, self.domain)
 
     def to_json(self) -> dict:
-        out = {"entries": _matrix_to_json(self.entries)}
+        out = {"entries": write_matrix(self.entries)}
         if self.domain.inner is not None:
             out["theta"] = self.domain.inner.to_json()
         if self.codomain.inner is not None:
             out["alpha"] = self.codomain.inner.to_json()
         return out
+
+    @classmethod
+    def from_json(cls, obj) -> "DenseComplexMatrix":
+        obj = read_typed(obj, dict, "matrix payload")
+        return cls(read_matrix(obj.get("entries"), "entries"),
+                   tm_basis(BlaschkeProduct.from_json(obj.get("theta"))),
+                   tm_basis(BlaschkeProduct.from_json(obj.get("alpha"))))
 
     def __repr__(self):
         return (f"DenseComplexMatrix({self.codomain.label!r} x "
@@ -141,8 +151,8 @@ class BlockOperator:
         self.gamma_check = np.asarray(gamma_check, dtype=np.complex128)
         self.gamma_hat = np.asarray(gamma_hat, dtype=np.complex128)
         self.t_check = np.asarray(t_check, dtype=np.complex128)
-        for name, block in (("That", self.that), ("GammaCheck", self.gamma_check),
-                            ("GammaHat", self.gamma_hat), ("TCheck", self.t_check)):
+        for name, block in zip(_BLOCK_NAMES, (self.that, self.gamma_check,
+                                              self.gamma_hat, self.t_check)):
             if block.shape != (n, n):
                 raise DimensionError(f"{name} has shape {block.shape}, expected {(n, n)}")
         self.theta = theta
@@ -186,12 +196,9 @@ class BlockOperator:
             "theta": self.theta.to_json(),
             "alpha": self.alpha.to_json(),
             "M": self.M,
-            "blocks": {
-                "That": _matrix_to_json(self.that),
-                "GammaCheck": _matrix_to_json(self.gamma_check),
-                "GammaHat": _matrix_to_json(self.gamma_hat),
-                "TCheck": _matrix_to_json(self.t_check),
-            },
+            "blocks": {name: write_matrix(block) for name, block in zip(
+                _BLOCK_NAMES, (self.that, self.gamma_check, self.gamma_hat,
+                               self.t_check))},
         }
         if self.edge is not None:
             out["edge"] = self.edge
@@ -199,37 +206,18 @@ class BlockOperator:
 
     @classmethod
     def from_json(cls, obj) -> "BlockOperator":
-        try:
-            theta = BlaschkeProduct.from_json(obj["theta"])
-            alpha = BlaschkeProduct.from_json(obj["alpha"])
-            M = obj["M"]
-            if isinstance(M, bool) or not isinstance(M, int):
-                raise InputError(f"depth M must be an integer, got {M!r}")
-            blocks = obj["blocks"]
-            return cls(that=_matrix_from_json(blocks["That"]),
-                       gamma_check=_matrix_from_json(blocks["GammaCheck"]),
-                       gamma_hat=_matrix_from_json(blocks["GammaHat"]),
-                       t_check=_matrix_from_json(blocks["TCheck"]),
-                       theta=theta, alpha=alpha, M=M,
-                       edge=obj.get("edge"))
-        except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
-            raise InputError(f"malformed block operator payload: {exc}") from exc
+        obj = read_typed(obj, dict, "block operator payload")
+        blocks = read_typed(obj.get("blocks"), dict, "'blocks'")
+        if "edge" in obj and read_int(obj["edge"], "edge") < 0:
+            raise InputError(f"edge must be non-negative, got {obj['edge']}")
+        return cls(*(read_matrix(blocks.get(name), name) for name in _BLOCK_NAMES),
+                   theta=BlaschkeProduct.from_json(obj.get("theta")),
+                   alpha=BlaschkeProduct.from_json(obj.get("alpha")),
+                   M=read_int(obj.get("M"), "depth M"), edge=obj.get("edge"))
 
     def __repr__(self):
         return (f"BlockOperator(theta={self.theta.short_name()}, "
                 f"alpha={self.alpha.short_name()}, M={self.M})")
-
-
-def _matrix_to_json(a: np.ndarray) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in a]
-
-
-def _matrix_from_json(rows) -> np.ndarray:
-    a = np.array([[complex(float(v[0]), float(v[1])) for v in row]
-                  for row in rows], dtype=np.complex128)
-    if not np.all(np.isfinite(a)):
-        raise InputError("non-finite matrix entry in payload")
-    return a
 
 
 def _pairing_matrix(images, codomain: OrthonormalBasis) -> np.ndarray:

@@ -9,8 +9,8 @@ from msolab.characterize import (check_adtto, check_block_conditions,
 from msolab.errors import InputError
 from msolab.inner import BlaschkeProduct, monomial_inner, tm_basis
 from msolab.laurent import LaurentPolynomial, monomial, one
-from msolab.operators import (BlockOperator, DenseComplexMatrix, build_dtto,
-                              build_tto)
+from msolab.operators import (MAX_DEPTH, BlockOperator, DenseComplexMatrix,
+                              build_dtto, build_tto)
 from msolab.rng import Xoshiro256StarStar
 from msolab.spaces import basis_Kperp
 
@@ -95,7 +95,7 @@ def test_complement_nullspace_has_block_structure():
             assert [rep.defect for rep in check_block_conditions(op)] == [0.0] * 4
 
 
-@pytest.mark.parametrize("M", [None, -1])
+@pytest.mark.parametrize("M", [None, -1, MAX_DEPTH + 1])
 def test_complement_solve_requires_depth(M):
     with pytest.raises(InputError):
         solve_shift_invariant_space(Z2, Z2, space="model_perp", M=M)

@@ -201,7 +201,12 @@ def assert_one_line_input_error(code, out, err):
     '{"zeros": [[0.5, 0]], "constant": [1]}',
     '{"zeros": [[0.5, 0]], "constant": ["one", 0]}',
     '{"zeros": [[0.5, 0]], "constant": [NaN, 0]}',
-], ids=["nan-zero", "inf-zero", "short-constant", "text-constant", "nan-constant"])
+    '{"zeros": [[0.97, 0]], "allow_near_boundary": "false"}',
+    '{"zeros": [[0.5, 0]], "allow_near_boundary": [0]}',
+    '{"zeros": [["0.3", false]]}',
+    '{"zeros": [[0.5, 0]], "constant": [true, 0]}',
+], ids=["nan-zero", "inf-zero", "short-constant", "text-constant", "nan-constant",
+        "text-flag", "list-flag", "text-and-bool-zero", "bool-constant"])
 def test_build_rejects_bad_inner_function(capsys, theta):
     assert_one_line_input_error(*run_cli(capsys, "build", "dtto", "--theta", theta,
                                          "--symbol", "z"))
@@ -224,13 +229,41 @@ def test_build_rejects_expansion_degree_above_cap(capsys):
     '{"coeffs": [[1.0, 1, 0]]}',
     '{"coeffs": [[true, 1, 0]]}',
     '{"coeffs": [["2", 1, 0]]}',
+    '{"coeffs": [[1, "1.5", 0]]}',
+    '{"coeffs": [[1, true, 0]]}',
 ], ids=["nan", "inf", "inf-degree", "not-a-list", "fractional-degree",
-        "float-degree", "bool-degree", "string-degree"])
+        "float-degree", "bool-degree", "string-degree", "string-coefficient",
+        "bool-coefficient"])
 def test_build_rejects_bad_symbol(capsys, symbol):
     assert_one_line_input_error(*run_cli(capsys, "build", "dtto", "--theta", Z2,
                                          "--symbol", symbol))
     assert_one_line_input_error(*run_cli(capsys, "suite", "fuzz", "--cases", "1",
                                          "--symbol", symbol))
+
+
+_MATRIX_KEYS = {"entries", "That", "GammaCheck", "GammaHat", "TCheck"}
+
+
+def _field_paths(node, path=()):
+    """Paths to every number outside the matrices of a payload, and to one
+    entry of each matrix and to that entry's first number."""
+    if path and path[-1] in _MATRIX_KEYS:
+        return [path + (1, 0), path + (1, 0, 0)]
+    if isinstance(node, dict):
+        return [p for key in node for p in _field_paths(node[key], path + (key,))]
+    if isinstance(node, list):
+        return [p for i, item in enumerate(node) for p in _field_paths(item, path + (i,))]
+    return [path]
+
+
+def _replaced(payload, path, value):
+    payload = copy.deepcopy(payload)
+    *parents, last = path
+    target = payload
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return payload
 
 
 def test_check_rejects_non_finite_or_short_entries(tmp_path, capsys):
@@ -247,6 +280,43 @@ def test_check_rejects_non_finite_or_short_entries(tmp_path, capsys):
     path.write_text(json.dumps({"theta": {"zeros": [[0, 0]]}, "alpha": {"zeros": [[0, 0]]},
                                 "entries": [[[1.0]]]}))
     assert_one_line_input_error(*run_cli(capsys, "check", str(path)))
+    # every number of both payload kinds, and one entry of every matrix,
+    # replaced by a value of another JSON type
+    accepted = []
+    for payload in _VALID_PAYLOADS:
+        path.write_text(json.dumps(payload))
+        assert run_cli(capsys, "check", str(path), "--checks", "shift")[0] == 0
+        bad = [(where, value) for where in _field_paths(payload)
+               for value in ("1", True, None, [], {})]
+        bad += [(where, entry) for where in _field_paths(payload)
+                if len(where) > 2 and where[-3] in _MATRIX_KEYS
+                for entry in (["1e-300", "0", {"junk": 1}], ["1e-300", "0"],
+                              [True, False])]
+        if "edge" in payload:
+            bad += [(("edge",), value) for value in ([1, {"x": 2}], "3", -1)]
+        for where, value in bad:
+            path.write_text(json.dumps(_replaced(payload, where, value)))
+            code, out, err = run_cli(capsys, "check", str(path), "--checks", "shift")
+            if code != 2 or out or not err.startswith("error: ") or err.count("\n") != 1:
+                accepted.append((where, value, code, err))
+    assert accepted == []
+
+
+def test_check_reads_integer_re_and_im(tmp_path, capsys):
+    path = tmp_path / "op.json"
+    assert run_cli(capsys, "build", "dtto", "--theta", Z2, "--symbol", SHIFT_SYMBOL,
+                   "--M", "10", "--out", str(path))[0] == 0
+    text = path.read_text()
+    as_ints = json.loads(text, parse_float=lambda s: int(float(s))
+                         if float(s).is_integer() else float(s))
+    assert 1 in as_ints["blocks"]["That"][1][0]
+    reports = []
+    for payload in (json.loads(text), as_ints):
+        path.write_text(json.dumps(payload))
+        code, out, _ = run_cli(capsys, "check", str(path),
+                               "--checks", "shift,blocks,adtto")
+        reports.append((code, out))
+    assert reports[0] == reports[1] and reports[0][0] == 0
 
 
 @pytest.mark.parametrize("symbol", [
@@ -437,10 +507,15 @@ _commands = _with_token(st.one_of(
           _flag("--symbol", _symbol), _flag("--tol", _tol))))
 
 
+# nested fields each reader must check, beside every top-level key
+_NESTED_FIELDS = (("theta", "zeros", 0), ("alpha", "constant"), ("blocks", "That"),
+                  ("edge",), ("theta", "allow_near_boundary"))
+
+
 @st.composite
 def _mutated(draw):
-    """A valid payload with one top-level field replaced by arbitrary JSON,
-    or the dtto payload with one block entry moved."""
+    """A valid payload with one top-level or nested field replaced by
+    arbitrary JSON, or the dtto payload with one block entry moved."""
     payload = copy.deepcopy(draw(st.sampled_from(_VALID_PAYLOADS)))
     if draw(st.booleans()):
         matrix = draw(st.sampled_from(list(payload["blocks"].values()))) \
@@ -448,7 +523,9 @@ def _mutated(draw):
         cell = draw(st.sampled_from(draw(st.sampled_from(matrix))))
         cell[0] += draw(st.floats(0.01, 1))
     else:
-        payload[draw(st.sampled_from(sorted(payload)))] = draw(_json_values)
+        fields = [(key,) for key in sorted(payload)] + [
+            f for f in _NESTED_FIELDS if len(f) == 1 or f[0] in payload]
+        payload = _replaced(payload, draw(st.sampled_from(fields)), draw(_json_values))
     return json.dumps(payload).encode()
 
 

@@ -42,3 +42,25 @@ def test_option_count():
     fails here until this count is raised on purpose."""
     modules = sorted(Path(msolab.__file__).parent.glob("*.py"))
     assert sum(_defaulted_parameters(p) for p in modules) == 63
+
+
+def test_payload_numbers_pass_through_the_readers():
+    """No `from_json` converts a payload value itself (numbers reach payload
+    objects only through msolab.payload's readers), and the CLI uses no
+    private name of another msolab module."""
+    package = Path(msolab.__file__).parent
+    readers, converting = 0, []
+    for path in sorted(package.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef) and fn.name == "from_json":
+                readers += 1
+                converting += [f"{path.name}:{call.lineno}" for call in ast.walk(fn)
+                               if isinstance(call, ast.Call)
+                               and isinstance(call.func, ast.Name)
+                               and call.func.id in ("float", "bool", "int", "complex")]
+    assert readers >= 5 and converting == []
+    private = [alias.name for node in ast.walk(ast.parse((package / "cli.py").read_text()))
+               if isinstance(node, ast.ImportFrom)
+               and (node.level > 0 or (node.module or "").startswith("msolab"))
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
