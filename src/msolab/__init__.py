@@ -15,8 +15,7 @@ from .characterize import (DefectReport, check_adtto, check_block_conditions,
                            is_analytic_adtto, recover_symbol,
                            shift_invariance_defect,
                            solve_shift_invariant_space)
-from .errors import (AdmissibilityError, DimensionError, InputError,
-                     MsolabError, TruncationError)
+from .errors import AdmissibilityError, DimensionError, InputError, MsolabError
 from .inner import BlaschkeProduct, expand, monomial_inner, tm_basis, verify_inner
 from .laurent import (LaurentPolynomial, conj_function, inner_product,
                       involution_J, minus_part, multiply, plus_part,
@@ -34,7 +33,7 @@ __all__ = [
     "AdmissibilityError", "BlaschkeProduct", "BlockOperator", "DefectReport",
     "DenseComplexMatrix", "DimensionError", "FiniteRankOperator",
     "InputError", "LaurentPolynomial", "MsolabError",
-    "OrthonormalBasis", "SuiteConfig", "SymbolFunction", "TruncationError",
+    "OrthonormalBasis", "SuiteConfig", "SymbolFunction",
     "Xoshiro256StarStar", "admissible_for_shift", "apply", "basis_Kperp",
     "build_dtto", "build_tto", "check_adtto", "check_block_conditions",
     "conj_function", "conjugation_C", "dual_transitivity_probe", "expand",

@@ -89,8 +89,7 @@ class OrthonormalBasis:
         if cached is None:
             lo, hi = self.band()
             V = self.stacked(lo, hi)
-            cached = (lo, hi, V, V.conj(),
-                      np.array([v.tail_bound for v in self.vectors]))
+            cached = (lo, hi, V, V.conj())
             self._stack_cache = cached
         return cached
 
@@ -150,15 +149,9 @@ class OrthonormalBasis:
         if not self.vectors:
             return LaurentPolynomial.zero()
         if self._is_section():
-            lo, data = self._section_dense(x)
-            tail_bound = 0.0
-            if self.kind in _HEAD_KINDS:
-                tail_bound = self.expansion.tail_bound * float(
-                    np.sum(np.abs(x[:self.depth + 1])))
-            return LaurentPolynomial._from_dense(lo, data, tail_bound)
-        lo, _, V, _, tails = self._stack()
-        return LaurentPolynomial._from_dense(lo, x @ V,
-                                             float(np.abs(x) @ tails))
+            return LaurentPolynomial._from_dense(*self._section_dense(x))
+        lo, _, V, _ = self._stack()
+        return LaurentPolynomial._from_dense(lo, x @ V)
 
     def coords_and_defects(self, polys):
         """Coordinates, membership defects and norms of a batch of polynomials.
@@ -174,7 +167,7 @@ class OrthonormalBasis:
         elif self._is_section():
             blo, bhi = self._section_band()
         else:
-            blo, bhi, V, Vc, _ = self._stack()
+            blo, bhi, V, Vc = self._stack()
         live = [p for p in polys if not p.is_zero()]
         lo = min([blo] + [p.lo for p in live])
         hi = max([bhi] + [p.hi for p in live])

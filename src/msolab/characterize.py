@@ -31,7 +31,7 @@ import numpy as np
 
 from .bases import OrthonormalBasis
 from .errors import InputError
-from .inner import DEFAULT_TAIL_CAP, BlaschkeProduct, expand, tm_basis
+from .inner import BlaschkeProduct, expand, expansion_degree, tm_basis
 from .laurent import (LaurentPolynomial, conj_function, multiply,
                       project_band)
 from .operators import (MAX_DEPTH, BlockOperator, DenseComplexMatrix,
@@ -82,17 +82,14 @@ class DefectReport:
 
 
 def _report(condition: str, residual: np.ndarray, tol: float) -> DefectReport:
-    residual = np.atleast_2d(residual)
-    if residual.size == 0:
-        return DefectReport(condition, 0.0, tol)
-    defect = float(np.max(np.abs(residual)))
-    witnesses = []
-    if defect > tol:
-        flat = np.abs(residual).ravel()
-        for k in np.argsort(flat)[::-1][:3]:
-            i, j = np.unravel_index(k, residual.shape)
-            witnesses.append((int(i), int(j), float(flat[k])))
-    return DefectReport(condition, defect, tol, witnesses)
+    """Largest entry of |residual| as the defect; the witnesses are the
+    entries above tol, largest first, ties in row-major order, at most 3."""
+    dev = np.abs(np.atleast_2d(residual))
+    flat = dev.ravel()
+    over = np.flatnonzero(flat > tol)
+    top = over[np.argsort(-flat[over], kind="stable")[:3]]
+    witnesses = [(*divmod(int(k), dev.shape[1]), float(flat[k])) for k in top]
+    return DefectReport(condition, float(np.max(dev, initial=0.0)), tol, witnesses)
 
 
 # -- shift invariance ---------------------------------------------------------
@@ -120,13 +117,7 @@ def shift_invariance_defect(op: BlockOperator | DenseComplexMatrix, *,
         Y, Yz = _coordinate_columns(op.codomain)
         dev = np.abs(Yz.conj().T @ (op.entries @ Xz)
                      - Y.conj().T @ (op.entries @ X)).T
-    defect = float(np.max(dev, initial=0.0))
-    # witnesses above tol, largest first, ties in (p, q) order
-    flat = dev.ravel()
-    over = np.flatnonzero(flat > tol)
-    top = over[np.argsort(-flat[over], kind="stable")[:3]]
-    witnesses = [(*divmod(int(k), dev.shape[1]), float(flat[k])) for k in top]
-    return DefectReport("shift-invariance", defect, tol, witnesses)
+    return _report("shift-invariance", dev, tol)
 
 
 def _coordinate_columns(basis: OrthonormalBasis):
@@ -282,10 +273,8 @@ def check_adtto(D: BlockOperator, *, tol: float | None = None) -> AdttoVerdict:
     # coupling: TCheck's diagonal symbol, pushed through theta*conj(alpha),
     # must reproduce That entrywise
     phi_t = _tcheck_symbol(D)
-    th = expand(D.theta, max(D.theta.degree_for_cap(DEFAULT_TAIL_CAP), 2 * M + 4),
-                tail_cap=None)
-    al = expand(D.alpha, max(D.alpha.degree_for_cap(DEFAULT_TAIL_CAP), 2 * M + 4),
-                tail_cap=None)
+    th = expand(D.theta, 2 * M + 4)
+    al = expand(D.alpha, 2 * M + 4)
     g = multiply(phi_t, multiply(th, conj_function(al)))
     predicted = coefficient_matrix(g, block_degrees(M)[0])
     coupling = _report("tcheck-coupling", D.that - predicted, tol)
@@ -348,10 +337,11 @@ def recover_symbol(D: BlockOperator, method: str = "zbar"):
         symbol = phi_z
     else:
         n = M + 1
-        cap_deg = max(D.theta.degree_for_cap(DEFAULT_TAIL_CAP),
-                      D.alpha.degree_for_cap(DEFAULT_TAIL_CAP), 2 * M + 4)
-        th = expand(D.theta, cap_deg, tail_cap=None)
-        al = expand(D.alpha, cap_deg, tail_cap=None)
+        # theta and alpha expanded to one shared degree
+        n_shared = max(expansion_degree(D.theta, 2 * M + 4),
+                       expansion_degree(D.alpha, 2 * M + 4))
+        th = expand(D.theta, n_shared)
+        al = expand(D.alpha, n_shared)
         g = multiply(phi_z.value, multiply(th, conj_function(al)))
         # analytic projections of D(theta) (column 0) and D*(alpha) (row 0,
         # conjugated): the That entries on the section plus the geometric

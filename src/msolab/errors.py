@@ -12,17 +12,6 @@ class InputError(MsolabError):
     """
 
 
-class TruncationError(MsolabError):
-    """A requested operation cannot meet its truncation-tail cap.
-
-    Carries the expansion degree that would be needed so callers can retry.
-    """
-
-    def __init__(self, message, required_degree=None):
-        super().__init__(message)
-        self.required_degree = required_degree
-
-
 class AdmissibilityError(MsolabError):
     """A vector violates the shift-admissibility precondition."""
 

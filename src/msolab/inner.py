@@ -5,6 +5,11 @@ model space is finite-dimensional and every operator identity downstream
 becomes a finite linear-algebra statement. Zeros with modulus above 0.95
 need an explicit opt-in because the expansion degree required for a given
 tail cap grows like log(eps)/log(rho).
+
+The only approximation in the package is where the power series of a
+product is cut off, and `expand` is the one rule that decides it: every
+expansion reaches the degree its caller needs and at least the degree
+whose geometric tail bound meets DEFAULT_TAIL_CAP.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bases import OrthonormalBasis
-from .errors import InputError, TruncationError
+from .errors import InputError
 from .laurent import MAX_DEGREE, LaurentPolynomial
 from .payload import read_complex, read_typed, write_complex
 
@@ -41,7 +46,7 @@ class BlaschkeProduct:
     hence every matrix downstream). Instances are immutable and hashable.
     """
 
-    __slots__ = ("zeros", "constant", "allow_near_boundary")
+    __slots__ = ("zeros", "constant", "allow_near_boundary", "_key")
 
     def __init__(self, zeros, constant: complex = 1.0, *,
                  allow_near_boundary: bool = False):
@@ -64,6 +69,10 @@ class BlaschkeProduct:
         object.__setattr__(self, "zeros", zeros)
         object.__setattr__(self, "constant", constant)
         object.__setattr__(self, "allow_near_boundary", allow_near_boundary)
+        # equality by bit pattern: -0.0 and 0.0 are distinct zeros, so the
+        # caches never hand back a product that encodes differently
+        object.__setattr__(self, "_key",
+                           np.array([*zeros, constant], dtype=np.complex128).tobytes())
         degree = self.degree_for_cap(DEFAULT_TAIL_CAP)
         if degree > MAX_EXPANSION_DEGREE:
             raise InputError(
@@ -109,12 +118,10 @@ class BlaschkeProduct:
         return max(n, d) + _DEGREE_MARGIN
 
     def __eq__(self, other):
-        return (isinstance(other, BlaschkeProduct)
-                and self.zeros == other.zeros
-                and self.constant == other.constant)
+        return isinstance(other, BlaschkeProduct) and self._key == other._key
 
     def __hash__(self):
-        return hash((self.zeros, self.constant))
+        return hash(self._key)
 
     def __repr__(self):
         if self.is_monomial():
@@ -172,42 +179,28 @@ def monomial_inner(m: int) -> BlaschkeProduct:
 def _expand_cached(B: BlaschkeProduct, n: int) -> LaurentPolynomial:
     # series of one factor (z-a)/(1-conj(a) z): b_0 = -a,
     # b_k = conj(a)^(k-1) (1-|a|^2) for k >= 1
-    series = np.zeros(n + 1, dtype=np.complex128)
-    series[0] = self_c = B.constant
-    acc = np.array([self_c], dtype=np.complex128)
+    acc = np.array([B.constant], dtype=np.complex128)
     for a in B.zeros:
-        ac = a.conjugate()
         factor = np.zeros(n + 1, dtype=np.complex128)
         factor[0] = -a
         if n >= 1:
-            scale = 1.0 - abs(a) ** 2
-            factor[1:] = scale * (ac ** np.arange(n))
+            factor[1:] = (1.0 - abs(a) ** 2) * (a.conjugate() ** np.arange(n))
         acc = np.convolve(acc, factor)[:n + 1]
-    series = acc
-    return LaurentPolynomial._from_dense(0, series, B.tail_bound_at(n))
+    return LaurentPolynomial._from_dense(0, acc)
 
 
-def expand(B: BlaschkeProduct, n: int | None = None, *,
-           tail_cap: float | None = DEFAULT_TAIL_CAP) -> LaurentPolynomial:
-    """Power-series coefficients c_0..c_n of B with band [0, n].
+def expansion_degree(B: BlaschkeProduct, reach: int) -> int:
+    """The degree `expand(B, reach)` expands to: reach, or more where the
+    geometric tail bound needs it to meet DEFAULT_TAIL_CAP."""
+    return max(int(reach), B.degree_for_cap(DEFAULT_TAIL_CAP))
 
-    When n is omitted it is chosen so the geometric tail bound meets the
-    cap; an explicit n whose tail exceeds the cap is rejected with the
-    degree that would be needed.
-    """
-    if n is None:
-        if tail_cap is None:
-            raise InputError("expand needs either a degree or a tail cap")
-        n = B.degree_for_cap(tail_cap)
-    n = int(n)
-    if n < B.degree:
-        raise InputError(f"expansion degree {n} below the product degree {B.degree}")
-    if tail_cap is not None and B.tail_bound_at(n) > tail_cap:
-        raise TruncationError(
-            f"tail bound {B.tail_bound_at(n):.3e} at degree {n} exceeds the cap "
-            f"{tail_cap:.1e}; degree {B.degree_for_cap(tail_cap)} would be needed",
-            required_degree=B.degree_for_cap(tail_cap))
-    return _expand_cached(B, n)
+
+def expand(B: BlaschkeProduct, reach: int = 0) -> LaurentPolynomial:
+    """Power-series coefficients c_0..c_n of B with band [0, n], for
+    n = expansion_degree(B, reach): every coefficient up to degree reach,
+    and a discarded tail of L2 mass at most B.tail_bound_at(n) <=
+    DEFAULT_TAIL_CAP."""
+    return _expand_cached(B, expansion_degree(B, reach))
 
 
 def tm_basis(B: BlaschkeProduct) -> OrthonormalBasis:
@@ -220,8 +213,7 @@ def tm_basis(B: BlaschkeProduct) -> OrthonormalBasis:
 @functools.lru_cache(maxsize=128)
 def _tm_basis_wrapped(B: BlaschkeProduct) -> OrthonormalBasis:
     # e_k = sqrt(1-|a_k|^2)/(1 - conj(a_k) z) * prod_{j<k} (z-a_j)/(1-conj(a_j) z)
-    n = B.degree_for_cap(DEFAULT_TAIL_CAP)
-    tail = B.tail_bound_at(n)
+    n = expansion_degree(B, 0)
     kernel_parts = []
     running = np.array([1.0 + 0j])
     for k, a in enumerate(B.zeros):
@@ -239,7 +231,7 @@ def _tm_basis_wrapped(B: BlaschkeProduct) -> OrthonormalBasis:
     L = np.linalg.cholesky(G)
     V = np.linalg.solve(L, V)
     return OrthonormalBasis(f"K({B.short_name()})",
-                            (LaurentPolynomial._from_dense(0, v, tail) for v in V),
+                            (LaurentPolynomial._from_dense(0, v) for v in V),
                             kind="model", inner=B)
 
 
@@ -264,9 +256,12 @@ def verify_inner(B: BlaschkeProduct, samples: int = 256, tol: float = 1e-13, *,
                   for j in range(samples)]
         tail = 0.0
     else:
-        poly = expand(B, expansion_degree, tail_cap=None)
+        if expansion_degree < B.degree:
+            raise InputError(f"expansion degree {expansion_degree} below the "
+                             f"product degree {B.degree}")
+        poly = _expand_cached(B, expansion_degree)
         values = [poly.evaluate(cmath.exp(2j * cmath.pi * j / samples))
                   for j in range(samples)]
-        tail = poly.tail_bound
+        tail = B.tail_bound_at(expansion_degree)
     deviation = max(abs(abs(v) - 1.0) for v in values)
     return InnerCheck(deviation <= tol, deviation, tail)

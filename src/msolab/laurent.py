@@ -6,10 +6,9 @@ nonzero coefficients. The inner product is the coefficient pairing
 sum_k c_k(f) conj(c_k(g)), i.e. the normalized-measure integral of f g-bar
 in Parseval form. Instances are immutable and all operations are pure.
 
-`tail_bound` is bookkeeping, not enforced arithmetic: it carries an upper
-bound on the L2 mass a truncation discarded upstream (0 for exact
-polynomials) and only ever grows under arithmetic, so identity tests can
-widen their tolerances by it.
+Arithmetic here is exact on the band. The one approximation, where the
+power series of an inner function is cut off, is decided and bounded in
+msolab.inner (`expand` and `BlaschkeProduct.tail_bound_at`).
 """
 
 from __future__ import annotations
@@ -33,10 +32,9 @@ MAX_DEGREE = 2048
 
 
 class LaurentPolynomial:
-    __slots__ = ("_lo", "_data", "tail_bound", "_coeffs_cache", "_norm_sq")
+    __slots__ = ("_lo", "_data", "_coeffs_cache")
 
-    def __init__(self, coeffs: Mapping[int, complex] | None = None, *,
-                 tail_bound: float = 0.0):
+    def __init__(self, coeffs: Mapping[int, complex] | None = None):
         if coeffs:
             lo = min(coeffs)
             hi = max(coeffs)
@@ -48,20 +46,15 @@ class LaurentPolynomial:
         lo, data = _trim(lo, data)
         self._lo = lo
         self._data = data
-        self.tail_bound = float(tail_bound)
         self._coeffs_cache = None
-        self._norm_sq = None
 
     @classmethod
-    def _from_dense(cls, lo: int, data: np.ndarray,
-                    tail_bound: float = 0.0) -> "LaurentPolynomial":
+    def _from_dense(cls, lo: int, data: np.ndarray) -> "LaurentPolynomial":
         p = cls.__new__(cls)
         lo, data = _trim(lo, np.ascontiguousarray(data, dtype=np.complex128))
         p._lo = lo
         p._data = data
-        p.tail_bound = float(tail_bound)
         p._coeffs_cache = None
-        p._norm_sq = None
         return p
 
     @classmethod
@@ -110,9 +103,7 @@ class LaurentPolynomial:
         return len(self._data) == 0
 
     def norm_sq(self) -> float:
-        if self._norm_sq is None:
-            self._norm_sq = float(np.sum(np.abs(self._data) ** 2))
-        return self._norm_sq
+        return float(np.sum(np.abs(self._data) ** 2))
 
     def norm(self) -> float:
         return self.norm_sq() ** 0.5
@@ -142,23 +133,20 @@ class LaurentPolynomial:
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
         if self.is_zero():
-            return LaurentPolynomial._from_dense(
-                other._lo, other._data, self.tail_bound + other.tail_bound)
+            return other
         if other.is_zero():
-            return LaurentPolynomial._from_dense(
-                self._lo, self._data, self.tail_bound + other.tail_bound)
+            return self
         lo = min(self.lo, other.lo)
         hi = max(self.hi, other.hi)
         data = self.dense(lo, hi)
         data += other.dense(lo, hi)
-        return LaurentPolynomial._from_dense(lo, data,
-                                             self.tail_bound + other.tail_bound)
+        return LaurentPolynomial._from_dense(lo, data)
 
     def __sub__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         return self + (-other)
 
     def __neg__(self) -> "LaurentPolynomial":
-        return LaurentPolynomial._from_dense(self._lo, -self._data, self.tail_bound)
+        return LaurentPolynomial._from_dense(self._lo, -self._data)
 
     def __mul__(self, other):
         if isinstance(other, LaurentPolynomial):
@@ -169,13 +157,11 @@ class LaurentPolynomial:
         return self.scale(other)
 
     def scale(self, c: complex) -> "LaurentPolynomial":
-        return LaurentPolynomial._from_dense(self._lo, self._data * c,
-                                             abs(c) * self.tail_bound)
+        return LaurentPolynomial._from_dense(self._lo, self._data * c)
 
     def shift(self, k: int) -> "LaurentPolynomial":
         """Multiplication by the monomial z^k."""
-        return LaurentPolynomial._from_dense(self._lo + k, self._data,
-                                             self.tail_bound)
+        return LaurentPolynomial._from_dense(self._lo + k, self._data)
 
     def conj(self) -> "LaurentPolynomial":
         return conj_function(self)
@@ -222,25 +208,15 @@ def _trim(lo: int, data: np.ndarray) -> tuple[int, np.ndarray]:
 # -- module-level operations -------------------------------------------------
 
 def multiply(f: LaurentPolynomial, g: LaurentPolynomial) -> LaurentPolynomial:
-    """Coefficient convolution; realizes pointwise multiplication on the circle.
-
-    The tail bound propagates as f.tail*|g| + g.tail*|f| + f.tail*g.tail.
-    """
-    if f.tail_bound == 0.0 and g.tail_bound == 0.0:
-        tail = 0.0
-    else:
-        tail = f.tail_bound * g.norm() + g.tail_bound * f.norm() \
-            + f.tail_bound * g.tail_bound
+    """Coefficient convolution; realizes pointwise multiplication on the circle."""
     if f.is_zero() or g.is_zero():
-        return LaurentPolynomial._from_dense(0, _ZERO, tail)
+        return LaurentPolynomial._from_dense(0, _ZERO)
     if len(f._data) == 1:
-        return LaurentPolynomial._from_dense(
-            f.lo + g.lo, f._data[0] * g._data, tail)
+        return LaurentPolynomial._from_dense(f.lo + g.lo, f._data[0] * g._data)
     if len(g._data) == 1:
-        return LaurentPolynomial._from_dense(
-            f.lo + g.lo, g._data[0] * f._data, tail)
-    data = kernels.convolve(f._data, g._data)
-    return LaurentPolynomial._from_dense(f.lo + g.lo, data, tail)
+        return LaurentPolynomial._from_dense(f.lo + g.lo, g._data[0] * f._data)
+    return LaurentPolynomial._from_dense(f.lo + g.lo,
+                                         kernels.convolve(f._data, g._data))
 
 
 def inner_product(f: LaurentPolynomial, g: LaurentPolynomial) -> complex:
@@ -257,9 +233,8 @@ def project_band(f: LaurentPolynomial, lo: int | None, hi: int | None) -> Lauren
     a = f.lo if lo is None else max(f.lo, lo)
     b = f.hi if hi is None else min(f.hi, hi)
     if a > b or f.is_zero():
-        return LaurentPolynomial._from_dense(0, _ZERO, f.tail_bound)
-    return LaurentPolynomial._from_dense(
-        a, f._data[a - f.lo:b - f.lo + 1].copy(), f.tail_bound)
+        return LaurentPolynomial._from_dense(0, _ZERO)
+    return LaurentPolynomial._from_dense(a, f._data[a - f.lo:b - f.lo + 1].copy())
 
 
 def plus_part(f: LaurentPolynomial) -> LaurentPolynomial:
@@ -279,17 +254,15 @@ def involution_J(f: LaurentPolynomial) -> LaurentPolynomial:
     the analytic and antianalytic halves isometrically.
     """
     if f.is_zero():
-        return LaurentPolynomial._from_dense(0, _ZERO, f.tail_bound)
-    data = np.conjugate(f._data[::-1])
-    return LaurentPolynomial._from_dense(-f.hi - 1, data, f.tail_bound)
+        return f
+    return LaurentPolynomial._from_dense(-f.hi - 1, np.conjugate(f._data[::-1]))
 
 
 def conj_function(f: LaurentPolynomial) -> LaurentPolynomial:
     """Complex conjugate of the boundary value: (f-bar)_k = conj(c_{-k})."""
     if f.is_zero():
-        return LaurentPolynomial._from_dense(0, _ZERO, f.tail_bound)
-    data = np.conjugate(f._data[::-1])
-    return LaurentPolynomial._from_dense(-f.hi, data, f.tail_bound)
+        return f
+    return LaurentPolynomial._from_dense(-f.hi, np.conjugate(f._data[::-1]))
 
 
 zero = LaurentPolynomial.zero

@@ -22,7 +22,7 @@ import numpy as np
 
 from .bases import OrthonormalBasis
 from .errors import InputError
-from .inner import DEFAULT_TAIL_CAP, BlaschkeProduct, expand
+from .inner import BlaschkeProduct, expand
 from .laurent import (LaurentPolynomial, conj_function, minus_part,
                       multiply, plus_part)
 
@@ -61,19 +61,16 @@ def conjugation_C(theta: BlaschkeProduct, f: LaurentPolynomial) -> LaurentPolyno
 
 
 def _expansion_for(theta: BlaschkeProduct, f: LaurentPolynomial) -> LaurentPolynomial:
-    # the expansion must cover the band of f on both sides so the projected
-    # coefficients are exact up to the reported tail
-    n = theta.degree_for_cap(DEFAULT_TAIL_CAP)
-    if not f.is_zero():
-        n = max(n, f.hi + theta.degree + 2, -f.lo + theta.degree + 2)
-    return expand(theta, n, tail_cap=None)
+    """The expansion of theta that projects or conjugates f: it reaches past
+    the band of f on both sides, so the coefficients of the result are
+    exact up to the tail `expand` leaves."""
+    return expand(theta, max(f.hi, -f.lo) + theta.degree + 2)
 
 
 def section_expansion(theta: BlaschkeProduct, M: int) -> LaurentPolynomial:
-    """The truncated expansion th behind the depth-M theta*H2 section: deep
-    enough for the default tail cap and for the section itself."""
-    return expand(theta, max(theta.degree_for_cap(DEFAULT_TAIL_CAP),
-                             M + theta.degree + 2), tail_cap=None)
+    """The truncated expansion th behind the depth-M theta*H2 section: it
+    reaches past the section itself."""
+    return expand(theta, M + theta.degree + 2)
 
 
 @functools.lru_cache(maxsize=256)

@@ -20,7 +20,7 @@ from msolab.bases import OrthonormalBasis
 from msolab.characterize import (AnalyticVerdict, DefectReport, _zbar_symbol,
                                  default_tolerance)
 from msolab.errors import DimensionError
-from msolab.inner import DEFAULT_TAIL_CAP, expand
+from msolab.inner import expand, expansion_degree
 from msolab.laurent import (LaurentPolynomial, conj_function, inner_product,
                             involution_J, minus_part, monomial, multiply)
 from msolab.operators import (BlockOperator, SymbolFunction, _pairing_matrix,
@@ -55,9 +55,7 @@ def dense_coords(basis, f: LaurentPolynomial) -> np.ndarray:
 def dense_reconstruct(basis, x) -> LaurentPolynomial:
     """sum_k x_k v_k over the stacked basis vectors."""
     lo, _ = basis.band()
-    tails = np.array([v.tail_bound for v in basis.vectors])
-    return LaurentPolynomial._from_dense(lo, np.asarray(x) @ basis.stacked(),
-                                         float(np.abs(x) @ tails))
+    return LaurentPolynomial._from_dense(lo, np.asarray(x) @ basis.stacked())
 
 
 def dense_coords_and_defect(basis, f: LaurentPolynomial):
@@ -216,10 +214,8 @@ def poly_corner_consistency(D: BlockOperator, *,
     D*(alpha), each a polynomial round trip through the operator."""
     if tol is None:
         tol = default_tolerance(D.theta, D.alpha)
-    th = expand(D.theta, max(D.theta.degree_for_cap(DEFAULT_TAIL_CAP), 2 * D.M + 4),
-                tail_cap=None)
-    al = expand(D.alpha, max(D.alpha.degree_for_cap(DEFAULT_TAIL_CAP), 2 * D.M + 4),
-                tail_cap=None)
+    th = expand(D.theta, 2 * D.M + 4)
+    al = expand(D.alpha, 2 * D.M + 4)
     phi_z = _zbar_symbol(D)
     d_theta = poly_apply(D, th)
     dstar_alpha = poly_apply(D.adjoint(), al)
@@ -240,10 +236,10 @@ def poly_recover_boundary(D: BlockOperator) -> SymbolFunction:
     and D*(alpha): section coordinates of each, their analytic heads
     rebuilt, and the geometric tail appended from the zbar-corner symbol."""
     n = D.M + 1
-    cap_deg = max(D.theta.degree_for_cap(DEFAULT_TAIL_CAP),
-                  D.alpha.degree_for_cap(DEFAULT_TAIL_CAP), 2 * D.M + 4)
-    th = expand(D.theta, cap_deg, tail_cap=None)
-    al = expand(D.alpha, cap_deg, tail_cap=None)
+    n_shared = max(expansion_degree(D.theta, 2 * D.M + 4),
+                   expansion_degree(D.alpha, 2 * D.M + 4))
+    th = expand(D.theta, n_shared)
+    al = expand(D.alpha, n_shared)
     dom, cod = D.domain_basis(), D.codomain_basis()
     phi_z = _zbar_symbol(D)
     d_theta = poly_apply(D, th)

@@ -33,6 +33,17 @@ def test_build_tto_matrix(capsys):
     assert entries[1] == [[1.0, 0.0], [0.0, 0.0]]
 
 
+def test_build_keeps_signed_zeros(capsys):
+    """theta and alpha differ only in the sign of a zero's real part; the
+    payload keeps each as given."""
+    code, out, _ = run_cli(capsys, "build", "tto",
+                           "--theta", '{"zeros": [[0.0, 0.5]]}',
+                           "--alpha", '{"zeros": [[-0.0, 0.5]]}', "--symbol", "z")
+    assert code == 0
+    assert '"zeros": [[-0.0, 0.5]]' in json.dumps(json.loads(out)["alpha"])
+    assert '"zeros": [[0.0, 0.5]]' in json.dumps(json.loads(out)["theta"])
+
+
 def test_build_dtto_identity_blocks(capsys):
     code, out, _ = run_cli(capsys, "build", "dtto", "--theta", Z2,
                            "--symbol", '{"coeffs": [[0, 1, 0]]}', "--M", "6")
@@ -73,13 +84,16 @@ def test_check_detects_perturbation(tmp_path, capsys):
     payload = json.loads(path.read_text())
     payload["blocks"]["That"][0][0] = [1.0, 0.0]  # theta (x) theta dyad
     path.write_text(json.dumps(payload))
-    code, out, _ = run_cli(capsys, "check", str(path), "--checks", "adtto")
+    code, out, _ = run_cli(capsys, "check", str(path), "--checks", "blocks,adtto")
     assert code == 1
     report = json.loads(out)
     failing = [rep for rep in report["reports"] if not rep["pass"]]
     assert any(rep["condition"] == "that-toeplitz" and
                rep["defect"] == pytest.approx(1.0) for rep in failing)
     assert all(rep["witnesses"] for rep in failing)
+    # a witness witnesses: every listed entry exceeds its report's tolerance
+    assert all(w[-1] > rep["tolerance"]
+               for rep in report["reports"] for w in rep["witnesses"])
 
 
 def test_check_analytic_exit_code(tmp_path, capsys):

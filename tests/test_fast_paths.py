@@ -119,7 +119,6 @@ def test_section_slices_match_dense_stack(theta, M, rng):
         rebuilt = basis.reconstruct(x)
         expected = dense_reconstruct(basis, x)
         assert (rebuilt - expected).norm() <= ORACLE_TOL
-        assert rebuilt.tail_bound == pytest.approx(expected.tail_bound, rel=1e-12)
         outside = [monomial(-(M + 2)), monomial(0) if basis.kind == "Hminus"
                    else model.reconstruct(np.ones(model.dim))]
         probes = [rebuilt, random_poly(rng, -M - 4, M + 9)]
@@ -652,9 +651,5 @@ def test_perturbed_corner_keeps_the_witnesses_above_tolerance():
 
 def test_multiply_without_tails_is_exact_convolution(rng):
     f, g = random_poly(rng, -3, 5), random_poly(rng, 0, 7)
-    h = multiply(f, g)
-    assert h.tail_bound == 0.0
-    np.testing.assert_array_equal(h.dense(-3, 12),
+    np.testing.assert_array_equal(multiply(f, g).dense(-3, 12),
                                   np.convolve(f.dense(-3, 5), g.dense(0, 7)))
-    f_tail = LaurentPolynomial({0: 1.0, 2: 2.0}, tail_bound=1e-6)
-    assert multiply(f_tail, g).tail_bound == pytest.approx(1e-6 * g.norm())

@@ -3,9 +3,10 @@ import cmath
 import numpy as np
 import pytest
 
-from msolab.errors import InputError, TruncationError
+from msolab.errors import InputError
 from msolab.inner import (DEFAULT_TAIL_CAP, MAX_EXPANSION_DEGREE, BlaschkeProduct,
-                          expand, monomial_inner, tm_basis, verify_inner)
+                          expand, expansion_degree, monomial_inner, tm_basis,
+                          verify_inner)
 from msolab.laurent import MAX_DEGREE, inner_product, monomial, multiply
 
 from conftest import assert_poly_close
@@ -28,23 +29,26 @@ def test_expand_monomial():
 
 
 def test_expand_single_zero_series():
-    e = expand(BlaschkeProduct([0.5]), 3, tail_cap=None)
+    e = expand(BlaschkeProduct([0.5]), 3)
     np.testing.assert_allclose(e.dense(0, 3), [-0.5, 0.75, 0.375, 0.1875])
 
 
-def test_expand_tail_cap_enforced():
-    b = BlaschkeProduct([0.9], allow_near_boundary=True)
-    with pytest.raises(TruncationError) as err:
-        expand(b, 10)
-    assert err.value.required_degree > 10
+def test_expand_reaches_the_larger_of_reach_and_cap_degree():
+    b = BlaschkeProduct([0.5, -0.3j])
+    n = b.degree_for_cap(DEFAULT_TAIL_CAP)
+    assert expansion_degree(b, 0) == expansion_degree(b, n - 5) == n
+    assert expansion_degree(b, n + 7) == n + 7
+    assert expand(b).hi == n and expand(b, n + 7).hi == n + 7
+    assert b.tail_bound_at(n) <= DEFAULT_TAIL_CAP
 
 
 def test_expand_agrees_with_rational_evaluation():
     b = BlaschkeProduct([0.5, 0.3 + 0.4j, -0.2j], constant=cmath.exp(0.7j))
     e = expand(b)
+    tail = b.tail_bound_at(expansion_degree(b, 0))
     for k in range(256):
         zeta = cmath.exp(2j * cmath.pi * k / 256)
-        assert abs(e.evaluate(zeta) - b.evaluate(zeta)) <= e.tail_bound + 1e-13
+        assert abs(e.evaluate(zeta) - b.evaluate(zeta)) <= tail + 1e-13
 
 
 def test_unimodular_on_circle():

@@ -30,13 +30,10 @@ def test_multiply_convolution_oracle():
     assert out.coeffs == {3: (1 + 0j), 1: (2 + 0j)}
 
 
-def test_multiply_band_and_tail_propagation():
-    f = LaurentPolynomial({-2: 1, 3: 1}, tail_bound=1e-4)
-    g = LaurentPolynomial({1: 2}, tail_bound=1e-5)
-    h = multiply(f, g)
-    assert h.band == (-1, 4)
-    expected = 1e-4 * g.norm() + 1e-5 * f.norm() + 1e-4 * 1e-5
-    assert h.tail_bound == pytest.approx(expected)
+def test_multiply_band():
+    f = LaurentPolynomial({-2: 1, 3: 1})
+    g = LaurentPolynomial({1: 2})
+    assert multiply(f, g).band == (-1, 4)
 
 
 def test_multiply_commutes_and_associates(rng):
@@ -209,16 +206,10 @@ def test_trim_matches_nonzero_route(data):
         assert got_lo == want_lo and got.tobytes() == want.tobytes()
 
 
-def test_norm_sq_is_cached_and_bit_identical(rng):
+def test_norm_sq_is_bit_identical(rng):
     th = expand(BlaschkeProduct([0.5j, -0.3]))
     polys = [random_poly(rng, -5, 7), LaurentPolynomial(), monomial(3, 2j), th]
     for f in polys:
         want = float(np.sum(np.abs(f._data) ** 2))
-        assert f.norm_sq() == want and f.norm_sq() is f.norm_sq()
+        assert f.norm_sq() == want
         assert f.norm() == want ** 0.5
-    g = random_poly(rng, 0, 4)
-    h = multiply(th, g)
-    g_norm = float(np.sum(np.abs(g._data) ** 2)) ** 0.5
-    th_norm = float(np.sum(np.abs(th._data) ** 2)) ** 0.5
-    assert h.tail_bound == th.tail_bound * g_norm + g.tail_bound * th_norm \
-        + th.tail_bound * g.tail_bound

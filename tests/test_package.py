@@ -41,7 +41,50 @@ def test_option_count():
     """Every defaulted parameter is an option a caller may set; an added one
     fails here until this count is raised on purpose."""
     modules = sorted(Path(msolab.__file__).parent.glob("*.py"))
-    assert sum(_defaulted_parameters(p) for p in modules) == 63
+    assert sum(_defaulted_parameters(p) for p in modules) == 59
+
+
+def _names(tree: ast.AST) -> set[str]:
+    """Every identifier a module reads, binds, imports or passes, and every
+    string constant (slot names included)."""
+    out = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, (ast.arg, ast.keyword)) and n.arg:
+            out.add(n.arg)
+        elif isinstance(n, ast.alias):
+            out.add(n.asname or n.name)
+        elif isinstance(n, (ast.FunctionDef, ast.ClassDef)):
+            out.add(n.name)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            out.add(n.value)
+    return out
+
+
+def test_one_truncation_rule():
+    """Only msolab.inner decides where an expansion is cut off (every other
+    module goes through `expand`), and no module keeps tail bookkeeping:
+    the tail of an expansion is B.tail_bound_at(n), reported by
+    verify_inner as InnerCheck.tail_bound."""
+    package = Path(msolab.__file__).parent
+    rule = {"DEFAULT_TAIL_CAP", "degree_for_cap", "_expand_cached"}
+    deciding, tails = {}, {}
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for c in ast.walk(tree):
+            if isinstance(c, ast.ClassDef) and c.name == "InnerCheck":
+                c.body = [f for f in c.body if not (isinstance(f, ast.AnnAssign)
+                                                    and f.target.id == "tail_bound")]
+        names = _names(tree)
+        if path.name != "inner.py":
+            deciding[path.name] = sorted(names & rule)
+        tails[path.name] = sorted(names & {"tail_bound", "tail_cap"})
+    assert len(deciding) > 5
+    assert {k: v for k, v in deciding.items() if v} == {}
+    assert {k: v for k, v in tails.items() if v} == {}
 
 
 def test_payload_numbers_pass_through_the_readers():
