@@ -56,6 +56,11 @@ def validated_tolerance(tol: float | None) -> float | None:
     return tol
 
 
+def _tolerance(tol: float | None, *inners: BlaschkeProduct) -> float:
+    """A given tolerance, validated, or default_tolerance(*inners)."""
+    return default_tolerance(*inners) if validated_tolerance(tol) is None else tol
+
+
 @dataclass
 class DefectReport:
     """Outcome of one membership condition."""
@@ -105,14 +110,12 @@ def shift_invariance_defect(op: BlockOperator | DenseComplexMatrix, *,
     of check_block_conditions. On model spaces they come from coordinates.
     """
     if isinstance(op, BlockOperator):
-        if tol is None:
-            tol = default_tolerance(op.theta, op.alpha)
+        tol = _tolerance(tol, op.theta, op.alpha)
         A = op.assemble()
         keep, moved = section_shift_index("model_perp", op.M)
         dev = np.abs(A[np.ix_(moved, moved)] - A[np.ix_(keep, keep)]).T
     else:
-        if tol is None:
-            tol = default_tolerance(op.domain.inner, op.codomain.inner)
+        tol = _tolerance(tol, op.domain.inner, op.codomain.inner)
         X, Xz = _coordinate_columns(op.domain)
         Y, Yz = _coordinate_columns(op.codomain)
         dev = np.abs(Yz.conj().T @ (op.entries @ Xz)
@@ -208,8 +211,7 @@ def check_block_conditions(D: BlockOperator, *,
     the one-step shift sandwich, the antidiagonal blocks must intertwine the
     shifts. Each residual is an exact entrywise identity; the sandwich drops
     the outermost row/column."""
-    if tol is None:
-        tol = default_tolerance(D.theta, D.alpha)
+    tol = _tolerance(tol, D.theta, D.alpha)
     M = D.M
     r1 = D.that[:M, :M] - D.that[1:, 1:]
     r2 = D.t_check[:M, :M] - D.t_check[1:, 1:]
@@ -263,8 +265,7 @@ def check_adtto(D: BlockOperator, *, tol: float | None = None) -> AdttoVerdict:
        D*(alpha), GammaHat[:, 0] and conj(GammaCheck[0]), match the ones
        predicted by the zbar-corner symbol (defect: the larger 2-norm).
     """
-    if tol is None:
-        tol = default_tolerance(D.theta, D.alpha)
+    tol = _tolerance(tol, D.theta, D.alpha)
     M = D.M
     blocks = check_block_conditions(D, tol=tol)
     r1 = blocks[0]
@@ -311,9 +312,45 @@ def check_adtto(D: BlockOperator, *, tol: float | None = None) -> AdttoVerdict:
 
 # -- symbol recovery ----------------------------------------------------------
 
-def recover_symbol(D: BlockOperator, method: str = "zbar"):
+def _certified_norm(E: np.ndarray, tol: float) -> float:
+    """||E||_2 as far as the verdict `<= tol` needs it: 0.0 for E all zeros,
+    else the exact SVD value when tol lies inside the bracket
+    lo <= ||E||_2 <= hi, else hi.
+
+    lo is the largest column or row 2-norm and hi = sqrt(||E||_1 ||E||_inf)
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 6.3).
+    Both are widened by n + 4 ulps for the n-term sums, which covers the
+    rounding of the sums and of the SVD, so the result is never below the
+    computed SVD value and `<= tol` gives the SVD verdict for every E."""
+    # an exact rebuild leaves E all zeros, whose 2-norm is 0.0: skip the SVD
+    if not E.any():
+        return 0.0
+    A = np.abs(E)
+    # sums that overflow make an end inf, which keeps the verdict: a column
+    # or row norm beyond the float range exceeds every tol
+    with np.errstate(over="ignore"):
+        sq = A * A
+        lo = np.sqrt(np.maximum(sq.sum(axis=0).max(), sq.sum(axis=1).max()))
+        # a product of square roots neither overflows nor underflows first
+        hi = np.sqrt(A.sum(axis=0).max()) * np.sqrt(A.sum(axis=1).max())
+    slack = (max(E.shape) + 4) * float(np.finfo(float).eps)
+    lo, hi = float(lo) * (1 - slack), float(hi) * (1 + slack)
+    if hi <= tol or lo > tol:
+        return hi
+    return float(np.linalg.norm(E, 2))
+
+
+def recover_symbol(D: BlockOperator, method: str = "zbar", *,
+                   tol: float | None = None):
     """Recover the symbol of a block operator, with the residual of the
-    rebuilt operator, ||D - rebuilt||_2, as the membership diagnostic.
+    rebuilt operator as the membership diagnostic.
+
+    The residual is an upper bound on ||D - rebuilt||_2 with the verdict of
+    the exact value: `residual <= tol` holds exactly when the SVD value is
+    at most tol. It is 0.0 for an exact rebuild, the SVD value when tol
+    falls inside the cheap norm bracket of `_certified_norm`, and the upper
+    end of that bracket otherwise. tol defaults to default_tolerance(theta,
+    alpha).
 
     "zbar" reads the symbol off the zbar corner (orthogonal split, complete
     on the section). "boundary" evaluates the three-term formula built from
@@ -326,6 +363,7 @@ def recover_symbol(D: BlockOperator, method: str = "zbar"):
     """
     if method not in ("zbar", "boundary"):
         raise InputError(f"unknown recovery method {method!r}")
+    tol = _tolerance(tol, D.theta, D.alpha)
     M = D.M
     # the rebuild needs the guard depth of a constant symbol
     guard = D.theta.degree + D.alpha.degree + 2
@@ -366,9 +404,7 @@ def recover_symbol(D: BlockOperator, method: str = "zbar"):
     rebuilt = build_dtto(D.theta, D.alpha, SymbolFunction(clipped), M)
     E = np.block([[D.that - rebuilt.that, D.gamma_check - rebuilt.gamma_check],
                   [D.gamma_hat - rebuilt.gamma_hat, D.t_check - rebuilt.t_check]])
-    # an exact rebuild leaves E all zeros, whose 2-norm is 0.0: skip the SVD
-    residual = float(np.linalg.norm(E, 2)) if E.any() else 0.0
-    return symbol, residual
+    return symbol, _certified_norm(E, tol)
 
 
 class AnalyticVerdict(NamedTuple):
@@ -383,7 +419,7 @@ def is_analytic_adtto(D: BlockOperator, *,
     i.e. all pairings of D(zbar) against zbar * (the Hminus basis) are zero:
     the first column of TCheck below its corner, t_check[1:, 0]. The
     default tolerance is 1e-11."""
-    tol = 1e-11 if tol is None else tol
+    tol = 1e-11 if validated_tolerance(tol) is None else tol
     phi_minus = _zbar_symbol(D).minus
     norm = phi_minus.norm()
     if norm <= tol:

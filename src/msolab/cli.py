@@ -162,7 +162,7 @@ def _cmd_recover(args) -> int:
         raise InputError("symbol recovery requires a dtto payload")
     tol = characterize.validated_tolerance(args.tol) or \
         characterize.default_tolerance(op.theta, op.alpha)
-    symbol, residual = characterize.recover_symbol(op, args.method)
+    symbol, residual = characterize.recover_symbol(op, args.method, tol=tol)
     report = {"method": args.method,
               "symbol": symbol.to_json(),
               "mean": write_complex(symbol.mean),

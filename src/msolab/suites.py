@@ -108,8 +108,8 @@ def forward_and_roundtrip(seed: int = DEFAULT_SEED,
         D = build_dtto(theta, alpha, sym, M)
         verdict = characterize.check_adtto(D)
         fwd = max(rep.defect for rep in verdict.reports)
-        s1, res1 = characterize.recover_symbol(D, "zbar")
-        s2, res2 = characterize.recover_symbol(D, "boundary")
+        s1, res1 = characterize.recover_symbol(D, "zbar", tol=tol_rt)
+        s2, res2 = characterize.recover_symbol(D, "boundary", tol=tol_rt)
         band = range(phi.lo - 1, phi.hi + 2)
         rt = max(max(abs(s1.value.coeff(k) - phi.coeff(k)) for k in band),
                  max(abs(s2.value.coeff(k) - phi.coeff(k)) for k in band))
@@ -478,7 +478,7 @@ def run_fuzz(config: SuiteConfig | None = None) -> dict:
              else sym.reach + theta.degree + alpha.degree + 6)
         D = build_dtto(theta, alpha, sym, M)
         verdict = characterize.check_adtto(D)
-        sym1, res1 = characterize.recover_symbol(D, "zbar")
+        sym1, res1 = characterize.recover_symbol(D, "zbar", tol=tol)
         rt = (sym1.value - phi).norm()
         shift_rep = characterize.shift_invariance_defect(D)
         record = {

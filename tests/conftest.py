@@ -6,7 +6,10 @@ import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from msolab.laurent import LaurentPolynomial
+from msolab import characterize
+from msolab.inner import monomial_inner
+from msolab.laurent import LaurentPolynomial, monomial
+from msolab.operators import build_dtto, split_blocks
 from msolab.rng import Xoshiro256StarStar
 
 # The same examples on every run. With no example database the only thing
@@ -40,3 +43,26 @@ def poly_stream(rng):
     def make(lo=-6, hi=6):
         return random_poly(rng, lo, hi)
     return make
+
+
+def dense_noise_operator():
+    """A depth-10 operator on theta = alpha = z^2 plus seeded dense noise of
+    spectral norm 0.5, far from the operator class: every entry of its
+    recovery residual is nonzero and the residual is large."""
+    D = build_dtto(monomial_inner(2), monomial_inner(2), monomial(1), 10)
+    noise = np.random.default_rng(20261019).standard_normal((D.dim, D.dim))
+    return split_blocks(D.assemble() + 0.5 * noise / np.linalg.norm(noise, 2),
+                        D.theta, D.alpha, D.M)
+
+
+@pytest.fixture
+def rebuilds(monkeypatch):
+    """The list of operators recover_symbol rebuilds from here on."""
+    rebuilt = []
+
+    def keep(*args):
+        rebuilt.append(build_dtto(*args))
+        return rebuilt[-1]
+
+    monkeypatch.setattr(characterize, "build_dtto", keep)
+    return rebuilt

@@ -249,6 +249,15 @@ def test_recover_rejects_unknown_method():
         recover_symbol(D, "magic")
 
 
+@pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("check", [shift_invariance_defect, check_block_conditions,
+                                   check_adtto, is_analytic_adtto, recover_symbol])
+def test_library_tolerance_must_be_finite_and_positive(check, tol):
+    D = build_dtto(Z2, Z2, monomial(2), 10)
+    with pytest.raises(InputError, match="tolerance must be finite and positive"):
+        check(D, tol=tol)
+
+
 # -- the analytic-symbol test ---------------------------------------------------------
 
 def test_analytic_flags():

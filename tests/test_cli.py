@@ -8,10 +8,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from msolab import characterize
 from msolab.cli import main
 from msolab.inner import BlaschkeProduct, monomial_inner
 from msolab.laurent import MAX_DEGREE, LaurentPolynomial
 from msolab.operators import build_dtto, build_tto
+
+from conftest import dense_noise_operator
+from oracles import svd_rebuild_residual
 
 Z2 = "z^2"
 SHIFT_SYMBOL = '{"coeffs": [[1, 1, 0], [-1, 2, 0]]}'
@@ -159,6 +163,36 @@ def test_single_entry_bump_fails_check_and_recover(tmp_path, capsys, block):
     report = json.loads(out)
     assert report["residual"] > report["tolerance"]
     assert not report["pass"]
+
+
+def test_recover_verdict_inside_the_bracket_is_the_svd_verdict(tmp_path, capsys,
+                                                             rebuilds):
+    D = dense_noise_operator()
+    path = tmp_path / "noise.json"
+    path.write_text(json.dumps(D.to_json()))
+    characterize.recover_symbol(D, "boundary")
+    oracle = svd_rebuild_residual(D, rebuilds[-1])
+    # the tol at the SVD value passes, the next float below fails; both lie
+    # inside the norm bracket, so the CLI must compute that value
+    for tol, verdict in ((oracle, 0), (np.nextafter(oracle, 0.0), 1)):
+        code, out, _ = run_cli(capsys, "recover", str(path), "--method",
+                               "boundary", "--tol", repr(float(tol)))
+        assert code == verdict
+        assert json.loads(out)["residual"] == oracle
+
+
+@pytest.mark.parametrize("M", [16, 64, 256])
+def test_recover_passes_on_built_blaschke_payloads(tmp_path, capsys, M):
+    path = tmp_path / "op.json"
+    assert run_cli(capsys, "build", "dtto", "--theta", '{"zeros": [[0.5, -0.3]]}',
+                   "--alpha", '{"zeros": [[0.2, 0.6], [-0.4, 0.0]]}',
+                   "--symbol", SHIFT_SYMBOL, "--M", str(M),
+                   "--out", str(path))[0] == 0
+    for method in ("zbar", "boundary"):
+        code, out, _ = run_cli(capsys, "recover", str(path), "--method", method)
+        assert code == 0
+        report = json.loads(out)
+        assert report["residual"] <= report["tolerance"]
 
 
 def test_suite_unknown_name_exits_two(capsys):

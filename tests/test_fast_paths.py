@@ -9,7 +9,6 @@ import re
 import numpy as np
 import pytest
 
-from msolab import characterize
 from msolab.annihilate import (FiniteRankOperator, gen_M, gen_shift_pair, pair,
                                pair_many, represent_functional)
 from msolab.bases import OrthonormalBasis
@@ -27,7 +26,7 @@ from msolab.spaces import (SHIFT_KERNEL_TOL, admissible_for_shift, basis_Kperp,
                            hminus_basis, thetaH2_basis)
 from msolab.suites import random_inner, random_symbol
 
-from conftest import random_poly
+from conftest import dense_noise_operator, random_poly
 from oracles import (dense_coords, dense_coords_and_defect, dense_reconstruct,
                      loop_pair, loop_shift_invariance_defect, loop_shift_system,
                      pairing_build_dtto, poly_corner_consistency,
@@ -508,53 +507,61 @@ def _bumped(D, block, size=1e-3):
     return BlockOperator(**blocks, theta=D.theta, alpha=D.alpha, M=D.M)
 
 
-def _dense_noise_operator():
-    D = build_dtto(monomial_inner(2), monomial_inner(2), monomial(1), 10)
-    noise = np.random.default_rng(20261019).standard_normal((D.dim, D.dim))
-    return split_blocks(D.assemble() + 0.5 * noise / np.linalg.norm(noise, 2),
-                        D.theta, D.alpha, D.M)
-
-
-def _record_rebuilds(monkeypatch):
-    """The list of operators recover_symbol rebuilds from here on."""
-    rebuilt = []
-
-    def keep(*args):
-        rebuilt.append(build_dtto(*args))
-        return rebuilt[-1]
-
-    monkeypatch.setattr(characterize, "build_dtto", keep)
-    return rebuilt
+def _bracket_ends(E):
+    """The unwidened norm bracket of E from numpy's norms: the largest
+    column or row 2-norm and sqrt(||E||_1 ||E||_inf)."""
+    lo = max(np.linalg.norm(E, axis=0).max(), np.linalg.norm(E, axis=1).max())
+    return lo, float(np.sqrt(np.linalg.norm(E, 1) * np.linalg.norm(E, np.inf)))
 
 
 @pytest.mark.parametrize("method", ["zbar", "boundary"])
-def test_recovery_residual_is_bit_identical_to_svd_oracle(monkeypatch, method):
-    rebuilt = _record_rebuilds(monkeypatch)
+def test_recovery_residual_bounds_svd_oracle_with_its_verdict(rebuilds, method):
     in_class = _in_class_operators()
     bumped = [_bumped(D, block) for D in in_class[::2] for block in BLOCKS]
-    residuals = []
-    for D in in_class + bumped + [_dense_noise_operator()]:
+    exact = []
+    for D in in_class + bumped + [dense_noise_operator()]:
         _, residual = recover_symbol(D, method)
-        assert residual == svd_rebuild_residual(D, rebuilt[-1])
-        residuals.append(residual)
-    # every mismatch, down to one entry, takes the SVD branch
-    assert min(residuals[len(in_class):]) > 0.0
+        E = D.assemble() - rebuilds[-1].assemble()
+        oracle = svd_rebuild_residual(D, rebuilds[-1])
+        exact.append(not E.any())
+        if exact[-1]:
+            assert residual == 0.0
+            continue
+        assert oracle <= residual
+        lo, hi = _bracket_ends(E)
+        inside = (oracle, float(np.sqrt(lo * hi)), lo, hi)
+        for tol in (0.5 * lo, *inside, 2.0 * hi):
+            _, residual = recover_symbol(D, method, tol=tol)
+            assert oracle <= residual
+            assert (residual <= tol) == (oracle <= tol)
+            if tol in inside:
+                assert residual == oracle
+    # every in-class zbar rebuild is exact; every mismatch, down to one
+    # entry, is not
+    assert not any(exact[len(in_class):])
+    assert method == "boundary" or all(exact[:len(in_class)])
 
 
-def test_in_class_zbar_recovery_runs_no_svd(monkeypatch):
+def test_spectral_norm_runs_only_inside_the_bracket(monkeypatch):
+    in_class = _in_class_operators()
+    bumped = _bumped(in_class[0], "that")
+    tol_inside = float(np.abs(bumped.that - in_class[0].that).max())
+    spectral = []
     real_norm = np.linalg.norm
 
-    def no_spectral_norm(x, ord=None, *args, **kwargs):
+    def counting_norm(x, ord=None, *args, **kwargs):
         if ord == 2:
-            raise AssertionError("spectral norm computed")
+            spectral.append(x.shape)
         return real_norm(x, ord, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "norm", no_spectral_norm)
-    in_class = _in_class_operators()
+    monkeypatch.setattr(np.linalg, "norm", counting_norm)
     for D in in_class:
         assert recover_symbol(D, "zbar")[1] == 0.0
-    with pytest.raises(AssertionError, match="spectral norm"):
-        recover_symbol(_bumped(in_class[0], "that"), "zbar")
+        assert recover_symbol(D, "boundary")[1] <= 1e-12
+    assert recover_symbol(bumped, "zbar")[1] > 1e-4
+    assert spectral == []
+    assert recover_symbol(bumped, "zbar", tol=tol_inside)[1] <= tol_inside
+    assert spectral == [(bumped.dim, bumped.dim)]
 
 
 # -- corner consistency and boundary recovery from the blocks ---------------------
