@@ -19,13 +19,17 @@ import numpy as np
 from .bases import OrthonormalBasis
 from .errors import AdmissibilityError, DimensionError, InputError
 from .inner import BlaschkeProduct, expand
-from .laurent import (LaurentPolynomial, conj_function, minus_part,
-                      monomial, multiply, plus_part)
+from .laurent import (LaurentPolynomial, conj_function, minus_part, multiply,
+                      plus_part)
 from .operators import BlockOperator, DenseComplexMatrix
 from .payload import read_typed
 from .spaces import project
 
 MEMBERSHIP_TOL = 1e-8
+# relative bound on the part of z*f outside the space for a shift-admissible f
+ADMISSIBILITY_TOL = 1e-10
+# a probe product with a coefficient above this is certified nonzero
+PROBE_FLOOR = 1e-12
 
 
 class FiniteRankOperator:
@@ -96,71 +100,60 @@ def pair(T, t: FiniteRankOperator) -> complex:
 
 def gen_shift_pair(f: LaurentPolynomial, g: LaurentPolynomial, *,
                    domain: OrthonormalBasis | None = None,
-                   codomain: OrthonormalBasis | None = None,
-                   tol: float = 1e-10) -> FiniteRankOperator:
+                   codomain: OrthonormalBasis | None = None) -> FiniteRankOperator:
     """The two-dyad operator z f (x) z g - f (x) g.
 
     f and g must be shift-admissible in their spaces. With explicit bases the
     residual of z*vector outside the ambient space is checked; without them
     the orthogonality to zbar is checked, which is the admissibility
-    criterion in the complement sections. A basis whose kind names none of
-    the four subspaces (an admissible basis, say) raises InputError.
+    criterion in the complement sections. Either check allows
+    ADMISSIBILITY_TOL relative to max(1, norm). A basis whose kind names
+    none of the four subspaces (an admissible basis, say) raises InputError.
     """
     for name, vec, basis in (("f", f, domain), ("g", g, codomain)):
         if basis is not None:
             zv = vec.shift(1)
             res = (zv - project(basis.inner, basis.kind, zv)).norm()
-            if res > tol * max(1.0, vec.norm()):
+            if res > ADMISSIBILITY_TOL * max(1.0, vec.norm()):
                 raise AdmissibilityError(
                     f"{name} is not shift-admissible: residual {res:.2e}")
-        elif abs(vec.coeff(-1)) > tol * max(1.0, vec.norm()):
+        elif abs(vec.coeff(-1)) > ADMISSIBILITY_TOL * max(1.0, vec.norm()):
             raise AdmissibilityError(
                 f"{name} is not orthogonal to zbar "
                 f"(coefficient {vec.coeff(-1):.2e})")
     return FiniteRankOperator([(f.shift(1), g.shift(1)), (-f, g)])
 
 
-def gen_M(index: int, theta: BlaschkeProduct, alpha: BlaschkeProduct,
-          h: LaurentPolynomial | None, g: LaurentPolynomial) -> FiniteRankOperator:
-    """The six two-dyad families tied to the four membership conditions.
+def gen_M(theta: BlaschkeProduct, alpha: BlaschkeProduct, h: LaurentPolynomial,
+          g: LaurentPolynomial) -> tuple[FiniteRankOperator, ...]:
+    """The six two-dyad families tied to the four membership conditions, in
+    order: family 1 <-> the That sandwich, 2 <-> the TCheck coupling, 3/4
+    <-> the two Hankel intertwinings, 5/6 <-> the two corner identities.
 
-    h and g are analytic polynomials (h is ignored by families 5 and 6).
-    Family <-> condition: 1 <-> the That sandwich, 2 <-> the TCheck
-    coupling, 3/4 <-> the two Hankel intertwinings, 5/6 <-> the two corner
-    identities.
+    h and g are analytic polynomials (families 5 and 6 use only g). All six
+    share one expansion of theta and alpha and the products
+    theta*alpha, theta*h, alpha*g, theta*alpha*h and theta*alpha*g.
     """
-    if index not in (1, 2, 3, 4, 5, 6):
-        raise InputError(f"family index {index} out of range 1..6")
     for name, vec in (("h", h), ("g", g)):
-        if vec is not None and not vec.is_zero() and vec.lo < 0:
+        if not vec.is_zero() and vec.lo < 0:
             raise InputError(f"{name} must be an analytic polynomial")
     th = expand(theta)
     al = expand(alpha)
-    zbar_gbar = multiply(monomial(-1), conj_function(g))
-    if index in (1, 2, 3, 4):
-        if h is None:
-            raise InputError(f"family {index} needs both h and g")
-        zbar_hbar = multiply(monomial(-1), conj_function(h))
-    if index == 1:
-        a, b = multiply(th, h), multiply(al, g)
-        return FiniteRankOperator([(a, b), (-a.shift(1), b.shift(1))])
-    if index == 2:
-        a = multiply(multiply(al, th), h)
-        b = multiply(multiply(al, th), g)
-        return FiniteRankOperator([(a, b), (-zbar_gbar, zbar_hbar)])
-    if index == 3:
-        a = multiply(th, h)
-        return FiniteRankOperator([(a.shift(1), zbar_gbar),
-                                   (-a, zbar_gbar.shift(-1))])
-    if index == 4:
-        b = multiply(al, g)
-        return FiniteRankOperator([(zbar_hbar, b.shift(1)),
-                                   (-zbar_hbar.shift(-1), b)])
-    if index == 5:
-        a = multiply(multiply(th, al), g.shift(1))
-        return FiniteRankOperator([(th, zbar_gbar), (-a, al)])
-    a = multiply(multiply(al, th), g.shift(1))
-    return FiniteRankOperator([(th, a), (-zbar_gbar, al)])
+    th_al = multiply(th, al)
+    th_h, al_g = multiply(th, h), multiply(al, g)
+    th_al_h, th_al_g = multiply(th_al, h), multiply(th_al, g)
+    zbar_hbar = conj_function(h).shift(-1)
+    zbar_gbar = conj_function(g).shift(-1)
+    return (
+        FiniteRankOperator([(th_h, al_g), (-th_h.shift(1), al_g.shift(1))]),
+        FiniteRankOperator([(th_al_h, th_al_g), (-zbar_gbar, zbar_hbar)]),
+        FiniteRankOperator([(th_h.shift(1), zbar_gbar),
+                            (-th_h, zbar_gbar.shift(-1))]),
+        FiniteRankOperator([(zbar_hbar, al_g.shift(1)),
+                            (-zbar_hbar.shift(-1), al_g)]),
+        FiniteRankOperator([(th, zbar_gbar), (-th_al_g.shift(1), al)]),
+        FiniteRankOperator([(th, th_al_g.shift(1)), (-zbar_gbar, al)]),
+    )
 
 
 class ProbeResult(NamedTuple):
@@ -168,20 +161,19 @@ class ProbeResult(NamedTuple):
     nonzero: bool
 
 
-def transitivity_probe(f: LaurentPolynomial, g: LaurentPolynomial, *,
-                       tol: float = 1e-12) -> ProbeResult:
+def transitivity_probe(f: LaurentPolynomial, g: LaurentPolynomial) -> ProbeResult:
     """The product f * conj(g) and whether it certifies that f (x) g cannot
     annihilate the compressed-multiplication class (some coefficient above
-    the threshold means it cannot)."""
+    PROBE_FLOOR means it cannot)."""
     if f.is_zero() or g.is_zero():
         raise InputError("transitivity probe requires nonzero vectors")
     product = multiply(f, conj_function(g))
-    return ProbeResult((product,), product.sup_on_band() > tol)
+    return ProbeResult((product,), product.sup_on_band() > PROBE_FLOOR)
 
 
 def dual_transitivity_probe(f: LaurentPolynomial, g: LaurentPolynomial,
-                            theta: BlaschkeProduct, alpha: BlaschkeProduct, *,
-                            tol: float = 1e-12) -> ProbeResult:
+                            theta: BlaschkeProduct,
+                            alpha: BlaschkeProduct) -> ProbeResult:
     """Three products driving the rank-one argument on the complement
     sections: with f = zbar conj(f-) + theta f+ and g likewise,
     (f+ conj(g+), conj(f-) g-, theta f+ z g-) must all vanish for f (x) g to
@@ -197,7 +189,7 @@ def dual_transitivity_probe(f: LaurentPolynomial, g: LaurentPolynomial,
     p1 = multiply(f_plus, conj_function(g_plus))
     p2 = multiply(conj_function(f_minus), g_minus)
     p3 = multiply(multiply(th, f_plus), g_minus.shift(1))
-    nonzero = any(p.sup_on_band() > tol for p in (p1, p2, p3))
+    nonzero = any(p.sup_on_band() > PROBE_FLOOR for p in (p1, p2, p3))
     return ProbeResult((p1, p2, p3), nonzero)
 
 

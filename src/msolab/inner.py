@@ -44,9 +44,11 @@ class BlaschkeProduct:
 
     Zero order is preserved (it fixes the Takenaka-Malmquist basis order and
     hence every matrix downstream). Instances are immutable and hashable.
+    `cap_degree` is the smallest expansion degree whose tail bound meets
+    DEFAULT_TAIL_CAP.
     """
 
-    __slots__ = ("zeros", "constant", "allow_near_boundary", "_key")
+    __slots__ = ("zeros", "constant", "allow_near_boundary", "cap_degree", "_key")
 
     def __init__(self, zeros, constant: complex = 1.0, *,
                  allow_near_boundary: bool = False):
@@ -73,7 +75,12 @@ class BlaschkeProduct:
         # caches never hand back a product that encodes differently
         object.__setattr__(self, "_key",
                            np.array([*zeros, constant], dtype=np.complex128).tobytes())
-        degree = self.degree_for_cap(DEFAULT_TAIL_CAP)
+        rho, degree = self.rho, self.degree
+        if rho > 0.0:
+            n = degree + math.ceil(math.log(DEFAULT_TAIL_CAP * (1.0 - rho) / degree)
+                                   / math.log(rho))
+            degree = max(n, degree) + _DEGREE_MARGIN
+        object.__setattr__(self, "cap_degree", degree)
         if degree > MAX_EXPANSION_DEGREE:
             raise InputError(
                 f"zeros up to modulus {self.rho} need expansion degree {degree}, "
@@ -107,15 +114,6 @@ class BlaschkeProduct:
             return 0.0
         d = self.degree
         return d * rho ** max(n - d + 1, 0) / (1.0 - rho)
-
-    def degree_for_cap(self, cap: float) -> int:
-        """Smallest expansion degree whose tail bound meets the cap."""
-        rho = self.rho
-        if rho == 0.0:
-            return self.degree
-        d = self.degree
-        n = d + math.ceil(math.log(cap * (1.0 - rho) / d) / math.log(rho))
-        return max(n, d) + _DEGREE_MARGIN
 
     def __eq__(self, other):
         return isinstance(other, BlaschkeProduct) and self._key == other._key
@@ -192,7 +190,7 @@ def _expand_cached(B: BlaschkeProduct, n: int) -> LaurentPolynomial:
 def expansion_degree(B: BlaschkeProduct, reach: int) -> int:
     """The degree `expand(B, reach)` expands to: reach, or more where the
     geometric tail bound needs it to meet DEFAULT_TAIL_CAP."""
-    return max(int(reach), B.degree_for_cap(DEFAULT_TAIL_CAP))
+    return max(int(reach), B.cap_degree)
 
 
 def expand(B: BlaschkeProduct, reach: int = 0) -> LaurentPolynomial:

@@ -137,7 +137,9 @@ class BlockOperator:
 
     `edge` is provenance metadata: the symbol reach a builder used, None
     for operators of unknown provenance (e.g. loaded from JSON without the
-    optional key). No check reads it.
+    optional key). No check reads it. Construction rejects a block with a
+    non-finite entry; blocks mutated afterwards are the caller's to keep
+    finite.
     """
 
     __slots__ = ("that", "gamma_check", "gamma_hat", "t_check",
@@ -155,6 +157,8 @@ class BlockOperator:
                                               self.gamma_hat, self.t_check)):
             if block.shape != (n, n):
                 raise DimensionError(f"{name} has shape {block.shape}, expected {(n, n)}")
+            if not np.isfinite(block).all():
+                raise InputError(f"{name} has a non-finite entry")
         self.theta = theta
         self.alpha = alpha
         self.M = int(M)

@@ -61,9 +61,8 @@ class SuiteConfig:
 
 # -- random case material -----------------------------------------------------
 
-def random_inner(r: Xoshiro256StarStar, max_degree: int = 3,
-                 rho: float = 0.8) -> BlaschkeProduct:
-    d = r.integer(1, max_degree)
+def random_inner(r: Xoshiro256StarStar, rho: float = 0.8) -> BlaschkeProduct:
+    d = r.integer(1, 3)
     return BlaschkeProduct([r.complex_disk(rho) for _ in range(d)])
 
 
@@ -90,13 +89,12 @@ def random_in_basis(r: Xoshiro256StarStar, basis) -> LaurentPolynomial:
 
 # -- criteria -----------------------------------------------------------------
 
-def forward_and_roundtrip(seed: int = DEFAULT_SEED,
-                          cases: int = 200) -> tuple[dict, dict]:
+def forward_and_roundtrip(seed: int = DEFAULT_SEED) -> tuple[dict, dict]:
     """Criterion 1 (membership checks pass on built operators) and
     criterion 2 (symbol round trip, both methods, methods agree), sharing
     one 200-case stream at depth M = reach + deg theta + deg alpha + 6."""
     root = Xoshiro256StarStar(seed)
-    tol_fwd, tol_rt = 1e-10, 1e-11
+    cases, tol_fwd, tol_rt = 200, 1e-10, 1e-11
 
     def one(i: int):
         r = root.spawn(i)
@@ -153,11 +151,11 @@ def nullspace_dimensions() -> dict:
             "tolerance": tol, "details": details, "pass": passed}
 
 
-def block_structure_scan(M: int = 10) -> dict:
+def block_structure_scan() -> dict:
     """Criterion 4: every solution of the interior shift-invariance system
     on complement sections of z^2 has constant-diagonal diagonal blocks and
     constant-antidiagonal corner blocks."""
-    tol = 1e-10
+    M, tol = 10, 1e-10
     theta = BlaschkeProduct([0.0, 0.0])
     sol = characterize.solve_shift_invariant_space(theta, theta,
                                                    space="model_perp", M=M)
@@ -191,12 +189,13 @@ def _scripted_perturbations(D: BlockOperator):
     }
 
 
-def annihilator_families(seed: int = DEFAULT_SEED, cases: int = 100) -> dict:
+def annihilator_families(seed: int = DEFAULT_SEED) -> dict:
     """Criterion 5: generated shifted dyads and all six wrapped families pair
     to zero against built operators; scripted single-condition perturbations
     produce a pairing >= 1e-4 with the matching family."""
     root = Xoshiro256StarStar(seed)
-    tol, detect = 1e-10, 1e-4
+    cases, tol, detect = 100, 1e-10, 1e-4
+    monomial_pairs = [(monomial(p), monomial(q)) for p in range(3) for q in range(3)]
 
     def one(i: int):
         r = root.spawn(i)
@@ -205,11 +204,10 @@ def annihilator_families(seed: int = DEFAULT_SEED, cases: int = 100) -> dict:
         phi = random_symbol(r, reach=3)
         M = SymbolFunction(phi).reach + theta.degree + alpha.degree + 58
         D = build_dtto(theta, alpha, phi, M)
-        families = [annihilate.gen_M(l, theta, alpha, monomial(p), monomial(q))
-                    for l in range(1, 7) for p in range(3) for q in range(3)]
+        sixes = [annihilate.gen_M(theta, alpha, h, g) for h, g in monomial_pairs]
+        families = [six[l] for l in range(6) for six in sixes]
         dom, cod = D.domain_basis(), D.codomain_basis()
-        families += [annihilate.gen_shift_pair(dom.vectors[fi], cod.vectors[gi],
-                                               domain=dom, codomain=cod)
+        families += [annihilate.gen_shift_pair(dom.vectors[fi], cod.vectors[gi])
                      for fi, gi in ((0, 1), (M + 2, M + 3))]
         return float(np.max(np.abs(annihilate.pair_many(D, families))))
 
@@ -220,10 +218,10 @@ def annihilator_families(seed: int = DEFAULT_SEED, cases: int = 100) -> dict:
     base = build_dtto(z2, z2, LaurentPolynomial({1: 1.0, -1: 2.0}), 10)
     family_of_condition = {1: (1,), 2: (2,), 3: (3, 4), 4: (5, 6)}
     perturbed = _scripted_perturbations(base)
+    sixes = [annihilate.gen_M(z2, z2, h, g) for h, g in monomial_pairs]
     detections = {}
     for l, Dp in perturbed.items():
-        families = [annihilate.gen_M(l, z2, z2, monomial(p), monomial(q))
-                    for p in range(3) for q in range(3)]
+        families = [six[l - 1] for six in sixes]
         detections[l] = float(np.max(np.abs(annihilate.pair_many(Dp, families))))
     condition_hits = {
         cond: max(detections[l] for l in fams)
@@ -237,11 +235,11 @@ def annihilator_families(seed: int = DEFAULT_SEED, cases: int = 100) -> dict:
             "pass": vanish <= tol and detected}
 
 
-def transitivity_scan(seed: int = DEFAULT_SEED, pairs: int = 50) -> dict:
+def transitivity_scan(seed: int = DEFAULT_SEED) -> dict:
     """Criterion 6: no rank-one annihilator witness exists between model
     spaces; every sampled product f * conj(g) has a visible coefficient."""
     root = Xoshiro256StarStar(seed)
-    floor = 1e-12
+    pairs, floor = 50, annihilate.PROBE_FLOOR
     smallest = float("inf")
     per_pair = max(1, pairs // 5)
     count = 0
@@ -255,7 +253,7 @@ def transitivity_scan(seed: int = DEFAULT_SEED, pairs: int = 50) -> dict:
                 break
             f = random_in_basis(r, bt)
             g = random_in_basis(r, ba)
-            probe = annihilate.transitivity_probe(f, g, tol=floor)
+            probe = annihilate.transitivity_probe(f, g)
             smallest = min(smallest, probe.products[0].sup_on_band())
             count += 1
             if not probe.nonzero:
@@ -265,8 +263,7 @@ def transitivity_scan(seed: int = DEFAULT_SEED, pairs: int = 50) -> dict:
             "min_peak": smallest, "floor": floor, "pass": smallest >= floor}
 
 
-def isometry_convergence(depths=(16, 32, 64, 128, 256),
-                         symbol: LaurentPolynomial | None = None,
+def isometry_convergence(symbol: LaurentPolynomial | None = None,
                          theta: BlaschkeProduct | None = None,
                          alpha: BlaschkeProduct | None = None,
                          final_gap: float | None = 0.05) -> dict:
@@ -278,7 +275,7 @@ def isometry_convergence(depths=(16, 32, 64, 128, 256),
         theta = BlaschkeProduct([0.0, 0.0])
     if alpha is None:
         alpha = theta
-    samples = 512
+    depths, samples = (16, 32, 64, 128, 256), 512
     sup = max(abs(symbol.evaluate(cmath.exp(2j * cmath.pi * k / samples)))
               for k in range(samples))
     sigmas = []
@@ -294,12 +291,11 @@ def isometry_convergence(depths=(16, 32, 64, 128, 256),
             "monotone": monotone, "bounded": bounded, "pass": ok}
 
 
-def functional_representation(seed: int = DEFAULT_SEED,
-                              densities: int = 50) -> dict:
+def functional_representation(seed: int = DEFAULT_SEED) -> dict:
     """Criterion 8: the rank-one representer reproduces the moment pairing
     sum psi_hat(k) f_hat(-k) for all monomial symbols up to reach 4."""
     root = Xoshiro256StarStar(seed)
-    tol = 1e-10
+    densities, tol = 50, 1e-10
 
     def one(i: int):
         r = root.spawn(i)
@@ -321,11 +317,11 @@ def functional_representation(seed: int = DEFAULT_SEED,
             "pass": worst <= tol}
 
 
-def conjugation_suite(seed: int = DEFAULT_SEED, cases: int = 100) -> dict:
+def conjugation_suite(seed: int = DEFAULT_SEED) -> dict:
     """Criterion 9: involution, reversed-pairing isometry, the multiplication
     intertwining, and the subspace swaps of the model-space conjugation."""
     root = Xoshiro256StarStar(seed)
-    tol = 1e-11
+    cases, tol = 100, 1e-11
 
     def one(i: int):
         r = root.spawn(i)
@@ -360,13 +356,13 @@ def conjugation_suite(seed: int = DEFAULT_SEED, cases: int = 100) -> dict:
             "max_defect": worst, "tolerance": tol, "pass": worst <= tol}
 
 
-def proposition_suite(seed: int = DEFAULT_SEED, cases: int = 100) -> dict:
+def proposition_suite(seed: int = DEFAULT_SEED) -> dict:
     """Criterion 10: the compression factorizations through classical
     Toeplitz/Hankel operators, the conjugation links between the blocks,
     the one-sided semicommutation, and the Hankel symbol-kill, all evaluated
     on interior vectors through independent arithmetic routes."""
     root = Xoshiro256StarStar(seed)
-    tol = 1e-11
+    cases, tol = 100, 1e-11
 
     def one(i: int):
         r = root.spawn(i)

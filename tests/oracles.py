@@ -6,7 +6,8 @@ dense matrix of basis vectors, a Python loop over admissible pairs or over
 the dyads of a finite-rank operator, an SVD of shift residuals, polynomial
 round trips through the operator (`poly_apply`: coordinates, a
 matrix-vector product, a rebuild), or an SVD of the assembled rebuild
-difference. The tests compare the library against them.
+difference, or one generator family per call with its own expansions and
+products (`indexed_gen_M`). The tests compare the library against them.
 `conjugation_corner_maps` has no library counterpart: the operator
 tests use it to check the corner identity TCheck = W1 That^T conj(W2).
 """
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from msolab.annihilate import MEMBERSHIP_TOL
+from msolab.annihilate import MEMBERSHIP_TOL, FiniteRankOperator
 from msolab.bases import OrthonormalBasis
 from msolab.characterize import (AnalyticVerdict, DefectReport, _zbar_symbol,
                                  default_tolerance)
@@ -82,6 +83,35 @@ def loop_pair(T, t) -> complex:
                     f"dyad vector leaves the {basis.label} span by {defect:.2e}")
         acc += np.vdot(y, apply(T, x))
     return complex(acc)
+
+
+def indexed_gen_M(index, theta, alpha, h, g) -> FiniteRankOperator:
+    """Family `index` (1..6) of gen_M, built alone: theta and alpha expanded
+    and every product formed again for each family."""
+    th = expand(theta)
+    al = expand(alpha)
+    zbar_gbar = multiply(monomial(-1), conj_function(g))
+    zbar_hbar = multiply(monomial(-1), conj_function(h))
+    if index == 1:
+        a, b = multiply(th, h), multiply(al, g)
+        return FiniteRankOperator([(a, b), (-a.shift(1), b.shift(1))])
+    if index == 2:
+        a = multiply(multiply(al, th), h)
+        b = multiply(multiply(al, th), g)
+        return FiniteRankOperator([(a, b), (-zbar_gbar, zbar_hbar)])
+    if index == 3:
+        a = multiply(th, h)
+        return FiniteRankOperator([(a.shift(1), zbar_gbar),
+                                   (-a, zbar_gbar.shift(-1))])
+    if index == 4:
+        b = multiply(al, g)
+        return FiniteRankOperator([(zbar_hbar, b.shift(1)),
+                                   (-zbar_hbar.shift(-1), b)])
+    if index == 5:
+        a = multiply(multiply(th, al), g.shift(1))
+        return FiniteRankOperator([(th, zbar_gbar), (-a, al)])
+    a = multiply(multiply(al, th), g.shift(1))
+    return FiniteRankOperator([(th, a), (-zbar_gbar, al)])
 
 
 def loop_shift_invariance_defect(mat, domain, codomain, tol) -> DefectReport:

@@ -25,12 +25,13 @@ def report(name, passed, detail):
 @pytest.fixture(scope="module")
 def forward_roundtrip():
     started = time.monotonic()
-    c1, c2 = suites.forward_and_roundtrip(SEED, cases=200)
+    c1, c2 = suites.forward_and_roundtrip(SEED)
     return c1, c2, time.monotonic() - started
 
 
 def test_criterion_1_forward_membership(forward_roundtrip):
     c1, _, elapsed = forward_roundtrip
+    assert c1["cases"] == 200
     report("1 forward membership (200 cases)",
            c1["pass"] and elapsed <= 60.0,
            f"max defect {c1['max_defect']:.2e} <= {c1['tolerance']:.0e}, "
@@ -39,6 +40,7 @@ def test_criterion_1_forward_membership(forward_roundtrip):
 
 def test_criterion_2_symbol_round_trip(forward_roundtrip):
     _, c2, _ = forward_roundtrip
+    assert c2["cases"] == 200
     report("2 symbol round trip (both methods)", c2["pass"],
            f"max coefficient/agreement error {c2['max_error']:.2e} "
            f"<= {c2['tolerance']:.0e}")
@@ -57,14 +59,16 @@ def test_criterion_3_nullspace_dimensions():
 
 
 def test_criterion_4_block_structure():
-    c = suites.block_structure_scan(M=10)
+    c = suites.block_structure_scan()
+    assert c["dimension"] == 84
     report("4 complement nullspace block structure", c["pass"],
            f"{c['dimension']} solutions, structure defect "
            f"{c['max_structure_defect']:.2e} <= {c['tolerance']:.0e}")
 
 
 def test_criterion_5_annihilator_families():
-    c = suites.annihilator_families(SEED, cases=100)
+    c = suites.annihilator_families(SEED)
+    assert c["cases"] == 100
     detections = ", ".join(f"cond{k}:{v:.1e}"
                            for k, v in sorted(c["condition_detections"].items()))
     report("5 annihilator families", c["pass"],
@@ -73,7 +77,8 @@ def test_criterion_5_annihilator_families():
 
 
 def test_criterion_6_transitivity():
-    c = suites.transitivity_scan(SEED, pairs=50)
+    c = suites.transitivity_scan(SEED)
+    assert c["pairs"] == 50
     report("6 transitivity probe", c["pass"],
            f"50 pairs, smallest product peak {c['min_peak']:.2e} "
            f">= {c['floor']:.0e}")
@@ -83,6 +88,7 @@ def test_criterion_7_isometry_convergence():
     started = time.monotonic()
     c = suites.isometry_convergence()
     elapsed = time.monotonic() - started
+    assert c["depths"] == [16, 32, 64, 128, 256]
     report("7 isometry convergence",
            c["pass"] and elapsed <= 30.0,
            f"sigma={['%.6f' % s for s in c['singular_values']]} monotone, "
@@ -91,21 +97,24 @@ def test_criterion_7_isometry_convergence():
 
 
 def test_criterion_8_functional_representation():
-    c = suites.functional_representation(SEED, densities=50)
+    c = suites.functional_representation(SEED)
+    assert c["densities"] == 50
     report("8 functional representation", c["pass"],
            f"50 densities, max moment error {c['max_error']:.2e} "
            f"<= {c['tolerance']:.0e}")
 
 
 def test_criterion_9_conjugation_suite():
-    c = suites.conjugation_suite(SEED, cases=100)
+    c = suites.conjugation_suite(SEED)
+    assert c["cases"] == 100
     report("9 conjugation suite", c["pass"],
            f"100 cases, max defect {c['max_defect']:.2e} "
            f"<= {c['tolerance']:.0e}")
 
 
 def test_criterion_10_proposition_suites():
-    c = suites.proposition_suite(SEED, cases=100)
+    c = suites.proposition_suite(SEED)
+    assert c["cases"] == 100
     report("10 proposition suites", c["pass"],
            f"100 cases, max defect {c['max_defect']:.2e} "
            f"<= {c['tolerance']:.0e}")

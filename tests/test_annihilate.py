@@ -36,7 +36,7 @@ def test_pair_hand_example():
 
 def test_pair_family_five_hand_example():
     D = build_dtto(Z2, Z2, monomial(-3), 9)
-    t = gen_M(5, Z2, Z2, None, one())
+    t = gen_M(Z2, Z2, one(), one())[4]
     assert pair(D, t) == pytest.approx(0.0, abs=1e-13)
 
 
@@ -106,21 +106,20 @@ def test_shift_pair_rejects_admissible_kind_basis():
 # -- the six families -----------------------------------------------------------
 
 def test_family_formulas_monomial_case():
-    t1 = gen_M(1, Z2, Z2, one(), one())
-    assert [(f.coeffs, g.coeffs) for f, g in t1.dyads] == [
-        ({2: (1 + 0j)}, {2: (1 + 0j)}), ({3: (-1 + 0j)}, {3: (1 + 0j)})]
-    t2 = gen_M(2, Z2, Z2, one(), one())
-    assert [(f.coeffs, g.coeffs) for f, g in t2.dyads] == [
-        ({4: (1 + 0j)}, {4: (1 + 0j)}), ({-1: (-1 + 0j)}, {-1: (1 + 0j)})]
-    t5 = gen_M(5, Z2, Z2, None, one())
-    assert [(f.coeffs, g.coeffs) for f, g in t5.dyads] == [
-        ({2: (1 + 0j)}, {-1: (1 + 0j)}), ({5: (-1 + 0j)}, {2: (1 + 0j)})]
+    families = gen_M(Z2, Z2, one(), one())
+    assert [[(f.coeffs, g.coeffs) for f, g in t.dyads] for t in families] == [
+        [({2: 1}, {2: 1}), ({3: -1}, {3: 1})],
+        [({4: 1}, {4: 1}), ({-1: -1}, {-1: 1})],
+        [({3: 1}, {-1: 1}), ({2: -1}, {-2: 1})],
+        [({-1: 1}, {3: 1}), ({-2: -1}, {2: 1})],
+        [({2: 1}, {-1: 1}), ({5: -1}, {2: 1})],
+        [({2: 1}, {5: 1}), ({-1: -1}, {2: 1})]]
 
 
 def test_family_swap_in_second_family(rng):
     h = LaurentPolynomial({0: 1, 1: 2})
     g = LaurentPolynomial({0: 3})
-    t = gen_M(2, Z2, Z2, h, g)
+    t = gen_M(Z2, Z2, h, g)[1]
     (f1, g1), (f2, g2) = t.dyads
     # second dyad is zbar*conj(g) (x) zbar*conj(h): the arguments swap sides
     assert f2.coeffs == {-1: (-3 + 0j)}
@@ -134,18 +133,16 @@ def test_families_annihilate_builds(rng):
         phi = random_poly(rng, -2, 2)
         M = 2 + 1 + 2 + 60
         D = build_dtto(b1, b2, phi, M)
-        worst = max(abs(pair(D, gen_M(l, b1, b2, monomial(p), monomial(q))))
-                    for l in range(1, 7) for p in range(2) for q in range(2))
+        worst = max(abs(pair(D, t)) for p in range(2) for q in range(2)
+                    for t in gen_M(b1, b2, monomial(p), monomial(q)))
         assert worst <= 1e-11
 
 
 def test_family_validation():
-    with pytest.raises(InputError):
-        gen_M(7, Z2, Z2, one(), one())
-    with pytest.raises(InputError):
-        gen_M(1, Z2, Z2, None, one())
-    with pytest.raises(InputError):
-        gen_M(1, Z2, Z2, monomial(-1), one())
+    with pytest.raises(InputError, match="h must be an analytic"):
+        gen_M(Z2, Z2, monomial(-1), one())
+    with pytest.raises(InputError, match="g must be an analytic"):
+        gen_M(Z2, Z2, one(), LaurentPolynomial({-2: 1.0, 0: 1.0}))
 
 
 # -- transitivity probes -----------------------------------------------------------

@@ -17,7 +17,7 @@ from msolab.characterize import (_zbar_symbol, check_adtto, check_block_conditio
                                  shift_invariance_defect,
                                  solve_shift_invariant_space)
 from msolab.errors import DimensionError, InputError
-from msolab.inner import BlaschkeProduct, monomial_inner, tm_basis
+from msolab.inner import BlaschkeProduct, expand, monomial_inner, tm_basis
 from msolab.laurent import LaurentPolynomial, monomial, multiply
 from msolab.operators import (BlockOperator, DenseComplexMatrix, SymbolFunction,
                               build_dtto, build_tto, split_blocks)
@@ -28,8 +28,8 @@ from msolab.suites import random_inner, random_symbol
 
 from conftest import dense_noise_operator, random_poly
 from oracles import (dense_coords, dense_coords_and_defect, dense_reconstruct,
-                     loop_pair, loop_shift_invariance_defect, loop_shift_system,
-                     pairing_build_dtto, poly_corner_consistency,
+                     indexed_gen_M, loop_pair, loop_shift_invariance_defect,
+                     loop_shift_system, pairing_build_dtto, poly_corner_consistency,
                      poly_is_analytic_adtto, poly_recover_boundary,
                      poly_zbar_symbol, svd_admissible_for_shift,
                      svd_rebuild_residual)
@@ -206,7 +206,7 @@ def _pairing_cases():
         D = build_dtto(theta, alpha, random_symbol(r, reach=3), M)
         dom, cod = D.domain_basis(), D.codomain_basis()
         adm_d, adm_c = admissible_for_shift(dom), admissible_for_shift(cod)
-        families = [gen_M(l, theta, alpha, _analytic(r), _analytic(r))
+        families = [gen_M(theta, alpha, _analytic(r), _analytic(r))[l - 1]
                     for l in range(1, 7) for _ in range(2)]
         families += [gen_shift_pair(combination(adm_d, (0, M + 1)),
                                     combination(adm_c, (1, 2 * M - 1)),
@@ -246,7 +246,7 @@ def test_pair_many_matches_loop_pair():
 def test_pair_many_membership_error_names_the_leaving_vector():
     theta, alpha, M = BlaschkeProduct([0.5, -0.3j]), BlaschkeProduct([0.4 + 0.2j]), 40
     D = build_dtto(theta, alpha, LaurentPolynomial({-1: 1.0, 2: 0.5j}), M)
-    families = [gen_M(l, theta, alpha, monomial(p), monomial(q))
+    families = [gen_M(theta, alpha, monomial(p), monomial(q))[l - 1]
                 for l in range(1, 7) for p in range(3) for q in range(3)]
     assert np.max(np.abs(pair_many(D, families))) <= 1e-10
     (f1, g1), (f2, g2) = families[20].dyads
@@ -258,6 +258,36 @@ def test_pair_many_membership_error_names_the_leaving_vector():
         with pytest.raises(DimensionError,
                            match=f"leaves the {re.escape(basis.label)} span"):
             pair_many(D, batch)
+
+
+@pytest.mark.parametrize("theta, alpha", [
+    (monomial_inner(2), monomial_inner(3)),
+    (BlaschkeProduct([0.5, -0.3j]), BlaschkeProduct([0.4 + 0.2j])),
+    (BlaschkeProduct([0.3 + 0.6j]), BlaschkeProduct([-0.2, 0.7j, 0.1])),
+    (BlaschkeProduct([0.5, -0.3j]), BlaschkeProduct([0.5j, 0.3]))],
+    ids=["z2-z3", "blaschke-2-1", "blaschke-1-3", "blaschke-equal-length"])
+def test_gen_M_matches_indexed_families(theta, alpha):
+    """The six families built from shared products carry, dyad for dyad,
+    the band start and the coefficients of each family built alone: the
+    same arrays where theta and alpha expand to different lengths. At equal
+    lengths np.convolve sums theta*alpha and alpha*theta in different
+    orders, and the oracle forms both, so the arrays agree to roundoff."""
+    r = Xoshiro256StarStar(20261018)
+    one = LaurentPolynomial.one()
+    exact = expand(theta).hi != expand(alpha).hi
+    pairs = [(one, one)] + [(_analytic(r, r.integer(0, 2)), _analytic(r, r.integer(0, 2)))
+                            for _ in range(4)]
+    for h, g in pairs:
+        families = gen_M(theta, alpha, h, g)
+        assert len(families) == 6
+        for index, t in enumerate(families, start=1):
+            oracle = indexed_gen_M(index, theta, alpha, h, g)
+            assert len(t.dyads) == len(oracle.dyads) == 2
+            for fg, fg_oracle in zip(t.dyads, oracle.dyads):
+                for p, q in zip(fg, fg_oracle):
+                    assert p.band == q.band
+                    np.testing.assert_allclose(p.dense(*p.band), q.dense(*q.band),
+                                               rtol=0, atol=0 if exact else 1e-15)
 
 
 def test_pair_many_empty_batches():

@@ -35,7 +35,7 @@ def test_expand_single_zero_series():
 
 def test_expand_reaches_the_larger_of_reach_and_cap_degree():
     b = BlaschkeProduct([0.5, -0.3j])
-    n = b.degree_for_cap(DEFAULT_TAIL_CAP)
+    n = b.cap_degree
     assert expansion_degree(b, 0) == expansion_degree(b, n - 5) == n
     assert expansion_degree(b, n + 7) == n + 7
     assert expand(b).hi == n and expand(b, n + 7).hi == n + 7
@@ -130,7 +130,7 @@ def test_zero_count_cap():
 @pytest.mark.parametrize("rho, degree", [(0.99, 3446), (0.999, 36832)])
 def test_expansion_degree_cap_accepts(rho, degree):
     b = BlaschkeProduct([rho], allow_near_boundary=True)
-    assert b.degree_for_cap(DEFAULT_TAIL_CAP) == degree <= MAX_EXPANSION_DEGREE
+    assert b.cap_degree == degree <= MAX_EXPANSION_DEGREE
 
 
 @pytest.mark.parametrize("rho", [0.9999, 0.999999])

@@ -13,6 +13,7 @@ from conftest import assert_poly_close, random_poly
 from oracles import conjugation_corner_maps, poly_apply
 
 Z1, Z2, Z3 = monomial_inner(1), monomial_inner(2), monomial_inner(3)
+BLOCK_NAMES = ("That", "GammaCheck", "GammaHat", "TCheck")
 
 
 def random_symbol(rng, reach=3):
@@ -125,6 +126,24 @@ def test_split_blocks_of_dyads():
     B = split_blocks(full, Z2, Z2, M)
     assert B.gamma_hat[0, 0] == 1 and np.count_nonzero(B.gamma_hat) == 1
     assert not B.that.any()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)],
+                         ids=["nan", "inf", "imag-inf"])
+@pytest.mark.parametrize("block", range(4), ids=BLOCK_NAMES)
+def test_block_operator_rejects_non_finite_entries(block, bad):
+    D = build_dtto(BlaschkeProduct([0.5]), Z2, monomial(1), 10)
+    blocks = [D.that.copy(), D.gamma_check.copy(), D.gamma_hat.copy(),
+              D.t_check.copy()]
+    blocks[block][3, 2] = bad
+    name = BLOCK_NAMES[block]
+    with pytest.raises(InputError, match=f"{name} has a non-finite entry"):
+        BlockOperator(*blocks, D.theta, D.alpha, D.M)
+    full = D.assemble()
+    n = D.M + 1
+    full[(block // 2) * n + 3, (block % 2) * n + 2] = bad
+    with pytest.raises(InputError, match=f"{name} has a non-finite entry"):
+        split_blocks(full, D.theta, D.alpha, D.M)
 
 
 # -- entrywise structure for monomial inner functions ------------------------------

@@ -41,7 +41,7 @@ def test_option_count():
     """Every defaulted parameter is an option a caller may set; an added one
     fails here until this count is raised on purpose."""
     modules = sorted(Path(msolab.__file__).parent.glob("*.py"))
-    assert sum(_defaulted_parameters(p) for p in modules) == 60
+    assert sum(_defaulted_parameters(p) for p in modules) == 48
 
 
 def _names(tree: ast.AST) -> set[str]:
@@ -70,7 +70,7 @@ def test_one_truncation_rule():
     the tail of an expansion is B.tail_bound_at(n), reported by
     verify_inner as InnerCheck.tail_bound."""
     package = Path(msolab.__file__).parent
-    rule = {"DEFAULT_TAIL_CAP", "degree_for_cap", "_expand_cached"}
+    rule = {"DEFAULT_TAIL_CAP", "cap_degree", "_expand_cached"}
     deciding, tails = {}, {}
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text())
