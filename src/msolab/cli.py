@@ -6,17 +6,21 @@
     msolab suite {acceptance|fuzz|convergence} [--seed S] [--cases N] ...
 
 All payloads are JSON; inner functions also accept the shorthand "z^m" and
-symbols the shorthand "z^k" / "z^-k". Exit codes: 0 all checks pass, 1 a
+symbols the shorthand "z^k" / "z^-k". `build` writes its operator payload
+compactly on one line; `check`, `recover` and `suite` write their reports
+indented. Any whitespace loads. Exit codes: 0 all checks pass, 1 a
 mathematical check failed, 2 invalid input or configuration.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import re
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -33,10 +37,31 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
 
+# json.dumps layouts: an operator payload on one line through the C encoder
+# (an indent selects the pure-Python one), a report indented for people
+_PAYLOAD_LAYOUT = {"separators": (",", ":")}
+_REPORT_LAYOUT = {"indent": 2}
+
+
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector over one bulk step on a payload
+    tree. The trees are acyclic lists of floats, so a pass finds nothing in
+    them; it would only re-walk their young lists. The caller's state is
+    restored, also when the step raises."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
 
 def _loads(text: str, context: str):
     try:
-        return json.loads(text)
+        with _collector_paused():
+            return json.loads(text)
     except (ValueError, RecursionError) as exc:
         # ValueError also covers integers past the interpreter's digit limit;
         # RecursionError is nesting deeper than the decoder can follow
@@ -86,9 +111,10 @@ def _json_default(value):
     raise TypeError(f"not JSON-serializable: {type(value)}")
 
 
-def _emit(report, out: str | None):
-    text = json.dumps(report, sort_keys=True, indent=2,
-                      default=_json_default) + "\n"
+def _emit(document, out: str | None, layout: dict):
+    with _collector_paused():
+        text = json.dumps(document, sort_keys=True, default=_json_default,
+                          **layout) + "\n"
     if out:
         try:
             Path(out).write_text(text)
@@ -111,7 +137,9 @@ def _cmd_build(args) -> int:
         if M is None:
             M = symbol.reach + theta.degree + alpha.degree + 6
         op = build_dtto(theta, alpha, symbol, M)
-    _emit(op.to_json(), args.out)
+    with _collector_paused():
+        payload = op.to_json()
+    _emit(payload, args.out, _PAYLOAD_LAYOUT)
     return EXIT_OK
 
 
@@ -152,7 +180,7 @@ def _cmd_check(args) -> int:
     ok = all(rep.passed for rep in reports) and all(
         v.get("analytic", True) for v in extra.values())
     report["pass"] = bool(ok)
-    _emit(report, args.out)
+    _emit(report, args.out, _REPORT_LAYOUT)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -169,7 +197,7 @@ def _cmd_recover(args) -> int:
               "residual": residual,
               "tolerance": tol,
               "pass": residual <= tol}
-    _emit(report, args.out)
+    _emit(report, args.out, _REPORT_LAYOUT)
     return EXIT_OK if residual <= tol else EXIT_CHECK_FAILED
 
 
@@ -181,7 +209,7 @@ def _cmd_suite(args) -> int:
         M=args.M, tol=args.tol, seed=args.seed, cases=args.cases)
     started = time.monotonic()
     report = suites.run_suite(args.name, config)
-    _emit(report, args.out)
+    _emit(report, args.out, _REPORT_LAYOUT)
     print(f"suite {args.name}: {time.monotonic() - started:.1f}s",
           file=sys.stderr)
     return EXIT_OK if report["pass"] else EXIT_CHECK_FAILED

@@ -1,18 +1,20 @@
 import copy
+import gc
 import json
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from msolab import characterize
+from msolab import characterize, cli
 from msolab.cli import main
 from msolab.inner import BlaschkeProduct, monomial_inner
 from msolab.laurent import MAX_DEGREE, LaurentPolynomial
-from msolab.operators import build_dtto, build_tto
+from msolab.operators import BlockOperator, build_dtto, build_tto
 
 from conftest import dense_noise_operator
 from oracles import svd_rebuild_residual
@@ -233,6 +235,91 @@ def test_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["entries"][1][0] == [1.0, 0.0]
+
+
+# -- payload layout and the garbage collector ----------------------------------
+
+BLASCHKE_CASE = ("--theta", '{"zeros": [[0.5, -0.3]]}',
+                 "--alpha", '{"zeros": [[0.2, 0.6], [-0.4, 0.0]]}',
+                 "--symbol", SHIFT_SYMBOL)
+
+
+@pytest.mark.parametrize("argv", [("tto",), ("dtto", "--M", "16")])
+def test_build_payload_is_one_compact_line(capsys, argv):
+    code, out, _ = run_cli(capsys, "build", *argv, *BLASCHKE_CASE)
+    assert code == 0
+    assert out.endswith("\n") and out.count("\n") == 1
+    payload = json.loads(out)
+    assert out == json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    assert payload == json.loads(json.dumps(payload, indent=2, sort_keys=True))
+
+
+@pytest.mark.parametrize("M", [16, 64])
+def test_indented_payloads_give_the_same_reports(tmp_path, capsys, M):
+    """Check and recover read a compact payload and its indented re-dump (the
+    layout build wrote before) to the same bytes and exit code."""
+    compact, indented = tmp_path / "compact.json", tmp_path / "indented.json"
+    assert run_cli(capsys, "build", "dtto", *BLASCHKE_CASE, "--M", str(M),
+                   "--out", str(compact))[0] == 0
+    indented.write_text(json.dumps(json.loads(compact.read_text()), indent=2,
+                                   sort_keys=True) + "\n")
+    codes = set()
+    for argv in (("check", "--checks", "shift,blocks,adtto,analytic"),
+                 ("recover", "--method", "zbar"), ("recover", "--method", "boundary")):
+        runs = [run_cli(capsys, argv[0], str(path), *argv[1:])
+                for path in (compact, indented)]
+        assert runs[0][:2] == runs[1][:2]
+        codes.add(runs[0][0])
+    # the analytic check fails on the zbar term of the symbol
+    assert codes == {0, 1}
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    """The caller's collector state before main, restored after the test."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("build", "dtto", "--theta", Z2, "--symbol", "z^-1", "--M", "8"), 0),
+    (("check", "OP", "--checks", "analytic"), 1),
+    (("check", "JUNK"), 2),
+    (("build", "dtto", "--theta", Z2, "--symbol", "{not json"), 2),
+], ids=["build", "check-fails", "invalid-payload", "invalid-symbol"])
+def test_main_restores_the_collector_state(tmp_path, capsys, collector, argv, code):
+    op, junk = tmp_path / "op.json", tmp_path / "junk.json"
+    was = gc.isenabled()
+    assert run_cli(capsys, "build", "dtto", "--theta", Z2, "--symbol", "z^-1",
+                   "--M", "8", "--out", str(op))[0] == 0
+    junk.write_text("{not json")
+    assert gc.isenabled() is was
+    files = {"OP": str(op), "JUNK": str(junk)}
+    assert run_cli(capsys, *(files.get(a, a) for a in argv))[0] == code
+    assert gc.isenabled() is collector
+
+
+def test_payload_steps_run_with_the_collector_paused(tmp_path, capsys, monkeypatch):
+    seen = []
+
+    def recording(fn):
+        def call(*args, **kwargs):
+            seen.append((fn.__name__, gc.isenabled()))
+            return fn(*args, **kwargs)
+        return call
+
+    shim = types.SimpleNamespace(loads=recording(json.loads), dumps=recording(json.dumps))
+    monkeypatch.setattr(cli, "json", shim)
+    monkeypatch.setattr(BlockOperator, "to_json", recording(BlockOperator.to_json))
+    path = tmp_path / "op.json"
+    assert run_cli(capsys, "build", "dtto", "--theta", Z2, "--symbol", "z",
+                   "--M", "8", "--out", str(path))[0] == 0
+    assert run_cli(capsys, "check", str(path))[0] == 0
+    assert seen == [("to_json", False), ("dumps", False), ("loads", False),
+                    ("dumps", False)]
+    assert gc.isenabled()
 
 
 # -- invalid input exits 2 with a one-line message ------------------------------
