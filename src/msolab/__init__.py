@@ -23,8 +23,7 @@ from .laurent import (LaurentPolynomial, conj_function, inner_product,
 from .operators import (BlockOperator, DenseComplexMatrix, SymbolFunction,
                         apply, build_dtto, build_tto, split_blocks)
 from .rng import Xoshiro256StarStar
-from .spaces import (admissible_for_shift, basis_Kperp, conjugation_C,
-                     hminus_basis, project, thetaH2_basis)
+from .spaces import admissible_for_shift, basis_Kperp, conjugation_C, project
 from .suites import SuiteConfig, run_suite
 
 __version__ = "0.1.0"
@@ -37,11 +36,10 @@ __all__ = [
     "Xoshiro256StarStar", "admissible_for_shift", "apply", "basis_Kperp",
     "build_dtto", "build_tto", "check_adtto", "check_block_conditions",
     "conj_function", "conjugation_C", "dual_transitivity_probe", "expand",
-    "gen_M", "gen_shift_pair", "hminus_basis", "inner_product",
-    "involution_J", "is_analytic_adtto", "minus_part",
-    "monomial_inner", "multiply", "pair", "plus_part", "project",
-    "project_band", "recover_symbol", "represent_functional", "run_suite",
-    "shift_invariance_defect", "solve_shift_invariant_space", "split_blocks",
-    "thetaH2_basis", "tm_basis", "trace_norm", "transitivity_probe",
-    "verify_inner", "__version__",
+    "gen_M", "gen_shift_pair", "inner_product", "involution_J",
+    "is_analytic_adtto", "minus_part", "monomial_inner", "multiply", "pair",
+    "plus_part", "project", "project_band", "recover_symbol",
+    "represent_functional", "run_suite", "shift_invariance_defect",
+    "solve_shift_invariant_space", "split_blocks", "tm_basis", "trace_norm",
+    "transitivity_probe", "verify_inner", "__version__",
 ]

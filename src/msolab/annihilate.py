@@ -83,9 +83,9 @@ def pair_many(T, families) -> np.ndarray:
     bad_y = dy > MEMBERSHIP_TOL * np.maximum(1.0, ny)
     if bad_x.any() or bad_y.any():
         r = int(np.argmax(bad_x | bad_y))
-        basis, defect = (dom, dx[r]) if bad_x[r] else (cod, dy[r])
+        side, basis, defect = ("f", dom, dx[r]) if bad_x[r] else ("g", cod, dy[r])
         raise DimensionError(
-            f"dyad vector leaves the {basis.label} span by {defect:.2e}")
+            f"dyad vector {side} leaves the {basis.label} span by {defect:.2e}")
     owner = np.repeat(np.arange(len(families)), [len(t.dyads) for t in families])
     out = np.zeros(len(families), dtype=np.complex128)
     np.add.at(out, owner, np.einsum("ri,ri->r", Y.conj(), X @ A.T))

@@ -1,9 +1,9 @@
 """Labeled orthonormal bases of the subspaces the operators act between.
 
-Bases of the truncated complement sections (kinds "thetaH2", "Hminus" and
-"model_perp") never stack their vector polynomials. With th the
-truncated expansion of the inner function, a section of depth M has the
-vectors th*z^k (k = 0..M) and zbar^k (k = 1..M+1), so
+Bases of the truncated complement section (kind "model_perp") never stack
+their vector polynomials. With th the truncated expansion of the inner
+function, a section of depth M has the vectors th*z^k (k = 0..M), its head,
+and zbar^k (k = 1..M+1), its tail, so
 
 * the head coordinates of f are the coefficients 0..M of f*conj(th),
 * the tail coordinates of f are its coefficients at degrees -1..-(M+1),
@@ -24,9 +24,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import DimensionError
 from .laurent import LaurentPolynomial
 
-_HEAD_KINDS = ("thetaH2", "model_perp")
-_TAIL_KINDS = ("Hminus", "model_perp")
-
 
 def _row_norms(F: np.ndarray) -> np.ndarray:
     # one pass over the real view, no conjugated temporary
@@ -37,11 +34,11 @@ def _row_norms(F: np.ndarray) -> np.ndarray:
 class OrthonormalBasis:
     """An ordered orthonormal family spanning one of the canonical subspaces.
 
-    `kind` drives the logic ("model", "thetaH2", "Hminus", "model_perp",
-    "admissible"); `label` is the human-readable tag used verbatim in JSON
-    reports. `inner` is the Blaschke product the space is attached to (None
-    for Hminus), `depth` the truncation M where applicable, `expansion` the
-    truncated expansion th behind the theta*z^k vectors of a section.
+    `kind` drives the logic ("model", "model_perp", "admissible"); `label`
+    is the human-readable tag that error messages and `repr` carry. `inner`
+    is the Blaschke product the space is attached to, `depth` the truncation
+    M of a section, `expansion` the truncated expansion th behind the
+    theta*z^k vectors of a section.
     """
 
     def __init__(self, label: str, vectors, *, kind: str, inner=None,
@@ -68,8 +65,9 @@ class OrthonormalBasis:
         return self.vectors[i]
 
     def band(self) -> tuple[int, int]:
-        lo = min(v.lo for v in self.vectors)
-        hi = max(v.hi for v in self.vectors)
+        """(lo, hi) over every vector; the empty band (0, -1) for no vectors."""
+        lo = min((v.lo for v in self.vectors), default=0)
+        hi = max((v.hi for v in self.vectors), default=-1)
         return lo, hi
 
     def stacked(self, lo: int | None = None, hi: int | None = None) -> np.ndarray:
@@ -99,19 +97,16 @@ class OrthonormalBasis:
 
     def gram_defect(self) -> float:
         g = self.gram()
-        return float(np.max(np.abs(g - np.eye(len(self.vectors))))) if len(self.vectors) else 0.0
+        return float(np.max(np.abs(g - np.eye(self.dim)), initial=0.0))
 
-    # -- coefficient slices of the complement sections -----------------------
+    # -- coefficient slices of the complement section ------------------------
 
     def _is_section(self) -> bool:
-        return self.kind in _HEAD_KINDS or self.kind in _TAIL_KINDS
+        return self.kind == "model_perp"
 
     def _section_band(self) -> tuple[int, int]:
-        n = self.depth + 1
-        th = self.expansion
-        lo = -n if self.kind in _TAIL_KINDS else th.lo
-        hi = th.hi + n - 1 if self.kind in _HEAD_KINDS else -1
-        return lo, hi
+        """From the tail's lowest degree -(M+1) to the head's highest."""
+        return -(self.depth + 1), self.expansion.hi + self.depth
 
     def _section_dense(self, x: np.ndarray) -> tuple[int, np.ndarray]:
         """(lo, coefficients) of sum_k x_k v_k over the section band."""
@@ -119,10 +114,8 @@ class OrthonormalBasis:
         th = self.expansion
         lo, hi = self._section_band()
         data = np.zeros(hi - lo + 1, dtype=np.complex128)
-        if self.kind in _HEAD_KINDS:
-            data[th.lo - lo:] = np.convolve(th._data, x[:n])
-        if self.kind in _TAIL_KINDS:
-            data[:n] = x[-n:][::-1]
+        data[th.lo - lo:] = np.convolve(th._data, x[:n])
+        data[:n] = x[n:][::-1]
         return lo, data
 
     def _head_correlation(self) -> np.ndarray:
@@ -162,9 +155,7 @@ class OrthonormalBasis:
         polys[r] minus its rebuild from them, norms[r] the norm of polys[r].
         """
         polys = list(polys)
-        if not self.vectors:
-            blo, bhi = 0, -1
-        elif self._is_section():
+        if self._is_section():
             blo, bhi = self._section_band()
         else:
             blo, bhi, V, Vc = self._stack()
@@ -177,22 +168,16 @@ class OrthonormalBasis:
         norms = _row_norms(F)
         # F becomes the residual: each coordinate block subtracts its rebuild,
         # which on the tail is the slice itself
-        if not self.vectors:
-            X = np.zeros((len(polys), 0), dtype=np.complex128)
-        elif self._is_section():
+        if self._is_section():
             n = self.depth + 1
-            parts = []
-            if self.kind in _HEAD_KINDS:
-                th = self.expansion
-                H = self._head_correlation()
-                head = F[:, th.lo - lo:th.hi + n - lo]
-                parts.append(head @ H)
-                head -= parts[-1] @ H.conj().T
-            if self.kind in _TAIL_KINDS:
-                tail = F[:, -n - lo:-lo]
-                parts.append(tail[:, ::-1].copy())
-                tail[:] = 0
-            X = np.hstack(parts)
+            th = self.expansion
+            H = self._head_correlation()
+            head = F[:, th.lo - lo:th.hi + n - lo]
+            tail = F[:, -n - lo:-lo]
+            coords = head @ H
+            X = np.hstack([coords, tail[:, ::-1]])
+            head -= coords @ H.conj().T
+            tail[:] = 0
         else:
             seg = F[:, blo - lo:bhi - lo + 1]
             X = seg @ Vc.T

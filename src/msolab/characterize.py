@@ -112,7 +112,7 @@ def shift_invariance_defect(op: BlockOperator | DenseComplexMatrix, *,
     if isinstance(op, BlockOperator):
         tol = _tolerance(tol, op.theta, op.alpha)
         A = op.assemble()
-        keep, moved = section_shift_index("model_perp", op.M)
+        keep, moved = section_shift_index(op.M)
         dev = np.abs(A[np.ix_(moved, moved)] - A[np.ix_(keep, keep)]).T
     else:
         tol = _tolerance(tol, op.domain.inner, op.codomain.inner)
@@ -139,16 +139,15 @@ class ShiftInvariantSolution(NamedTuple):
 
 
 def solve_shift_invariant_space(theta: BlaschkeProduct, alpha: BlaschkeProduct,
-                                space: str = "model",
                                 M: int | None = None) -> ShiftInvariantSolution:
     """Basis of the space of shift-invariant operators: the solutions of
     <A(zf_i), zg_j> = <Af_i, g_j> over all admissible basis pairs.
 
-    "model": between the model spaces of theta and alpha, the nullspace of
+    M None: between the model spaces of theta and alpha, the nullspace of
     that homogeneous system from an SVD (singular values below
     SHIFT_KERNEL_TOL count as zero); `singular_values` holds the SVD's.
 
-    "model_perp": between the depth-M complement sections, for every theta
+    M a depth: between the depth-M complement sections, for every theta
     and alpha. The shift moves section vectors to section vectors (theta z^k
     to theta z^(k+1), zbar^k to zbar^(k-1)), so the system asks each block
     to be constant along the degrees of `operators.block_degrees`: the
@@ -158,9 +157,9 @@ def solve_shift_invariant_space(theta: BlaschkeProduct, alpha: BlaschkeProduct,
     its block, zeros elsewhere. No rank decision is made, so
     `singular_values` is empty.
     """
-    if space == "model_perp":
-        if M is None or M < 0:
-            raise InputError("model_perp solve requires a truncation depth M >= 0")
+    if M is not None:
+        if M < 0:
+            raise InputError("section solve requires a truncation depth M >= 0")
         if M > MAX_DEPTH:
             raise InputError(f"M={M} above the depth cap MAX_DEPTH={MAX_DEPTH}")
         ops = []
@@ -171,8 +170,6 @@ def solve_shift_invariant_space(theta: BlaschkeProduct, alpha: BlaschkeProduct,
                 blocks[b][on] = 1.0 / np.sqrt(np.count_nonzero(on))
                 ops.append(BlockOperator(*blocks, theta, alpha, M))
         return ShiftInvariantSolution(len(ops), ops, np.zeros(0))
-    if space != "model":
-        raise InputError(f"unknown operator space {space!r}")
     dom = tm_basis(theta)
     cod = tm_basis(alpha)
     X, Xz = _coordinate_columns(dom)

@@ -6,8 +6,8 @@ Takenaka-Malmquist bases). A `BlockOperator` holds the four compressions of
 an operator between complement sections in the fixed basis order of
 spaces.basis_Kperp:
 
-    [ That        GammaCheck ]   thetaH2@M -> alphaH2@M | Hminus@M -> alphaH2@M
-    [ GammaHat    TCheck     ]   thetaH2@M -> Hminus@M  | Hminus@M -> Hminus@M
+    [ That        GammaCheck ]   theta*H2 -> alpha*H2 | H2minus -> alpha*H2
+    [ GammaHat    TCheck     ]   theta*H2 -> H2minus  | H2minus -> H2minus
 
 Each block is a Toeplitz or Hankel matrix in one coefficient sequence. With
 th, al the truncated expansions behind the sections (spaces.section_expansion)
@@ -172,7 +172,7 @@ class BlockOperator:
         return basis_Kperp(self.theta, self.M)
 
     def codomain_basis(self) -> OrthonormalBasis:
-        return basis_Kperp(self.alpha, self.M, name="alpha")
+        return basis_Kperp(self.alpha, self.M)
 
     def assemble(self) -> np.ndarray:
         top = np.hstack([self.that, self.gamma_check])

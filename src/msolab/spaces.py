@@ -2,13 +2,14 @@
 
 The ambient decomposition is L2 = K(theta) + theta*H2 + H2minus, realized on
 banded expansions. All subspace projections route through one primitive:
-P_{theta H2} f = theta * P+(conj(theta) f). Finite sections of theta*H2 and
-H2minus at depth M use the fixed vector order
+P_{theta H2} f = theta * P+(conj(theta) f). The one finite section basis
+is the depth-M section of the complement theta*H2 + H2minus (basis_Kperp),
+in the fixed vector order
 
     theta*z^k for k = 0..M,  then  zbar^k for k = 1..M+1,
 
 and that order defines every block matrix in the package. Coordinates in
-these sections are coefficient slices: with th = section_expansion(theta, M),
+the section are coefficient slices: with th = section_expansion(theta, M),
 the theta*H2 coordinates of f are the coefficients 0..M of f*conj(th) and
 the H2minus coordinates are the coefficients of f at degrees -1..-(M+1)
 (see msolab.bases).
@@ -74,49 +75,37 @@ def section_expansion(theta: BlaschkeProduct, M: int) -> LaurentPolynomial:
 
 
 @functools.lru_cache(maxsize=256)
-def thetaH2_basis(theta: BlaschkeProduct, M: int, *,
-                  name: str = "theta") -> OrthonormalBasis:
-    """{theta z^k : 0 <= k <= M}; orthonormal since |theta| = 1 on the circle."""
+def _tail_monomials(M: int) -> tuple[LaurentPolynomial, ...]:
+    """zbar^k for k = 1..M+1: the H2minus part of every depth-M section,
+    built once per depth."""
+    return tuple(LaurentPolynomial.monomial(-k) for k in range(1, M + 2))
+
+
+@functools.lru_cache(maxsize=256)
+def basis_Kperp(theta: BlaschkeProduct, M: int) -> OrthonormalBasis:
+    """Finite section of the complement of the model space: theta z^k for
+    k = 0..M, then zbar^k for k = 1..M+1 (this order is load-bearing).
+    Orthonormal since |theta| = 1 on the circle."""
     if M < 0:
         raise InputError("truncation depth must be nonnegative")
     th = section_expansion(theta, M)
-    return OrthonormalBasis(f"{name}H2@{M}", (th.shift(k) for k in range(M + 1)),
-                            kind="thetaH2", inner=theta, depth=M, expansion=th)
+    head = tuple(th.shift(k) for k in range(M + 1))
+    return OrthonormalBasis(f"Kperp({theta.short_name()})@{M}",
+                            head + _tail_monomials(M), kind="model_perp",
+                            inner=theta, depth=M, expansion=th)
 
 
-@functools.lru_cache(maxsize=256)
-def hminus_basis(M: int) -> OrthonormalBasis:
-    """{zbar^k : 1 <= k <= M+1}."""
-    if M < 0:
-        raise InputError("truncation depth must be nonnegative")
-    vectors = tuple(LaurentPolynomial.monomial(-k) for k in range(1, M + 2))
-    return OrthonormalBasis(f"Hminus@{M}", vectors, kind="Hminus", depth=M)
-
-
-@functools.lru_cache(maxsize=256)
-def basis_Kperp(theta: BlaschkeProduct, M: int, *,
-                name: str = "theta") -> OrthonormalBasis:
-    """Finite section of the complement of the model space: the theta*H2
-    section followed by the H2minus section (this order is load-bearing)."""
-    head = thetaH2_basis(theta, M, name=name)
-    tail = hminus_basis(M)
-    return OrthonormalBasis(f"Kperp({name})@{M}", head.vectors + tail.vectors,
-                            kind="model_perp", inner=theta, depth=M,
-                            expansion=head.expansion)
-
-
-def section_shift_index(kind: str, M: int) -> tuple[np.ndarray, np.ndarray]:
+def section_shift_index(M: int) -> tuple[np.ndarray, np.ndarray]:
     """Where the shift moves the admissible vectors of a depth-M section.
 
-    The shift is an index shift on the sections, theta z^k -> theta z^(k+1)
+    The shift is an index shift on the section, theta z^k -> theta z^(k+1)
     and zbar^k -> zbar^(k-1), so z*v[keep[p]] = v[moved[p]] exactly. The
     two vectors the shift pushes out are not kept: theta z^M (z*theta z^M
     leaves the truncation) and zbar (z*zbar = 1 has the nonzero model-space
     part 1 - conj(theta(0)) theta).
     """
     k = np.arange(M)
-    return {"thetaH2": (k, k + 1), "Hminus": (k + 1, k),
-            "model_perp": (np.r_[k, k + M + 2], np.r_[k + 1, k + M + 1])}[kind]
+    return np.r_[k, k + M + 2], np.r_[k + 1, k + M + 1]
 
 
 def admissible_for_shift(V: OrthonormalBasis) -> OrthonormalBasis:
@@ -127,13 +116,13 @@ def admissible_for_shift(V: OrthonormalBasis) -> OrthonormalBasis:
     needs the generic route: the kernel of (I - P_model) o M_z restricted to
     span V, with singular values below SHIFT_KERNEL_TOL treated as zero.
     """
-    if V.kind not in SUBSPACES:
-        raise InputError(f"unsupported basis kind {V.kind!r}")
     label = f"admissible[{V.label}]"
-    if V.kind != "model":
-        keep, _ = section_shift_index(V.kind, V.depth)
+    if V.kind == "model_perp":
+        keep, _ = section_shift_index(V.depth)
         return OrthonormalBasis(label, [V.vectors[i] for i in keep],
                                 kind="admissible", inner=V.inner, depth=V.depth)
+    if V.kind != "model":
+        raise InputError(f"unsupported basis kind {V.kind!r}")
     shifted = [v.shift(1) for v in V]
     residuals = [zv - project(V.inner, "model", zv) for zv in shifted]
     live = [r for r in residuals if not r.is_zero()]

@@ -27,23 +27,18 @@ from msolab.laurent import (LaurentPolynomial, conj_function, inner_product,
 from msolab.operators import (BlockOperator, SymbolFunction, _pairing_matrix,
                               apply)
 from msolab.spaces import (SHIFT_KERNEL_TOL, admissible_for_shift, basis_Kperp,
-                           conjugation_C, hminus_basis, project,
-                           section_expansion, thetaH2_basis)
+                           conjugation_C, project, section_expansion)
 
 
 def pairing_build_dtto(theta, alpha, phi, M) -> BlockOperator:
     """build_dtto through 2(M+1) polynomial products paired against the
-    dense codomain sections."""
+    dense codomain section; its first M+1 rows are the alpha*H2 head."""
     phi = SymbolFunction.parse(phi)
-    dom = basis_Kperp(theta, M)
-    cod_head = thetaH2_basis(alpha, M, name="alpha")
-    cod_tail = hminus_basis(M)
-    images = [multiply(phi.value, v) for v in dom.vectors]
+    images = [multiply(phi.value, v) for v in basis_Kperp(theta, M)]
     n = M + 1
-    upper = _pairing_matrix(images, cod_head)
-    lower = _pairing_matrix(images, cod_tail)
-    return BlockOperator(that=upper[:, :n], gamma_check=upper[:, n:],
-                         gamma_hat=lower[:, :n], t_check=lower[:, n:],
+    P = _pairing_matrix(images, basis_Kperp(alpha, M))
+    return BlockOperator(that=P[:n, :n], gamma_check=P[:n, n:],
+                         gamma_hat=P[n:, :n], t_check=P[n:, n:],
                          theta=theta, alpha=alpha, M=M, edge=phi.reach)
 
 
@@ -76,11 +71,11 @@ def loop_pair(T, t) -> complex:
     acc = 0j
     for f, g in t.dyads:
         x, y = dom.coords(f), cod.coords(g)
-        for basis, vec, coords in ((dom, f, x), (cod, g, y)):
+        for side, basis, vec, coords in (("f", dom, f, x), ("g", cod, g, y)):
             defect = (vec - basis.reconstruct(coords)).norm()
             if defect > MEMBERSHIP_TOL * max(1.0, vec.norm()):
                 raise DimensionError(
-                    f"dyad vector leaves the {basis.label} span by {defect:.2e}")
+                    f"dyad vector {side} leaves the {basis.label} span by {defect:.2e}")
         acc += np.vdot(y, apply(T, x))
     return complex(acc)
 
@@ -153,40 +148,35 @@ def loop_shift_system(domain, codomain) -> np.ndarray:
 def conjugation_corner_maps(theta, alpha, M):
     """Matrices of the two antilinear corner maps linking the sections.
 
-    W1 represents theta z^k -> P-( C_alpha(z^k) ) from thetaH2@M to Hminus@M;
-    W2 represents zbar^(j+1) -> theta * C_alpha(zbar^(j+1)) from Hminus@M into
-    the alphaH2@M section (the image theta*alpha*z^j lies in both sections;
-    alphaH2 coordinates are the ones the adjoint of a That block consumes).
-    Both act on coordinates via x -> W conj(x) (antilinear).
+    W1 represents theta z^k -> P-( C_alpha(z^k) ) from the theta*H2 head of
+    the depth-M section to its H2minus tail; W2 represents
+    zbar^(j+1) -> theta * C_alpha(zbar^(j+1)) from the tail into the
+    alpha*H2 head (the image theta*alpha*z^j lies in both sections; head
+    coordinates are the ones the adjoint of a That block consumes). Both
+    act on coordinates via x -> W conj(x) (antilinear). The rows are the
+    tail rows and the head rows of one pairing against basis_Kperp(alpha, M).
     """
-    al_basis = thetaH2_basis(alpha, M, name="alpha")
-    hm_basis = hminus_basis(M)
+    cod = basis_Kperp(alpha, M)
     th = section_expansion(theta, M)
+    n = M + 1
 
     images1 = [minus_part(conjugation_C(alpha, LaurentPolynomial.monomial(k)))
-               for k in range(M + 1)]
-    W1 = _pairing_matrix(images1, hm_basis)
+               for k in range(n)]
+    W1 = _pairing_matrix(images1, cod)[n:]
 
     images2 = [multiply(th, conjugation_C(alpha, LaurentPolynomial.monomial(-(j + 1))))
-               for j in range(M + 1)]
-    W2 = _pairing_matrix(images2, al_basis)
+               for j in range(n)]
+    W2 = _pairing_matrix(images2, cod)[:n]
     return W1, W2
 
 
 def svd_admissible_for_shift(V) -> OrthonormalBasis:
     """admissible_for_shift on a section through the generic route: drop the
-    top analytic layer, then take the kernel of (I - P_ambient) o M_z on the
-    remaining span from an SVD of the shift residuals."""
-    candidates = list(V.vectors)
-    if V.kind == "model_perp":
-        candidates = candidates[:V.depth] + candidates[V.depth + 1:]
-    elif V.kind == "thetaH2":
-        candidates = candidates[:-1]
-    label = f"admissible[{V.label}]"
-    if not candidates:
-        return OrthonormalBasis(label, (), kind="admissible", inner=V.inner,
-                                depth=V.depth)
-    residuals = [v.shift(1) - project(V.inner, V.kind, v.shift(1))
+    top analytic layer theta z^M, then take the kernel of
+    (I - P_model_perp) o M_z on the remaining span from an SVD of the shift
+    residuals."""
+    candidates = V.vectors[:V.depth] + V.vectors[V.depth + 1:]
+    residuals = [v.shift(1) - project(V.inner, "model_perp", v.shift(1))
                  for v in candidates]
     live = [r for r in residuals if not r.is_zero()]
     lo = min((r.lo for r in live), default=0)
@@ -203,8 +193,8 @@ def svd_admissible_for_shift(V) -> OrthonormalBasis:
             if c != 0:
                 acc = acc + v.scale(c)
         vectors.append(acc)
-    return OrthonormalBasis(label, vectors, kind="admissible", inner=V.inner,
-                            depth=V.depth)
+    return OrthonormalBasis(f"admissible[{V.label}]", vectors, kind="admissible",
+                            inner=V.inner, depth=V.depth)
 
 
 def poly_apply(D: BlockOperator, f: LaurentPolynomial) -> LaurentPolynomial:

@@ -8,7 +8,7 @@ from msolab.annihilate import (FiniteRankOperator, dual_transitivity_probe,
 from msolab.errors import AdmissibilityError, DimensionError, InputError
 from msolab.inner import BlaschkeProduct, expand, monomial_inner, tm_basis
 from msolab.laurent import LaurentPolynomial, monomial, multiply, one
-from msolab.operators import DenseComplexMatrix, build_dtto, build_tto
+from msolab.operators import build_dtto, build_tto
 from msolab.spaces import admissible_for_shift, basis_Kperp
 
 from conftest import random_poly
@@ -41,10 +41,13 @@ def test_pair_family_five_hand_example():
 
 
 def test_pair_rejects_vectors_outside_section():
+    # theta = alpha: both sides are one basis with one label, so the error
+    # names the side
     D = build_dtto(Z2, Z2, one(), 6)
-    with pytest.raises(DimensionError):
+    assert D.domain_basis() is D.codomain_basis()
+    with pytest.raises(DimensionError, match=r"vector f leaves the Kperp\(z\^2\)@6 span"):
         pair(D, FiniteRankOperator([(monomial(0), monomial(2))]))  # 1 in K_theta
-    with pytest.raises(DimensionError):
+    with pytest.raises(DimensionError, match=r"vector g leaves the Kperp\(z\^2\)@6 span"):
         pair(D, FiniteRankOperator([(monomial(2), monomial(40))]))  # beyond M
 
 

@@ -11,8 +11,6 @@ from msolab.inner import BlaschkeProduct, monomial_inner, tm_basis
 from msolab.laurent import LaurentPolynomial, monomial, one
 from msolab.operators import (MAX_DEPTH, BlockOperator, DenseComplexMatrix,
                               build_dtto, build_tto)
-from msolab.rng import Xoshiro256StarStar
-from msolab.spaces import basis_Kperp
 
 from conftest import assert_poly_close, random_poly
 
@@ -88,17 +86,30 @@ def test_nullspace_dimension_blaschke():
 def test_complement_nullspace_has_block_structure():
     for theta, alpha in ((Z2, Z2), (BlaschkeProduct([0.5]), Z3),
                          (BlaschkeProduct([0.9j, 0.3]), BlaschkeProduct([-0.95]))):
-        sol = solve_shift_invariant_space(theta, alpha, space="model_perp", M=6)
+        sol = solve_shift_invariant_space(theta, alpha, M=6)
         assert sol.dimension == 8 * 6 + 4
         for op in sol.operators:
             assert shift_invariance_defect(op).defect == 0.0
             assert [rep.defect for rep in check_block_conditions(op)] == [0.0] * 4
 
 
-@pytest.mark.parametrize("M", [None, -1, MAX_DEPTH + 1])
+@pytest.mark.parametrize("M", [-1, MAX_DEPTH + 1])
 def test_complement_solve_requires_depth(M):
     with pytest.raises(InputError):
-        solve_shift_invariant_space(Z2, Z2, space="model_perp", M=M)
+        solve_shift_invariant_space(Z2, Z2, M=M)
+
+
+def test_solve_reads_its_space_from_the_depth():
+    # no depth: the model spaces, z^3 -> z^2 (dimension m + n - 1); a depth:
+    # the sections, 4(2M+1); and no operator-space option besides M
+    model = solve_shift_invariant_space(monomial_inner(3), Z2)
+    assert model.dimension == 4 and model.singular_values.size > 0
+    assert all(isinstance(op, DenseComplexMatrix) for op in model.operators)
+    sections = solve_shift_invariant_space(monomial_inner(3), Z2, 5)
+    assert sections.dimension == 44 and sections.singular_values.size == 0
+    assert all(isinstance(op, BlockOperator) for op in sections.operators)
+    with pytest.raises(TypeError):
+        solve_shift_invariant_space(Z2, Z2, "model", 5)
 
 
 # -- blockwise conditions ---------------------------------------------------------

@@ -22,8 +22,7 @@ from msolab.laurent import LaurentPolynomial, monomial, multiply
 from msolab.operators import (BlockOperator, DenseComplexMatrix, SymbolFunction,
                               build_dtto, build_tto, split_blocks)
 from msolab.rng import Xoshiro256StarStar
-from msolab.spaces import (SHIFT_KERNEL_TOL, admissible_for_shift, basis_Kperp,
-                           hminus_basis, thetaH2_basis)
+from msolab.spaces import SHIFT_KERNEL_TOL, admissible_for_shift, basis_Kperp
 from msolab.suites import random_inner, random_symbol
 
 from conftest import dense_noise_operator, random_poly
@@ -105,34 +104,29 @@ SECTION_INNERS = [monomial_inner(2), BlaschkeProduct([0.5, -0.3j]),
                   BlaschkeProduct([0.95, 0.2j], allow_near_boundary=True)]
 
 
-def _sections(theta, M):
-    return [thetaH2_basis(theta, M), hminus_basis(M), basis_Kperp(theta, M)]
-
-
 @pytest.mark.parametrize("theta", SECTION_INNERS, ids=["z^2", "blaschke", "rho=0.95"])
 @pytest.mark.parametrize("M", [0, 3, 12])
 def test_section_slices_match_dense_stack(theta, M, rng):
     model = tm_basis(theta)
-    for basis in _sections(theta, M):
-        x = np.array([rng.complex_box() for _ in range(basis.dim)])
-        rebuilt = basis.reconstruct(x)
-        expected = dense_reconstruct(basis, x)
-        assert (rebuilt - expected).norm() <= ORACLE_TOL
-        outside = [monomial(-(M + 2)), monomial(0) if basis.kind == "Hminus"
-                   else model.reconstruct(np.ones(model.dim))]
-        probes = [rebuilt, random_poly(rng, -M - 4, M + 9)]
-        probes += [rebuilt + v.scale(s) for v in outside for s in (1.0, 1e-6)]
-        for f in probes:
-            np.testing.assert_allclose(basis.coords(f), dense_coords(basis, f),
-                                       rtol=0, atol=ORACLE_TOL)
-            x_fast, d_fast = basis.coords_and_defect(f)
-            x_slow, d_slow = dense_coords_and_defect(basis, f)
-            np.testing.assert_allclose(x_fast, x_slow, rtol=0, atol=ORACLE_TOL)
-            assert d_fast == pytest.approx(d_slow, rel=1e-9, abs=ORACLE_TOL)
-        assert basis.membership_defect(rebuilt) <= 1e-12
-        for v in outside:
-            assert basis.membership_defect(rebuilt + v.scale(1e-6)) == \
-                pytest.approx(1e-6 * v.norm(), rel=1e-6)
+    basis = basis_Kperp(theta, M)
+    x = np.array([rng.complex_box() for _ in range(basis.dim)])
+    rebuilt = basis.reconstruct(x)
+    expected = dense_reconstruct(basis, x)
+    assert (rebuilt - expected).norm() <= ORACLE_TOL
+    outside = [monomial(-(M + 2)), model.reconstruct(np.ones(model.dim))]
+    probes = [rebuilt, random_poly(rng, -M - 4, M + 9)]
+    probes += [rebuilt + v.scale(s) for v in outside for s in (1.0, 1e-6)]
+    for f in probes:
+        np.testing.assert_allclose(basis.coords(f), dense_coords(basis, f),
+                                   rtol=0, atol=ORACLE_TOL)
+        x_fast, d_fast = basis.coords_and_defect(f)
+        x_slow, d_slow = dense_coords_and_defect(basis, f)
+        np.testing.assert_allclose(x_fast, x_slow, rtol=0, atol=ORACLE_TOL)
+        assert d_fast == pytest.approx(d_slow, rel=1e-9, abs=ORACLE_TOL)
+    assert basis.membership_defect(rebuilt) <= 1e-12
+    for v in outside:
+        assert basis.membership_defect(rebuilt + v.scale(1e-6)) == \
+            pytest.approx(1e-6 * v.norm(), rel=1e-6)
 
 
 @pytest.mark.parametrize("theta", SECTION_INNERS[1:], ids=["blaschke", "rho=0.95"])
@@ -155,8 +149,8 @@ def test_pair_membership_error_still_fires(theta, rng):
 @pytest.mark.parametrize("theta", SECTION_INNERS, ids=["z^2", "blaschke", "rho=0.95"])
 @pytest.mark.parametrize("M", [0, 3, 12])
 def test_batch_coords_match_dense_rows(theta, M, rng):
-    bases = _sections(theta, M) + [tm_basis(theta),
-                                   admissible_for_shift(basis_Kperp(theta, M))]
+    bases = [basis_Kperp(theta, M), tm_basis(theta),
+             admissible_for_shift(basis_Kperp(theta, M))]
     for basis in bases:
         x = np.array([rng.complex_box() for _ in range(basis.dim)])
         rebuilt = basis.reconstruct(x)
@@ -255,11 +249,11 @@ def test_pair_many_membership_error_names_the_leaving_vector():
     (f1, g1), (f2, g2) = families[20].dyads
     leak_f = tm_basis(theta).reconstruct(np.ones(theta.degree)).scale(1e-6)
     leak_g = monomial(-(M + 2)).scale(1e-6)
-    for dyads, basis in (([(f1, g1), (f2, g2 + leak_g)], D.codomain_basis()),
-                         ([(f1 + leak_f, g1), (f2, g2)], D.domain_basis())):
+    for dyads, side, basis in (([(f1, g1), (f2, g2 + leak_g)], "g", D.codomain_basis()),
+                               ([(f1 + leak_f, g1), (f2, g2)], "f", D.domain_basis())):
         batch = families[:20] + [FiniteRankOperator(dyads)] + families[21:]
-        with pytest.raises(DimensionError,
-                           match=f"leaves the {re.escape(basis.label)} span"):
+        with pytest.raises(DimensionError, match=f"dyad vector {side} leaves "
+                           f"the {re.escape(basis.label)} span"):
             pair_many(D, batch)
 
 
@@ -311,17 +305,16 @@ def test_pair_many_empty_batches():
 @pytest.mark.parametrize("theta", SECTION_INNERS, ids=["z^2", "blaschke", "rho=0.95"])
 @pytest.mark.parametrize("M", [0, 1, 6, 40])
 def test_admissible_sections_match_svd_oracle(theta, M):
-    for basis in _sections(theta, M):
-        fast = admissible_for_shift(basis)
-        slow = svd_admissible_for_shift(basis)
-        assert fast.dim == slow.dim == max(basis.dim - 1 - (basis.kind == "model_perp"), 0)
-        assert set(fast.vectors) <= set(basis.vectors)
-        if fast.dim:
-            lo = min(fast.band()[0], slow.band()[0])
-            hi = max(fast.band()[1], slow.band()[1])
-            P_fast, P_slow = (S.conj().T @ S for S in (fast.stacked(lo, hi),
-                                                        slow.stacked(lo, hi)))
-            assert np.max(np.abs(P_fast - P_slow)) <= 1e-12
+    basis = basis_Kperp(theta, M)
+    fast = admissible_for_shift(basis)
+    slow = svd_admissible_for_shift(basis)
+    assert fast.dim == slow.dim == basis.dim - 2
+    assert set(fast.vectors) <= set(basis.vectors)
+    lo = min(fast.band()[0], slow.band()[0])
+    hi = max(fast.band()[1], slow.band()[1])
+    P_fast, P_slow = (S.conj().T @ S for S in (fast.stacked(lo, hi),
+                                                slow.stacked(lo, hi)))
+    assert np.max(np.abs(P_fast - P_slow), initial=0.0) <= 1e-12
 
 
 def _corner_operators():
@@ -486,11 +479,11 @@ def test_shift_invariant_solve_matches_loop_system(theta, alpha, space, M):
     Sections: the closed-form basis is orthonormal and spans the loop
     system's SVD nullspace (all operators at M = 0, where no pair is
     admissible)."""
-    sol = solve_shift_invariant_space(theta, alpha, space, M)
+    sol = solve_shift_invariant_space(theta, alpha, M)
     if space == "model":
         dom, cod = tm_basis(theta), tm_basis(alpha)
     else:
-        dom, cod = basis_Kperp(theta, M), basis_Kperp(alpha, M, name="alpha")
+        dom, cod = basis_Kperp(theta, M), basis_Kperp(alpha, M)
     _, s, Vh = np.linalg.svd(loop_shift_system(dom, cod), full_matrices=True)
     if space == "model":
         np.testing.assert_array_equal(sol.singular_values, s)
@@ -510,7 +503,7 @@ def test_section_shift_invariant_space_runs_no_svd(monkeypatch):
         raise AssertionError("np.linalg.svd called")
     monkeypatch.setattr(np.linalg, "svd", no_svd)
     theta, alpha = BlaschkeProduct([0.9, -0.3j]), monomial_inner(2)
-    assert solve_shift_invariant_space(theta, alpha, "model_perp", 10).dimension == 84
+    assert solve_shift_invariant_space(theta, alpha, 10).dimension == 84
 
 
 # -- recovery residual --------------------------------------------------------------

@@ -3,8 +3,8 @@ import pytest
 
 from msolab.errors import DimensionError, InputError
 from msolab.inner import BlaschkeProduct, expand, monomial_inner
-from msolab.laurent import (LaurentPolynomial, conj_function, involution_J,
-                            minus_part, monomial, multiply, one, plus_part)
+from msolab.laurent import (LaurentPolynomial, conj_function, minus_part,
+                            monomial, multiply, one)
 from msolab.operators import (MAX_DEPTH, BlockOperator, SymbolFunction, apply,
                               build_dtto, build_tto, split_blocks)
 from msolab.spaces import project

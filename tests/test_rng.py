@@ -1,8 +1,6 @@
 """The documented generator must reproduce the published splitmix64 stream
 and stay deterministic across instances."""
 
-import pytest
-
 from msolab.rng import Xoshiro256StarStar, _splitmix64
 
 

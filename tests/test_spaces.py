@@ -6,7 +6,7 @@ from msolab.inner import BlaschkeProduct, expand, monomial_inner, tm_basis
 from msolab.laurent import (LaurentPolynomial, conj_function, inner_product,
                             minus_part, monomial, multiply, one, plus_part)
 from msolab.spaces import (admissible_for_shift, basis_Kperp, conjugation_C,
-                           hminus_basis, project, thetaH2_basis)
+                           project)
 
 from conftest import assert_poly_close, random_poly
 
@@ -105,9 +105,8 @@ def test_kperp_basis_order_and_labels():
     basis = basis_Kperp(Z2, 1)
     assert [v.coeffs for v in basis] == [
         {2: (1 + 0j)}, {3: (1 + 0j)}, {-1: (1 + 0j)}, {-2: (1 + 0j)}]
-    assert basis.label == "Kperp(theta)@1"
-    assert thetaH2_basis(Z2, 3).label == "thetaH2@3"
-    assert hminus_basis(3).label == "Hminus@3"
+    assert basis.label == "Kperp(z^2)@1"
+    assert basis_Kperp(BlaschkeProduct([0.5, 0.2j]), 4).label == "Kperp(blaschke[2])@4"
     assert tm_basis(Z2).label == "K(z^2)"
 
 
@@ -131,6 +130,20 @@ def test_admissible_complement_section():
     adm = admissible_for_shift(basis_Kperp(Z2, 1))
     got = {frozenset(v.coeffs) for v in adm}
     assert got == {frozenset({2}), frozenset({-2})}
+
+
+def test_empty_admissible_section_has_the_empty_band():
+    # at M = 0 the shift pushes out both section vectors, theta and zbar
+    adm = admissible_for_shift(basis_Kperp(Z2, 0))
+    assert adm.dim == 0
+    assert adm.band() == (0, -1)
+    assert adm.stacked().shape == (0, 0)
+    assert adm.gram().shape == (0, 0)
+    assert adm.gram_defect() == 0.0
+    X, defects, norms = adm.coords_and_defects([monomial(3), LaurentPolynomial()])
+    assert X.shape == (2, 0)
+    np.testing.assert_array_equal(defects, norms)
+    assert adm.reconstruct([]).is_zero()
 
 
 def test_admissible_model_space_monomial():

@@ -1,5 +1,6 @@
 import pytest
 
+from msolab import annihilate, characterize, suites
 from msolab.errors import InputError
 from msolab.inner import monomial_inner
 from msolab.laurent import LaurentPolynomial
@@ -48,3 +49,28 @@ def test_config_guard_validation():
 def test_fuzz_rejects_vacuous_case_counts(cases):
     with pytest.raises(InputError, match="cases must be positive"):
         run_fuzz(SuiteConfig(cases=cases))
+
+
+def test_transitivity_failure_report_has_the_pass_keys(monkeypatch):
+    passed = suites.transitivity_scan(5)
+    assert passed["pass"] and passed["pairs"] == 50
+    # a floor above every probe peak: no product certifies itself nonzero
+    monkeypatch.setattr(annihilate, "PROBE_FLOOR", 1e6)
+    failed = suites.transitivity_scan(5)
+    assert list(failed) == list(passed)
+    assert failed["seed"] == 5 and not failed["pass"]
+    assert failed["floor"] == 1e6 and failed["min_peak"] == passed["min_peak"]
+
+
+def test_block_structure_requires_the_closed_form_dimension(monkeypatch):
+    assert suites.block_structure_scan()["dimension"] == 84
+    solve = characterize.solve_shift_invariant_space
+
+    def short_solve(theta, alpha, M=None):
+        sol = solve(theta, alpha, M)
+        return sol._replace(dimension=sol.dimension - 1,
+                            operators=sol.operators[:-1])
+    monkeypatch.setattr(characterize, "solve_shift_invariant_space", short_solve)
+    report = suites.block_structure_scan()
+    assert report["dimension"] == 83 and report["max_structure_defect"] == 0.0
+    assert not report["pass"]
