@@ -21,7 +21,7 @@ from .laurent import (LaurentPolynomial, conj_function, inner_product,
                       involution_J, minus_part, multiply, plus_part,
                       project_band)
 from .operators import (BlockOperator, DenseComplexMatrix, SymbolFunction,
-                        apply, build_dtto, build_tto, split_blocks)
+                        build_dtto, build_tto, split_blocks)
 from .rng import Xoshiro256StarStar
 from .spaces import admissible_for_shift, basis_Kperp, conjugation_C, project
 from .suites import SuiteConfig, run_suite
@@ -33,7 +33,7 @@ __all__ = [
     "DenseComplexMatrix", "DimensionError", "FiniteRankOperator",
     "InputError", "LaurentPolynomial", "MsolabError",
     "OrthonormalBasis", "SuiteConfig", "SymbolFunction",
-    "Xoshiro256StarStar", "admissible_for_shift", "apply", "basis_Kperp",
+    "Xoshiro256StarStar", "admissible_for_shift", "basis_Kperp",
     "build_dtto", "build_tto", "check_adtto", "check_block_conditions",
     "conj_function", "conjugation_C", "dual_transitivity_probe", "expand",
     "gen_M", "gen_shift_pair", "inner_product", "involution_J",

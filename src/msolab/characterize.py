@@ -37,8 +37,7 @@ from .laurent import (LaurentPolynomial, conj_function, multiply,
 from .operators import (MAX_DEPTH, BlockOperator, DenseComplexMatrix,
                         SymbolFunction, block_degrees, build_dtto,
                         coefficient_matrix)
-from .spaces import (SHIFT_KERNEL_TOL, admissible_for_shift, section_expansion,
-                     section_shift_index)
+from .spaces import SHIFT_KERNEL_TOL, admissible_for_shift, section_shift_index
 
 
 def default_tolerance(*inners: BlaschkeProduct) -> float:
@@ -350,13 +349,24 @@ def recover_symbol(D: BlockOperator, method: str = "zbar", *,
     alpha).
 
     "zbar" reads the symbol off the zbar corner (orthogonal split, complete
-    on the section). "boundary" evaluates the three-term formula built from
-    D(theta) and D*(alpha), i.e. from the first column and row of That;
-    for non-monomial inner functions the analytic
-    projections of those vectors extend geometrically past the section, so
-    the formula is evaluated on the unique in-class extension of the section
-    data (the tail is reproduced from the zbar-corner symbol; it vanishes
-    identically in the monomial and symmetric cases).
+    on the section). "boundary" evaluates the three-term formula
+
+        conj(theta) P+(D theta) + alpha conj(P+(D* alpha))
+            - <D* alpha, theta> conj(theta) alpha
+
+    from D(theta) and D*(alpha), column 0 and the conjugate of row 0 of D.
+    For non-monomial inner functions their analytic projections extend
+    geometrically past the section, so the formula is evaluated on the
+    unique in-class extension of the section data, whose tail comes from
+    g = phi_z theta conj(alpha) (phi_z the zbar-corner symbol; the tail
+    vanishes identically in the monomial and symmetric cases). With
+    n = M + 1 that extension gives P+(D theta) = alpha w+, where w+ holds
+    That[:, 0] at degrees 0..M and P_{>=n}(g), and P+(D* alpha) = theta
+    conj(w-), where w- holds That[0, j] at degree -j and P_{<=-n}(g). The
+    bracket is conj(That[0, 0]), so the formula is conj(theta) alpha w with
+    w = w+ + w- - That[0, 0]: That[:, 0] at degrees 0..M, That[0, j] at
+    degree -j and g outside [-M, M]. conj(theta) alpha is the conjugate of
+    theta conj(alpha), so the branch forms three products.
     """
     if method not in ("zbar", "boundary"):
         raise InputError(f"unknown recovery method {method!r}")
@@ -371,28 +381,18 @@ def recover_symbol(D: BlockOperator, method: str = "zbar", *,
     if method == "zbar":
         symbol = phi_z
     else:
-        n = M + 1
         # theta and alpha expanded to one shared degree
         n_shared = max(expansion_degree(D.theta, 2 * M + 4),
                        expansion_degree(D.alpha, 2 * M + 4))
-        th = expand(D.theta, n_shared)
-        al = expand(D.alpha, n_shared)
-        g = multiply(phi_z.value, multiply(th, conj_function(al)))
-        # analytic projections of D(theta) (column 0) and D*(alpha) (row 0,
-        # conjugated): the That entries on the section plus the geometric
-        # tail of g past it
-        p_alpha = multiply(section_expansion(D.alpha, M),
-                           LaurentPolynomial._from_dense(0, D.that[:, 0])) \
-            + multiply(al, project_band(g, n, None))
-        p_theta = multiply(section_expansion(D.theta, M),
-                           LaurentPolynomial._from_dense(0, D.that[0].conj())) \
-            + multiply(th, conj_function(project_band(g, None, -n)))
-        # <D*(alpha), theta> = conj(<D(theta), alpha>)
-        bracket = complex(D.that[0, 0]).conjugate()
-        value = multiply(conj_function(th), p_alpha) \
-            + multiply(al, conj_function(p_theta)) \
-            - multiply(al, conj_function(th.scale(bracket)))
-        symbol = SymbolFunction(value)
+        th_al_bar = multiply(expand(D.theta, n_shared),
+                             conj_function(expand(D.alpha, n_shared)))
+        g = multiply(phi_z.value, th_al_bar)
+        # w: g with degrees -M..M read off That's first row and column
+        lo, hi = min(g.lo, -M), max(g.hi, M)
+        w = g.dense(lo, hi)
+        w[-M - lo:M + 1 - lo] = np.concatenate([D.that[0, :0:-1], D.that[:, 0]])
+        symbol = SymbolFunction(multiply(conj_function(th_al_bar),
+                                         LaurentPolynomial._from_dense(lo, w)))
 
     # residual: rebuild and compare; clip the reach so the rebuild satisfies
     # its own guard (only relevant for noise inputs)

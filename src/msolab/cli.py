@@ -23,8 +23,6 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
-import numpy as np
-
 from . import characterize, suites
 from .errors import InputError, MsolabError
 from .inner import BlaschkeProduct
@@ -101,20 +99,9 @@ def _load_operator(payload: dict):
     raise InputError("operator payload needs either 'blocks' or 'entries'")
 
 
-def _json_default(value):
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    raise TypeError(f"not JSON-serializable: {type(value)}")
-
-
 def _emit(document, out: str | None, layout: dict):
     with _collector_paused():
-        text = json.dumps(document, sort_keys=True, default=_json_default,
-                          **layout) + "\n"
+        text = json.dumps(document, sort_keys=True, **layout) + "\n"
     if out:
         try:
             Path(out).write_text(text)

@@ -163,9 +163,6 @@ class LaurentPolynomial:
         """Multiplication by the monomial z^k."""
         return LaurentPolynomial._from_dense(self._lo + k, self._data)
 
-    def conj(self) -> "LaurentPolynomial":
-        return conj_function(self)
-
     # -- encoding -----------------------------------------------------------
 
     def to_json(self) -> dict:

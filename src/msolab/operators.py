@@ -109,9 +109,6 @@ class DenseComplexMatrix:
     def shape(self):
         return self.entries.shape
 
-    def adjoint(self) -> "DenseComplexMatrix":
-        return DenseComplexMatrix(self.entries.conj().T, self.codomain, self.domain)
-
     def to_json(self) -> dict:
         out = {"entries": write_matrix(self.entries)}
         if self.domain.inner is not None:
@@ -283,24 +280,13 @@ def coefficient_matrix(p: LaurentPolynomial, degrees: np.ndarray) -> np.ndarray:
 
 
 def split_blocks(full: np.ndarray, theta: BlaschkeProduct,
-                 alpha: BlaschkeProduct, M: int,
-                 edge: int | None = None) -> BlockOperator:
-    """Cut a full matrix on the Kperp sections into its four blocks."""
+                 alpha: BlaschkeProduct, M: int) -> BlockOperator:
+    """Cut a full matrix on the Kperp sections into its four blocks, of
+    unknown provenance (no `edge`)."""
     full = np.asarray(full, dtype=np.complex128)
     n = M + 1
     if full.shape != (2 * n, 2 * n):
         raise DimensionError(f"full matrix {full.shape} does not match M={M}")
     return BlockOperator(that=full[:n, :n], gamma_check=full[:n, n:],
                          gamma_hat=full[n:, :n], t_check=full[n:, n:],
-                         theta=theta, alpha=alpha, M=M, edge=edge)
-
-
-def apply(op, x: np.ndarray) -> np.ndarray:
-    """Matrix-vector product in the operator's domain coordinates."""
-    if isinstance(op, BlockOperator):
-        return op.apply(x)
-    x = np.asarray(x, dtype=np.complex128)
-    if x.shape != (op.entries.shape[1],):
-        raise DimensionError(
-            f"vector of length {x.shape} for domain dimension {op.entries.shape[1]}")
-    return op.entries @ x
+                         theta=theta, alpha=alpha, M=M)

@@ -71,18 +71,15 @@ class Xoshiro256StarStar:
         span = hi - lo + 1
         return lo + self.next_u64() % span
 
-    def complex_box(self, half_width: float = 1.0) -> complex:
-        return complex(self.uniform(-half_width, half_width),
-                       self.uniform(-half_width, half_width))
+    def complex_box(self) -> complex:
+        """Uniform on the square [-1, 1] x [-1, 1]."""
+        return complex(self.uniform(-1.0, 1.0), self.uniform(-1.0, 1.0))
 
     def complex_disk(self, radius: float) -> complex:
         """Uniform w.r.t. area on the disk of the given radius."""
         r = radius * self.uniform() ** 0.5
         phi = self.uniform(0.0, 2.0 * cmath.pi)
         return r * cmath.exp(1j * phi)
-
-    def unimodular(self) -> complex:
-        return cmath.exp(1j * self.uniform(0.0, 2.0 * cmath.pi))
 
     def spawn(self, index: int) -> "Xoshiro256StarStar":
         """Independent child stream for case number `index`."""

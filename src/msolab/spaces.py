@@ -27,7 +27,7 @@ from .inner import BlaschkeProduct, expand
 from .laurent import (LaurentPolynomial, conj_function, minus_part,
                       multiply, plus_part)
 
-SUBSPACES = ("model", "thetaH2", "model_perp", "Hminus")
+SUBSPACES = ("model", "thetaH2", "model_perp")
 
 # kernel detection threshold for the admissible vectors of a model space: an
 # order of magnitude above accumulated projection error, well below genuine
@@ -40,8 +40,6 @@ def project(theta: BlaschkeProduct, subspace: str,
     """Orthogonal projection of f onto the named subspace attached to theta."""
     if subspace not in SUBSPACES:
         raise InputError(f"unknown subspace {subspace!r}; expected one of {SUBSPACES}")
-    if subspace == "Hminus":
-        return minus_part(f)
     th = _expansion_for(theta, f)
     on_theta_h2 = multiply(th, plus_part(multiply(conj_function(th), f)))
     if subspace == "thetaH2":

@@ -268,8 +268,8 @@ def isometry_convergence(symbol: LaurentPolynomial | None = None,
     if alpha is None:
         alpha = theta
     depths, samples = (16, 32, 64, 128, 256), 512
-    sup = max(abs(symbol.evaluate(cmath.exp(2j * cmath.pi * k / samples)))
-              for k in range(samples))
+    sup = float(max(abs(symbol.evaluate(cmath.exp(2j * cmath.pi * k / samples)))
+                    for k in range(samples)))
     sigmas = []
     for M in depths:
         D = build_dtto(theta, alpha, symbol, M)

@@ -24,8 +24,7 @@ from msolab.errors import DimensionError
 from msolab.inner import expand, expansion_degree
 from msolab.laurent import (LaurentPolynomial, conj_function, inner_product,
                             involution_J, minus_part, monomial, multiply)
-from msolab.operators import (BlockOperator, SymbolFunction, _pairing_matrix,
-                              apply)
+from msolab.operators import BlockOperator, SymbolFunction, _pairing_matrix
 from msolab.spaces import (SHIFT_KERNEL_TOL, admissible_for_shift, basis_Kperp,
                            conjugation_C, project, section_expansion)
 
@@ -76,7 +75,8 @@ def loop_pair(T, t) -> complex:
             if defect > MEMBERSHIP_TOL * max(1.0, vec.norm()):
                 raise DimensionError(
                     f"dyad vector {side} leaves the {basis.label} span by {defect:.2e}")
-        acc += np.vdot(y, apply(T, x))
+        acc += np.vdot(y, T.apply(x) if isinstance(T, BlockOperator)
+                       else T.entries @ x)
     return complex(acc)
 
 

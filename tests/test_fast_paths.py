@@ -240,6 +240,26 @@ def test_pair_many_matches_loop_pair():
         assert pair(T, families[0]) == pytest.approx(slow[0], rel=0, abs=1e-13)
 
 
+def test_pair_many_on_sections_stacks_no_basis(monkeypatch):
+    """Section bases pair from coefficient slices: pair_many never builds a
+    dense stack of one. The bases are cached per (theta, M), so a stack
+    would stay alive with them (the acceptance suite's peak RSS grows about
+    fourfold when the sections take the dense path)."""
+    cases = [(T, families) for T, families in _pairing_cases()
+             if isinstance(T, BlockOperator)]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a section basis was stacked densely")
+    monkeypatch.setattr(OrthonormalBasis, "stacked", forbidden)
+    monkeypatch.setattr(OrthonormalBasis, "_stack", forbidden)
+    assert len(cases) == 6
+    for T, families in cases:
+        assert pair_many(T, families).shape == (len(families),)
+        for basis in (T.domain_basis(), T.codomain_basis()):
+            assert basis.kind == "model_perp"
+            assert not hasattr(basis, "_stack_cache")
+
+
 def test_pair_many_membership_error_names_the_leaving_vector():
     theta, alpha, M = BlaschkeProduct([0.5, -0.3j]), BlaschkeProduct([0.4 + 0.2j]), 40
     D = build_dtto(theta, alpha, LaurentPolynomial({-1: 1.0, 2: 0.5j}), M)

@@ -43,7 +43,7 @@ def test_option_count():
     """Every defaulted parameter is an option a caller may set; an added one
     fails here until this count is raised on purpose."""
     modules = sorted(Path(msolab.__file__).parent.glob("*.py"))
-    assert sum(_defaulted_parameters(p) for p in modules) == 45
+    assert sum(_defaulted_parameters(p) for p in modules) == 43
 
 
 def _names(tree: ast.AST) -> set[str]:
@@ -87,6 +87,16 @@ def test_one_truncation_rule():
     assert len(deciding) > 5
     assert {k: v for k, v in deciding.items() if v} == {}
     assert {k: v for k, v in tails.items() if v} == {}
+
+
+def test_only_the_section_modules_read_section_expansion():
+    """spaces builds the sections and operators their blocks; every other
+    module reads section data from the blocks or the bases, so only these
+    two decide how far a section expansion reaches."""
+    package = Path(msolab.__file__).parent
+    readers = [path.name for path in sorted(package.glob("*.py"))
+               if "section_expansion" in _names(ast.parse(path.read_text()))]
+    assert readers == ["operators.py", "spaces.py"]
 
 
 def test_payload_numbers_pass_through_the_readers():

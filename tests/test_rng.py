@@ -35,7 +35,6 @@ def test_uniform_range_and_disk():
     assert all(0.0 <= x < 1.0 for x in xs)
     assert abs(sum(xs) / len(xs) - 0.5) < 0.05
     assert all(abs(r.complex_disk(0.8)) < 0.8 for _ in range(500))
-    assert all(abs(abs(r.unimodular()) - 1.0) < 1e-12 for _ in range(50))
 
 
 def test_integer_bounds():

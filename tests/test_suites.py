@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from msolab import annihilate, characterize, suites
@@ -74,3 +76,12 @@ def test_block_structure_requires_the_closed_form_dimension(monkeypatch):
     report = suites.block_structure_scan()
     assert report["dimension"] == 83 and report["max_structure_defect"] == 0.0
     assert not report["pass"]
+
+
+def test_reports_are_plain_json():
+    """Suite reports hold only Python scalars, so the standard encoder takes
+    them without a `default` hook (a numpy bool or float would raise)."""
+    for report in (run_suite("convergence"),
+                   run_suite("fuzz", SuiteConfig(cases=2)),
+                   suites.isometry_convergence()):
+        assert json.loads(json.dumps(report, sort_keys=True)) == report
