@@ -108,7 +108,8 @@ def gen_shift_pair(f: LaurentPolynomial, g: LaurentPolynomial, *,
     the orthogonality to zbar is checked, which is the admissibility
     criterion in the complement sections. Either check allows
     ADMISSIBILITY_TOL relative to max(1, norm). A basis whose kind names
-    none of the four subspaces (an admissible basis, say) raises InputError.
+    none of the three subspaces of spaces.SUBSPACES (an admissible basis,
+    say) raises InputError.
     """
     for name, vec, basis in (("f", f, domain), ("g", g, codomain)):
         if basis is not None:

@@ -34,9 +34,8 @@ from .errors import InputError
 from .inner import BlaschkeProduct, expand, expansion_degree, tm_basis
 from .laurent import (LaurentPolynomial, conj_function, multiply,
                       project_band)
-from .operators import (MAX_DEPTH, BlockOperator, DenseComplexMatrix,
-                        SymbolFunction, block_degrees, build_dtto,
-                        coefficient_matrix)
+from .operators import (BlockOperator, DenseComplexMatrix, SymbolFunction,
+                        block_degrees, build_dtto, coefficient_matrix)
 from .spaces import SHIFT_KERNEL_TOL, admissible_for_shift, section_shift_index
 
 
@@ -137,38 +136,14 @@ class ShiftInvariantSolution(NamedTuple):
     singular_values: np.ndarray
 
 
-def solve_shift_invariant_space(theta: BlaschkeProduct, alpha: BlaschkeProduct,
-                                M: int | None = None) -> ShiftInvariantSolution:
-    """Basis of the space of shift-invariant operators: the solutions of
-    <A(zf_i), zg_j> = <Af_i, g_j> over all admissible basis pairs.
-
-    M None: between the model spaces of theta and alpha, the nullspace of
-    that homogeneous system from an SVD (singular values below
-    SHIFT_KERNEL_TOL count as zero); `singular_values` holds the SVD's.
-
-    M a depth: between the depth-M complement sections, for every theta
-    and alpha. The shift moves section vectors to section vectors (theta z^k
-    to theta z^(k+1), zbar^k to zbar^(k-1)), so the system asks each block
-    to be constant along the degrees of `operators.block_degrees`: the
-    Toeplitz diagonal blocks and Hankel off-diagonal blocks, dimension
-    4(2M+1). The basis holds one operator per block and degree, in block
-    order and ascending degree: the normalised indicator of that degree in
-    its block, zeros elsewhere. No rank decision is made, so
-    `singular_values` is empty.
+def solve_shift_invariant_space(theta: BlaschkeProduct,
+                                alpha: BlaschkeProduct) -> ShiftInvariantSolution:
+    """Basis of the space of shift-invariant operators from the model space
+    of theta to that of alpha: the nullspace of the homogeneous system
+    <A(zf_i), zg_j> = <Af_i, g_j> over all admissible basis pairs, from an
+    SVD (singular values below SHIFT_KERNEL_TOL count as zero).
+    `singular_values` holds the SVD's.
     """
-    if M is not None:
-        if M < 0:
-            raise InputError("section solve requires a truncation depth M >= 0")
-        if M > MAX_DEPTH:
-            raise InputError(f"M={M} above the depth cap MAX_DEPTH={MAX_DEPTH}")
-        ops = []
-        for b, degrees in enumerate(block_degrees(M)):
-            for d in np.unique(degrees):
-                blocks = np.zeros((4, M + 1, M + 1))
-                on = degrees == d
-                blocks[b][on] = 1.0 / np.sqrt(np.count_nonzero(on))
-                ops.append(BlockOperator(*blocks, theta, alpha, M))
-        return ShiftInvariantSolution(len(ops), ops, np.zeros(0))
     dom = tm_basis(theta)
     cod = tm_basis(alpha)
     X, Xz = _coordinate_columns(dom)
@@ -232,16 +207,6 @@ def _zbar_symbol(D: BlockOperator) -> SymbolFunction:
     return SymbolFunction(LaurentPolynomial._from_dense(-M, border))
 
 
-def _tcheck_symbol(D: BlockOperator) -> LaurentPolynomial:
-    """Symbol coefficients read from the diagonals of the bottom-right block
-    (entry (i, j) of that block carries coefficient j - i); each diagonal is
-    sampled at its middle entry."""
-    M = D.M
-    m = np.arange(-M, M + 1)
-    i = (np.maximum(0, -m) + M - np.maximum(0, m)) // 2
-    return LaurentPolynomial._from_dense(-M, D.t_check[i, i + m])
-
-
 class AdttoVerdict(NamedTuple):
     reports: list
     passed: bool
@@ -254,8 +219,8 @@ def check_adtto(D: BlockOperator, *, tol: float | None = None) -> AdttoVerdict:
 
     1. "that-toeplitz": the top-left block survives the shift sandwich.
     2. "tcheck-coupling": the bottom-right block survives its sandwich and
-       its diagonal symbol reproduces the top-left block through
-       theta * conj(alpha).
+       the zbar-corner symbol (its border) reproduces the top-left block
+       through theta * conj(alpha).
     3. "hankel-intertwine": both antidiagonal blocks intertwine the shifts.
     4. "corner-consistency": the antianalytic parts of D(theta) and
        D*(alpha), GammaHat[:, 0] and conj(GammaCheck[0]), match the ones
@@ -267,12 +232,12 @@ def check_adtto(D: BlockOperator, *, tol: float | None = None) -> AdttoVerdict:
     r1 = blocks[0]
     r1 = DefectReport("that-toeplitz", r1.defect, tol, r1.witnesses)
 
-    # coupling: TCheck's diagonal symbol, pushed through theta*conj(alpha),
+    # coupling: the zbar-corner symbol, pushed through theta*conj(alpha),
     # must reproduce That entrywise
-    phi_t = _tcheck_symbol(D)
+    phi_z = _zbar_symbol(D)
     th = expand(D.theta, 2 * M + 4)
     al = expand(D.alpha, 2 * M + 4)
-    g = multiply(phi_t, multiply(th, conj_function(al)))
+    g = multiply(phi_z.value, multiply(th, conj_function(al)))
     predicted = coefficient_matrix(g, block_degrees(M)[0])
     coupling = _report("tcheck-coupling", D.that - predicted, tol)
     r2 = DefectReport("tcheck-coupling",
@@ -286,7 +251,6 @@ def check_adtto(D: BlockOperator, *, tol: float | None = None) -> AdttoVerdict:
     # corner consistency: D(theta) is column 0 of D and D*(alpha) the
     # conjugate of row 0, so their Hminus parts are the first column of
     # GammaHat and the conjugated first row of GammaCheck
-    phi_z = _zbar_symbol(D)
     minus_degrees = -np.arange(1, M + 2)
     res_a = D.gamma_hat[:, 0] - coefficient_matrix(
         multiply(phi_z.value, th), minus_degrees)

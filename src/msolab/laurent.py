@@ -116,7 +116,7 @@ class LaurentPolynomial:
         acc = 0j
         for i, c in enumerate(self._data):
             acc += c * zeta ** (self._lo + i)
-        return acc
+        return complex(acc)
 
     def dense(self, lo: int, hi: int) -> np.ndarray:
         """Coefficients over [lo, hi] as a contiguous array."""

@@ -25,9 +25,10 @@ from .inner import BlaschkeProduct, expand, tm_basis
 from .laurent import (LaurentPolynomial, conj_function, inner_product,
                       involution_J, minus_part, monomial, multiply, plus_part)
 from .operators import (MAX_DEPTH, BlockOperator, SymbolFunction, build_dtto,
-                        build_tto)
+                        build_tto, split_blocks)
 from .rng import Xoshiro256StarStar
-from .spaces import conjugation_C, project
+from .spaces import (SHIFT_KERNEL_TOL, conjugation_C, project,
+                     section_shift_index)
 
 DEFAULT_SEED = 42
 
@@ -152,17 +153,34 @@ def nullspace_dimensions() -> dict:
 
 
 def block_structure_scan() -> dict:
-    """Criterion 4: every solution of the interior shift-invariance system
-    on complement sections of z^2 has constant-diagonal diagonal blocks and
-    constant-antidiagonal corner blocks."""
+    """Criterion 4: every solution of the shift-invariance system between
+    depth-10 complement sections of z^2 has Toeplitz diagonal blocks and
+    Hankel off-diagonal blocks, and these solutions span dimension 4(2M+1).
+
+    The system is the one the shift check gathers: with keep, moved =
+    spaces.section_shift_index(M), one row per admissible pair (p, q) asks
+    A[moved[q], moved[p]] - A[keep[q], keep[p]] = 0. Its kernel comes from
+    an SVD (singular values below SHIFT_KERNEL_TOL count as zero), and each
+    kernel vector, cut into blocks, is judged by check_block_conditions.
+    """
     M, tol = 10, 1e-10
     theta = BlaschkeProduct([0.0, 0.0])
-    sol = characterize.solve_shift_invariant_space(theta, theta, M)
-    worst = max(rep.defect for op in sol.operators
+    n = 2 * M + 2
+    keep, moved = section_shift_index(M)
+    # row p * len(keep) + q: +1 at entry (moved[q], moved[p]) and -1 at
+    # entry (keep[q], keep[p]) of the row-major flattened matrix
+    C = np.zeros((len(keep) ** 2, n * n))
+    rows = np.arange(len(C))
+    C[rows, (moved * n + moved[:, None]).ravel()] = 1.0
+    C[rows, (keep * n + keep[:, None]).ravel()] = -1.0
+    _, s, Vh = np.linalg.svd(C, full_matrices=True)
+    null = [Vh[k] for k in range(len(Vh)) if k >= len(s) or s[k] < SHIFT_KERNEL_TOL]
+    ops = [split_blocks(v.reshape(n, n), theta, theta, M) for v in null]
+    worst = max(rep.defect for op in ops
                 for rep in characterize.check_block_conditions(op))
-    return {"criterion": "block-structure", "dimension": sol.dimension,
+    return {"criterion": "block-structure", "dimension": len(null),
             "max_structure_defect": worst, "tolerance": tol,
-            "pass": sol.dimension == 4 * (2 * M + 1) and worst <= tol}
+            "pass": len(null) == 4 * (2 * M + 1) and worst <= tol}
 
 
 # scripted perturbations: each corrupts exactly one membership condition of
@@ -268,8 +286,8 @@ def isometry_convergence(symbol: LaurentPolynomial | None = None,
     if alpha is None:
         alpha = theta
     depths, samples = (16, 32, 64, 128, 256), 512
-    sup = float(max(abs(symbol.evaluate(cmath.exp(2j * cmath.pi * k / samples)))
-                    for k in range(samples)))
+    sup = max(abs(symbol.evaluate(cmath.exp(2j * cmath.pi * k / samples)))
+              for k in range(samples))
     sigmas = []
     for M in depths:
         D = build_dtto(theta, alpha, symbol, M)

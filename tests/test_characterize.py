@@ -9,8 +9,8 @@ from msolab.characterize import (check_adtto, check_block_conditions,
 from msolab.errors import InputError
 from msolab.inner import BlaschkeProduct, monomial_inner, tm_basis
 from msolab.laurent import LaurentPolynomial, monomial, one
-from msolab.operators import (MAX_DEPTH, BlockOperator, DenseComplexMatrix,
-                              build_dtto, build_tto)
+from msolab.operators import (BlockOperator, DenseComplexMatrix, build_dtto,
+                              build_tto)
 
 from conftest import assert_poly_close, random_poly
 
@@ -83,33 +83,14 @@ def test_nullspace_dimension_blaschke():
     assert sol.dimension == b1.degree + b2.degree - 1
 
 
-def test_complement_nullspace_has_block_structure():
-    for theta, alpha in ((Z2, Z2), (BlaschkeProduct([0.5]), Z3),
-                         (BlaschkeProduct([0.9j, 0.3]), BlaschkeProduct([-0.95]))):
-        sol = solve_shift_invariant_space(theta, alpha, M=6)
-        assert sol.dimension == 8 * 6 + 4
-        for op in sol.operators:
-            assert shift_invariance_defect(op).defect == 0.0
-            assert [rep.defect for rep in check_block_conditions(op)] == [0.0] * 4
-
-
-@pytest.mark.parametrize("M", [-1, MAX_DEPTH + 1])
-def test_complement_solve_requires_depth(M):
-    with pytest.raises(InputError):
-        solve_shift_invariant_space(Z2, Z2, M=M)
-
-
 def test_solve_reads_its_space_from_the_depth():
-    # no depth: the model spaces, z^3 -> z^2 (dimension m + n - 1); a depth:
-    # the sections, 4(2M+1); and no operator-space option besides M
+    # the model spaces only, z^3 -> z^2 (dimension m + n - 1); there is no
+    # depth and no operator-space option
     model = solve_shift_invariant_space(monomial_inner(3), Z2)
     assert model.dimension == 4 and model.singular_values.size > 0
     assert all(isinstance(op, DenseComplexMatrix) for op in model.operators)
-    sections = solve_shift_invariant_space(monomial_inner(3), Z2, 5)
-    assert sections.dimension == 44 and sections.singular_values.size == 0
-    assert all(isinstance(op, BlockOperator) for op in sections.operators)
     with pytest.raises(TypeError):
-        solve_shift_invariant_space(Z2, Z2, "model", 5)
+        solve_shift_invariant_space(Z2, Z2, 5)
 
 
 # -- blockwise conditions ---------------------------------------------------------
@@ -173,6 +154,27 @@ def test_membership_condition_map():
     rep = check_adtto(with_blocks(D, gamma_hat=D.gamma_hat + extra.gamma_hat)).reports
     assert rep[0].passed and rep[1].passed and rep[2].passed
     assert not rep[3].passed
+
+
+def test_tcheck_coupling_reads_the_zbar_corner():
+    """The coupling pushes the zbar-corner symbol (TCheck's border) through
+    theta * conj(alpha). A perturbation of a border entry changes that
+    symbol, so the witnesses are That entries; one off the border (the
+    middle of diagonal 2) leaves the symbol alone and is caught by the
+    TCheck sandwich, with its two sandwich entries as witnesses."""
+    D = build_dtto(Z2, Z2, LaurentPolynomial({1: 1, -1: 2}), 10)
+    n = D.M + 1
+    border = check_adtto(with_blocks(D, t_check=D.t_check + 1e-3 * bump(n, 0, 2)))
+    rep = border.reports[1]
+    assert rep.defect == pytest.approx(1e-3) and not rep.passed
+    assert [w[:2] for w in rep.witnesses] == [(2, 0), (3, 1), (4, 2)]
+    assert border.symbol.value.coeff(2) == pytest.approx(1e-3)
+    inner = check_adtto(with_blocks(D, t_check=D.t_check + 1e-3 * bump(n, 4, 6)))
+    rep = inner.reports[1]
+    assert rep.defect == pytest.approx(1e-3) and not rep.passed
+    assert [w[:2] for w in rep.witnesses] == [(3, 5), (4, 6)]
+    assert inner.symbol.value.coeffs == check_adtto(D).symbol.value.coeffs
+    assert [r.passed for r in inner.reports] == [True, False, True, True]
 
 
 def test_membership_discriminates_small_perturbations(rng):

@@ -65,6 +65,17 @@ def test_truncated_expansion_fails_unimodularity():
     assert tail > 1.0  # the reported tail bound flags the truncation
 
 
+def test_evaluations_and_inner_checks_are_python_scalars():
+    """Values and verdicts reach reports as Python scalars, never numpy's."""
+    b = BlaschkeProduct([0.5, -0.3j])
+    zeta = cmath.exp(0.3j)
+    assert type(expand(b).evaluate(zeta)) is complex
+    assert type(b.evaluate(zeta)) is complex
+    for degree in (None, 60, 4):
+        check = verify_inner(b, expansion_degree=degree)
+        assert [type(x) for x in check] == [bool, float, float]
+
+
 def test_verify_inner_sample_floor():
     with pytest.raises(InputError):
         verify_inner(monomial_inner(1), samples=4)

@@ -1,12 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
-from msolab import annihilate, characterize, suites
+from msolab import annihilate, suites
 from msolab.errors import InputError
 from msolab.inner import monomial_inner
 from msolab.laurent import LaurentPolynomial
 from msolab.operators import MAX_DEPTH
+from msolab.spaces import section_shift_index
 from msolab.suites import SuiteConfig, run_fuzz, run_suite
 
 
@@ -64,18 +69,48 @@ def test_transitivity_failure_report_has_the_pass_keys(monkeypatch):
     assert failed["floor"] == 1e6 and failed["min_peak"] == passed["min_peak"]
 
 
-def test_block_structure_requires_the_closed_form_dimension(monkeypatch):
-    assert suites.block_structure_scan()["dimension"] == 84
-    solve = characterize.solve_shift_invariant_space
+def _keep_top(M):
+    """Also keep theta z^M, sending it to the next index (zbar)."""
+    k = np.arange(M + 1)
+    return np.r_[k, k[:-1] + M + 2], np.r_[k + 1, k[:-1] + M + 1]
 
-    def short_solve(theta, alpha, M=None):
-        sol = solve(theta, alpha, M)
-        return sol._replace(dimension=sol.dimension - 1,
-                            operators=sol.operators[:-1])
-    monkeypatch.setattr(characterize, "solve_shift_invariant_space", short_solve)
-    report = suites.block_structure_scan()
-    assert report["dimension"] == 83 and report["max_structure_defect"] == 0.0
-    assert not report["pass"]
+
+def _drop_pair(M):
+    """Forget the pair theta z^0 -> theta z^1."""
+    keep, moved = section_shift_index(M)
+    return keep[1:], moved[1:]
+
+
+def _skip_one(M):
+    """Send theta z^k to theta z^(k+2) (k = 0..M-2)."""
+    keep, moved = section_shift_index(M)
+    k = np.arange(M - 1)
+    return np.r_[k, keep[M:]], np.r_[k + 2, moved[M:]]
+
+
+def test_block_structure_fails_under_index_map_mutants(monkeypatch):
+    """Criterion 4 solves the system the shift check gathers, so a wrong
+    index map changes the kernel: its dimension, or its block structure."""
+    passed = suites.block_structure_scan()
+    assert passed["pass"] and passed["dimension"] == 84
+    for mutant, dimension, defect in ((_keep_top, 43, None), (_drop_pair, 123, 1.0),
+                                      (_skip_one, 123, 1.0)):
+        monkeypatch.setattr(suites, "section_shift_index", mutant)
+        report = suites.block_structure_scan()
+        assert list(report) == list(passed) and not report["pass"]
+        assert report["dimension"] == dimension
+        if defect is not None:
+            assert report["max_structure_defect"] == pytest.approx(defect)
+
+
+def test_block_structure_report_ignores_the_blas_thread_count():
+    script = "import json; from msolab import suites; " \
+             "print(json.dumps(suites.block_structure_scan()))"
+    outs = [subprocess.run([sys.executable, "-c", script], check=True,
+                           capture_output=True, text=True,
+                           env={**os.environ, "OPENBLAS_NUM_THREADS": threads}).stdout
+            for threads in ("1", "2")]
+    assert outs[0] == outs[1] and json.loads(outs[0])["pass"]
 
 
 def test_reports_are_plain_json():
