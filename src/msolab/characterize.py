@@ -29,14 +29,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bases import OrthonormalBasis
 from .errors import InputError
 from .inner import BlaschkeProduct, expand, expansion_degree, tm_basis
 from .laurent import (LaurentPolynomial, conj_function, multiply,
                       project_band)
 from .operators import (BlockOperator, DenseComplexMatrix, SymbolFunction,
-                        block_degrees, build_dtto, coefficient_matrix)
-from .spaces import SHIFT_KERNEL_TOL, admissible_for_shift, section_shift_index
+                        block_degrees, build_dtto, coefficient_matrix,
+                        guard_depth)
+from .spaces import SHIFT_KERNEL_TOL, compressed_shift, section_shift_index
 
 
 def default_tolerance(*inners: BlaschkeProduct) -> float:
@@ -105,7 +105,8 @@ def shift_invariance_defect(op: BlockOperator | DenseComplexMatrix, *,
     On the complement sections z f_p is again a section vector
     (spaces.section_shift_index), so the deviations are one gather of
     matrix entries and the defect is the largest block-identity deviation
-    of check_block_conditions. On model spaces they come from coordinates.
+    of check_block_conditions. On model spaces, with (S, X) and (T, Y) the
+    compressed shifts of domain and codomain, dev = |(TY)^H A SX - Y^H A X|^T.
     """
     if isinstance(op, BlockOperator):
         tol = _tolerance(tol, op.theta, op.alpha)
@@ -114,20 +115,11 @@ def shift_invariance_defect(op: BlockOperator | DenseComplexMatrix, *,
         dev = np.abs(A[np.ix_(moved, moved)] - A[np.ix_(keep, keep)]).T
     else:
         tol = _tolerance(tol, op.domain.inner, op.codomain.inner)
-        X, Xz = _coordinate_columns(op.domain)
-        Y, Yz = _coordinate_columns(op.codomain)
-        dev = np.abs(Yz.conj().T @ (op.entries @ Xz)
-                     - Y.conj().T @ (op.entries @ X)).T
+        S, X = compressed_shift(op.domain)
+        T, Y = compressed_shift(op.codomain)
+        A = op.entries
+        dev = np.abs((T @ Y).conj().T @ (A @ (S @ X)) - Y.conj().T @ (A @ X)).T
     return _report("shift-invariance", dev, tol)
-
-
-def _coordinate_columns(basis: OrthonormalBasis):
-    """Coordinates of the admissible vectors f of a model space and of z*f,
-    one per column."""
-    adm = admissible_for_shift(basis)
-    X = np.array([basis.coords(f) for f in adm], dtype=np.complex128)
-    Xz = np.array([basis.coords(f.shift(1)) for f in adm], dtype=np.complex128)
-    return X.reshape(-1, basis.dim).T, Xz.reshape(-1, basis.dim).T
 
 
 class ShiftInvariantSolution(NamedTuple):
@@ -142,25 +134,18 @@ def solve_shift_invariant_space(theta: BlaschkeProduct,
     of theta to that of alpha: the nullspace of the homogeneous system
     <A(zf_i), zg_j> = <Af_i, g_j> over all admissible basis pairs, from an
     SVD (singular values below SHIFT_KERNEL_TOL count as zero).
-    `singular_values` holds the SVD's.
+    `singular_values` holds the SVD's. The rows read the coordinates of
+    spaces.compressed_shift; with no admissible pair there is no row and
+    every operator qualifies.
     """
     dom = tm_basis(theta)
     cod = tm_basis(alpha)
-    X, Xz = _coordinate_columns(dom)
-    Y, Yz = _coordinate_columns(cod)
-    size = dom.dim * cod.dim
-    if X.size and Y.size:
-        # row (p, q): outer(conj(yz_q), xz_p) - outer(conj(y_q), x_p), flattened
-        C = (Yz.conj().T[None, :, :, None] * Xz.T[:, None, None, :]
-             - Y.conj().T[None, :, :, None] * X.T[:, None, None, :]).reshape(-1, size)
-        _, s, Vh = np.linalg.svd(C, full_matrices=True)
-        null = [Vh[k].conj() for k in range(Vh.shape[0])
-                if k >= len(s) or s[k] < SHIFT_KERNEL_TOL]
-        s = np.asarray(s)
-    else:
-        # no admissible pair constrains anything: every operator qualifies
-        null = list(np.eye(size, dtype=np.complex128))
-        s = np.zeros(0)
+    S, X = compressed_shift(dom)
+    T, Y = compressed_shift(cod)
+    C = np.kron((T @ Y).conj().T, (S @ X).T) - np.kron(Y.conj().T, X.T)
+    _, s, Vh = np.linalg.svd(C, full_matrices=True)
+    null = [Vh[k].conj() for k in range(Vh.shape[0])
+            if k >= len(s) or s[k] < SHIFT_KERNEL_TOL]
     ops = [DenseComplexMatrix(v.reshape(cod.dim, dom.dim), dom, cod)
            for v in null]
     return ShiftInvariantSolution(len(null), ops, s)
@@ -337,7 +322,7 @@ def recover_symbol(D: BlockOperator, method: str = "zbar", *,
     tol = _tolerance(tol, D.theta, D.alpha)
     M = D.M
     # the rebuild needs the guard depth of a constant symbol
-    guard = D.theta.degree + D.alpha.degree + 2
+    guard = guard_depth(D.theta, D.alpha, 0)
     if M < guard:
         raise InputError(f"M={M} below the guard depth {guard} for symbol "
                          "recovery (deg theta + deg alpha + 2)")

@@ -28,7 +28,7 @@ from .errors import InputError, MsolabError
 from .inner import BlaschkeProduct
 from .laurent import LaurentPolynomial
 from .operators import (BlockOperator, DenseComplexMatrix, SymbolFunction,
-                        build_dtto, build_tto)
+                        build_dtto, build_tto, default_depth)
 from .payload import read_typed, write_complex
 
 EXIT_OK = 0
@@ -122,7 +122,7 @@ def _cmd_build(args) -> int:
     else:
         M = args.M
         if M is None:
-            M = symbol.reach + theta.degree + alpha.degree + 6
+            M = default_depth(theta, alpha, symbol.reach)
         op = build_dtto(theta, alpha, symbol, M)
     with _collector_paused():
         payload = op.to_json()

@@ -221,37 +221,40 @@ class BlockOperator:
                 f"alpha={self.alpha.short_name()}, M={self.M})")
 
 
-def _pairing_matrix(images, codomain: OrthonormalBasis) -> np.ndarray:
-    """Entries <image_j, c_i> stacked into a (dim codomain, len images) matrix."""
-    polys = list(images) + list(codomain.vectors)
-    lo = min((p.lo for p in polys if not p.is_zero()), default=0)
-    hi = max((p.hi for p in polys if not p.is_zero()), default=0)
-    A = np.vstack([p.dense(lo, hi) for p in images])
-    C = codomain.stacked(lo, hi)
-    return C.conj() @ A.T
-
-
 def build_tto(theta: BlaschkeProduct, alpha: BlaschkeProduct,
               phi) -> DenseComplexMatrix:
-    """Compression of multiplication by phi from K(theta) to K(alpha)."""
+    """Compression of multiplication by phi from K(theta) to K(alpha):
+    column j holds the codomain coordinates of phi * e_j."""
     phi = SymbolFunction.parse(phi)
     dom = tm_basis(theta)
     cod = tm_basis(alpha)
     images = [multiply(phi.value, e) for e in dom.vectors]
-    return DenseComplexMatrix(_pairing_matrix(images, cod), dom, cod)
+    return DenseComplexMatrix(cod.coords_and_defects(images)[0].T, dom, cod)
+
+
+def guard_depth(theta: BlaschkeProduct, alpha: BlaschkeProduct,
+                reach: int) -> int:
+    """reach + deg theta + deg alpha + 2: the smallest section depth that
+    leaves a few indices inside the truncation edge."""
+    return reach + theta.degree + alpha.degree + 2
+
+
+def default_depth(theta: BlaschkeProduct, alpha: BlaschkeProduct,
+                  reach: int) -> int:
+    """reach + deg theta + deg alpha + 6: the depth when none is given."""
+    return guard_depth(theta, alpha, reach) + 4
 
 
 def build_dtto(theta: BlaschkeProduct, alpha: BlaschkeProduct, phi,
                M: int) -> BlockOperator:
     """Compression of multiplication by phi between complement sections.
 
-    Requires M >= reach(phi) + deg theta + deg alpha + 2 so that at least a
-    few interior indices survive the truncation edge.
+    Requires M >= guard_depth(theta, alpha, reach(phi)).
     """
     phi = SymbolFunction.parse(phi)
     if M > MAX_DEPTH:
         raise InputError(f"M={M} above the depth cap MAX_DEPTH={MAX_DEPTH}")
-    guard = phi.reach + theta.degree + alpha.degree + 2
+    guard = guard_depth(theta, alpha, phi.reach)
     if M < guard:
         raise InputError(f"M={M} below the guard depth {guard} for this symbol")
     phi_th = multiply(phi.value, section_expansion(theta, M))

@@ -24,13 +24,14 @@ import numpy as np
 from .bases import OrthonormalBasis
 from .errors import InputError
 from .inner import BlaschkeProduct, expand
-from .laurent import (LaurentPolynomial, conj_function, minus_part,
-                      multiply, plus_part)
+from .laurent import (LaurentPolynomial, conj_function, inner_product,
+                      minus_part, multiply, plus_part)
 
 SUBSPACES = ("model", "thetaH2", "model_perp")
 
-# kernel detection threshold for the admissible vectors of a model space: an
-# order of magnitude above accumulated projection error, well below genuine
+# kernel detection threshold of the shift-invariance systems
+# (characterize.solve_shift_invariant_space, suites criterion 4): an order of
+# magnitude above the roundoff in their coefficients, well below genuine
 # singular values for rho <= 0.95
 SHIFT_KERNEL_TOL = 1e-10
 
@@ -106,13 +107,29 @@ def section_shift_index(M: int) -> tuple[np.ndarray, np.ndarray]:
     return np.r_[k, k + M + 2], np.r_[k + 1, k + M + 1]
 
 
+def compressed_shift(V: OrthonormalBasis) -> tuple[np.ndarray, np.ndarray]:
+    """The compressed shift S_theta on a model basis V and the coordinates
+    of its admissible vectors.
+
+    S[i, j] = <z e_j, e_i>, so S x holds the coordinates of P_model(z f) for
+    f = sum_j x_j e_j. For f in K(theta), z f leaves K(theta) only along
+    theta, by <z f, theta> = c^H x with c_j = <theta, z e_j>. The columns
+    of X are an orthonormal basis of {x : c^H x = 0}, the coordinates of
+    the f with z f in K(theta); S X holds the coordinates of their z f.
+    """
+    S = V.coords_and_defects(e.shift(1) for e in V)[0].T
+    th = expand(V.inner)
+    c = np.array([inner_product(th, e.shift(1)) for e in V])
+    _, _, Vh = np.linalg.svd(c.conj()[None, :])
+    return S, Vh[1:].conj().T
+
+
 def admissible_for_shift(V: OrthonormalBasis) -> OrthonormalBasis:
     """Orthonormal basis of {f in span V : z*f stays in the ambient space}.
 
     On the depth-M sections these are the section's own vectors, in section
-    order, at the indices `section_shift_index` keeps. Only the model space
-    needs the generic route: the kernel of (I - P_model) o M_z restricted to
-    span V, with singular values below SHIFT_KERNEL_TOL treated as zero.
+    order, at the indices `section_shift_index` keeps; on a model space they
+    are rebuilt from the admissible coordinates of `compressed_shift`.
     """
     label = f"admissible[{V.label}]"
     if V.kind == "model_perp":
@@ -121,13 +138,6 @@ def admissible_for_shift(V: OrthonormalBasis) -> OrthonormalBasis:
                                 kind="admissible", inner=V.inner, depth=V.depth)
     if V.kind != "model":
         raise InputError(f"unsupported basis kind {V.kind!r}")
-    shifted = [v.shift(1) for v in V]
-    residuals = [zv - project(V.inner, "model", zv) for zv in shifted]
-    live = [r for r in residuals if not r.is_zero()]
-    lo = min(r.lo for r in live)
-    hi = max(r.hi for r in live)
-    R = np.vstack([r.dense(lo, hi) for r in residuals])
-    U, s, _ = np.linalg.svd(R, full_matrices=True)
-    kernel = [k for k in range(U.shape[1]) if k >= len(s) or s[k] < SHIFT_KERNEL_TOL]
-    return OrthonormalBasis(label, [V.reconstruct(U[:, k].conj()) for k in kernel],
+    _, X = compressed_shift(V)
+    return OrthonormalBasis(label, [V.reconstruct(x) for x in X.T],
                             kind="admissible", inner=V.inner, depth=V.depth)

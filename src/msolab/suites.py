@@ -6,10 +6,10 @@ cases run serially in index order, so identical config + seed gives
 byte-identical reports.
 
 Case sizing policy: checks that are entrywise-exact on the section run at
-the tight depth M = reach + deg theta + deg alpha + 6; pairing suites whose
-dyad vectors carry geometric expansion tails (the wrapped families and the
-represented functionals) run at a depth where those tails sit safely below
-the tolerance.
+the tight depth operators.default_depth; pairing suites whose dyad vectors
+carry geometric expansion tails (the wrapped families and the represented
+functionals) run at a depth where those tails sit safely below the
+tolerance.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .inner import BlaschkeProduct, expand, tm_basis
 from .laurent import (LaurentPolynomial, conj_function, inner_product,
                       involution_J, minus_part, monomial, multiply, plus_part)
 from .operators import (MAX_DEPTH, BlockOperator, SymbolFunction, build_dtto,
-                        build_tto, split_blocks)
+                        build_tto, default_depth, guard_depth, split_blocks)
 from .rng import Xoshiro256StarStar
 from .spaces import (SHIFT_KERNEL_TOL, conjugation_C, project,
                      section_shift_index)
@@ -53,8 +53,8 @@ class SuiteConfig:
             raise InputError(f"M={self.M} above the depth cap MAX_DEPTH={MAX_DEPTH}")
         if (self.M is not None and self.symbol is not None
                 and self.theta is not None and self.alpha is not None):
-            guard = (SymbolFunction(self.symbol).reach + self.theta.degree
-                     + self.alpha.degree + 2)
+            guard = guard_depth(self.theta, self.alpha,
+                                SymbolFunction(self.symbol).reach)
             if self.M < guard:
                 raise InputError(f"M={self.M} below the guard depth {guard}")
         return self
@@ -93,7 +93,7 @@ def random_in_basis(r: Xoshiro256StarStar, basis) -> LaurentPolynomial:
 def forward_and_roundtrip(seed: int = DEFAULT_SEED) -> tuple[dict, dict]:
     """Criterion 1 (membership checks pass on built operators) and
     criterion 2 (symbol round trip, both methods, methods agree), sharing
-    one 200-case stream at depth M = reach + deg theta + deg alpha + 6."""
+    one 200-case stream at depth operators.default_depth."""
     root = Xoshiro256StarStar(seed)
     cases, tol_fwd, tol_rt = 200, 1e-10, 1e-11
 
@@ -103,7 +103,7 @@ def forward_and_roundtrip(seed: int = DEFAULT_SEED) -> tuple[dict, dict]:
         alpha = random_inner(r)
         phi = random_symbol(r)
         sym = SymbolFunction(phi)
-        M = sym.reach + theta.degree + alpha.degree + 6
+        M = default_depth(theta, alpha, sym.reach)
         D = build_dtto(theta, alpha, sym, M)
         verdict = characterize.check_adtto(D)
         fwd = max(rep.defect for rep in verdict.reports)
@@ -481,7 +481,7 @@ def run_fuzz(config: SuiteConfig | None = None) -> dict:
         phi = config.symbol or random_symbol(r)
         sym = SymbolFunction(phi)
         M = (config.M if config.M is not None
-             else sym.reach + theta.degree + alpha.degree + 6)
+             else default_depth(theta, alpha, sym.reach))
         D = build_dtto(theta, alpha, sym, M)
         verdict = characterize.check_adtto(D)
         sym1, res1 = characterize.recover_symbol(D, "zbar", tol=tol)

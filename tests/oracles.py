@@ -21,12 +21,30 @@ from msolab.bases import OrthonormalBasis
 from msolab.characterize import (AnalyticVerdict, DefectReport, _zbar_symbol,
                                  default_tolerance)
 from msolab.errors import DimensionError
-from msolab.inner import expand, expansion_degree
+from msolab.inner import expand, expansion_degree, tm_basis
 from msolab.laurent import (LaurentPolynomial, conj_function, inner_product,
                             involution_J, minus_part, monomial, multiply)
-from msolab.operators import BlockOperator, SymbolFunction, _pairing_matrix
+from msolab.operators import BlockOperator, SymbolFunction
 from msolab.spaces import (SHIFT_KERNEL_TOL, admissible_for_shift, basis_Kperp,
                            conjugation_C, project, section_expansion)
+
+
+def pairing_matrix(images, codomain) -> np.ndarray:
+    """Entries <image_j, c_i> stacked into a (dim codomain, len images) matrix."""
+    polys = list(images) + list(codomain.vectors)
+    lo = min((p.lo for p in polys if not p.is_zero()), default=0)
+    hi = max((p.hi for p in polys if not p.is_zero()), default=0)
+    A = np.vstack([p.dense(lo, hi) for p in images])
+    C = codomain.stacked(lo, hi)
+    return C.conj() @ A.T
+
+
+def pairing_build_tto(theta, alpha, phi):
+    """build_tto's entries as pairings of the images against the stacked
+    codomain basis."""
+    phi = SymbolFunction.parse(phi)
+    images = [multiply(phi.value, e) for e in tm_basis(theta)]
+    return pairing_matrix(images, tm_basis(alpha))
 
 
 def pairing_build_dtto(theta, alpha, phi, M) -> BlockOperator:
@@ -35,7 +53,7 @@ def pairing_build_dtto(theta, alpha, phi, M) -> BlockOperator:
     phi = SymbolFunction.parse(phi)
     images = [multiply(phi.value, v) for v in basis_Kperp(theta, M)]
     n = M + 1
-    P = _pairing_matrix(images, basis_Kperp(alpha, M))
+    P = pairing_matrix(images, basis_Kperp(alpha, M))
     return BlockOperator(that=P[:n, :n], gamma_check=P[:n, n:],
                          gamma_hat=P[n:, :n], t_check=P[n:, n:],
                          theta=theta, alpha=alpha, M=M, edge=phi.reach)
@@ -162,21 +180,25 @@ def conjugation_corner_maps(theta, alpha, M):
 
     images1 = [minus_part(conjugation_C(alpha, LaurentPolynomial.monomial(k)))
                for k in range(n)]
-    W1 = _pairing_matrix(images1, cod)[n:]
+    W1 = pairing_matrix(images1, cod)[n:]
 
     images2 = [multiply(th, conjugation_C(alpha, LaurentPolynomial.monomial(-(j + 1))))
                for j in range(n)]
-    W2 = _pairing_matrix(images2, cod)[:n]
+    W2 = pairing_matrix(images2, cod)[:n]
     return W1, W2
 
 
 def svd_admissible_for_shift(V) -> OrthonormalBasis:
-    """admissible_for_shift on a section through the generic route: drop the
-    top analytic layer theta z^M, then take the kernel of
-    (I - P_model_perp) o M_z on the remaining span from an SVD of the shift
-    residuals."""
-    candidates = V.vectors[:V.depth] + V.vectors[V.depth + 1:]
-    residuals = [v.shift(1) - project(V.inner, "model_perp", v.shift(1))
+    """admissible_for_shift through the generic route: the kernel of
+    (I - P) o M_z, P the projection onto the space, from an SVD of the
+    shift residuals. A model space takes every basis vector as a
+    candidate; a section first drops its top analytic layer theta z^M."""
+    if V.kind == "model":
+        candidates, space = V.vectors, "model"
+    else:
+        candidates = V.vectors[:V.depth] + V.vectors[V.depth + 1:]
+        space = "model_perp"
+    residuals = [v.shift(1) - project(V.inner, space, v.shift(1))
                  for v in candidates]
     live = [r for r in residuals if not r.is_zero()]
     lo = min((r.lo for r in live), default=0)

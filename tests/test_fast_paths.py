@@ -1,7 +1,8 @@
 """The structured fast paths against their generic oracles (tests/oracles.py):
-closed-form DTTO blocks, slice coordinates on the complement sections, the
-batched trace pairing, the section admissible vectors, the TCheck-border symbol, the vectorised
-shift-invariance defect, and the blockwise recovery residual."""
+closed-form DTTO blocks, coordinate TTO entries, slice coordinates on the
+complement sections, the batched trace pairing, the admissible vectors of
+sections and model spaces, the TCheck-border symbol, the vectorised
+shift-invariance defect and solve, and the blockwise recovery residual."""
 
 import cmath
 import re
@@ -29,7 +30,8 @@ from conftest import dense_noise_operator, random_poly
 from oracles import (dense_coords, dense_coords_and_defect, dense_reconstruct,
                      indexed_gen_M, loop_pair, loop_shift_invariance_defect,
                      loop_shift_system, pairing_build_dtto, poly_corner_consistency,
-                     poly_is_analytic_adtto, poly_recover_boundary,
+                     pairing_build_tto, poly_is_analytic_adtto,
+                     poly_recover_boundary,
                      poly_zbar_symbol, svd_admissible_for_shift,
                      svd_rebuild_residual)
 
@@ -98,10 +100,32 @@ def test_closed_form_dtto_matches_pairing_oracle():
     assert worst <= ORACLE_TOL
 
 
+def test_coordinate_tto_matches_pairing_oracle():
+    """build_tto's codomain coordinates of the images against their
+    pairings with the stacked codomain basis: 200 seeded random pairs, a
+    monomial pair and a pair with a zero of modulus 0.95."""
+    r = Xoshiro256StarStar(20261019)
+    cases = [(random_inner(r), random_inner(r), random_symbol(r)) for _ in range(200)]
+    cases += [(monomial_inner(3), monomial_inner(2), random_symbol(r)),
+              (_near_boundary(r, 2), random_inner(r), random_symbol(r, reach=3))]
+    worst = 0.0
+    for theta, alpha, phi in cases:
+        fast = build_tto(theta, alpha, phi).entries
+        slow = pairing_build_tto(theta, alpha, phi)
+        assert fast.shape == slow.shape
+        worst = max(worst, float(np.max(np.abs(fast - slow))))
+    assert worst <= ORACLE_TOL
+
+
 # -- slice coordinates on the sections --------------------------------------------
 
 SECTION_INNERS = [monomial_inner(2), BlaschkeProduct([0.5, -0.3j]),
                   BlaschkeProduct([0.95, 0.2j], allow_near_boundary=True)]
+MODEL_INNERS = [monomial_inner(1), monomial_inner(3),
+                BlaschkeProduct([0.5, -0.3j, 0.2 + 0.1j, 0.0]),
+                BlaschkeProduct([0.9, 0.4j]),
+                BlaschkeProduct([0.95, 0.2j], allow_near_boundary=True)]
+MODEL_IDS = ["z", "z^3", "blaschke", "zero at 0.9", "rho=0.95"]
 
 
 @pytest.mark.parametrize("theta", SECTION_INNERS, ids=["z^2", "blaschke", "rho=0.95"])
@@ -327,9 +351,24 @@ def test_pair_many_empty_batches():
 def test_admissible_sections_match_svd_oracle(theta, M):
     basis = basis_Kperp(theta, M)
     fast = admissible_for_shift(basis)
-    slow = svd_admissible_for_shift(basis)
-    assert fast.dim == slow.dim == basis.dim - 2
+    assert fast.dim == basis.dim - 2
     assert set(fast.vectors) <= set(basis.vectors)
+    _assert_same_span(fast, svd_admissible_for_shift(basis))
+
+
+@pytest.mark.parametrize("theta", MODEL_INNERS, ids=MODEL_IDS)
+def test_admissible_model_spaces_match_svd_oracle(theta):
+    """The compressed-shift coordinates rebuild the kernel of the shift
+    residuals."""
+    basis = tm_basis(theta)
+    fast = admissible_for_shift(basis)
+    assert fast.dim == basis.dim - 1
+    _assert_same_span(fast, svd_admissible_for_shift(basis))
+
+
+def _assert_same_span(fast, slow):
+    """Equal dimensions and orthogonal projectors within 1e-12."""
+    assert fast.dim == slow.dim
     lo = min(fast.band()[0], slow.band()[0])
     hi = max(fast.band()[1], slow.band()[1])
     P_fast, P_slow = (S.conj().T @ S for S in (fast.stacked(lo, hi),
@@ -493,23 +532,35 @@ def test_shift_invariance_defect_block_operator_argument():
     (BlaschkeProduct([0.5, -0.3j]), BlaschkeProduct([0.2 + 0.2j]), "model_perp", 5),
     (BlaschkeProduct([0.9 * cmath.exp(1j)]), BlaschkeProduct([0.95j, -0.4]),
      "model_perp", 6),
+    (BlaschkeProduct([0.5, -0.3j, 0.1]), BlaschkeProduct([0.2, 0.9j, -0.4, 0.3]),
+     "model", None),
 ])
 def test_shift_invariant_solve_matches_loop_system(theta, alpha, space, M):
     """Model spaces: the solve's singular values are the loop system's, bit
-    for bit. Sections: the loop system's SVD nullspace has dimension 8M+4
-    (all operators at M = 0, where no pair is admissible) and each null
-    vector has the block structure."""
+    for bit between monomial spaces (every coordinate is exact there), to
+    1e-14 otherwise, and the two nullspaces have the same projector.
+    Sections: the loop system's SVD nullspace has dimension 8M+4 (all
+    operators at M = 0, where no pair is admissible) and each null vector
+    has the block structure."""
     if space == "model":
         dom, cod = tm_basis(theta), tm_basis(alpha)
     else:
         dom, cod = basis_Kperp(theta, M), basis_Kperp(alpha, M)
     _, s, Vh = np.linalg.svd(loop_shift_system(dom, cod), full_matrices=True)
-    if space == "model":
-        sol = solve_shift_invariant_space(theta, alpha)
-        np.testing.assert_array_equal(sol.singular_values, s)
-        return
     null = [Vh[k].conj() for k in range(len(Vh))
             if k >= len(s) or s[k] < SHIFT_KERNEL_TOL]
+    if space == "model":
+        sol = solve_shift_invariant_space(theta, alpha)
+        if theta.is_monomial() and alpha.is_monomial():
+            np.testing.assert_array_equal(sol.singular_values, s)
+        else:
+            np.testing.assert_allclose(sol.singular_values, s, rtol=0, atol=1e-14)
+        N_sol = np.array([op.entries.ravel() for op in sol.operators])
+        N_loop = np.array(null)
+        assert N_sol.shape == N_loop.shape
+        np.testing.assert_allclose(N_sol.T @ N_sol.conj(), N_loop.T @ N_loop.conj(),
+                                   rtol=0, atol=1e-12)
+        return
     assert len(null) == 8 * M + 4
     for v in null:
         op = split_blocks(v.reshape(cod.dim, dom.dim), theta, alpha, M)

@@ -6,7 +6,8 @@ from msolab.inner import BlaschkeProduct, expand, monomial_inner
 from msolab.laurent import (LaurentPolynomial, conj_function, minus_part,
                             monomial, multiply, one)
 from msolab.operators import (MAX_DEPTH, BlockOperator, SymbolFunction,
-                              build_dtto, build_tto, split_blocks)
+                              build_dtto, build_tto, default_depth, guard_depth,
+                              split_blocks)
 from msolab.spaces import project
 
 from conftest import assert_poly_close, random_poly
@@ -76,6 +77,10 @@ def test_dtto_zbar_actions():
 def test_dtto_guard_depth():
     with pytest.raises(InputError, match="guard"):
         build_dtto(Z2, Z2, monomial(1), 4)
+    assert guard_depth(Z2, Z3, 1) == 8 and default_depth(Z2, Z3, 1) == 12
+    build_dtto(Z2, Z3, monomial(-1), 8)
+    with pytest.raises(InputError, match="guard depth 8 for this symbol"):
+        build_dtto(Z2, Z3, monomial(-1), 7)
 
 
 def test_dtto_depth_cap():

@@ -130,3 +130,26 @@ def test_payload_numbers_pass_through_the_readers():
                and (node.level > 0 or (node.module or "").startswith("msolab"))
                for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+def _method_callers(package: Path, method: str) -> list[str]:
+    """Modules with a call of the form `<expr>.method(...)`."""
+    return [path.name for path in sorted(package.glob("*.py"))
+            if any(isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                   and n.func.attr == method
+                   for n in ast.walk(ast.parse(path.read_text())))]
+
+
+def test_only_bases_stacks_basis_vectors():
+    """A dense stack of basis vectors is the bases' own business: every
+    other module maps through coordinates or section slices."""
+    assert _method_callers(Path(msolab.__file__).parent, "stacked") == ["bases.py"]
+
+
+def test_characterize_reads_model_spaces_through_the_compressed_shift():
+    """The model-space shift check and solve take their coordinates from
+    spaces.compressed_shift: no admissible vector is rebuilt and no
+    coordinate is mapped one vector at a time."""
+    path = Path(msolab.__file__).parent / "characterize.py"
+    assert "admissible_for_shift" not in _names(ast.parse(path.read_text()))
+    assert "characterize.py" not in _method_callers(path.parent, "coords")

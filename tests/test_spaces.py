@@ -5,8 +5,8 @@ from msolab.errors import InputError
 from msolab.inner import BlaschkeProduct, expand, monomial_inner, tm_basis
 from msolab.laurent import (LaurentPolynomial, conj_function, inner_product,
                             minus_part, monomial, multiply, one, plus_part)
-from msolab.spaces import (admissible_for_shift, basis_Kperp, conjugation_C,
-                           project)
+from msolab.spaces import (admissible_for_shift, basis_Kperp, compressed_shift,
+                           conjugation_C, project)
 
 from conftest import assert_poly_close, random_poly
 
@@ -164,6 +164,30 @@ def test_admissible_model_space_blaschke():
     # and v is orthogonal to the backward shift of theta
     s_star_theta = plus_part(expand(b).shift(-1))
     assert abs(inner_product(v, s_star_theta)) <= 1e-10
+
+
+@pytest.mark.parametrize("theta", [
+    Z2, monomial_inner(3), BlaschkeProduct([0.5, -0.3j, 0.2 + 0.1j]),
+    BlaschkeProduct([0.9, 0.4j])], ids=["z^2", "z^3", "blaschke", "zero at 0.9"])
+def test_compressed_shift_defect_identity(theta):
+    """z f = S_theta f + <z f, theta> theta on K(theta): with c the
+    coordinates of S*theta = P+(zbar theta), c_j = <theta, z e_j>, the
+    shift is isometric, S^H S + c c^H = I, |c|^2 = 1 - |theta(0)|^2, and X
+    is an orthonormal basis of the m - 1 coordinates orthogonal to c."""
+    V = tm_basis(theta)
+    m = V.dim
+    S, X = compressed_shift(V)
+    c = V.coords(plus_part(expand(theta).shift(-1)))
+    eye = np.eye(m)
+    assert S.shape == (m, m) and X.shape == (m, m - 1)
+    assert np.max(np.abs(S.conj().T @ S + np.outer(c, c.conj()) - eye)) <= 1e-13
+    assert np.vdot(c, c).real == pytest.approx(1 - abs(theta.evaluate(0)) ** 2, abs=1e-13)
+    assert np.max(np.abs(X.conj().T @ X - eye[:m - 1, :m - 1])) <= 1e-13
+    assert np.max(np.abs(c.conj() @ X), initial=0.0) <= 1e-13
+    # each admissible vector stays in K(theta) under z, with coordinates S X
+    for x, sx in zip(X.T, (S @ X).T):
+        zf = V.reconstruct(x).shift(1)
+        assert (zf - V.reconstruct(sx)).norm() <= 1e-12
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
