@@ -61,22 +61,19 @@ class FiniteRankOperator:
         return f"FiniteRankOperator(rank<={self.rank_bound})"
 
 
-def pair_many(T, families) -> np.ndarray:
-    """Trace pairings sum_n <T f_n, g_n> of a list of finite-rank operators.
-
-    The dyad vectors of all families go through one coordinate pass per
-    side and one product with the assembled matrix; the dyads of each family
-    are then summed in order. Raises when a dyad vector fails to lie in the
-    matching section span (its mass would silently be dropped otherwise).
-    """
+def _bases_and_matrix(T):
     if isinstance(T, BlockOperator):
-        dom, cod, A = T.domain_basis(), T.codomain_basis(), T.assemble()
-    elif isinstance(T, DenseComplexMatrix):
-        dom, cod, A = T.domain, T.codomain, T.entries
-    else:
-        raise InputError("pairing expects a BlockOperator or DenseComplexMatrix")
-    families = list(families)
-    dyads = [fg for t in families for fg in t.dyads]
+        return T.domain_basis(), T.codomain_basis(), T.assemble()
+    if isinstance(T, DenseComplexMatrix):
+        return T.domain, T.codomain, T.entries
+    raise InputError("pairing expects a BlockOperator or DenseComplexMatrix")
+
+
+def _dyad_coords(dom, cod, dyads) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates X (domain side) and Y (codomain side) of the dyad
+    vectors, one batch per side. Raises when a dyad vector fails to lie in
+    the matching section span (its mass would silently be dropped
+    otherwise)."""
     X, dx, nx = dom.coords_and_defects(f for f, _ in dyads)
     Y, dy, ny = cod.coords_and_defects(g for _, g in dyads)
     bad_x = dx > MEMBERSHIP_TOL * np.maximum(1.0, nx)
@@ -86,16 +83,55 @@ def pair_many(T, families) -> np.ndarray:
         side, basis, defect = ("f", dom, dx[r]) if bad_x[r] else ("g", cod, dy[r])
         raise DimensionError(
             f"dyad vector {side} leaves the {basis.label} span by {defect:.2e}")
-    owner = np.repeat(np.arange(len(families)), [len(t.dyads) for t in families])
-    out = np.zeros(len(families), dtype=np.complex128)
+    return X, Y
+
+
+def _family_sums(A, X, Y, counts) -> np.ndarray:
+    """sum_n <A x_n, y_n> over consecutive runs of counts[j] dyads, each
+    summed in dyad order."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    out = np.zeros(len(counts), dtype=np.complex128)
     np.add.at(out, owner, np.einsum("ri,ri->r", Y.conj(), X @ A.T))
     return out
+
+
+def pair_many(T, families) -> np.ndarray:
+    """Trace pairings sum_n <T f_n, g_n> of a list of finite-rank operators.
+
+    The dyad vectors of all families go through one coordinate pass per
+    side and one product with the assembled matrix; the dyads of each family
+    are then summed in order. Raises when a dyad vector fails to lie in the
+    matching section span.
+    """
+    dom, cod, A = _bases_and_matrix(T)
+    families = list(families)
+    X, Y = _dyad_coords(dom, cod, [fg for t in families for fg in t.dyads])
+    return _family_sums(A, X, Y, [len(t.dyads) for t in families])
 
 
 def pair(T, t: FiniteRankOperator) -> complex:
     """Trace pairing sum_n <T f_n, g_n> in the operator's coordinates: the
     batch of one of `pair_many`."""
     return complex(pair_many(T, [t])[0])
+
+
+def pair_each(operators, t: FiniteRankOperator) -> np.ndarray:
+    """Trace pairings <T_j, t> of one finite-rank operator against operators
+    on the same domain and codomain bases (the same basis objects, as the
+    basis caches hand out for one theta, alpha and depth). The dyad
+    coordinates and their membership check are computed once; entry j
+    equals pair(T_j, t) exactly. `operators` may be a generator, so that
+    only one operator is held at a time."""
+    out, bases = [], None
+    for T in operators:
+        dom, cod, A = _bases_and_matrix(T)
+        if bases is None:
+            bases = dom, cod
+            X, Y = _dyad_coords(dom, cod, t.dyads)
+        elif dom is not bases[0] or cod is not bases[1]:
+            raise InputError("pair_each expects operators on the same bases")
+        out.append(_family_sums(A, X, Y, [len(t.dyads)])[0])
+    return np.array(out, dtype=np.complex128)
 
 
 def gen_shift_pair(f: LaurentPolynomial, g: LaurentPolynomial, *,

@@ -26,6 +26,7 @@ from pathlib import Path
 from . import characterize, suites
 from .errors import InputError, MsolabError
 from .inner import BlaschkeProduct
+from .kernels import one_blas_thread
 from .laurent import LaurentPolynomial
 from .operators import (BlockOperator, DenseComplexMatrix, SymbolFunction,
                         build_dtto, build_tto, default_depth)
@@ -257,15 +258,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
-    except SystemExit as exc:
-        # --help prints and exits 0
-        return int(exc.code or 0)
-    except MsolabError as exc:
-        print("error:", " ".join(str(exc).splitlines()), file=sys.stderr)
-        return EXIT_BAD_INPUT
+    with one_blas_thread():
+        try:
+            args = build_parser().parse_args(argv)
+            return args.func(args)
+        except SystemExit as exc:
+            # --help prints and exits 0
+            return int(exc.code or 0)
+        except MsolabError as exc:
+            print("error:", " ".join(str(exc).splitlines()), file=sys.stderr)
+            return EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":

@@ -1,9 +1,9 @@
 """Seeded verification suites shared by the CLI and the acceptance tests.
 
 Every suite is deterministic under a fixed seed: case streams come from the
-xoshiro256** generator in msolab.rng, reports contain no timestamps, and
-cases run serially in index order, so identical config + seed gives
-byte-identical reports.
+xoshiro256** generator in msolab.rng, reports contain no timestamps, cases
+run serially in index order, and `run_suite` runs BLAS on one thread, so
+identical config + seed gives byte-identical reports on one machine.
 
 Case sizing policy: checks that are entrywise-exact on the section run at
 the tight depth operators.default_depth; pairing suites whose dyad vectors
@@ -22,6 +22,7 @@ import numpy as np
 from . import annihilate, characterize
 from .errors import InputError
 from .inner import BlaschkeProduct, expand, tm_basis
+from .kernels import one_blas_thread
 from .laurent import (LaurentPolynomial, conj_function, inner_product,
                       involution_J, minus_part, monomial, multiply, plus_part)
 from .operators import (MAX_DEPTH, BlockOperator, SymbolFunction, build_dtto,
@@ -314,11 +315,12 @@ def functional_representation(seed: int = DEFAULT_SEED) -> dict:
         density = LaurentPolynomial({k: r.complex_box() for k in range(-4, 5)})
         t = annihilate.represent_functional(density, theta, alpha)
         M = theta.degree + alpha.degree + 4 + 55
+        ks = range(-4, 5)
+        values = annihilate.pair_each(
+            (build_dtto(theta, alpha, monomial(k), M) for k in ks), t)
         worst = 0.0
-        for k in range(-4, 5):
-            D = build_dtto(theta, alpha, monomial(k), M)
-            worst = max(worst,
-                        abs(annihilate.pair(D, t) - density.coeff(-k)))
+        for k, value in zip(ks, values):
+            worst = max(worst, abs(complex(value) - density.coeff(-k)))
         return worst
 
     worst = max(one(i) for i in range(densities))
@@ -533,4 +535,5 @@ def run_suite(name: str, config: SuiteConfig | None = None) -> dict:
     for f in fields(config):
         if f.name not in reads + ("seed",) and getattr(config, f.name) is not None:
             raise InputError(f"suite {name} does not read --{f.name}")
-    return run(config)
+    with one_blas_thread():
+        return run(config)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from msolab import characterize
+from msolab import characterize, kernels
 from msolab.inner import monomial_inner
 from msolab.laurent import LaurentPolynomial, monomial
 from msolab.operators import build_dtto, split_blocks
@@ -66,3 +66,16 @@ def rebuilds(monkeypatch):
 
     monkeypatch.setattr(characterize, "build_dtto", keep)
     return rebuilt
+
+
+@pytest.fixture
+def openblas():
+    """The (get, set) thread-count pair of numpy's bundled OpenBLAS; the
+    count is restored after the test. Skips under another BLAS build."""
+    threads = kernels.openblas_threads()
+    if threads is None:
+        pytest.skip("numpy links a BLAS other than its bundled OpenBLAS")
+    get, set_ = threads
+    before = get()
+    yield threads
+    set_(before)

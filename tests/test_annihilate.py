@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from msolab.annihilate import (FiniteRankOperator, dual_transitivity_probe,
-                               gen_M, gen_shift_pair, pair,
+                               gen_M, gen_shift_pair, pair, pair_each,
                                represent_functional, trace_norm,
                                transitivity_probe)
 from msolab.errors import AdmissibilityError, DimensionError, InputError
@@ -202,6 +202,31 @@ def test_representer_reproduces_moments(rng):
     for k in range(-4, 5):
         D = build_dtto(Z2, Z2, monomial(k), 16)
         assert pair(D, t) == pytest.approx(density.coeff(-k), abs=1e-12)
+
+
+@pytest.mark.parametrize("theta, alpha", [
+    (Z2, monomial_inner(3)),
+    (BlaschkeProduct([0.3 + 0.2j]), BlaschkeProduct([-0.4j, 0.25])),
+], ids=["monomial", "blaschke"])
+def test_pair_each_equals_pair_per_operator(rng, theta, alpha):
+    """Criterion 8's one coordinate pass per density gives each operator's
+    `pair` value bit for bit, for the rank-one representer and for a
+    two-dyad family."""
+    M = theta.degree + alpha.degree + 4 + 55
+    ops = [build_dtto(theta, alpha, monomial(k), M) for k in range(-4, 5)]
+    for t in (represent_functional(random_poly(rng, -4, 4), theta, alpha),
+              gen_M(theta, alpha, one(), monomial(1))[1]):
+        assert list(pair_each(ops, t)) == [pair(D, t) for D in ops]
+
+
+def test_pair_each_checks_bases_and_membership():
+    ops = [build_dtto(Z2, Z2, monomial(k), 8) for k in (-1, 1)]
+    assert pair_each([], FiniteRankOperator([])).shape == (0,)
+    with pytest.raises(InputError, match="same bases"):
+        pair_each(ops + [build_dtto(Z2, Z2, one(), 9)],
+                  FiniteRankOperator([(monomial(2), monomial(3))]))
+    with pytest.raises(DimensionError, match=r"vector g leaves the Kperp\(z\^2\)@8 span"):
+        pair_each(ops, FiniteRankOperator([(monomial(2), monomial(40))]))
 
 
 def test_trace_norm_values(rng):

@@ -49,3 +49,16 @@ def test_empty_inputs():
     assert kernels.convolve(empty, one).shape == (0,)
     assert kernels.inner_shifted(empty, one, 0) == 0j
     assert kernels.inner_shifted(one, one, 5) == 0j
+
+
+def test_one_blas_thread_restores_the_count_when_the_body_raises(openblas):
+    get, set_ = openblas
+    set_(2)
+    with pytest.raises(ZeroDivisionError):
+        with kernels.one_blas_thread():
+            assert get() == 1
+            with kernels.one_blas_thread():
+                assert get() == 1
+            assert get() == 1
+            1 / 0
+    assert get() == 2

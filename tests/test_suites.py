@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from msolab import annihilate, suites
+from msolab import annihilate, kernels, suites
 from msolab.errors import InputError
 from msolab.inner import monomial_inner
 from msolab.laurent import LaurentPolynomial
@@ -111,6 +111,50 @@ def test_block_structure_report_ignores_the_blas_thread_count():
                            env={**os.environ, "OPENBLAS_NUM_THREADS": threads}).stdout
             for threads in ("1", "2")]
     assert outs[0] == outs[1] and json.loads(outs[0])["pass"]
+
+
+def test_cli_report_ignores_the_blas_thread_count():
+    """The CLI runs BLAS on one thread whatever OPENBLAS_NUM_THREADS says;
+    criterion 7's M=256 singular value differs in its last digits between
+    one and two threads otherwise."""
+    outs = [subprocess.run([sys.executable, "-m", "msolab.cli", "suite", "convergence"],
+                           check=True, capture_output=True, text=True,
+                           env={**os.environ, "OPENBLAS_NUM_THREADS": threads}).stdout
+            for threads in ("1", "2")]
+    assert outs[0] == outs[1] and json.loads(outs[0])["pass"]
+
+
+def test_run_suite_pins_one_blas_thread_and_restores_the_callers(monkeypatch, openblas):
+    """The suite body sees one thread; the caller gets its count back."""
+    get, set_ = openblas
+    seen = []
+
+    def convergence(config):
+        seen.append(get())
+        return {"pass": True}
+
+    monkeypatch.setitem(suites.SUITES, "convergence", (convergence, ()))
+    set_(2)
+    run_suite("convergence")
+    assert seen == [1] and get() == 2
+
+
+def _no_library(path):
+    raise OSError(f"cannot load {path}")
+
+
+@pytest.mark.parametrize("library", [_no_library, lambda path: object()],
+                         ids=["no-library", "no-symbols"])
+def test_pin_is_a_silent_no_op_without_the_symbols(monkeypatch, openblas, library):
+    """Under another BLAS build the symbol lookup fails: the pin then does
+    nothing, and a one-thread run reports what the pinned run reports."""
+    get, set_ = openblas
+    pinned = run_suite("convergence")
+    set_(1)
+    monkeypatch.setattr(kernels.ctypes, "CDLL", library)
+    assert kernels.openblas_threads() is None
+    assert run_suite("convergence") == pinned
+    assert get() == 1
 
 
 def test_reports_are_plain_json():
