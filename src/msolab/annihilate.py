@@ -61,11 +61,11 @@ class FiniteRankOperator:
         return f"FiniteRankOperator(rank<={self.rank_bound})"
 
 
-def _bases_and_matrix(T):
+def _bases_and_product(T):
     if isinstance(T, BlockOperator):
-        return T.domain_basis(), T.codomain_basis(), T.assemble()
+        return T.domain_basis(), T.codomain_basis(), lambda X: T.apply(X.T).T
     if isinstance(T, DenseComplexMatrix):
-        return T.domain, T.codomain, T.entries
+        return T.domain, T.codomain, lambda X: X @ T.entries.T
     raise InputError("pairing expects a BlockOperator or DenseComplexMatrix")
 
 
@@ -86,12 +86,12 @@ def _dyad_coords(dom, cod, dyads) -> tuple[np.ndarray, np.ndarray]:
     return X, Y
 
 
-def _family_sums(A, X, Y, counts) -> np.ndarray:
+def _family_sums(AX, Y, counts) -> np.ndarray:
     """sum_n <A x_n, y_n> over consecutive runs of counts[j] dyads, each
-    summed in dyad order."""
+    summed in dyad order, from the image rows AX."""
     owner = np.repeat(np.arange(len(counts)), counts)
     out = np.zeros(len(counts), dtype=np.complex128)
-    np.add.at(out, owner, np.einsum("ri,ri->r", Y.conj(), X @ A.T))
+    np.add.at(out, owner, np.einsum("ri,ri->r", Y.conj(), AX))
     return out
 
 
@@ -99,14 +99,14 @@ def pair_many(T, families) -> np.ndarray:
     """Trace pairings sum_n <T f_n, g_n> of a list of finite-rank operators.
 
     The dyad vectors of all families go through one coordinate pass per
-    side and one product with the assembled matrix; the dyads of each family
-    are then summed in order. Raises when a dyad vector fails to lie in the
-    matching section span.
+    side and one product with the operator, blockwise on a BlockOperator;
+    the dyads of each family are then summed in order. Raises when a dyad
+    vector fails to lie in the matching section span.
     """
-    dom, cod, A = _bases_and_matrix(T)
+    dom, cod, product = _bases_and_product(T)
     families = list(families)
     X, Y = _dyad_coords(dom, cod, [fg for t in families for fg in t.dyads])
-    return _family_sums(A, X, Y, [len(t.dyads) for t in families])
+    return _family_sums(product(X), Y, [len(t.dyads) for t in families])
 
 
 def pair(T, t: FiniteRankOperator) -> complex:
@@ -124,13 +124,13 @@ def pair_each(operators, t: FiniteRankOperator) -> np.ndarray:
     only one operator is held at a time."""
     out, bases = [], None
     for T in operators:
-        dom, cod, A = _bases_and_matrix(T)
+        dom, cod, product = _bases_and_product(T)
         if bases is None:
             bases = dom, cod
             X, Y = _dyad_coords(dom, cod, t.dyads)
         elif dom is not bases[0] or cod is not bases[1]:
             raise InputError("pair_each expects operators on the same bases")
-        out.append(_family_sums(A, X, Y, [len(t.dyads)])[0])
+        out.append(_family_sums(product(X), Y, [len(t.dyads)])[0])
     return np.array(out, dtype=np.complex128)
 
 

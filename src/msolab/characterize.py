@@ -36,7 +36,7 @@ from .laurent import (LaurentPolynomial, conj_function, multiply,
 from .operators import (BlockOperator, DenseComplexMatrix, SymbolFunction,
                         block_degrees, build_dtto, coefficient_matrix,
                         guard_depth)
-from .spaces import SHIFT_KERNEL_TOL, compressed_shift, section_shift_index
+from .spaces import SHIFT_KERNEL_TOL, compressed_shift
 
 
 def default_tolerance(*inners: BlaschkeProduct) -> float:
@@ -102,23 +102,19 @@ def shift_invariance_defect(op: BlockOperator | DenseComplexMatrix, *,
     """Largest deviation dev[p, q] = |<A(z f_p), z g_q> - <A f_p, g_q>| over
     the admissible vectors f_p of the domain and g_q of the codomain.
 
-    On the complement sections z f_p is again a section vector
-    (spaces.section_shift_index), so the deviations are one gather of
-    matrix entries and the defect is the largest block-identity deviation
-    of check_block_conditions. On model spaces, with (S, X) and (T, Y) the
-    compressed shifts of domain and codomain, dev = |(TY)^H A SX - Y^H A X|^T.
+    On the complement sections z f_p is again a section vector, so dev^T
+    is |the four block residuals of check_block_conditions| in block layout.
+    On model spaces, with (S, X) and (T, Y) the compressed shifts of domain
+    and codomain, dev = |(TY)^H A SX - Y^H A X|^T.
     """
     if isinstance(op, BlockOperator):
         tol = _tolerance(tol, op.theta, op.alpha)
-        A = op.assemble()
-        keep, moved = section_shift_index(op.M)
-        dev = np.abs(A[np.ix_(moved, moved)] - A[np.ix_(keep, keep)]).T
-    else:
-        tol = _tolerance(tol, op.domain.inner, op.codomain.inner)
-        S, X = compressed_shift(op.domain)
-        T, Y = compressed_shift(op.codomain)
-        A = op.entries
-        dev = np.abs((T @ Y).conj().T @ (A @ (S @ X)) - Y.conj().T @ (A @ X)).T
+        return _report("shift-invariance", np.block(_shift_residuals(op)).T, tol)
+    tol = _tolerance(tol, op.domain.inner, op.codomain.inner)
+    S, X = compressed_shift(op.domain)
+    T, Y = compressed_shift(op.codomain)
+    A = op.entries
+    dev = np.abs((T @ Y).conj().T @ (A @ (S @ X)) - Y.conj().T @ (A @ X)).T
     return _report("shift-invariance", dev, tol)
 
 
@@ -161,23 +157,27 @@ def distance_to_span(op: DenseComplexMatrix, family: list) -> float:
 
 # -- blockwise structure (shift sandwiches and intertwinings) -----------------
 
+def _shift_residuals(D: BlockOperator) -> list[list[np.ndarray]]:
+    """<D(z f), z g> - <D f, g> over the admissible section vectors in block
+    layout [[That, GammaCheck], [GammaHat, TCheck]], rows g and columns f:
+    z moves each to a neighbour, so each is two slices of one block."""
+    that, gc, gh, tc = D.that, D.gamma_check, D.gamma_hat, D.t_check
+    return [[that[1:, 1:] - that[:-1, :-1], gc[1:, :-1] - gc[:-1, 1:]],
+            [gh[:-1, 1:] - gh[1:, :-1], tc[:-1, :-1] - tc[1:, 1:]]]
+
+
 def check_block_conditions(D: BlockOperator, *,
                            tol: float | None = None) -> list[DefectReport]:
     """The four structural conditions: the diagonal blocks must be fixed by
     the one-step shift sandwich, the antidiagonal blocks must intertwine the
     shifts. Each residual is an exact entrywise identity; the sandwich drops
-    the outermost row/column."""
+    the outermost row/column. GammaCheck's is indexed like GammaCheck^H."""
     tol = _tolerance(tol, D.theta, D.alpha)
-    M = D.M
-    r1 = D.that[:M, :M] - D.that[1:, 1:]
-    r2 = D.t_check[:M, :M] - D.t_check[1:, 1:]
-    r3 = D.gamma_hat[1:, :M] - D.gamma_hat[:M, 1:]
-    gc_adj = D.gamma_check.conj().T
-    r4 = gc_adj[:M, 1:] - gc_adj[1:, :M]
+    [[r1, r4], [r3, r2]] = _shift_residuals(D)
     return [_report("that-shift-sandwich", r1, tol),
             _report("tcheck-shift-sandwich", r2, tol),
             _report("gammahat-intertwine", r3, tol),
-            _report("gammacheck-intertwine", r4, tol)]
+            _report("gammacheck-intertwine", r4.T, tol)]
 
 
 # -- full membership ----------------------------------------------------------

@@ -185,9 +185,10 @@ class BlockOperator:
             theta=self.alpha, alpha=self.theta, M=self.M, edge=self.edge)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
+        """D x, blockwise, for a vector x (dim,) or a batch of columns (dim, k)."""
         x = np.asarray(x, dtype=np.complex128)
-        if x.shape != (self.dim,):
-            raise DimensionError(f"vector of length {x.shape} for dimension {self.dim}")
+        if x.ndim not in (1, 2) or x.shape[0] != self.dim:
+            raise DimensionError(f"input of shape {x.shape} for dimension {self.dim}")
         head, tail = x[:self.M + 1], x[self.M + 1:]
         return np.concatenate([self.that @ head + self.gamma_check @ tail,
                                self.gamma_hat @ head + self.t_check @ tail])

@@ -470,7 +470,7 @@ def run_acceptance(config: SuiteConfig | None = None) -> dict:
 
 
 def run_fuzz(config: SuiteConfig | None = None) -> dict:
-    """Random-case sweep: build, check, recover, pair; everything must agree."""
+    """Random-case sweep: build, check, recover, shift check; all must agree."""
     config = (config or SuiteConfig()).validate()
     cases = 50 if config.cases is None else config.cases
     tol = config.tol or 1e-10

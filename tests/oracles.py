@@ -3,8 +3,9 @@
 Each function here computes the same quantity as a library routine through
 the generic route it replaced: pairings of polynomial images against a
 dense matrix of basis vectors, a Python loop over admissible pairs or over
-the dyads of a finite-rank operator, an SVD of shift residuals, polynomial
-round trips through the operator (`poly_apply`: coordinates, a
+the dyads of a finite-rank operator, a gather of entries of the assembled
+matrix (`gather_shift_invariance_defect`), an SVD of shift residuals,
+polynomial round trips through the operator (`poly_apply`: coordinates, a
 matrix-vector product, a rebuild), or an SVD of the assembled rebuild
 difference, or one generator family per call with its own expansions and
 products (`indexed_gen_M`). The tests compare the library against them.
@@ -18,15 +19,16 @@ import numpy as np
 
 from msolab.annihilate import MEMBERSHIP_TOL, FiniteRankOperator
 from msolab.bases import OrthonormalBasis
-from msolab.characterize import (AnalyticVerdict, DefectReport, _zbar_symbol,
-                                 default_tolerance)
+from msolab.characterize import (AnalyticVerdict, DefectReport, _report,
+                                 _zbar_symbol, default_tolerance)
 from msolab.errors import DimensionError
 from msolab.inner import expand, expansion_degree, tm_basis
 from msolab.laurent import (LaurentPolynomial, conj_function, inner_product,
                             involution_J, minus_part, monomial, multiply)
 from msolab.operators import BlockOperator, SymbolFunction
 from msolab.spaces import (SHIFT_KERNEL_TOL, admissible_for_shift, basis_Kperp,
-                           conjugation_C, project, section_expansion)
+                           conjugation_C, project, section_expansion,
+                           section_shift_index)
 
 
 def pairing_matrix(images, codomain) -> np.ndarray:
@@ -79,8 +81,8 @@ def dense_coords_and_defect(basis, f: LaurentPolynomial):
 
 def loop_pair(T, t) -> complex:
     """pair as a loop over the dyads: one vector at a time, its coordinates
-    and the norm of the vector minus its reconstruction, then one
-    matrix-vector product per dyad."""
+    and the norm of the vector minus its reconstruction, then one product
+    with the assembled matrix per dyad."""
     if isinstance(T, BlockOperator):
         dom, cod = T.domain_basis(), T.codomain_basis()
     else:
@@ -93,7 +95,7 @@ def loop_pair(T, t) -> complex:
             if defect > MEMBERSHIP_TOL * max(1.0, vec.norm()):
                 raise DimensionError(
                     f"dyad vector {side} leaves the {basis.label} span by {defect:.2e}")
-        acc += np.vdot(y, T.apply(x) if isinstance(T, BlockOperator)
+        acc += np.vdot(y, T.assemble() @ x if isinstance(T, BlockOperator)
                        else T.entries @ x)
     return complex(acc)
 
@@ -147,6 +149,17 @@ def loop_shift_invariance_defect(mat, domain, codomain, tol) -> DefectReport:
                 witnesses.append((p, q, float(dev)))
     witnesses.sort(key=lambda w: -w[2])
     return DefectReport("shift-invariance", float(defect), tol, witnesses[:3])
+
+
+def gather_shift_invariance_defect(D: BlockOperator, tol) -> DefectReport:
+    """shift_invariance_defect on a block operator as one gather of entries
+    of the assembled matrix: z v[keep[p]] = v[moved[p]] on the section, so
+    the deviation of the pair (p, q) is |A[moved[q], moved[p]] -
+    A[keep[q], keep[p]]|."""
+    A = D.assemble()
+    keep, moved = section_shift_index(D.M)
+    dev = np.abs(A[np.ix_(moved, moved)] - A[np.ix_(keep, keep)]).T
+    return _report("shift-invariance", dev, tol)
 
 
 def loop_shift_system(domain, codomain) -> np.ndarray:

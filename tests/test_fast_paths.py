@@ -28,7 +28,8 @@ from msolab.suites import random_inner, random_symbol
 
 from conftest import dense_noise_operator, random_poly
 from oracles import (dense_coords, dense_coords_and_defect, dense_reconstruct,
-                     indexed_gen_M, loop_pair, loop_shift_invariance_defect,
+                     gather_shift_invariance_defect, indexed_gen_M, loop_pair,
+                     loop_shift_invariance_defect,
                      loop_shift_system, pairing_build_dtto, poly_corner_consistency,
                      pairing_build_tto, poly_is_analytic_adtto,
                      poly_recover_boundary,
@@ -429,6 +430,37 @@ def test_block_shift_defect_is_largest_block_condition_defect():
             rep = shift_invariance_defect(op)
             blocks = max(r.defect for r in check_block_conditions(op))
             assert rep.defect == blocks
+
+
+def _structured_operator(M):
+    """A built operator at depth M; below the guard depth, the leading
+    corners of the blocks of a built one, which stay Toeplitz and Hankel."""
+    theta, alpha = BlaschkeProduct([0.4 - 0.2j, 0.1j]), BlaschkeProduct([0.6])
+    D = build_dtto(theta, alpha, LaurentPolynomial({-2: 0.5, 0: 1.0, 3: -1j}),
+                   max(M, 14))
+    n = M + 1
+    return BlockOperator(D.that[:n, :n], D.gamma_check[:n, :n],
+                         D.gamma_hat[:n, :n], D.t_check[:n, :n], theta, alpha, M)
+
+
+@pytest.mark.parametrize("M", [0, 1, 2, 14, 64])
+def test_block_shift_defect_equals_the_gather_oracle(M):
+    """The four block residuals give the same defect and witnesses, bit for
+    bit, as the gather from the assembled matrix: on a built operator, on
+    one with dense noise, and on integer blocks, whose deviations tie."""
+    D = _structured_operator(M)
+    noise = np.random.default_rng(M)
+    shape = (4, M + 1, M + 1)
+    complex_noise = noise.standard_normal(shape) + 1j * noise.standard_normal(shape)
+    blocks = np.array([D.that, D.gamma_check, D.gamma_hat, D.t_check])
+    perturbed = BlockOperator(*(blocks + 1e-3 * complex_noise), D.theta, D.alpha, M)
+    ties = BlockOperator(*np.round(3 * complex_noise), D.theta, D.alpha, M)
+    for op in (D, perturbed, ties):
+        fast = shift_invariance_defect(op)
+        slow = gather_shift_invariance_defect(op, fast.tolerance)
+        assert fast.defect == slow.defect and fast.witnesses == slow.witnesses
+        assert bool(fast.witnesses) == (op is not D and M > 0)
+    assert shift_invariance_defect(D).defect == 0.0
 
 
 def test_built_operators_have_exactly_zero_shift_defect():

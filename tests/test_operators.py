@@ -98,15 +98,26 @@ def test_dtto_adjoint_is_conjugate_symbol(rng):
                                atol=1e-11)
 
 
-def test_apply_matches_matrix_columns():
+def test_apply_matches_matrix_columns(rng):
     B = build_dtto(Z2, Z2, monomial(-1), 8)
     x = np.zeros(18)
     x[9] = 1  # zbar slot
     out = B.apply(x)
     assert out[10] == pytest.approx(1)  # zbar^2 slot
     np.testing.assert_array_equal(out, B.assemble()[:, 9])
-    with pytest.raises(DimensionError):
-        B.apply(np.zeros(5))
+    # a batch of columns is the product with each column
+    B = build_dtto(Z2, Z3, random_symbol(rng), 10)
+    X = np.array([[rng.complex_box() for _ in range(5)] for _ in range(B.dim)])
+    out = B.apply(X)
+    full = B.assemble() @ X
+    atol = 1e-14 * np.max(np.abs(full))
+    assert out.shape == (B.dim, 5)
+    np.testing.assert_allclose(out, full, rtol=0, atol=atol)
+    for j in range(5):
+        np.testing.assert_allclose(out[:, j], B.apply(X[:, j]), rtol=0, atol=atol)
+    for bad in (np.zeros(5), np.zeros((5, 3)), np.zeros((B.dim, 2, 2))):
+        with pytest.raises(DimensionError):
+            B.apply(bad)
 
 
 def test_split_and_assemble_round_trip(rng):

@@ -89,14 +89,18 @@ def test_one_truncation_rule():
     assert {k: v for k, v in tails.items() if v} == {}
 
 
+def _readers(name: str) -> list[str]:
+    """The library modules whose names (see _names) include `name`."""
+    package = Path(msolab.__file__).parent
+    return [path.name for path in sorted(package.glob("*.py"))
+            if name in _names(ast.parse(path.read_text()))]
+
+
 def test_only_the_section_modules_read_section_expansion():
     """spaces builds the sections and operators their blocks; every other
     module reads section data from the blocks or the bases, so only these
     two decide how far a section expansion reaches."""
-    package = Path(msolab.__file__).parent
-    readers = [path.name for path in sorted(package.glob("*.py"))
-               if "section_expansion" in _names(ast.parse(path.read_text()))]
-    assert readers == ["operators.py", "spaces.py"]
+    assert _readers("section_expansion") == ["operators.py", "spaces.py"]
 
 
 def test_only_the_block_modules_read_block_degrees():
@@ -104,10 +108,20 @@ def test_only_the_block_modules_read_block_degrees():
     coupling check predicts That at them; the shift-invariance suite judges
     the block structure against the shift's index map, never against the
     degrees the blocks were built from."""
-    package = Path(msolab.__file__).parent
-    readers = [path.name for path in sorted(package.glob("*.py"))
-               if "block_degrees" in _names(ast.parse(path.read_text()))]
-    assert readers == ["characterize.py", "operators.py"]
+    assert _readers("block_degrees") == ["characterize.py", "operators.py"]
+
+
+def test_only_operators_and_criterion_7_read_assemble():
+    """Every block-operator quantity reads the four blocks; only criterion
+    7's spectral norm takes the assembled (2M+2)^2 matrix."""
+    assert _readers("assemble") == ["operators.py", "suites.py"]
+
+
+def test_only_spaces_and_criterion_4_read_section_shift_index():
+    """spaces defines where the shift moves the section vectors and
+    criterion 4 builds its system from that map; the shift check reads the
+    block residuals, so the index map is still tested independently."""
+    assert _readers("section_shift_index") == ["spaces.py", "suites.py"]
 
 
 def test_payload_numbers_pass_through_the_readers():
