@@ -5,41 +5,47 @@ for finite Blaschke products: exact-band Laurent arithmetic, model-space
 projections and conjugations, block compressions on complement sections,
 membership checks with symbol recovery, and the rank-one/rank-two
 annihilator calculus. See the README for the CLI and the JSON formats.
+
+The names below are loaded from their submodule on first use (PEP 562),
+so `import msolab` itself loads no numpy and sets nothing.
 """
 
-from .annihilate import (FiniteRankOperator, dual_transitivity_probe, gen_M,
-                         gen_shift_pair, pair, represent_functional,
-                         trace_norm, transitivity_probe)
-from .bases import OrthonormalBasis
-from .characterize import (DefectReport, check_adtto, check_block_conditions,
-                           is_analytic_adtto, recover_symbol,
-                           shift_invariance_defect,
-                           solve_shift_invariant_space)
-from .errors import AdmissibilityError, DimensionError, InputError, MsolabError
-from .inner import BlaschkeProduct, expand, monomial_inner, tm_basis, verify_inner
-from .laurent import (LaurentPolynomial, conj_function, inner_product,
-                      involution_J, minus_part, multiply, plus_part,
-                      project_band)
-from .operators import (BlockOperator, DenseComplexMatrix, SymbolFunction,
-                        build_dtto, build_tto, split_blocks)
-from .rng import Xoshiro256StarStar
-from .spaces import admissible_for_shift, basis_Kperp, conjugation_C, project
-from .suites import SuiteConfig, run_suite
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdmissibilityError", "BlaschkeProduct", "BlockOperator", "DefectReport",
-    "DenseComplexMatrix", "DimensionError", "FiniteRankOperator",
-    "InputError", "LaurentPolynomial", "MsolabError",
-    "OrthonormalBasis", "SuiteConfig", "SymbolFunction",
-    "Xoshiro256StarStar", "admissible_for_shift", "basis_Kperp",
-    "build_dtto", "build_tto", "check_adtto", "check_block_conditions",
-    "conj_function", "conjugation_C", "dual_transitivity_probe", "expand",
-    "gen_M", "gen_shift_pair", "inner_product", "involution_J",
-    "is_analytic_adtto", "minus_part", "monomial_inner", "multiply", "pair",
-    "plus_part", "project", "project_band", "recover_symbol",
-    "represent_functional", "run_suite", "shift_invariance_defect",
-    "solve_shift_invariant_space", "split_blocks", "tm_basis", "trace_norm",
-    "transitivity_probe", "verify_inner", "__version__",
-]
+# each submodule and the public names it defines
+_EXPORTS = {
+    "annihilate": ("FiniteRankOperator", "dual_transitivity_probe", "gen_M",
+                   "gen_shift_pair", "pair", "represent_functional",
+                   "trace_norm", "transitivity_probe"),
+    "bases": ("OrthonormalBasis",),
+    "characterize": ("DefectReport", "check_adtto", "check_block_conditions",
+                     "is_analytic_adtto", "recover_symbol",
+                     "shift_invariance_defect", "solve_shift_invariant_space"),
+    "errors": ("AdmissibilityError", "DimensionError", "InputError", "MsolabError"),
+    "inner": ("BlaschkeProduct", "expand", "monomial_inner", "tm_basis", "verify_inner"),
+    "laurent": ("LaurentPolynomial", "conj_function", "inner_product",
+                "involution_J", "minus_part", "multiply", "plus_part",
+                "project_band"),
+    "operators": ("BlockOperator", "DenseComplexMatrix", "SymbolFunction",
+                  "build_dtto", "build_tto", "split_blocks"),
+    "rng": ("Xoshiro256StarStar",),
+    "spaces": ("admissible_for_shift", "basis_Kperp", "conjugation_C", "project"),
+    "suites": ("SuiteConfig", "run_suite"),
+}
+_OWNERS = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_OWNERS, "__version__"]
+
+
+def __getattr__(name):
+    if name not in _OWNERS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_OWNERS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

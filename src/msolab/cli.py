@@ -10,6 +10,13 @@ symbols the shorthand "z^k" / "z^-k". `build` writes its operator payload
 compactly on one line; `check`, `recover` and `suite` write their reports
 indented. Any whitespace loads. Exit codes: 0 all checks pass, 1 a
 mathematical check failed, 2 invalid input or configuration.
+
+Every command runs with BLAS on one thread (`kernels.one_blas_thread`).
+Run as `python -m msolab.cli`, the module also sets OPENBLAS_NUM_THREADS=1
+in its own process before numpy loads, so OpenBLAS never starts the worker
+thread that would otherwise spin at import. The installed `msolab` script
+imports this module (`msolab.cli:main`) and gets the runtime pin only; an
+import as a library changes no environment variable and no thread count.
 """
 
 from __future__ import annotations
@@ -17,11 +24,16 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import re
 import sys
 import time
 from contextlib import contextmanager
 from pathlib import Path
+
+if __name__ == "__main__":
+    # before the first import that loads numpy: OpenBLAS reads it only then
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from . import characterize, suites
 from .errors import InputError, MsolabError

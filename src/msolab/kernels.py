@@ -56,7 +56,9 @@ def one_blas_thread():
     another order, so a report would depend on the thread count. The pin
     overrides OPENBLAS_NUM_THREADS and acts on the whole process while the
     body runs. Under a BLAS other than numpy's bundled OpenBLAS it does
-    nothing.
+    nothing. It comes after numpy has loaded, so it cannot stop the worker
+    thread OpenBLAS starts then; `python -m msolab.cli` avoids that by
+    setting OPENBLAS_NUM_THREADS=1 before its first numpy import.
     """
     threads = openblas_threads()
     if threads is None:

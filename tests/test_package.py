@@ -1,11 +1,34 @@
 import ast
+import importlib
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import msolab
 
 
 def test_all_names_resolve():
     assert [name for name in msolab.__all__ if not hasattr(msolab, name)] == []
+
+
+def test_package_surface_is_loaded_on_first_use():
+    """`import msolab` loads no numpy; every public name is listed by dir()
+    and bound by a star import to its owning submodule's object."""
+    out = subprocess.run([sys.executable, "-c",
+                          "import msolab, sys; print('numpy' in sys.modules)"],
+                         check=True, capture_output=True, text=True).stdout
+    assert out == "False\n"
+    assert set(msolab.__all__) <= set(dir(msolab))
+    namespace = {}
+    exec("from msolab import *", namespace)
+    assert set(namespace) >= set(msolab.__all__)
+    assert [name for name, owner in msolab._OWNERS.items()
+            if namespace[name] is not getattr(
+                importlib.import_module(f"msolab.{owner}"), name)] == []
+    with pytest.raises(AttributeError, match="no_such_name"):
+        msolab.no_such_name
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -22,9 +45,8 @@ def _unused_imports(path: Path) -> list[str]:
 
 
 def test_no_unused_imports():
-    """The library modules (but the re-exporting __init__) and the tests."""
-    modules = [p for p in sorted(Path(msolab.__file__).parent.glob("*.py"))
-               if p.name != "__init__.py"]
+    """The library modules and the tests."""
+    modules = sorted(Path(msolab.__file__).parent.glob("*.py"))
     tests = sorted(Path(__file__).parent.glob("*.py"))
     unused = {f"{p.parent.name}/{p.name}": _unused_imports(p) for p in modules + tests}
     assert len(modules) > 5 and len(tests) > 5

@@ -116,12 +116,42 @@ def test_block_structure_report_ignores_the_blas_thread_count():
 def test_cli_report_ignores_the_blas_thread_count():
     """The CLI runs BLAS on one thread whatever OPENBLAS_NUM_THREADS says;
     criterion 7's M=256 singular value differs in its last digits between
-    one and two threads otherwise."""
+    one and two threads otherwise. Under `-m msolab.cli` the count set before
+    numpy loads holds both runs to one thread; the runtime pin is covered by
+    test_run_suite_pins_one_blas_thread_and_restores_the_callers."""
     outs = [subprocess.run([sys.executable, "-m", "msolab.cli", "suite", "convergence"],
                            check=True, capture_output=True, text=True,
                            env={**os.environ, "OPENBLAS_NUM_THREADS": threads}).stdout
             for threads in ("1", "2")]
     assert outs[0] == outs[1] and json.loads(outs[0])["pass"]
+
+
+_CLI_AS_MAIN = """
+import runpy, sys
+sys.argv = ["msolab", "build", "tto", "--theta", "z^2", "--symbol", "z"]
+try:
+    runpy.run_module("msolab.cli", run_name="__main__")
+except SystemExit as exc:
+    assert exc.code == 0
+"""
+
+
+@pytest.mark.parametrize("start, expected", [(_CLI_AS_MAIN, "1 1"),
+                                             ("import msolab.cli", "2 2")],
+                         ids=["as-main", "as-library"])
+def test_only_the_cli_process_starts_blas_on_one_thread(openblas, start, expected):
+    """Run as __main__, the CLI sets OPENBLAS_NUM_THREADS=1 before numpy
+    loads, so after a command (whose pin restores the count it found) the
+    process still runs one thread. An import as a library keeps the caller's
+    variable and count."""
+    if (os.cpu_count() or 1) < 2:
+        pytest.skip("OpenBLAS caps the count it reads at load at the CPU count")
+    script = start + "\nimport os\nfrom msolab import kernels\n" \
+        "print(kernels.openblas_threads()[0](), os.environ['OPENBLAS_NUM_THREADS'])"
+    out = subprocess.run([sys.executable, "-c", script], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "OPENBLAS_NUM_THREADS": "2"}).stdout
+    assert out.splitlines()[-1] == expected
 
 
 def test_run_suite_pins_one_blas_thread_and_restores_the_callers(monkeypatch, openblas):
