@@ -16,9 +16,8 @@ __version__ = "0.1.0"
 
 # each submodule and the public names it defines
 _EXPORTS = {
-    "annihilate": ("FiniteRankOperator", "dual_transitivity_probe", "gen_M",
-                   "gen_shift_pair", "pair", "represent_functional",
-                   "trace_norm", "transitivity_probe"),
+    "annihilate": ("FiniteRankOperator", "gen_M", "gen_shift_pair", "pair",
+                   "represent_functional", "transitivity_probe"),
     "bases": ("OrthonormalBasis",),
     "characterize": ("DefectReport", "check_adtto", "check_block_conditions",
                      "is_analytic_adtto", "recover_symbol",

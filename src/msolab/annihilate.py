@@ -8,6 +8,11 @@ operator violating one of the four membership conditions shows a nonzero
 pairing against the matching family. Pairings are evaluated in section
 coordinates, so the dyad vectors must lie in the section span (checked via
 the membership defect).
+
+Two rank-one tools complete the calculus: the transitivity probe, the
+product f * conj(g) whose visible coefficient shows that f (x) g annihilates
+no model-space compression (criterion 6), and the rank-one representer of
+a moment functional (criterion 8).
 """
 
 from __future__ import annotations
@@ -19,10 +24,8 @@ import numpy as np
 from .bases import OrthonormalBasis
 from .errors import AdmissibilityError, DimensionError, InputError
 from .inner import BlaschkeProduct, expand
-from .laurent import (LaurentPolynomial, conj_function, minus_part, multiply,
-                      plus_part)
+from .laurent import LaurentPolynomial, conj_function, multiply
 from .operators import BlockOperator, DenseComplexMatrix
-from .payload import read_typed
 from .spaces import project
 
 MEMBERSHIP_TOL = 1e-8
@@ -44,18 +47,6 @@ class FiniteRankOperator:
     @property
     def rank_bound(self) -> int:
         return len(self.dyads)
-
-    def to_json(self) -> dict:
-        return {"dyads": [{"f": f.to_json(), "g": g.to_json()}
-                          for f, g in self.dyads]}
-
-    @classmethod
-    def from_json(cls, obj) -> "FiniteRankOperator":
-        obj = read_typed(obj, dict, "finite-rank payload")
-        dyads = [read_typed(d, dict, "dyad")
-                 for d in read_typed(obj.get("dyads"), list, "'dyads'")]
-        return cls([(LaurentPolynomial.from_json(d.get("f")),
-                     LaurentPolynomial.from_json(d.get("g"))) for d in dyads])
 
     def __repr__(self):
         return f"FiniteRankOperator(rank<={self.rank_bound})"
@@ -194,7 +185,7 @@ def gen_M(theta: BlaschkeProduct, alpha: BlaschkeProduct, h: LaurentPolynomial,
 
 
 class ProbeResult(NamedTuple):
-    products: tuple
+    product: LaurentPolynomial
     nonzero: bool
 
 
@@ -205,29 +196,7 @@ def transitivity_probe(f: LaurentPolynomial, g: LaurentPolynomial) -> ProbeResul
     if f.is_zero() or g.is_zero():
         raise InputError("transitivity probe requires nonzero vectors")
     product = multiply(f, conj_function(g))
-    return ProbeResult((product,), product.sup_on_band() > PROBE_FLOOR)
-
-
-def dual_transitivity_probe(f: LaurentPolynomial, g: LaurentPolynomial,
-                            theta: BlaschkeProduct,
-                            alpha: BlaschkeProduct) -> ProbeResult:
-    """Three products driving the rank-one argument on the complement
-    sections: with f = zbar conj(f-) + theta f+ and g likewise,
-    (f+ conj(g+), conj(f-) g-, theta f+ z g-) must all vanish for f (x) g to
-    annihilate the class."""
-    if f.is_zero() or g.is_zero():
-        raise InputError("transitivity probe requires nonzero vectors")
-    th = expand(theta)
-    al = expand(alpha)
-    f_plus = plus_part(multiply(conj_function(th), f))
-    g_plus = plus_part(multiply(conj_function(al), g))
-    f_minus = conj_function(minus_part(f).shift(1))
-    g_minus = conj_function(minus_part(g).shift(1))
-    p1 = multiply(f_plus, conj_function(g_plus))
-    p2 = multiply(conj_function(f_minus), g_minus)
-    p3 = multiply(multiply(th, f_plus), g_minus.shift(1))
-    nonzero = any(p.sup_on_band() > PROBE_FLOOR for p in (p1, p2, p3))
-    return ProbeResult((p1, p2, p3), nonzero)
+    return ProbeResult(product, product.sup_on_band() > PROBE_FLOOR)
 
 
 def represent_functional(density: LaurentPolynomial, theta: BlaschkeProduct,
@@ -243,19 +212,3 @@ def represent_functional(density: LaurentPolynomial, theta: BlaschkeProduct,
     al = expand(alpha)
     wrap = multiply(th, al)
     return FiniteRankOperator([(multiply(wrap, h1), wrap.shift(n))])
-
-
-def trace_norm(t: FiniteRankOperator) -> float:
-    """Sum of singular values of the assembled finite-rank matrix."""
-    if not t.dyads:
-        return 0.0
-    polys = [p for fg in t.dyads for p in fg]
-    lo = min(p.lo for p in polys if not p.is_zero())
-    hi = max(p.hi for p in polys if not p.is_zero())
-    F = np.vstack([f.dense(lo, hi) for f, _ in t.dyads]).T
-    G = np.vstack([g.dense(lo, hi) for _, g in t.dyads]).T
-    # t = F G^H as a matrix in coefficient coordinates; reduce via QR
-    qf, rf = np.linalg.qr(F)
-    qg, rg = np.linalg.qr(G)
-    s = np.linalg.svd(rf @ rg.conj().T, compute_uv=False)
-    return float(np.sum(s))

@@ -124,26 +124,39 @@ class ShiftInvariantSolution(NamedTuple):
     singular_values: np.ndarray
 
 
+def shift_kernel(X: np.ndarray, SX: np.ndarray, Y: np.ndarray,
+                 TY: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """The matrices A with (TY)^H A SX = Y^H A X, and the singular values
+    of that system.
+
+    Column p of X holds the coordinates of an admissible domain vector f_p
+    and column p of SX those of z f_p; Y and TY do the same for the
+    codomain vectors g_q. Row (q, p) of the system
+    kron((TY)^H, (SX)^T) - kron(Y^H, X^T) asks <A(z f_p), z g_q> =
+    <A f_p, g_q> of the row-major flattened A. Its kernel comes from one
+    SVD: singular values below SHIFT_KERNEL_TOL count as zero. With no
+    admissible pair there is no row and every matrix qualifies.
+    """
+    C = np.kron(TY.conj().T, SX.T) - np.kron(Y.conj().T, X.T)
+    _, s, Vh = np.linalg.svd(C, full_matrices=True)
+    null = [Vh[k].conj().reshape(len(Y), len(X)) for k in range(Vh.shape[0])
+            if k >= len(s) or s[k] < SHIFT_KERNEL_TOL]
+    return null, s
+
+
 def solve_shift_invariant_space(theta: BlaschkeProduct,
                                 alpha: BlaschkeProduct) -> ShiftInvariantSolution:
     """Basis of the space of shift-invariant operators from the model space
-    of theta to that of alpha: the nullspace of the homogeneous system
-    <A(zf_i), zg_j> = <Af_i, g_j> over all admissible basis pairs, from an
-    SVD (singular values below SHIFT_KERNEL_TOL count as zero).
-    `singular_values` holds the SVD's. The rows read the coordinates of
-    spaces.compressed_shift; with no admissible pair there is no row and
-    every operator qualifies.
+    of theta to that of alpha: the kernel of `shift_kernel` over the
+    coordinates of spaces.compressed_shift. `singular_values` holds the
+    system's.
     """
     dom = tm_basis(theta)
     cod = tm_basis(alpha)
     S, X = compressed_shift(dom)
     T, Y = compressed_shift(cod)
-    C = np.kron((T @ Y).conj().T, (S @ X).T) - np.kron(Y.conj().T, X.T)
-    _, s, Vh = np.linalg.svd(C, full_matrices=True)
-    null = [Vh[k].conj() for k in range(Vh.shape[0])
-            if k >= len(s) or s[k] < SHIFT_KERNEL_TOL]
-    ops = [DenseComplexMatrix(v.reshape(cod.dim, dom.dim), dom, cod)
-           for v in null]
+    null, s = shift_kernel(X, S @ X, Y, T @ Y)
+    ops = [DenseComplexMatrix(A, dom, cod) for A in null]
     return ShiftInvariantSolution(len(null), ops, s)
 
 
@@ -192,6 +205,13 @@ def _zbar_symbol(D: BlockOperator) -> SymbolFunction:
     return SymbolFunction(LaurentPolynomial._from_dense(-M, border))
 
 
+def _merged(condition: str, *reports: DefectReport) -> DefectReport:
+    """One or more reports as one under a new name: the defect and the
+    witnesses of the report with the largest defect, the first on a tie."""
+    worst = max(reports, key=lambda rep: rep.defect)
+    return DefectReport(condition, worst.defect, worst.tolerance, worst.witnesses)
+
+
 class AdttoVerdict(NamedTuple):
     reports: list
     passed: bool
@@ -214,8 +234,7 @@ def check_adtto(D: BlockOperator, *, tol: float | None = None) -> AdttoVerdict:
     tol = _tolerance(tol, D.theta, D.alpha)
     M = D.M
     blocks = check_block_conditions(D, tol=tol)
-    r1 = blocks[0]
-    r1 = DefectReport("that-toeplitz", r1.defect, tol, r1.witnesses)
+    r1 = _merged("that-toeplitz", blocks[0])
 
     # coupling: the zbar-corner symbol, pushed through theta*conj(alpha),
     # must reproduce That entrywise
@@ -225,13 +244,8 @@ def check_adtto(D: BlockOperator, *, tol: float | None = None) -> AdttoVerdict:
     g = multiply(phi_z.value, multiply(th, conj_function(al)))
     predicted = coefficient_matrix(g, block_degrees(M)[0])
     coupling = _report("tcheck-coupling", D.that - predicted, tol)
-    r2 = DefectReport("tcheck-coupling",
-                      max(blocks[1].defect, coupling.defect), tol,
-                      coupling.witnesses or blocks[1].witnesses)
-
-    r3 = DefectReport("hankel-intertwine",
-                      max(blocks[2].defect, blocks[3].defect), tol,
-                      blocks[2].witnesses or blocks[3].witnesses)
+    r2 = _merged("tcheck-coupling", coupling, blocks[1])
+    r3 = _merged("hankel-intertwine", blocks[2], blocks[3])
 
     # corner consistency: D(theta) is column 0 of D and D*(alpha) the
     # conjugate of row 0, so their Hminus parts are the first column of

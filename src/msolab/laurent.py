@@ -32,7 +32,7 @@ MAX_DEGREE = 2048
 
 
 class LaurentPolynomial:
-    __slots__ = ("_lo", "_data", "_coeffs_cache")
+    __slots__ = ("_lo", "_data")
 
     def __init__(self, coeffs: Mapping[int, complex] | None = None):
         if coeffs:
@@ -46,7 +46,6 @@ class LaurentPolynomial:
         lo, data = _trim(lo, data)
         self._lo = lo
         self._data = data
-        self._coeffs_cache = None
 
     @classmethod
     def _from_dense(cls, lo: int, data: np.ndarray) -> "LaurentPolynomial":
@@ -54,7 +53,6 @@ class LaurentPolynomial:
         lo, data = _trim(lo, np.ascontiguousarray(data, dtype=np.complex128))
         p._lo = lo
         p._data = data
-        p._coeffs_cache = None
         return p
 
     @classmethod
@@ -74,12 +72,8 @@ class LaurentPolynomial:
     @property
     def coeffs(self) -> dict[int, complex]:
         """Sparse degree -> coefficient view (zeros inside the band omitted)."""
-        if self._coeffs_cache is None:
-            self._coeffs_cache = {
-                self._lo + i: complex(c)
-                for i, c in enumerate(self._data) if c != 0
-            }
-        return dict(self._coeffs_cache)
+        return {self._lo + i: complex(c)
+                for i, c in enumerate(self._data) if c != 0}
 
     @property
     def lo(self) -> int:

@@ -25,11 +25,10 @@ from .inner import BlaschkeProduct, expand, tm_basis
 from .kernels import one_blas_thread
 from .laurent import (LaurentPolynomial, conj_function, inner_product,
                       involution_J, minus_part, monomial, multiply, plus_part)
-from .operators import (MAX_DEPTH, BlockOperator, SymbolFunction, build_dtto,
-                        build_tto, default_depth, guard_depth, split_blocks)
+from .operators import (BlockOperator, SymbolFunction, build_dtto, build_tto,
+                        default_depth, split_blocks)
 from .rng import Xoshiro256StarStar
-from .spaces import (SHIFT_KERNEL_TOL, conjugation_C, project,
-                     section_shift_index)
+from .spaces import conjugation_C, project, section_shift_index
 
 DEFAULT_SEED = 42
 
@@ -50,14 +49,6 @@ class SuiteConfig:
         characterize.validated_tolerance(self.tol)
         if self.cases is not None and self.cases <= 0:
             raise InputError(f"cases must be positive, got {self.cases}")
-        if self.M is not None and self.M > MAX_DEPTH:
-            raise InputError(f"M={self.M} above the depth cap MAX_DEPTH={MAX_DEPTH}")
-        if (self.M is not None and self.symbol is not None
-                and self.theta is not None and self.alpha is not None):
-            guard = guard_depth(self.theta, self.alpha,
-                                SymbolFunction(self.symbol).reach)
-            if self.M < guard:
-                raise InputError(f"M={self.M} below the guard depth {guard}")
         return self
 
 
@@ -159,24 +150,19 @@ def block_structure_scan() -> dict:
     Hankel off-diagonal blocks, and these solutions span dimension 4(2M+1).
 
     The system is the one the shift check gathers: with keep, moved =
-    spaces.section_shift_index(M), one row per admissible pair (p, q) asks
-    A[moved[q], moved[p]] - A[keep[q], keep[p]] = 0. Its kernel comes from
-    an SVD (singular values below SHIFT_KERNEL_TOL count as zero), and each
-    kernel vector, cut into blocks, is judged by check_block_conditions.
+    spaces.section_shift_index(M), the admissible section vectors are the
+    identity columns I[:, keep] and their shifts I[:, moved], so each
+    admissible pair (p, q) asks A[moved[q], moved[p]] = A[keep[q], keep[p]].
+    characterize.shift_kernel solves it, and each kernel matrix, cut into
+    blocks, is judged by check_block_conditions.
     """
     M, tol = 10, 1e-10
     theta = BlaschkeProduct([0.0, 0.0])
-    n = 2 * M + 2
     keep, moved = section_shift_index(M)
-    # row p * len(keep) + q: +1 at entry (moved[q], moved[p]) and -1 at
-    # entry (keep[q], keep[p]) of the row-major flattened matrix
-    C = np.zeros((len(keep) ** 2, n * n))
-    rows = np.arange(len(C))
-    C[rows, (moved * n + moved[:, None]).ravel()] = 1.0
-    C[rows, (keep * n + keep[:, None]).ravel()] = -1.0
-    _, s, Vh = np.linalg.svd(C, full_matrices=True)
-    null = [Vh[k] for k in range(len(Vh)) if k >= len(s) or s[k] < SHIFT_KERNEL_TOL]
-    ops = [split_blocks(v.reshape(n, n), theta, theta, M) for v in null]
+    I = np.eye(2 * M + 2)
+    null, _ = characterize.shift_kernel(I[:, keep], I[:, moved],
+                                        I[:, keep], I[:, moved])
+    ops = [split_blocks(A, theta, theta, M) for A in null]
     worst = max(rep.defect for op in ops
                 for rep in characterize.check_block_conditions(op))
     return {"criterion": "block-structure", "dimension": len(null),
@@ -268,7 +254,7 @@ def transitivity_scan(seed: int = DEFAULT_SEED) -> dict:
             f = random_in_basis(r, bt)
             g = random_in_basis(r, ba)
             probe = annihilate.transitivity_probe(f, g)
-            smallest = min(smallest, probe.products[0].sup_on_band())
+            smallest = min(smallest, probe.product.sup_on_band())
             nonzero = nonzero and probe.nonzero
     return {"criterion": "transitivity", "pairs": pairs, "seed": seed,
             "min_peak": smallest, "floor": floor, "pass": nonzero}

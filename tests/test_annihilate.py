@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from msolab.annihilate import (FiniteRankOperator, dual_transitivity_probe,
-                               gen_M, gen_shift_pair, pair, pair_each,
-                               represent_functional, trace_norm,
+from msolab.annihilate import (FiniteRankOperator, gen_M, gen_shift_pair,
+                               pair, pair_each, represent_functional,
                                transitivity_probe)
 from msolab.errors import AdmissibilityError, DimensionError, InputError
-from msolab.inner import BlaschkeProduct, expand, monomial_inner, tm_basis
-from msolab.laurent import LaurentPolynomial, monomial, multiply, one
+from msolab.inner import BlaschkeProduct, monomial_inner, tm_basis
+from msolab.laurent import LaurentPolynomial, monomial, one
 from msolab.operators import build_dtto, build_tto
 from msolab.spaces import admissible_for_shift, basis_Kperp
 
@@ -148,14 +147,14 @@ def test_family_validation():
         gen_M(Z2, Z2, one(), LaurentPolynomial({-2: 1.0, 0: 1.0}))
 
 
-# -- transitivity probes -----------------------------------------------------------
+# -- transitivity probe ------------------------------------------------------------
 
 def test_probe_examples():
     f = LaurentPolynomial({0: 1, 1: 1})
     g = LaurentPolynomial({0: 1, 1: -1})
     probe = transitivity_probe(f, g)
     assert probe.nonzero
-    assert probe.products[0].coeffs == {1: (1 + 0j), -1: (-1 + 0j)}
+    assert probe.product.coeffs == {1: (1 + 0j), -1: (-1 + 0j)}
     assert transitivity_probe(one(), monomial(1)).nonzero
     with pytest.raises(InputError):
         transitivity_probe(LaurentPolynomial(), one())
@@ -171,20 +170,7 @@ def test_probe_never_finds_rank_one_annihilator(rng):
         assert transitivity_probe(f, g).nonzero
 
 
-def test_dual_probe_products(rng):
-    b1 = BlaschkeProduct([0.4]); b2 = BlaschkeProduct([0.3, -0.2])
-    theta, alpha = expand(b1), expand(b2)
-    f = multiply(theta, LaurentPolynomial({0: 1, 1: 2})) + monomial(-1)
-    g = multiply(alpha, one()) + monomial(-2, 3)
-    probe = dual_transitivity_probe(f, g, b1, b2)
-    assert len(probe.products) == 3
-    assert probe.nonzero
-    # analytic-by-analytic product reproduces the plus components
-    p1 = probe.products[0]
-    assert p1.sup_on_band() > 0.1
-
-
-# -- representer and trace norm ------------------------------------------------------
+# -- representer ------------------------------------------------------------------
 
 def test_representer_hand_examples():
     t = represent_functional(monomial(-1), Z2, Z2)
@@ -227,24 +213,3 @@ def test_pair_each_checks_bases_and_membership():
                   FiniteRankOperator([(monomial(2), monomial(3))]))
     with pytest.raises(DimensionError, match=r"vector g leaves the Kperp\(z\^2\)@8 span"):
         pair_each(ops, FiniteRankOperator([(monomial(2), monomial(40))]))
-
-
-def test_trace_norm_values(rng):
-    f, g = random_poly(rng, -3, 3), random_poly(rng, -2, 4)
-    assert trace_norm(FiniteRankOperator([(f, g)])) == pytest.approx(
-        f.norm() * g.norm(), rel=1e-12)
-    assert trace_norm(FiniteRankOperator([(f, g), (f, g)])) == pytest.approx(
-        2 * f.norm() * g.norm(), rel=1e-12)
-    assert trace_norm(FiniteRankOperator(
-        [(monomial(2), monomial(2)), (monomial(3, -1), monomial(3))])) == \
-        pytest.approx(2.0)
-    assert trace_norm(FiniteRankOperator([])) == 0.0
-
-
-def test_finite_rank_json_round_trip(rng):
-    t = FiniteRankOperator([(random_poly(rng), random_poly(rng))])
-    again = FiniteRankOperator.from_json(t.to_json())
-    assert [(f.coeffs, g.coeffs) for f, g in again.dyads] == \
-        [(f.coeffs, g.coeffs) for f, g in t.dyads]
-    with pytest.raises(InputError):
-        FiniteRankOperator.from_json({"dyads": [{"f": {}}]})

@@ -177,6 +177,24 @@ def test_tcheck_coupling_reads_the_zbar_corner():
     assert [r.passed for r in inner.reports] == [True, False, True, True]
 
 
+def test_merged_conditions_take_the_witnesses_of_the_larger_residual():
+    """tcheck-coupling and hankel-intertwine each merge two residuals; the
+    witnesses come from the one that sets the defect, not from whichever
+    has witnesses first."""
+    D = build_dtto(Z2, Z2, LaurentPolynomial({1: 1, -1: 2}), 12)
+    n = D.M + 1
+    rep = check_adtto(with_blocks(D, t_check=D.t_check + bump(n, 5, 7),
+                                  that=D.that + 1e-6 * bump(n, 3, 3))).reports[1]
+    assert rep.defect == pytest.approx(1.0)
+    assert rep.witnesses[0] == (4, 6, pytest.approx(1.0))
+    assert all(w[2] == pytest.approx(1.0) for w in rep.witnesses)
+    rep = check_adtto(with_blocks(D, gamma_hat=D.gamma_hat + 1e-6 * bump(n, 3, 3),
+                                  gamma_check=D.gamma_check + bump(n, 5, 7))).reports[2]
+    assert rep.defect == pytest.approx(1.0)
+    assert all(w[2] == pytest.approx(1.0) for w in rep.witnesses)
+    assert check_adtto(D).reports[1].witnesses == []
+
+
 def test_membership_discriminates_small_perturbations(rng):
     D = build_dtto(Z2, Z2, LaurentPolynomial({1: 1, -1: 2}), 10)
     n = 2 * (D.M + 1)

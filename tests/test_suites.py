@@ -45,11 +45,11 @@ def test_config_guard_validation():
     config = SuiteConfig(theta=monomial_inner(2), alpha=monomial_inner(2),
                          symbol=LaurentPolynomial({3: 1.0}), M=5)
     with pytest.raises(InputError):
-        config.validate()
+        run_fuzz(config)
     with pytest.raises(InputError):
         SuiteConfig(tol=-1.0).validate()
     with pytest.raises(InputError, match="depth cap"):
-        SuiteConfig(M=MAX_DEPTH + 1).validate()
+        run_fuzz(SuiteConfig(M=MAX_DEPTH + 1))
 
 
 @pytest.mark.parametrize("cases", [0, -3])
