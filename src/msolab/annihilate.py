@@ -52,12 +52,10 @@ class FiniteRankOperator:
         return f"FiniteRankOperator(rank<={self.rank_bound})"
 
 
-def _bases_and_product(T):
-    if isinstance(T, BlockOperator):
-        return T.domain_basis(), T.codomain_basis(), lambda X: T.apply(X.T).T
-    if isinstance(T, DenseComplexMatrix):
-        return T.domain, T.codomain, lambda X: X @ T.entries.T
-    raise InputError("pairing expects a BlockOperator or DenseComplexMatrix")
+def _bases(T) -> tuple[OrthonormalBasis, OrthonormalBasis]:
+    if not isinstance(T, (BlockOperator, DenseComplexMatrix)):
+        raise InputError("pairing expects a BlockOperator or DenseComplexMatrix")
+    return T.domain_basis(), T.codomain_basis()
 
 
 def _dyad_coords(dom, cod, dyads) -> tuple[np.ndarray, np.ndarray]:
@@ -94,10 +92,9 @@ def pair_many(T, families) -> np.ndarray:
     the dyads of each family are then summed in order. Raises when a dyad
     vector fails to lie in the matching section span.
     """
-    dom, cod, product = _bases_and_product(T)
     families = list(families)
-    X, Y = _dyad_coords(dom, cod, [fg for t in families for fg in t.dyads])
-    return _family_sums(product(X), Y, [len(t.dyads) for t in families])
+    X, Y = _dyad_coords(*_bases(T), [fg for t in families for fg in t.dyads])
+    return _family_sums(T.apply(X.T).T, Y, [len(t.dyads) for t in families])
 
 
 def pair(T, t: FiniteRankOperator) -> complex:
@@ -115,13 +112,13 @@ def pair_each(operators, t: FiniteRankOperator) -> np.ndarray:
     only one operator is held at a time."""
     out, bases = [], None
     for T in operators:
-        dom, cod, product = _bases_and_product(T)
+        dom, cod = _bases(T)
         if bases is None:
             bases = dom, cod
             X, Y = _dyad_coords(dom, cod, t.dyads)
         elif dom is not bases[0] or cod is not bases[1]:
             raise InputError("pair_each expects operators on the same bases")
-        out.append(_family_sums(product(X), Y, [len(t.dyads)])[0])
+        out.append(_family_sums(T.apply(X.T).T, Y, [len(t.dyads)])[0])
     return np.array(out, dtype=np.complex128)
 
 

@@ -99,23 +99,26 @@ def _report(condition: str, residual: np.ndarray, tol: float) -> DefectReport:
 
 def shift_invariance_defect(op: BlockOperator | DenseComplexMatrix, *,
                             tol: float | None = None) -> DefectReport:
-    """Largest deviation dev[p, q] = |<A(z f_p), z g_q> - <A f_p, g_q>| over
-    the admissible vectors f_p of the domain and g_q of the codomain.
+    """Largest deviation of the shift identity <A(z f), z g> = <A f, g> over
+    the admissible vectors f of the domain and g of the codomain.
 
-    On the complement sections z f_p is again a section vector, so dev^T
-    is |the four block residuals of check_block_conditions| in block layout.
-    On model spaces, with (S, X) and (T, Y) the compressed shifts of domain
-    and codomain, dev = |(TY)^H A SX - Y^H A X|^T.
+    On the complement sections z f is again a section vector, so the
+    deviations are |the four block residuals of check_block_conditions| in
+    block layout, indexed by admissible pairs. On model spaces, with (S, X)
+    and (T, Y) the compressed shifts of domain and codomain, they are the
+    entries of |P_alpha (T^H A S - A) P_theta|^T, where P_alpha = Y Y^H and
+    P_theta = X X^H project onto the admissible coordinates: no choice of
+    the orthonormal X or Y changes them, and the witnesses index
+    Takenaka-Malmquist basis vectors.
     """
     if isinstance(op, BlockOperator):
-        tol = _tolerance(tol, op.theta, op.alpha)
-        return _report("shift-invariance", np.block(_shift_residuals(op)).T, tol)
-    tol = _tolerance(tol, op.domain.inner, op.codomain.inner)
-    S, X = compressed_shift(op.domain)
-    T, Y = compressed_shift(op.codomain)
-    A = op.entries
-    dev = np.abs((T @ Y).conj().T @ (A @ (S @ X)) - Y.conj().T @ (A @ X)).T
-    return _report("shift-invariance", dev, tol)
+        residual = np.block(_shift_residuals(op))
+    else:
+        S, X = compressed_shift(op.domain_basis())
+        T, Y = compressed_shift(op.codomain_basis())
+        A = op.entries
+        residual = Y @ (Y.conj().T @ (T.conj().T @ A @ S - A) @ X) @ X.conj().T
+    return _report("shift-invariance", residual.T, _tolerance(tol, op.theta, op.alpha))
 
 
 class ShiftInvariantSolution(NamedTuple):
@@ -151,12 +154,10 @@ def solve_shift_invariant_space(theta: BlaschkeProduct,
     coordinates of spaces.compressed_shift. `singular_values` holds the
     system's.
     """
-    dom = tm_basis(theta)
-    cod = tm_basis(alpha)
-    S, X = compressed_shift(dom)
-    T, Y = compressed_shift(cod)
+    S, X = compressed_shift(tm_basis(theta))
+    T, Y = compressed_shift(tm_basis(alpha))
     null, s = shift_kernel(X, S @ X, Y, T @ Y)
-    ops = [DenseComplexMatrix(A, dom, cod) for A in null]
+    ops = [DenseComplexMatrix(A, theta, alpha) for A in null]
     return ShiftInvariantSolution(len(null), ops, s)
 
 

@@ -67,8 +67,6 @@ class SymbolFunction:
             return obj
         if isinstance(obj, LaurentPolynomial):
             return cls(obj)
-        if isinstance(obj, dict):
-            return cls(LaurentPolynomial.from_json(obj))
         raise InputError(f"cannot parse symbol {obj!r}")
 
     @property
@@ -90,43 +88,46 @@ class SymbolFunction:
 
 
 class DenseComplexMatrix:
-    """Matrix of an operator between two labeled orthonormal bases."""
+    """Matrix of an operator from K(theta) to K(alpha) in the cached
+    Takenaka-Malmquist bases tm_basis(theta) and tm_basis(alpha)."""
 
-    __slots__ = ("entries", "domain", "codomain")
+    __slots__ = ("entries", "theta", "alpha")
 
-    def __init__(self, entries: np.ndarray, domain: OrthonormalBasis,
-                 codomain: OrthonormalBasis):
+    def __init__(self, entries: np.ndarray, theta: BlaschkeProduct,
+                 alpha: BlaschkeProduct):
         entries = np.asarray(entries, dtype=np.complex128)
-        if entries.shape != (codomain.dim, domain.dim):
+        if entries.shape != (alpha.degree, theta.degree):
             raise DimensionError(
-                f"entries {entries.shape} do not match bases "
-                f"({codomain.dim}, {domain.dim})")
+                f"entries {entries.shape} do not match the degrees "
+                f"({alpha.degree}, {theta.degree})")
         self.entries = entries
-        self.domain = domain
-        self.codomain = codomain
+        self.theta = theta
+        self.alpha = alpha
 
-    @property
-    def shape(self):
-        return self.entries.shape
+    def domain_basis(self) -> OrthonormalBasis:
+        return tm_basis(self.theta)
+
+    def codomain_basis(self) -> OrthonormalBasis:
+        return tm_basis(self.alpha)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """A x for a vector x or a batch of columns of domain coordinates."""
+        return self.entries @ x
 
     def to_json(self) -> dict:
-        out = {"entries": write_matrix(self.entries)}
-        if self.domain.inner is not None:
-            out["theta"] = self.domain.inner.to_json()
-        if self.codomain.inner is not None:
-            out["alpha"] = self.codomain.inner.to_json()
-        return out
+        return {"entries": write_matrix(self.entries),
+                "theta": self.theta.to_json(), "alpha": self.alpha.to_json()}
 
     @classmethod
     def from_json(cls, obj) -> "DenseComplexMatrix":
         obj = read_typed(obj, dict, "matrix payload")
         return cls(read_matrix(obj.get("entries"), "entries"),
-                   tm_basis(BlaschkeProduct.from_json(obj.get("theta"))),
-                   tm_basis(BlaschkeProduct.from_json(obj.get("alpha"))))
+                   BlaschkeProduct.from_json(obj.get("theta")),
+                   BlaschkeProduct.from_json(obj.get("alpha")))
 
     def __repr__(self):
-        return (f"DenseComplexMatrix({self.codomain.label!r} x "
-                f"{self.domain.label!r}, shape={self.entries.shape})")
+        return (f"DenseComplexMatrix(theta={self.theta.short_name()}, "
+                f"alpha={self.alpha.short_name()})")
 
 
 class BlockOperator:
@@ -227,10 +228,9 @@ def build_tto(theta: BlaschkeProduct, alpha: BlaschkeProduct,
     """Compression of multiplication by phi from K(theta) to K(alpha):
     column j holds the codomain coordinates of phi * e_j."""
     phi = SymbolFunction.parse(phi)
-    dom = tm_basis(theta)
-    cod = tm_basis(alpha)
-    images = [multiply(phi.value, e) for e in dom.vectors]
-    return DenseComplexMatrix(cod.coords_and_defects(images)[0].T, dom, cod)
+    images = [multiply(phi.value, e) for e in tm_basis(theta).vectors]
+    return DenseComplexMatrix(tm_basis(alpha).coords_and_defects(images)[0].T,
+                              theta, alpha)
 
 
 def guard_depth(theta: BlaschkeProduct, alpha: BlaschkeProduct,

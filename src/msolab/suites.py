@@ -262,10 +262,12 @@ def transitivity_scan(seed: int = DEFAULT_SEED) -> dict:
 
 def isometry_convergence(symbol: LaurentPolynomial | None = None,
                          theta: BlaschkeProduct | None = None,
-                         alpha: BlaschkeProduct | None = None,
-                         final_gap: float | None = 0.05) -> dict:
+                         alpha: BlaschkeProduct | None = None) -> dict:
     """Criterion 7: the largest singular value of the truncated operator
-    grows monotonically to the sup-norm of the symbol and never exceeds it."""
+    grows monotonically to the sup-norm of the symbol and never exceeds it.
+    The default symbol z + zbar must also end within 0.05 of its sup-norm;
+    a given symbol carries no bound on the final gap."""
+    final_gap = 0.05 if symbol is None else None
     if symbol is None:
         symbol = LaurentPolynomial({1: 1.0, -1: 1.0})
     if theta is None:
@@ -500,8 +502,7 @@ def run_fuzz(config: SuiteConfig | None = None) -> dict:
 def run_convergence(config: SuiteConfig | None = None) -> dict:
     config = (config or SuiteConfig()).validate()
     result = isometry_convergence(
-        symbol=config.symbol, theta=config.theta, alpha=config.alpha,
-        final_gap=None if config.symbol is not None else 0.05)
+        symbol=config.symbol, theta=config.theta, alpha=config.alpha)
     return {"suite": "convergence", "seed": config.seed,
             "criteria": [result], "pass": result["pass"]}
 

@@ -83,10 +83,8 @@ def loop_pair(T, t) -> complex:
     """pair as a loop over the dyads: one vector at a time, its coordinates
     and the norm of the vector minus its reconstruction, then one product
     with the assembled matrix per dyad."""
-    if isinstance(T, BlockOperator):
-        dom, cod = T.domain_basis(), T.codomain_basis()
-    else:
-        dom, cod = T.domain, T.codomain
+    dom, cod = T.domain_basis(), T.codomain_basis()
+    A = T.assemble() if isinstance(T, BlockOperator) else T.entries
     acc = 0j
     for f, g in t.dyads:
         x, y = dom.coords(f), cod.coords(g)
@@ -95,8 +93,7 @@ def loop_pair(T, t) -> complex:
             if defect > MEMBERSHIP_TOL * max(1.0, vec.norm()):
                 raise DimensionError(
                     f"dyad vector {side} leaves the {basis.label} span by {defect:.2e}")
-        acc += np.vdot(y, T.assemble() @ x if isinstance(T, BlockOperator)
-                       else T.entries @ x)
+        acc += np.vdot(y, A @ x)
     return complex(acc)
 
 
@@ -129,17 +126,35 @@ def indexed_gen_M(index, theta, alpha, h, g) -> FiniteRankOperator:
     return FiniteRankOperator([(th, a), (-zbar_gbar, al)])
 
 
+def _shift_candidates(V) -> list[LaurentPolynomial]:
+    """The vectors whose shift identities loop_shift_invariance_defect
+    tests: a section's admissible vectors, or each model basis vector
+    projected onto the span of the model space's admissible vectors, one
+    polynomial pairing at a time."""
+    if V.kind != "model":
+        return admissible_for_shift(V).vectors
+    adm = svd_admissible_for_shift(V).vectors
+    out = []
+    for e in V:
+        acc = LaurentPolynomial.zero()
+        for a in adm:
+            acc = acc + a.scale(inner_product(e, a))
+        out.append(acc)
+    return out
+
+
 def loop_shift_invariance_defect(mat, domain, codomain, tol) -> DefectReport:
-    """shift_invariance_defect as a double loop over admissible pairs."""
-    adm_d = admissible_for_shift(domain)
-    adm_c = admissible_for_shift(codomain)
+    """shift_invariance_defect as a double loop over the candidate vectors
+    of `_shift_candidates`: the admissible pairs of the sections, the
+    projected basis vectors of the model spaces."""
+    targets = _shift_candidates(codomain)
     defect = 0.0
     witnesses = []
-    for p, f in enumerate(adm_d):
+    for p, f in enumerate(_shift_candidates(domain)):
         xf = domain.coords(f)
         xzf = domain.coords(f.shift(1))
         af, azf = mat @ xf, mat @ xzf
-        for q, g in enumerate(adm_c):
+        for q, g in enumerate(targets):
             yg = codomain.coords(g)
             yzg = codomain.coords(g.shift(1))
             dev = abs(np.vdot(yzg, azf) - np.vdot(yg, af))

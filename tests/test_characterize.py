@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
+from msolab import characterize
 from msolab.characterize import (check_adtto, check_block_conditions,
                                  default_tolerance, distance_to_span,
                                  is_analytic_adtto, recover_symbol,
                                  shift_invariance_defect,
                                  solve_shift_invariant_space)
 from msolab.errors import InputError
-from msolab.inner import BlaschkeProduct, monomial_inner, tm_basis
+from msolab.inner import BlaschkeProduct, monomial_inner
 from msolab.laurent import LaurentPolynomial, monomial, one
 from msolab.operators import (BlockOperator, DenseComplexMatrix, build_dtto,
                               build_tto)
+from msolab.spaces import compressed_shift
 
 from conftest import assert_poly_close, random_poly
 
@@ -41,11 +43,33 @@ def test_tto_is_shift_invariant():
 
 
 def test_rank_one_dyad_not_shift_invariant():
-    basis = tm_basis(Z2)
-    A = DenseComplexMatrix(np.array([[1, 0], [0, 0]]), basis, basis)
+    A = DenseComplexMatrix(np.array([[1, 0], [0, 0]]), Z2, Z2)
     rep = shift_invariance_defect(A)
     assert rep.defect == pytest.approx(1.0)
     assert not rep.passed and rep.witnesses
+
+
+def test_model_shift_defect_reads_no_choice_of_admissible_basis(monkeypatch, rng):
+    """Rotating the orthonormal admissible coordinates of compressed_shift
+    by a unitary changes neither the defect nor its witnesses."""
+    theta = BlaschkeProduct([0.5, -0.3j, 0.1])
+    alpha = BlaschkeProduct([0.4 + 0.2j, -0.6])
+    A = build_tto(theta, alpha, random_poly(rng, -2, 2))
+    noise = np.array([[rng.complex_box() for _ in range(3)] for _ in range(2)])
+    op = DenseComplexMatrix(A.entries + 1e-2 * noise, theta, alpha)
+    before = shift_invariance_defect(op, tol=1e-4)
+
+    def rotated(V):
+        S, X = compressed_shift(V)
+        k = X.shape[1]
+        Z = np.array([[rng.complex_box() for _ in range(k)] for _ in range(k)])
+        return S, X @ np.linalg.qr(Z)[0]
+
+    monkeypatch.setattr(characterize, "compressed_shift", rotated)
+    after = shift_invariance_defect(op, tol=1e-4)
+    assert not before.passed and before.witnesses
+    assert abs(after.defect - before.defect) <= 1e-15
+    assert [w[:2] for w in after.witnesses] == [w[:2] for w in before.witnesses]
 
 
 def test_dtto_is_shift_invariant():

@@ -242,15 +242,16 @@ def _pairing_cases():
     for theta, alpha in ((monomial_inner(3), monomial_inner(2)),
                          (near, BlaschkeProduct([0.5, -0.3j, 0.1]))):
         A = build_tto(theta, alpha, random_symbol(r, reach=2))
-        adm_d, adm_c = admissible_for_shift(A.domain), admissible_for_shift(A.codomain)
-        families = [gen_shift_pair(f, g, domain=A.domain, codomain=A.codomain)
+        dom, cod = A.domain_basis(), A.codomain_basis()
+        adm_d, adm_c = admissible_for_shift(dom), admissible_for_shift(cod)
+        families = [gen_shift_pair(f, g, domain=dom, codomain=cod)
                     for f in adm_d for g in adm_c]
         families += [FiniteRankOperator(
-            [(A.domain.reconstruct([r.complex_box() for _ in range(A.domain.dim)]),
-              A.codomain.reconstruct([r.complex_box() for _ in range(A.codomain.dim)]))
+            [(dom.reconstruct([r.complex_box() for _ in range(dom.dim)]),
+              cod.reconstruct([r.complex_box() for _ in range(cod.dim)]))
              for _ in range(rank)]) for rank in (1, 3)]
         out += [(A, families),
-                (DenseComplexMatrix(noisy(A.entries), A.domain, A.codomain), families)]
+                (DenseComplexMatrix(noisy(A.entries), theta, alpha), families)]
     return out
 
 
@@ -512,17 +513,17 @@ def _shift_cases(rng):
                       for _ in range(D.dim)])
     out.append((D.assemble() + 1e-3 * noise, D.domain_basis(), D.codomain_basis()))
     A = build_tto(b, BlaschkeProduct([0.5, 0.0, -0.2]), monomial(1))
-    out.append((A.entries, A.domain, A.codomain))
-    out.append((A.entries + 1e-2, A.domain, A.codomain))
+    out.append((A.entries, A.domain_basis(), A.codomain_basis()))
+    out.append((A.entries + 1e-2, A.domain_basis(), A.codomain_basis()))
     # a one-dimensional model space has no admissible vectors
     A = build_tto(monomial_inner(1), z2, monomial(0))
-    out.append((A.entries, A.domain, A.codomain))
+    out.append((A.entries, A.domain_basis(), A.codomain_basis()))
     return out
 
 
 def _as_operator(mat, dom, cod):
     if dom.kind == "model":
-        return DenseComplexMatrix(mat, dom, cod)
+        return DenseComplexMatrix(mat, dom.inner, cod.inner)
     return split_blocks(mat, dom.inner, cod.inner, dom.depth)
 
 

@@ -5,9 +5,9 @@ from msolab.errors import DimensionError, InputError
 from msolab.inner import BlaschkeProduct, expand, monomial_inner
 from msolab.laurent import (LaurentPolynomial, conj_function, minus_part,
                             monomial, multiply, one)
-from msolab.operators import (MAX_DEPTH, BlockOperator, SymbolFunction,
-                              build_dtto, build_tto, default_depth, guard_depth,
-                              split_blocks)
+from msolab.operators import (MAX_DEPTH, BlockOperator, DenseComplexMatrix,
+                              SymbolFunction, build_dtto, build_tto,
+                              default_depth, guard_depth, split_blocks)
 from msolab.spaces import project
 
 from conftest import assert_poly_close, random_poly
@@ -270,6 +270,33 @@ def test_block_operator_json_round_trip(rng):
     # spec-shaped payloads without the optional edge key load fine
     del payload["edge"]
     assert BlockOperator.from_json(payload).edge is None
+
+
+def test_tto_json_round_trip(rng):
+    theta, alpha = BlaschkeProduct([0.4, -0.1j, 0.2]), BlaschkeProduct([0.3j, 0.0])
+    A = build_tto(theta, alpha, random_symbol(rng))
+    payload = A.to_json()
+    assert set(payload) == {"entries", "theta", "alpha"}
+    again = DenseComplexMatrix.from_json(payload)
+    np.testing.assert_array_equal(again.entries, A.entries)
+    assert again.theta == theta and again.alpha == alpha
+
+
+def test_tto_rejects_entries_of_the_wrong_shape():
+    with pytest.raises(DimensionError, match=r"\(2, 3\)"):
+        DenseComplexMatrix(np.zeros((3, 2)), Z3, Z2)
+
+
+def test_tto_apply_is_the_matrix_product(rng):
+    A = build_tto(Z3, BlaschkeProduct([0.5, -0.2j]), random_symbol(rng))
+    X = np.array([[rng.complex_box() for _ in range(4)] for _ in range(3)])
+    np.testing.assert_array_equal(A.apply(X), A.entries @ X)
+    assert A.apply(X).shape == (2, 4)
+
+
+def test_symbol_parse_rejects_a_payload_dict():
+    with pytest.raises(InputError, match="cannot parse symbol"):
+        SymbolFunction.parse(monomial(1).to_json())
 
 
 def test_block_operator_json_rejects_malformed():

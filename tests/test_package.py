@@ -65,7 +65,7 @@ def test_option_count():
     """Every defaulted parameter is an option a caller may set; an added one
     fails here until this count is raised on purpose."""
     modules = sorted(Path(msolab.__file__).parent.glob("*.py"))
-    assert sum(_defaulted_parameters(p) for p in modules) == 42
+    assert sum(_defaulted_parameters(p) for p in modules) == 41
 
 
 def _names(tree: ast.AST) -> set[str]:
@@ -109,6 +109,31 @@ def test_one_truncation_rule():
     assert len(deciding) > 5
     assert {k: v for k, v in deciding.items() if v} == {}
     assert {k: v for k, v in tails.items() if v} == {}
+
+
+def test_both_operator_kinds_share_one_interface():
+    """A TTO and a DTTO both carry theta and alpha and hand out their bases
+    through domain_basis/codomain_basis, so no library module reads a
+    `.domain` or `.codomain` attribute to tell them apart."""
+    package = Path(msolab.__file__).parent
+    readers = [f"{path.name}:{n.lineno}" for path in sorted(package.glob("*.py"))
+               for n in ast.walk(ast.parse(path.read_text()))
+               if isinstance(n, ast.Attribute) and n.attr in ("domain", "codomain")]
+    assert readers == []
+    tree = ast.parse((package / "operators.py").read_text())
+    members = {}
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and cls.name in ("DenseComplexMatrix",
+                                                           "BlockOperator"):
+            slots = [n.value for a in cls.body if isinstance(a, ast.Assign)
+                     and a.targets[0].id == "__slots__"
+                     for n in ast.walk(a.value) if isinstance(n, ast.Constant)]
+            methods = [f.name for f in cls.body if isinstance(f, ast.FunctionDef)]
+            members[cls.name] = set(slots + methods)
+    interface = {"theta", "alpha", "domain_basis", "codomain_basis", "apply",
+                 "to_json", "from_json"}
+    assert {name: sorted(interface - have) for name, have in members.items()} == \
+        {"DenseComplexMatrix": [], "BlockOperator": []}
 
 
 def _readers(name: str) -> list[str]:
