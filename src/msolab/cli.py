@@ -11,6 +11,13 @@ compactly on one line; `check`, `recover` and `suite` write their reports
 indented. Any whitespace loads. Exit codes: 0 all checks pass, 1 a
 mathematical check failed, 2 invalid input or configuration.
 
+A block operator payload in build's compact layout is written and read per
+distinct number (`payload.write_operator_text`, `payload.read_operator_text`):
+its blocks are Toeplitz and Hankel matrices, with at most 2M + 1 distinct
+entries each. Any other layout, or any doubt about one, goes through
+json.loads and the typed readers, which give the same operator and the same
+error messages.
+
 Every command runs with BLAS on one thread (`kernels.one_blas_thread`).
 Run as `python -m msolab.cli`, the module also sets OPENBLAS_NUM_THREADS=1
 in its own process before numpy loads, so OpenBLAS never starts the worker
@@ -42,7 +49,8 @@ from .kernels import one_blas_thread
 from .laurent import LaurentPolynomial
 from .operators import (BlockOperator, DenseComplexMatrix, SymbolFunction,
                         build_dtto, build_tto, default_depth)
-from .payload import read_typed, write_complex
+from .payload import (read_operator_text, read_typed, write_complex,
+                      write_operator_text)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -50,16 +58,16 @@ EXIT_BAD_INPUT = 2
 
 # json.dumps layouts: an operator payload on one line through the C encoder
 # (an indent selects the pure-Python one), a report indented for people
-_PAYLOAD_LAYOUT = {"separators": (",", ":")}
-_REPORT_LAYOUT = {"indent": 2}
+_PAYLOAD_LAYOUT = {"sort_keys": True, "separators": (",", ":")}
+_REPORT_LAYOUT = {"sort_keys": True, "indent": 2}
 
 
 @contextmanager
 def _collector_paused():
-    """Pause the cyclic garbage collector over one bulk step on a payload
-    tree. The trees are acyclic lists of floats, so a pass finds nothing in
-    them; it would only re-walk their young lists. The caller's state is
-    restored, also when the step raises."""
+    """Pause the cyclic garbage collector over one bulk step on a payload.
+    Its trees are acyclic lists of floats and strings, so a pass finds
+    nothing in them; it would only re-walk their young lists. The caller's
+    state is restored, also when the step raises."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -95,16 +103,16 @@ def _parse_inner(text: str) -> BlaschkeProduct:
                                  if text.startswith("{") else text)
 
 
-def _read_payload(path: str) -> dict:
+def _read_operator(path: str):
     try:
         text = sys.stdin.read() if path == "-" else Path(path).read_text("utf-8")
     except (OSError, ValueError) as exc:
         # ValueError: undecodable bytes, or a NUL in the path
         raise InputError(f"cannot read {path!r}: {exc}") from exc
-    return _loads(text, f"invalid JSON in {path!r}")
-
-
-def _load_operator(payload: dict):
+    with _collector_paused():
+        payload = read_operator_text(text)
+    if payload is None:
+        payload = _loads(text, f"invalid JSON in {path!r}")
     if "blocks" in read_typed(payload, dict, "operator payload"):
         return BlockOperator.from_json(payload)
     if "entries" in payload:
@@ -112,9 +120,14 @@ def _load_operator(payload: dict):
     raise InputError("operator payload needs either 'blocks' or 'entries'")
 
 
-def _emit(document, out: str | None, layout: dict):
-    with _collector_paused():
-        text = json.dumps(document, sort_keys=True, **layout) + "\n"
+def _payload_text(op) -> str:
+    """json.dumps(op.to_json()) in the payload layout."""
+    if isinstance(op, BlockOperator):
+        return write_operator_text(op)
+    return json.dumps(op.to_json(), **_PAYLOAD_LAYOUT)
+
+
+def _emit(text: str, out: str | None):
     if out:
         try:
             Path(out).write_text(text)
@@ -138,17 +151,24 @@ def _cmd_build(args) -> int:
             M = default_depth(theta, alpha, symbol.reach)
         op = build_dtto(theta, alpha, symbol, M)
     with _collector_paused():
-        payload = op.to_json()
-    _emit(payload, args.out, _PAYLOAD_LAYOUT)
+        text = _payload_text(op)
+    _emit(text + "\n", args.out)
     return EXIT_OK
+
+
+def _emit_report(report: dict, out: str | None):
+    with _collector_paused():
+        text = json.dumps(report, **_REPORT_LAYOUT) + "\n"
+    _emit(text, out)
 
 
 _CHECK_NAMES = ("shift", "blocks", "adtto", "analytic")
 
 
 def _cmd_check(args) -> int:
-    op = _load_operator(_read_payload(args.input))
-    selected = [c.strip() for c in args.checks.split(",") if c.strip()]
+    op = _read_operator(args.input)
+    # a repeated name runs and reports once, at its first place
+    selected = list(dict.fromkeys(c.strip() for c in args.checks.split(",") if c.strip()))
     for name in selected:
         if name not in _CHECK_NAMES:
             raise InputError(f"unknown check {name!r}; expected subset of "
@@ -180,12 +200,12 @@ def _cmd_check(args) -> int:
     ok = all(rep.passed for rep in reports) and all(
         v.get("analytic", True) for v in extra.values())
     report["pass"] = bool(ok)
-    _emit(report, args.out, _REPORT_LAYOUT)
+    _emit_report(report, args.out)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def _cmd_recover(args) -> int:
-    op = _load_operator(_read_payload(args.input))
+    op = _read_operator(args.input)
     if not isinstance(op, BlockOperator):
         raise InputError("symbol recovery requires a dtto payload")
     tol = characterize.validated_tolerance(args.tol) or \
@@ -197,7 +217,7 @@ def _cmd_recover(args) -> int:
               "residual": residual,
               "tolerance": tol,
               "pass": residual <= tol}
-    _emit(report, args.out, _REPORT_LAYOUT)
+    _emit_report(report, args.out)
     return EXIT_OK if residual <= tol else EXIT_CHECK_FAILED
 
 
@@ -209,7 +229,7 @@ def _cmd_suite(args) -> int:
         M=args.M, tol=args.tol, seed=args.seed, cases=args.cases)
     started = time.monotonic()
     report = suites.run_suite(args.name, config)
-    _emit(report, args.out, _REPORT_LAYOUT)
+    _emit_report(report, args.out)
     print(f"suite {args.name}: {time.monotonic() - started:.1f}s",
           file=sys.stderr)
     return EXIT_OK if report["pass"] else EXIT_CHECK_FAILED

@@ -35,7 +35,8 @@ from .errors import DimensionError, InputError
 from .inner import BlaschkeProduct, tm_basis
 from .laurent import (LaurentPolynomial, conj_function, minus_part, multiply,
                       plus_part)
-from .payload import read_int, read_matrix, read_typed, write_matrix
+from .payload import (BLOCK_NAMES, read_int, read_matrix, read_typed,
+                      write_matrix)
 from .spaces import basis_Kperp, section_expansion
 
 # Largest truncation depth M of a complement section. Deeper sections were
@@ -43,8 +44,6 @@ from .spaces import basis_Kperp, section_expansion
 # and at this cap one block is 1025 x 1025 complex (17 MB), the assembled
 # operator 68 MB.
 MAX_DEPTH = 1024
-
-_BLOCK_NAMES = ("That", "GammaCheck", "GammaHat", "TCheck")
 
 
 class SymbolFunction:
@@ -151,7 +150,7 @@ class BlockOperator:
         self.gamma_check = np.asarray(gamma_check, dtype=np.complex128)
         self.gamma_hat = np.asarray(gamma_hat, dtype=np.complex128)
         self.t_check = np.asarray(t_check, dtype=np.complex128)
-        for name, block in zip(_BLOCK_NAMES, (self.that, self.gamma_check,
+        for name, block in zip(BLOCK_NAMES, (self.that, self.gamma_check,
                                               self.gamma_hat, self.t_check)):
             if block.shape != (n, n):
                 raise DimensionError(f"{name} has shape {block.shape}, expected {(n, n)}")
@@ -195,12 +194,17 @@ class BlockOperator:
                                self.gamma_hat @ head + self.t_check @ tail])
 
     def to_json(self) -> dict:
+        return self.to_json_with(write_matrix)
+
+    def to_json_with(self, write) -> dict:
+        """The payload with `write(block)` as each block's value:
+        payload.write_operator_text passes its block text writer."""
         out = {
             "theta": self.theta.to_json(),
             "alpha": self.alpha.to_json(),
             "M": self.M,
-            "blocks": {name: write_matrix(block) for name, block in zip(
-                _BLOCK_NAMES, (self.that, self.gamma_check, self.gamma_hat,
+            "blocks": {name: write(block) for name, block in zip(
+                BLOCK_NAMES, (self.that, self.gamma_check, self.gamma_hat,
                                self.t_check))},
         }
         if self.edge is not None:
@@ -213,7 +217,7 @@ class BlockOperator:
         blocks = read_typed(obj.get("blocks"), dict, "'blocks'")
         if "edge" in obj and read_int(obj["edge"], "edge") < 0:
             raise InputError(f"edge must be non-negative, got {obj['edge']}")
-        return cls(*(read_matrix(blocks.get(name), name) for name in _BLOCK_NAMES),
+        return cls(*(read_matrix(blocks.get(name), name) for name in BLOCK_NAMES),
                    theta=BlaschkeProduct.from_json(obj.get("theta")),
                    alpha=BlaschkeProduct.from_json(obj.get("alpha")),
                    M=read_int(obj.get("M"), "depth M"), edge=obj.get("edge"))

@@ -11,9 +11,12 @@ difference, or one generator family per call with its own expansions and
 products (`indexed_gen_M`). The tests compare the library against them.
 `conjugation_corner_maps` has no library counterpart: the operator
 tests use it to check the corner identity TCheck = W1 That^T conj(W2).
+`dumps_payload` is the payload text through json.dumps of the whole tree.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 
@@ -328,3 +331,9 @@ def poly_recover_boundary(D: BlockOperator) -> SymbolFunction:
     return SymbolFunction(multiply(conj_function(th), p_alpha)
                           + multiply(al, conj_function(p_theta))
                           - multiply(al, conj_function(th.scale(bracket))))
+
+
+def dumps_payload(op) -> str:
+    """An operator payload as `build` writes it, without its newline: the
+    whole tree through json.dumps, sorted and compact."""
+    return json.dumps(op.to_json(), sort_keys=True, separators=(",", ":"))

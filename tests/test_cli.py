@@ -14,7 +14,7 @@ from msolab import characterize, cli
 from msolab.cli import main
 from msolab.inner import BlaschkeProduct, monomial_inner
 from msolab.laurent import MAX_DEGREE, LaurentPolynomial
-from msolab.operators import BlockOperator, build_dtto, build_tto
+from msolab.operators import build_dtto, build_tto
 
 from conftest import dense_noise_operator
 from oracles import svd_rebuild_residual
@@ -312,13 +312,22 @@ def test_payload_steps_run_with_the_collector_paused(tmp_path, capsys, monkeypat
 
     shim = types.SimpleNamespace(loads=recording(json.loads), dumps=recording(json.dumps))
     monkeypatch.setattr(cli, "json", shim)
-    monkeypatch.setattr(BlockOperator, "to_json", recording(BlockOperator.to_json))
-    path = tmp_path / "op.json"
+    for name in ("read_operator_text", "write_operator_text"):
+        monkeypatch.setattr(cli, name, recording(getattr(cli, name)))
+    path, indented = tmp_path / "op.json", tmp_path / "indented.json"
     assert run_cli(capsys, "build", "dtto", "--theta", Z2, "--symbol", "z",
                    "--M", "8", "--out", str(path))[0] == 0
+    indented.write_text(json.dumps(json.loads(path.read_text()), indent=2))
+    assert seen == [("write_operator_text", False)]
+    del seen[:]
+    # the compact read, then the report
     assert run_cli(capsys, "check", str(path))[0] == 0
-    assert seen == [("to_json", False), ("dumps", False), ("loads", False),
-                    ("dumps", False)]
+    assert seen == [("read_operator_text", False), ("dumps", False)]
+    del seen[:]
+    # any other layout: the compact reader declines, the generic read of the
+    # whole tree, then the report
+    assert run_cli(capsys, "check", str(indented))[0] == 0
+    assert seen == [("read_operator_text", False), ("loads", False), ("dumps", False)]
     assert gc.isenabled()
 
 
@@ -401,6 +410,19 @@ def _replaced(payload, path, value):
     return payload
 
 
+def _bad_fields(payload):
+    """(path, value) pairs that make a valid payload invalid."""
+    bad = [(where, value) for where in _field_paths(payload)
+           for value in ("1", True, None, [], {})]
+    bad += [(where, entry) for where in _field_paths(payload)
+            if len(where) > 2 and where[-3] in _MATRIX_KEYS
+            for entry in (["1e-300", "0", {"junk": 1}], ["1e-300", "0"],
+                          [True, False])]
+    if "edge" in payload:
+        bad += [(("edge",), value) for value in ([1, {"x": 2}], "3", -1)]
+    return bad
+
+
 def test_check_rejects_non_finite_or_short_entries(tmp_path, capsys):
     path = tmp_path / "op.json"
     assert run_cli(capsys, "build", "dtto", "--theta", Z2, "--symbol", "z",
@@ -421,15 +443,7 @@ def test_check_rejects_non_finite_or_short_entries(tmp_path, capsys):
     for payload in _VALID_PAYLOADS:
         path.write_text(json.dumps(payload))
         assert run_cli(capsys, "check", str(path), "--checks", "shift")[0] == 0
-        bad = [(where, value) for where in _field_paths(payload)
-               for value in ("1", True, None, [], {})]
-        bad += [(where, entry) for where in _field_paths(payload)
-                if len(where) > 2 and where[-3] in _MATRIX_KEYS
-                for entry in (["1e-300", "0", {"junk": 1}], ["1e-300", "0"],
-                              [True, False])]
-        if "edge" in payload:
-            bad += [(("edge",), value) for value in ([1, {"x": 2}], "3", -1)]
-        for where, value in bad:
+        for where, value in _bad_fields(payload):
             path.write_text(json.dumps(_replaced(payload, where, value)))
             code, out, err = run_cli(capsys, "check", str(path), "--checks", "shift")
             if code != 2 or out or not err.startswith("error: ") or err.count("\n") != 1:
@@ -543,13 +557,18 @@ def test_usage_errors_are_one_line(capsys):
 _HUGE = 10 ** 400  # an integer JSON literal beyond the float range
 
 
-@pytest.mark.parametrize("mutate", [
-    lambda p: {**p, "M": float("inf")},
-    lambda p: {**p, "blocks": {**p["blocks"], "That": [[[_HUGE, 0]]]}},
-    lambda p: {**p, "theta": {"zeros": [[_HUGE, 0]]}},
-    lambda p: {**p, "theta": {**p["theta"], "constant": [_HUGE, 0]}},
-    lambda p: {"theta": p["theta"], "alpha": p["alpha"], "entries": [[[_HUGE, 0]]]},
-], ids=["infinite-depth", "huge-entry", "huge-zero", "huge-constant", "huge-tto-entry"])
+_BEYOND_FLOAT_RANGE = {
+    "infinite-depth": lambda p: {**p, "M": float("inf")},
+    "huge-entry": lambda p: {**p, "blocks": {**p["blocks"], "That": [[[_HUGE, 0]]]}},
+    "huge-zero": lambda p: {**p, "theta": {"zeros": [[_HUGE, 0]]}},
+    "huge-constant": lambda p: {**p, "theta": {**p["theta"], "constant": [_HUGE, 0]}},
+    "huge-tto-entry": lambda p: {"theta": p["theta"], "alpha": p["alpha"],
+                                 "entries": [[[_HUGE, 0]]]},
+}
+
+
+@pytest.mark.parametrize("mutate", list(_BEYOND_FLOAT_RANGE.values()),
+                         ids=list(_BEYOND_FLOAT_RANGE))
 def test_check_rejects_numbers_beyond_float_range(tmp_path, capsys, mutate):
     path = tmp_path / "op.json"
     assert run_cli(capsys, "build", "dtto", "--theta", Z2, "--symbol", "z",
@@ -558,7 +577,10 @@ def test_check_rejects_numbers_beyond_float_range(tmp_path, capsys, mutate):
     assert_one_line_input_error(*run_cli(capsys, "check", str(path)))
 
 
-@pytest.mark.parametrize("depth", [8.5, 8.0, True, "8"],
+_BAD_DEPTHS = [8.5, 8.0, True, "8"]
+
+
+@pytest.mark.parametrize("depth", _BAD_DEPTHS,
                          ids=["fractional-depth", "float-depth", "bool-depth",
                               "string-depth"])
 @pytest.mark.parametrize("command", ["check", "recover"])
@@ -650,7 +672,8 @@ _NESTED_FIELDS = (("theta", "zeros", 0), ("alpha", "constant"), ("blocks", "That
 @st.composite
 def _mutated(draw):
     """A valid payload with one top-level or nested field replaced by
-    arbitrary JSON, or the dtto payload with one block entry moved."""
+    arbitrary JSON, or the dtto payload with one block entry moved, as a
+    tree."""
     payload = copy.deepcopy(draw(st.sampled_from(_VALID_PAYLOADS)))
     if draw(st.booleans()):
         matrix = draw(st.sampled_from(list(payload["blocks"].values()))) \
@@ -661,14 +684,12 @@ def _mutated(draw):
         fields = [(key,) for key in sorted(payload)] + [
             f for f in _NESTED_FIELDS if len(f) == 1 or f[0] in payload]
         payload = _replaced(payload, draw(st.sampled_from(fields)), draw(_json_values))
-    return json.dumps(payload).encode()
+    return payload
 
 
-_payloads = st.one_of(
-    st.sampled_from(_VALID_PAYLOADS).map(lambda p: json.dumps(p).encode()),
-    _mutated(),
-    _json_values.map(lambda v: json.dumps(v).encode()),
-    st.binary(max_size=64))
+_payload_trees = st.one_of(st.sampled_from(_VALID_PAYLOADS), _mutated(), _json_values)
+_payloads = st.one_of(_payload_trees.map(lambda p: json.dumps(p).encode()),
+                      st.binary(max_size=64))
 
 
 @given(argv=_commands, out=st.sampled_from([[], [], [], ["--out", BAD_OUT]]),
@@ -688,3 +709,67 @@ def test_main_keeps_exit_code_contract(tmp_path, monkeypatch, capsys, argv, out,
     assert code in (0, 1, 2)
     if code == 2:
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+# -- build's compact layout and json.dumps' default layout read alike ----------
+
+def _outcomes(path, payload, argvs, capsys):
+    """(exit code, stdout, stderr) of each command on the payload written
+    compactly, as build writes it, and in json.dumps' default layout."""
+    runs = []
+    for layout in ({"sort_keys": True, "separators": (",", ":")}, {}):
+        path.write_text(json.dumps(payload, **layout))
+        runs.append([run_cli(capsys, *(str(path) if a is PAYLOAD else a for a in argv))
+                     for argv in argvs])
+    return runs
+
+
+def test_malformed_payloads_read_alike_in_both_layouts(tmp_path, capsys):
+    """The corpus of the rejection tests above: the same exit code and the
+    same error line, whether the compact reader or json.loads sees it."""
+    path = tmp_path / "op.json"
+    valid = build_dtto(monomial_inner(2), monomial_inner(2),
+                       LaurentPolynomial.from_json({"coeffs": [[1, 1.0, 0.0]]}), 8).to_json()
+    corpus = [_replaced(p, where, value) for p in _VALID_PAYLOADS
+              for where, value in _bad_fields(p)]
+    corpus += [mutate(valid) for mutate in _BEYOND_FLOAT_RANGE.values()]
+    corpus += [{**valid, "M": depth} for depth in _BAD_DEPTHS]
+    corpus += [_VALID_PAYLOADS[0], valid]
+    differing = []
+    for k, payload in enumerate(corpus):
+        compact, default = _outcomes(path, payload, [["check", PAYLOAD, "--checks", "shift"],
+                                                     ["check", PAYLOAD],
+                                                     ["recover", PAYLOAD]], capsys)
+        # (True == 1 in Python, so the two valid payloads go by position)
+        if compact != default or compact[0][0] != (0 if k >= len(corpus) - 2 else 2):
+            differing.append((payload, compact, default))
+    assert differing == []
+
+
+@given(payload=_payload_trees)
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_payload_trees_read_alike_in_both_layouts(tmp_path, capsys, payload):
+    """The payloads of the exit-code contract test, compact and default."""
+    compact, default = _outcomes(tmp_path / "op.json", payload,
+                                 [["check", PAYLOAD, "--checks", "shift,adtto"],
+                                  ["recover", PAYLOAD]], capsys)
+    assert compact == default
+
+
+def test_repeated_check_names_run_and_report_once(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "op.json"
+    assert run_cli(capsys, "build", "dtto", "--theta", Z2, "--symbol", SHIFT_SYMBOL,
+                   "--M", "10", "--out", str(path))[0] == 0
+    calls = []
+    for name in ("shift_invariance_defect", "check_adtto"):
+        def counted(*args, _fn=getattr(characterize, name), **kwargs):
+            calls.append(_fn.__name__)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(characterize, name, counted)
+    code, out, _ = run_cli(capsys, "check", str(path), "--checks", "shift,shift,adtto,adtto")
+    report = json.loads(out)
+    assert code == 0 and report["checks"] == ["shift", "adtto"]
+    assert calls == ["shift_invariance_defect", "check_adtto"]
+    conditions = [rep["condition"] for rep in report["reports"]]
+    assert len(conditions) == len(set(conditions)) == 5
