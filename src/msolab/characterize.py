@@ -243,7 +243,7 @@ def check_adtto(D: BlockOperator, *, tol: float | None = None) -> AdttoVerdict:
     th = expand(D.theta, 2 * M + 4)
     al = expand(D.alpha, 2 * M + 4)
     g = multiply(phi_z.value, multiply(th, conj_function(al)))
-    predicted = coefficient_matrix(g, block_degrees(M)[0])
+    predicted = coefficient_matrix(g, next(block_degrees(M)))
     coupling = _report("tcheck-coupling", D.that - predicted, tol)
     r2 = _merged("tcheck-coupling", coupling, blocks[1])
     r3 = _merged("hankel-intertwine", blocks[2], blocks[3])
@@ -272,32 +272,73 @@ def check_adtto(D: BlockOperator, *, tol: float | None = None) -> AdttoVerdict:
 
 # -- symbol recovery ----------------------------------------------------------
 
-def _certified_norm(E: np.ndarray, tol: float) -> float:
-    """||E||_2 as far as the verdict `<= tol` needs it: 0.0 for E all zeros,
-    else the exact SVD value when tol lies inside the bracket
-    lo <= ||E||_2 <= hi, else hi.
+# rows of the recovery residual that _certified_norm holds at once
+_BAND_ROWS = 64
+
+
+def _certified_norm(D: BlockOperator, rebuilt: BlockOperator, tol: float) -> float:
+    """||E||_2 for E = D - rebuilt, assembled as np.block would, as far as
+    the verdict `<= tol` needs it: 0.0 for E all zeros, else the exact SVD
+    value when tol lies inside the bracket lo <= ||E||_2 <= hi, else hi.
 
     lo is the largest column or row 2-norm and hi = sqrt(||E||_1 ||E||_inf)
     (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 6.3).
     Both are widened by n + 4 ulps for the n-term sums, which covers the
     rounding of the sums and of the SVD, so the result is never below the
-    computed SVD value and `<= tol` gives the SVD verdict for every E."""
+    computed SVD value and `<= tol` gives the SVD verdict for every E.
+
+    E is read in bands of at most _BAND_ROWS rows (_residual_bands). Each
+    row sum comes from its band. Each column sum adds the rows in sequence
+    onto the sums of the bands above, which is numpy's order for axis 0 of
+    the whole E, so the bracket is the same to the bit. A band of zeros
+    adds nothing and is skipped. Only the SVD builds E whole."""
+    cols = np.zeros((2, D.dim))   # column sums of |E| and |E|^2
+    rows = np.zeros(2)            # largest row sums of |E| and |E|^2
+    nonzero = False
+    for band in _residual_bands(D, rebuilt):
+        if not band.any():
+            continue
+        nonzero = True
+        A = np.abs(band)
+        # sums that overflow make an end inf, which keeps the verdict: a
+        # column or row norm beyond the float range exceeds every tol
+        with np.errstate(over="ignore"):
+            for m, part in enumerate((A, A * A)):
+                rows[m] = max(rows[m], part.sum(axis=1).max())
+                cols[m] = np.vstack((cols[m], part)).sum(axis=0)
     # an exact rebuild leaves E all zeros, whose 2-norm is 0.0: skip the SVD
-    if not E.any():
+    if not nonzero:
         return 0.0
-    A = np.abs(E)
-    # sums that overflow make an end inf, which keeps the verdict: a column
-    # or row norm beyond the float range exceeds every tol
     with np.errstate(over="ignore"):
-        sq = A * A
-        lo = np.sqrt(np.maximum(sq.sum(axis=0).max(), sq.sum(axis=1).max()))
+        lo = np.sqrt(np.maximum(cols[1].max(), rows[1]))
         # a product of square roots neither overflows nor underflows first
-        hi = np.sqrt(A.sum(axis=0).max()) * np.sqrt(A.sum(axis=1).max())
-    slack = (max(E.shape) + 4) * float(np.finfo(float).eps)
+        hi = np.sqrt(cols[0].max()) * np.sqrt(rows[0])
+    slack = (D.dim + 4) * float(np.finfo(float).eps)
     lo, hi = float(lo) * (1 - slack), float(hi) * (1 + slack)
     if hi <= tol or lo > tol:
         return hi
+    E = np.block([[D.that - rebuilt.that, D.gamma_check - rebuilt.gamma_check],
+                  [D.gamma_hat - rebuilt.gamma_hat, D.t_check - rebuilt.t_check]])
     return float(np.linalg.norm(E, 2))
+
+
+def _residual_bands(D: BlockOperator, rebuilt: BlockOperator):
+    """The rows of E = D - rebuilt in bands of at most _BAND_ROWS rows, top
+    to bottom, each written into one buffer: use a band before taking the
+    next."""
+    n = D.M + 1
+    quadrants = ((D.that, rebuilt.that, 0, 0), (D.gamma_check, rebuilt.gamma_check, 0, n),
+                 (D.gamma_hat, rebuilt.gamma_hat, n, 0), (D.t_check, rebuilt.t_check, n, n))
+    buffer = np.empty((min(_BAND_ROWS, 2 * n), 2 * n), dtype=np.complex128)
+    for start in range(0, 2 * n, _BAND_ROWS):
+        stop = min(start + _BAND_ROWS, 2 * n)
+        band = buffer[:stop - start]
+        for block, other, top, left in quadrants:
+            a, b = max(start, top), min(stop, top + n)
+            if a < b:
+                np.subtract(block[a - top:b - top], other[a - top:b - top],
+                            out=band[a - start:b - start, left:left + n])
+        yield band
 
 
 def recover_symbol(D: BlockOperator, method: str = "zbar", *,
@@ -363,9 +404,7 @@ def recover_symbol(D: BlockOperator, method: str = "zbar", *,
     max_reach = M - guard
     clipped = project_band(symbol.value, -max_reach, max_reach)
     rebuilt = build_dtto(D.theta, D.alpha, SymbolFunction(clipped), M)
-    E = np.block([[D.that - rebuilt.that, D.gamma_check - rebuilt.gamma_check],
-                  [D.gamma_hat - rebuilt.gamma_hat, D.t_check - rebuilt.t_check]])
-    return symbol, _certified_norm(E, tol)
+    return symbol, _certified_norm(D, rebuilt, tol)
 
 
 class AnalyticVerdict(NamedTuple):

@@ -11,12 +11,14 @@ compactly on one line; `check`, `recover` and `suite` write their reports
 indented. Any whitespace loads. Exit codes: 0 all checks pass, 1 a
 mathematical check failed, 2 invalid input or configuration.
 
-A block operator payload in build's compact layout is written and read per
-distinct number (`payload.write_operator_text`, `payload.read_operator_text`):
-its blocks are Toeplitz and Hankel matrices, with at most 2M + 1 distinct
-entries each. Any other layout, or any doubt about one, goes through
-json.loads and the typed readers, which give the same operator and the same
-error messages.
+A block operator payload in build's compact layout is written and read
+through its blocks' generating sequences (`payload.write_operator_text`,
+`payload.read_operator_text`): each block is a Toeplitz or Hankel matrix
+fixed by 2M + 1 numbers. `build` streams the payload to its file or to
+stdout piece by piece, one block's text at a time, and `check` and
+`recover` read the blocks in place from the text they loaded. Any other
+layout, or any doubt about one, goes through json.loads and the typed
+readers, which give the same operator and the same error messages.
 
 Every command runs with BLAS on one thread (`kernels.one_blas_thread`).
 Run as `python -m msolab.cli`, the module also sets OPENBLAS_NUM_THREADS=1
@@ -36,6 +38,7 @@ import re
 import sys
 import time
 from contextlib import contextmanager
+from itertools import chain
 from pathlib import Path
 
 if __name__ == "__main__":
@@ -120,21 +123,24 @@ def _read_operator(path: str):
     raise InputError("operator payload needs either 'blocks' or 'entries'")
 
 
-def _payload_text(op) -> str:
-    """json.dumps(op.to_json()) in the payload layout."""
+def _payload_pieces(op):
+    """json.dumps(op.to_json()) in the payload layout, as strings to write
+    in order."""
     if isinstance(op, BlockOperator):
         return write_operator_text(op)
-    return json.dumps(op.to_json(), **_PAYLOAD_LAYOUT)
+    return [json.dumps(op.to_json(), **_PAYLOAD_LAYOUT)]
 
 
-def _emit(text: str, out: str | None):
+def _emit(pieces, out: str | None):
+    """Write the strings `pieces` in order to the file `out`, or to stdout."""
     if out:
         try:
-            Path(out).write_text(text)
+            with open(out, "w") as f:
+                f.writelines(pieces)
         except (OSError, ValueError) as exc:
             raise InputError(f"cannot write {out!r}: {exc}") from exc
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _cmd_build(args) -> int:
@@ -151,15 +157,14 @@ def _cmd_build(args) -> int:
             M = default_depth(theta, alpha, symbol.reach)
         op = build_dtto(theta, alpha, symbol, M)
     with _collector_paused():
-        text = _payload_text(op)
-    _emit(text + "\n", args.out)
+        _emit(chain(_payload_pieces(op), ["\n"]), args.out)
     return EXIT_OK
 
 
 def _emit_report(report: dict, out: str | None):
     with _collector_paused():
         text = json.dumps(report, **_REPORT_LAYOUT) + "\n"
-    _emit(text, out)
+    _emit([text], out)
 
 
 _CHECK_NAMES = ("shift", "blocks", "adtto", "analytic")

@@ -176,7 +176,8 @@ class LaurentPolynomial:
             if abs(k) > MAX_DEGREE:
                 raise InputError(f"coefficient degree {k} beyond the cap "
                                  f"MAX_DEGREE={MAX_DEGREE}")
-            coeffs[k] = coeffs.get(k, 0j) + c
+            # a degree starts from its first value, so a signed zero keeps its sign
+            coeffs[k] = coeffs[k] + c if k in coeffs else c
         return cls(coeffs)
 
     def __repr__(self) -> str:

@@ -28,6 +28,8 @@ non-negative integer of provenance that payloads carry and no check reads.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
 from .bases import OrthonormalBasis
@@ -198,7 +200,8 @@ class BlockOperator:
 
     def to_json_with(self, write) -> dict:
         """The payload with `write(block)` as each block's value:
-        payload.write_operator_text passes its block text writer."""
+        payload.write_operator_text passes the identity and formats each
+        block as it streams the text."""
         out = {
             "theta": self.theta.to_json(),
             "alpha": self.alpha.to_json(),
@@ -271,13 +274,17 @@ def build_dtto(theta: BlaschkeProduct, alpha: BlaschkeProduct, phi,
                          theta=theta, alpha=alpha, M=M, edge=phi.reach)
 
 
-def block_degrees(M: int) -> tuple[np.ndarray, ...]:
+def block_degrees(M: int) -> Iterator[np.ndarray]:
     """The degree each entry (i, j) of a depth-M block reads, in block order
     That, GammaCheck, GammaHat, TCheck: i - j, i + j + 1, -(i + j + 1) and
-    j - i. Entries of one block that share a degree share their value in
-    every compressed multiplication operator."""
+    j - i, made one at a time, so a gather holds one of these arrays.
+    Entries of one block that share a degree share their value in every
+    compressed multiplication operator."""
     i, j = np.ogrid[:M + 1, :M + 1]
-    return i - j, i + j + 1, -(i + j + 1), j - i
+    yield i - j
+    yield i + j + 1
+    yield -(i + j + 1)
+    yield j - i
 
 
 def coefficient_matrix(p: LaurentPolynomial, degrees: np.ndarray) -> np.ndarray:

@@ -7,9 +7,15 @@ Keys no reader asks for are ignored.
 
 A block operator payload as `build` writes it (compact, sorted keys) has its
 own writer and reader, `write_operator_text` and `read_operator_text`. Each
-block is a Toeplitz or Hankel matrix, so it holds few distinct numbers: they
-format and parse each distinct one once, and give the same text and the
-same float64 bits as json.dumps and json.loads through `write_matrix` and
+block is a Toeplitz or Hankel matrix, fixed by a sequence of 2M + 1
+numbers. The writer sees that in the float64 bits: it formats the sequence
+once and slices every row out of its text, and hands the payload out in
+pieces, one block at a time. The reader sees it in the text, where each row
+is the one above shifted by one cell: it parses the sequence once and
+gathers the block from it, and keeps the blocks as offsets into the text
+until it reads them. A block of any other shape is written per distinct
+number and read as one flat list. Both give the same text and the same
+float64 bits as json.dumps and json.loads through `write_matrix` and
 `read_matrix`.
 """
 
@@ -17,7 +23,8 @@ from __future__ import annotations
 
 import json
 import reprlib
-from itertools import chain
+from collections.abc import Iterator
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -82,62 +89,107 @@ def write_matrix(a: np.ndarray) -> list:
     return np.stack([a.real, a.imag], -1).tolist()
 
 
-def write_operator_text(op) -> str:
+def write_operator_text(op) -> Iterator[str]:
     """json.dumps(op.to_json(), sort_keys=True, separators=(",", ":")) for a
-    BlockOperator `op`, with its blocks formatted by _write_block_text."""
-    document = op.to_json_with(_write_block_text)
-    return _spliced(document, document.pop("blocks"))
+    BlockOperator `op`, in pieces: the text around the blocks from _frame,
+    each block's key and its text from _block_pieces. A block is formatted
+    only when its pieces are asked for."""
+    document = op.to_json_with(lambda block: block)
+    blocks = document.pop("blocks")
+    head, tail = _frame(document)
+    yield head
+    for k, name in enumerate(sorted(blocks)):
+        yield _key(k, name)
+        yield from _block_pieces(blocks[name])
+    yield tail
 
 
 def read_operator_text(text: str) -> dict | None:
     """The payload document of a text in write_operator_text's layout, its
-    blocks as complex128 matrices. The four block texts are cut out and read
-    by _read_block_text, the rest by json.loads. None for a text in any
-    other layout, or with an entry read_matrix would reject: it is left to
-    json.loads and the typed readers, which give the error message."""
+    blocks as complex128 matrices. The four blocks are found as offsets into
+    `text`, the rest is read by json.loads, and each block is cut out and
+    read by _read_block_text in turn. None for a text in any other layout,
+    or with an entry read_matrix would reject: it is left to json.loads and
+    the typed readers, which give the error message."""
     start = text.find(_BLOCKS)
     if start < 0:
         return None
-    cut, blocks = start + len(_BLOCKS), {}
-    for name in sorted(BLOCK_NAMES):
-        key = f'"{name}":'
+    cut, spans = start + len(_BLOCKS), {}
+    for k, name in enumerate(sorted(BLOCK_NAMES)):
+        key = _key(k, name)
         end = text.find("]]]", cut) + 3
         if end < cut or not text.startswith(key, cut):
             return None
-        blocks[name], cut = text[cut + len(key):end], end + 1
-    head, tail = text[:start], text[cut:]
+        spans[name], cut = (cut + len(key), end), end
+    head, tail = text[:start], text[cut + 1:]
     try:
         rest = json.loads(head[:-1] + tail if head.endswith(",") else head + tail[1:])
+        if not isinstance(rest, dict) or type(rest.get("M")) is not int or rest["M"] < 0:
+            return None
         # the text must be exactly what write_operator_text gives for this
         # rest: that keeps the cut at the top level and rules out repeated or
         # escaped keys
-        if not isinstance(rest, dict) or type(rest.get("M")) is not int \
-                or rest["M"] < 0 or _spliced(rest, blocks) != text.rstrip(" \t\n\r"):
+        before, after = _frame(rest)
+        if len(before) != start + len(_BLOCKS) or not text.startswith(before) \
+                or text[cut:].rstrip(" \t\n\r") != after:
             return None
     except (ValueError, RecursionError):
         return None
+    blocks = {}
     for name in BLOCK_NAMES:
-        blocks[name] = _read_block_text(blocks[name], rest["M"] + 1)
+        blocks[name] = _read_block_text(text[slice(*spans[name])], rest["M"] + 1)
         if blocks[name] is None:
             return None
     return {**rest, "blocks": blocks}
 
 
-def _spliced(document: dict, blocks: dict) -> str:
+def _frame(document: dict) -> tuple[str, str]:
     """The compact dump of `document` with a "blocks" object in place of its
-    own, where `blocks` maps each name to its JSON text."""
+    own, cut around the object's entries: the text up to and including
+    '"blocks":{', and the text from the object's closing brace on."""
     head = json.dumps({k: v for k, v in document.items() if k < "blocks"}, **_COMPACT)
     tail = json.dumps({k: v for k, v in document.items() if k > "blocks"}, **_COMPACT)
-    section = _BLOCKS + ",".join(f'"{name}":{blocks[name]}'
-                                 for name in sorted(blocks)) + "}"
-    return "{" + ",".join(filter(None, (head[1:-1], section, tail[1:-1]))) + "}"
+    return (head[:-1] + ("," if len(head) > 2 else "") + _BLOCKS,
+            "}" + ("," if len(tail) > 2 else "") + tail[1:])
 
 
-def _write_block_text(a: np.ndarray) -> str:
-    """json.dumps(write_matrix(a), separators=(",", ":")), with one repr per
-    distinct float64 bit pattern (so -0.0 keeps its sign) and one "[re,im]"
-    per distinct pair of them."""
-    bits = np.ascontiguousarray(a, dtype=np.complex128).view(np.uint64)
+def _key(k: int, name: str) -> str:
+    """The text before the value of the k-th entry of the "blocks" object."""
+    return ("," if k else "") + f'"{name}":'
+
+
+def _block_pieces(a: np.ndarray) -> Iterator[str]:
+    """json.dumps(write_matrix(a), separators=(",", ":")) in pieces, with one
+    repr per float64 (so -0.0 keeps its sign). A block that is Toeplitz or
+    Hankel bit for bit formats its 2n - 1 sequence cells once and hands out
+    each row as a slice of their joined text; any other block comes as one
+    piece from _write_distinct_cells."""
+    a = np.ascontiguousarray(a, dtype=np.complex128)
+    n = len(a)
+    bits = a.view(np.uint64).reshape(n, n, 2)
+    if (bits[1:, 1:] == bits[:-1, :-1]).all():
+        # Toeplitz: row i is cells n-1-i .. 2n-2-i of column 0 bottom up, then row 0
+        sequence, starts = np.concatenate([a[::-1, 0], a[0, 1:]]), range(n - 1, -1, -1)
+    elif (bits[1:, :-1] == bits[:-1, 1:]).all():
+        # Hankel: row i is cells i .. i+n-1 of row 0, then the last column
+        sequence, starts = np.concatenate([a[0], a[1:, -1]]), range(n)
+    else:
+        yield _write_distinct_cells(a)
+        return
+    cells = [f"[{re!r},{im!r}]" for re, im in
+             sequence.view(np.float64).reshape(-1, 2).tolist()]
+    text = ",".join(cells)
+    # offsets[t]: where cell t starts in text, or one past the end for t = 2n - 1
+    offsets = list(accumulate((len(c) + 1 for c in cells), initial=0))
+    for k, s in enumerate(starts):
+        yield ("],[" if k else "[[") + text[offsets[s]:offsets[s + n] - 1]
+    yield "]]"
+
+
+def _write_distinct_cells(a: np.ndarray) -> str:
+    """_block_pieces's text, with one repr per distinct float64 bit
+    pattern and one "[re,im]" per distinct pair of them."""
+    bits = a.view(np.uint64)
     floats, which = np.unique(bits, return_inverse=True)
     text = list(map(repr, floats.view(np.float64).tolist()))
     k = len(floats)
@@ -150,42 +202,82 @@ def _write_block_text(a: np.ndarray) -> str:
 
 
 def _read_block_text(text: str, n: int) -> np.ndarray | None:
-    """The n x n complex128 matrix of a block in _write_block_text's layout:
-    n rows of n [re, im] pairs, no whitespace. Each distinct "re,im" token
-    goes through json.loads once, or, when most tokens are distinct, all of
-    them through one flat json.loads. None when the text is in any other
-    layout or has an entry read_matrix would reject."""
+    """The n x n complex128 matrix of a block in _block_pieces's layout:
+    n rows of n [re, im] pairs, no whitespace. When the text shows the block
+    Toeplitz or Hankel (_shifted_cells), only its 2n - 1 sequence cells go
+    through json.loads and the block is gathered from them; otherwise all
+    n * n cells go through one flat json.loads. None when the text is in
+    any other layout or has an entry read_matrix would reject."""
     # the shortest such text has every number one digit long; checked
     # first so a large n allocates nothing
     if len(text) < 6 * n * n + 2 * n + 1 or not (
             text.startswith("[[[") and text.endswith("]]]")):
         return None
-    rows = text[3:-3].split("]],[[")
+    rows = text.split("]],[[")
     if len(rows) != n:
         return None
+    rows[0] = rows[0][3:]
+    rows[-1] = rows[-1][:-3]
+    shifted = _shifted_cells(rows)
+    if shifted is not None:
+        cells, index = shifted
+        values = _read_cells(cells)
+        return None if values is None else values[index]
     cells = []
     for row in rows:
         row = row.split("],[")
         if len(row) != n:
             return None
         cells += row
-    distinct = dict.fromkeys(cells)
-    if 2 * len(distinct) > len(cells):
-        values = _read_cells(cells)
-    else:
-        values = _read_cells(list(distinct))
-        if values is not None:
-            index = dict(zip(distinct, range(len(distinct))))
-            values = values[np.fromiter(map(index.__getitem__, cells), np.intp,
-                                        len(cells))]
+    values = _read_cells(cells)
     return None if values is None else values.reshape(n, n)
 
 
+def _shifted_cells(rows: list) -> tuple[list, np.ndarray] | None:
+    """The 2n - 1 sequence cells of a block's n row texts and the index that
+    gathers the block from them, when row 0 holds n cells and every row is
+    the one above shifted by one cell (_new_cells): Toeplitz, index
+    n-1+j-i, or Hankel, index i+j. Every row is then a copy of cells of row
+    0 and the new cells. None otherwise."""
+    n = len(rows)
+    first = rows[0].split("],[")
+    if len(first) != n:
+        return None
+    i, j = np.ogrid[:n, :n]
+    new = _new_cells(rows, toeplitz=True)
+    if new is not None:
+        return new[::-1] + first, j - i + (n - 1)
+    new = _new_cells(rows, toeplitz=False)
+    if new is not None:
+        return first + new, i + j
+    return None
+
+
+def _new_cells(rows: list, toeplitz: bool) -> list | None:
+    """The cell each row r + 1 adds to row r, when row r + 1 is one new
+    cell, "],[" and row r without its last cell (Toeplitz), or row r
+    without its first cell, "],[" and one new cell (Hankel). None when a
+    row is not so."""
+    new = []
+    for above, row in zip(rows, rows[1:]):
+        if toeplitz:
+            kept = "],[" + above[:above.rfind("],[")]
+            cell = row[:-len(kept)] if row.endswith(kept) else None
+        else:
+            kept = above[above.find("],[") + 3:] + "],["
+            cell = row[len(kept):] if row.startswith(kept) else None
+        if cell is None:
+            return None
+        new.append(cell)
+    return new
+
+
 def _read_cells(cells: list) -> np.ndarray | None:
-    # each "re,im" token holds one comma, so the flat list pairs up; a bracket
-    # or quote in a token gives a list, string or JSON error, never a number
+    # each "re,im" token holds one comma, so the flat list pairs up; a quote
+    # gives a string or a JSON error, never a number. No token may hold a
+    # bracket: _new_cells compares row texts, where one would hide a boundary
     text = ",".join(cells)
-    if any(c.count(",") != 1 for c in cells) or any(w in text for w in " \t\n\r"):
+    if any(c.count(",") != 1 for c in cells) or any(w in text for w in " \t\n\r[]"):
         return None
     try:
         values = json.loads("[" + text + "]")

@@ -11,7 +11,12 @@ difference, or one generator family per call with its own expansions and
 products (`indexed_gen_M`). The tests compare the library against them.
 `conjugation_corner_maps` has no library counterpart: the operator
 tests use it to check the corner identity TCheck = W1 That^T conj(W2).
-`dumps_payload` is the payload text through json.dumps of the whole tree.
+`dumps_payload` is the payload text through json.dumps of the whole tree;
+`distinct_write_operator_text` and `distinct_read_operator_text` are the
+payload writer and reader that format or parse each distinct number of a
+block once and rebuild the whole document to check its layout, and
+`assembled_certified_norm` the recovery residual's norm bracket on the
+assembled difference E.
 """
 
 from __future__ import annotations
@@ -29,6 +34,8 @@ from msolab.inner import expand, expansion_degree, tm_basis
 from msolab.laurent import (LaurentPolynomial, conj_function, inner_product,
                             involution_J, minus_part, monomial, multiply)
 from msolab.operators import BlockOperator, SymbolFunction
+from msolab.payload import (_BLOCKS, _COMPACT, BLOCK_NAMES, _read_cells,
+                            _write_distinct_cells)
 from msolab.spaces import (SHIFT_KERNEL_TOL, admissible_for_shift, basis_Kperp,
                            conjugation_C, project, section_expansion,
                            section_shift_index)
@@ -337,3 +344,94 @@ def dumps_payload(op) -> str:
     """An operator payload as `build` writes it, without its newline: the
     whole tree through json.dumps, sorted and compact."""
     return json.dumps(op.to_json(), sort_keys=True, separators=(",", ":"))
+
+
+def distinct_write_operator_text(op: BlockOperator) -> str:
+    """dumps_payload(op) with every block through _write_distinct_cells
+    and the document spliced around the block texts."""
+    document = op.to_json_with(
+        lambda a: _write_distinct_cells(np.ascontiguousarray(a, dtype=np.complex128)))
+    return _spliced(document, document.pop("blocks"))
+
+
+def distinct_read_operator_text(text: str) -> dict | None:
+    """payload.read_operator_text through block substrings, a rebuilt
+    document compared with the text, and distinct_read_block_text."""
+    start = text.find(_BLOCKS)
+    if start < 0:
+        return None
+    cut, blocks = start + len(_BLOCKS), {}
+    for name in sorted(BLOCK_NAMES):
+        key = f'"{name}":'
+        end = text.find("]]]", cut) + 3
+        if end < cut or not text.startswith(key, cut):
+            return None
+        blocks[name], cut = text[cut + len(key):end], end + 1
+    head, tail = text[:start], text[cut:]
+    try:
+        rest = json.loads(head[:-1] + tail if head.endswith(",") else head + tail[1:])
+        if not isinstance(rest, dict) or type(rest.get("M")) is not int \
+                or rest["M"] < 0 or _spliced(rest, blocks) != text.rstrip(" \t\n\r"):
+            return None
+    except (ValueError, RecursionError):
+        return None
+    for name in BLOCK_NAMES:
+        blocks[name] = distinct_read_block_text(blocks[name], rest["M"] + 1)
+        if blocks[name] is None:
+            return None
+    return {**rest, "blocks": blocks}
+
+
+def _spliced(document: dict, blocks: dict) -> str:
+    head = json.dumps({k: v for k, v in document.items() if k < "blocks"}, **_COMPACT)
+    tail = json.dumps({k: v for k, v in document.items() if k > "blocks"}, **_COMPACT)
+    section = _BLOCKS + ",".join(f'"{name}":{blocks[name]}'
+                                 for name in sorted(blocks)) + "}"
+    return "{" + ",".join(filter(None, (head[1:-1], section, tail[1:-1]))) + "}"
+
+
+def distinct_read_block_text(text: str, n: int) -> np.ndarray | None:
+    """A block text read with each distinct "re,im" cell through json.loads
+    once, or, when most cells are distinct, all of them as one flat list."""
+    if len(text) < 6 * n * n + 2 * n + 1 or not (
+            text.startswith("[[[") and text.endswith("]]]")):
+        return None
+    rows = text[3:-3].split("]],[[")
+    if len(rows) != n:
+        return None
+    cells = []
+    for row in rows:
+        row = row.split("],[")
+        if len(row) != n:
+            return None
+        cells += row
+    distinct = dict.fromkeys(cells)
+    if 2 * len(distinct) > len(cells):
+        values = _read_cells(cells)
+    else:
+        values = _read_cells(list(distinct))
+        if values is not None:
+            index = dict(zip(distinct, range(len(distinct))))
+            values = values[np.fromiter(map(index.__getitem__, cells), np.intp,
+                                        len(cells))]
+    return None if values is None else values.reshape(n, n)
+
+
+def assembled_certified_norm(D: BlockOperator, rebuilt: BlockOperator,
+                             tol: float) -> float:
+    """characterize._certified_norm on E = D - rebuilt assembled whole by
+    np.block, with its sums over the whole of |E| and |E|^2."""
+    E = np.block([[D.that - rebuilt.that, D.gamma_check - rebuilt.gamma_check],
+                  [D.gamma_hat - rebuilt.gamma_hat, D.t_check - rebuilt.t_check]])
+    if not E.any():
+        return 0.0
+    A = np.abs(E)
+    with np.errstate(over="ignore"):
+        sq = A * A
+        lo = np.sqrt(np.maximum(sq.sum(axis=0).max(), sq.sum(axis=1).max()))
+        hi = np.sqrt(A.sum(axis=0).max()) * np.sqrt(A.sum(axis=1).max())
+    slack = (max(E.shape) + 4) * float(np.finfo(float).eps)
+    lo, hi = float(lo) * (1 - slack), float(hi) * (1 + slack)
+    if hi <= tol or lo > tol:
+        return hi
+    return float(np.linalg.norm(E, 2))

@@ -302,7 +302,7 @@ def test_main_restores_the_collector_state(tmp_path, capsys, collector, argv, co
 
 
 def test_payload_steps_run_with_the_collector_paused(tmp_path, capsys, monkeypatch):
-    seen = []
+    seen, pieces = [], []
 
     def recording(fn):
         def call(*args, **kwargs):
@@ -310,15 +310,26 @@ def test_payload_steps_run_with_the_collector_paused(tmp_path, capsys, monkeypat
             return fn(*args, **kwargs)
         return call
 
+    def streaming(fn):
+        # the streamed writer does its work as each piece is taken
+        def call(*args):
+            seen.append((fn.__name__, gc.isenabled()))
+            for piece in fn(*args):
+                pieces.append(gc.isenabled())
+                yield piece
+        return call
+
     shim = types.SimpleNamespace(loads=recording(json.loads), dumps=recording(json.dumps))
     monkeypatch.setattr(cli, "json", shim)
-    for name in ("read_operator_text", "write_operator_text"):
-        monkeypatch.setattr(cli, name, recording(getattr(cli, name)))
+    monkeypatch.setattr(cli, "read_operator_text", recording(cli.read_operator_text))
+    monkeypatch.setattr(cli, "write_operator_text", streaming(cli.write_operator_text))
     path, indented = tmp_path / "op.json", tmp_path / "indented.json"
     assert run_cli(capsys, "build", "dtto", "--theta", Z2, "--symbol", "z",
                    "--M", "8", "--out", str(path))[0] == 0
     indented.write_text(json.dumps(json.loads(path.read_text()), indent=2))
     assert seen == [("write_operator_text", False)]
+    # every piece, block rows included, is made with the collector paused
+    assert len(pieces) > 4 * 9 and not any(pieces)
     del seen[:]
     # the compact read, then the report
     assert run_cli(capsys, "check", str(path))[0] == 0

@@ -2,10 +2,11 @@
 closed-form DTTO blocks, coordinate TTO entries, slice coordinates on the
 complement sections, the batched trace pairing, the admissible vectors of
 sections and model spaces, the TCheck-border symbol, the vectorised
-shift-invariance defect and solve, and the blockwise recovery residual."""
+shift-invariance defect and solve, and the banded recovery residual."""
 
 import cmath
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ import pytest
 from msolab.annihilate import (FiniteRankOperator, gen_M, gen_shift_pair, pair,
                                pair_many, represent_functional)
 from msolab.bases import OrthonormalBasis
-from msolab.characterize import (_zbar_symbol, check_adtto, check_block_conditions,
+from msolab.characterize import (_BAND_ROWS, _certified_norm, _zbar_symbol,
+                                 check_adtto, check_block_conditions,
                                  is_analytic_adtto, recover_symbol,
                                  shift_invariance_defect,
                                  solve_shift_invariant_space)
@@ -27,7 +29,8 @@ from msolab.spaces import SHIFT_KERNEL_TOL, admissible_for_shift, basis_Kperp
 from msolab.suites import random_inner, random_symbol
 
 from conftest import dense_noise_operator, random_poly
-from oracles import (dense_coords, dense_coords_and_defect, dense_reconstruct,
+from oracles import (assembled_certified_norm, dense_coords,
+                     dense_coords_and_defect, dense_reconstruct,
                      gather_shift_invariance_defect, indexed_gen_M, loop_pair,
                      loop_shift_invariance_defect,
                      loop_shift_system, pairing_build_dtto, poly_corner_consistency,
@@ -682,6 +685,71 @@ def test_spectral_norm_runs_only_inside_the_bracket(monkeypatch):
     assert spectral == []
     assert recover_symbol(bumped, "zbar", tol=tol_inside)[1] <= tol_inside
     assert spectral == [(bumped.dim, bumped.dim)]
+
+
+def _residual_pairs(rebuilds):
+    """(label, D, rebuilt) at depths with one residual band (20, 31) and
+    with several (32, 100): the exact rebuild, the boundary rebuild (a
+    roundoff residual), one entry bumped in the first or in the last band,
+    and E past the float range in its squares or in its entries."""
+    r = Xoshiro256StarStar(20261020)
+    out = []
+    for M in (20, 31, 32, 100):
+        theta, alpha = random_inner(r), random_inner(r)
+        D = build_dtto(theta, alpha, random_symbol(r), M)
+        recover_symbol(D, "boundary")
+        last = BlockOperator(D.that, D.gamma_check, D.gamma_hat, D.t_check.copy(),
+                             theta, alpha, M)
+        last.t_check[-1, -3] += 2e-3
+        n = M + 1
+        huge = BlockOperator(*[np.full((n, n), 1e200 + 3e199j)] * 4, theta, alpha, M)
+        top, bottom = (BlockOperator(*[np.full((n, n), x)] * 4, theta, alpha, M)
+                       for x in (1.5e308, -1.5e308))
+        out += [(f"exact-M{M}", D, D), (f"roundoff-M{M}", D, rebuilds[-1]),
+                (f"first-band-M{M}", _bumped(D, "that"), D), (f"last-band-M{M}", last, D),
+                (f"squares-overflow-M{M}", huge, D),
+                (f"entries-overflow-M{M}", top, bottom)]
+    return out
+
+
+def test_banded_residual_is_the_assembled_one_to_the_bit(rebuilds):
+    """The banded sums give the bracket of the assembled E bit for bit, at
+    every verdict: below, inside (the SVD runs) and above the bracket."""
+    checked = set()
+    for label, D, rebuilt in _residual_pairs(rebuilds):
+        with np.errstate(over="ignore"):
+            E = D.assemble() - rebuilt.assemble()
+            tols = [1e-300, 1e-12, 1e300]
+            if E.any() and "overflow" not in label:
+                # tol at the SVD value lies inside the bracket
+                svd = float(np.linalg.norm(E, 2))
+                tols.append(svd)
+                assert _certified_norm(D, rebuilt, svd) == svd
+            for tol in tols:
+                got = _certified_norm(D, rebuilt, tol)
+                assert got == assembled_certified_norm(D, rebuilt, tol), (label, tol)
+                checked.add((label.rsplit("-M", 1)[0], got == 0.0, np.isinf(got)))
+    assert D.dim > 2 * _BAND_ROWS
+    assert ("exact", True, False) in checked and ("roundoff", False, False) in checked
+    assert ("entries-overflow", False, True) in checked
+
+
+def test_boundary_recovery_holds_one_band_of_the_residual():
+    """At M = 256 the rebuild's four blocks take 4.2 MB. Beyond them the
+    boundary recovery holds the gather of one block and one residual band
+    of at most _BAND_ROWS rows: peak measured 5.7 MB, against 12.8 MB when
+    the whole residual E, |E| and |E|^2 were assembled."""
+    D = build_dtto(BlaschkeProduct([0.5 - 0.3j]), BlaschkeProduct([0.2 + 0.6j, -0.4]),
+                   LaurentPolynomial({-1: 2.0, 0: 0.25 - 1j, 1: 1.0, 2: -0.5j}), 256)
+    recover_symbol(D, "boundary")
+    tracemalloc.start()
+    try:
+        _, residual = recover_symbol(D, "boundary")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < residual <= 1e-12
+    assert peak < 6e6
 
 
 # -- corner consistency and boundary recovery from the blocks ---------------------

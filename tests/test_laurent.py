@@ -2,6 +2,8 @@ import cmath
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from msolab.errors import InputError
 from msolab.inner import BlaschkeProduct, expand
@@ -155,6 +157,46 @@ def test_conj_function_involution(rng):
 def test_json_round_trip(rng):
     f = random_poly(rng)
     assert_poly_close(LaurentPolynomial.from_json(f.to_json()), f, 0)
+
+
+# every finite float64, with signed zeros and the smallest subnormals drawn often
+FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+                   st.floats(allow_nan=False, allow_infinity=False))
+COEFFICIENTS = st.builds(complex, FLOATS, FLOATS).filter(lambda c: c != 0)
+
+
+def _bits(values) -> list:
+    return np.asarray(values, dtype=np.complex128).view(np.int64).tolist()
+
+
+@given(st.dictionaries(st.integers(-8, 8), COEFFICIENTS, max_size=6))
+def test_json_round_trip_keeps_every_bit(coeffs):
+    """Zeros inside the band are not written and read back as +0.0, as the
+    constructor stores them; every written coefficient keeps its bits."""
+    f = LaurentPolynomial(coeffs)
+    g = LaurentPolynomial.from_json(f.to_json())
+    assert g.band == f.band
+    assert _bits(g.dense(g.lo, g.hi)) == _bits(f.dense(f.lo, f.hi))
+
+
+ZERO_PARTS = st.one_of(st.sampled_from([-0.0, -5e-324]), st.floats(-0.6, 0.6))
+
+
+@given(st.lists(st.builds(complex, ZERO_PARTS, ZERO_PARTS), min_size=1, max_size=4),
+       st.sampled_from([1.0, -1.0, 1j, -1j, complex(1.0, -0.0), complex(-0.0, 1.0),
+                        cmath.exp(0.7j)]))
+def test_blaschke_json_round_trip_keeps_every_bit(zeros, constant):
+    b = BlaschkeProduct(zeros, constant)
+    c = BlaschkeProduct.from_json(b.to_json())
+    assert _bits([*c.zeros, c.constant]) == _bits([*b.zeros, b.constant])
+
+
+def test_repeated_degrees_sum_from_their_first_value():
+    f = LaurentPolynomial.from_json({"coeffs": [[1, -0.0, 2.0], [0, 1.0, -0.0],
+                                                [1, 1.0, -0.0], [1, -0.0, -0.0]]})
+    assert _bits([f.coeff(0), f.coeff(1)]) == _bits([complex(1.0, -0.0), complex(1.0, 2.0)])
+    lone = LaurentPolynomial.from_json({"coeffs": [[2, -0.0, -0.5]]})
+    assert np.signbit(lone.coeff(2).real)
 
 
 def test_json_rejects_garbage():

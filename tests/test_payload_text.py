@@ -1,7 +1,8 @@
-"""Operator payloads written and read per distinct number (the CLI's
-compact route through payload.write_operator_text and
+"""Operator payloads written and read through their blocks' generating
+sequences (the CLI's compact route through payload.write_operator_text and
 payload.read_operator_text) against json.dumps and json.loads of the whole
-tree (tests/oracles.py)."""
+tree, and against the routes that write and read each distinct number once
+(tests/oracles.py)."""
 
 import json
 import tracemalloc
@@ -9,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from msolab import cli
+from msolab import cli, payload
 from msolab.cli import main
 from msolab.inner import BlaschkeProduct, monomial_inner
 from msolab.laurent import LaurentPolynomial
@@ -17,12 +18,13 @@ from msolab.operators import BlockOperator, build_dtto
 from msolab.payload import _read_block_text, read_operator_text
 
 from conftest import dense_noise_operator
-from oracles import dumps_payload
+from oracles import (distinct_read_operator_text, distinct_write_operator_text,
+                     dumps_payload)
 
 PAIRS = {"monomial": (monomial_inner(2), monomial_inner(3)),
          "blaschke": (BlaschkeProduct([0.5 - 0.3j]), BlaschkeProduct([0.2 + 0.6j, -0.4]))}
-SYMBOL = LaurentPolynomial.from_json(
-    {"coeffs": [[-1, 2.0, 0.0], [0, 0.25, -1.0], [1, 1.0, 0.0], [2, -0.0, -0.5]]})
+# built from a dict, so the CLI's from_json of its payload must keep the -0.0
+SYMBOL = LaurentPolynomial({-1: 2.0, 0: 0.25 - 1j, 1: 1.0, 2: complex(-0.0, -0.5)})
 # signed zeros, the smallest subnormal, floats whose repr has an exponent
 # and integral floats
 SPECIAL = np.array([complex(-0.0, 0.5), complex(0.5, -0.0), complex(-0.0, -0.0), 0j,
@@ -58,16 +60,31 @@ def _special(M: int) -> BlockOperator:
     return _with_blocks(D, lambda b: next(blocks))
 
 
+# 31 and 32 are the last depth with one residual band and the first with two
+DEPTHS = (16, 31, 32, 64, 256)
+
+
+def _signed_zero(D: BlockOperator) -> BlockOperator:
+    """D with one zero entry of TCheck as -0.0: Toeplitz by value, not by bits."""
+    def flip(b, k=iter(range(4))):
+        if next(k) == 3:
+            assert b[5, 0] == 0
+            b[5, 0] = -0.0
+        return b
+    return _with_blocks(D, flip)
+
+
 def _operators():
-    """Built operators at every depth, both pairs; single-entry bumps; the
-    dense-noise operator; special values."""
+    """Built operators at every depth, both pairs; single-entry bumps and a
+    signed zero; the dense-noise operator; special values."""
     out = {}
     for label, (theta, alpha) in PAIRS.items():
-        built = {M: build_dtto(theta, alpha, SYMBOL, M) for M in (16, 64, 256)}
+        built = {M: build_dtto(theta, alpha, SYMBOL, M) for M in DEPTHS}
         # depths 0 and 1 are below every guard depth: corners of a build
         out.update({f"{label}-M{M}": _corner(built[16], M) for M in (0, 1)})
         out.update({f"{label}-M{M}": D for M, D in built.items()})
         out.update({f"{label}-bump{k}": _bumped(built[16], k) for k in range(4)})
+        out[f"{label}-signed-zero"] = _signed_zero(built[16])
     out["dense-noise"] = dense_noise_operator()
     out["special"] = _special(10)
     out["special-M0"] = _corner(_special(10), 0)
@@ -80,7 +97,37 @@ OPERATORS = _operators()
 @pytest.mark.parametrize("name", list(OPERATORS))
 def test_writer_matches_the_whole_tree_dumps(name):
     op = OPERATORS[name]
-    assert cli._payload_text(op) == dumps_payload(op)
+    text = "".join(cli._payload_pieces(op))
+    assert text == dumps_payload(op)
+    assert text == distinct_write_operator_text(op)
+
+
+def _calls(monkeypatch, name: str) -> list:
+    """The first argument of every call to payload.`name` from here on."""
+    seen, real = [], getattr(payload, name)
+
+    def record(first, *args):
+        seen.append(first)
+        return real(first, *args)
+    monkeypatch.setattr(payload, name, record)
+    return seen
+
+
+@pytest.mark.parametrize("name, distinct", [
+    ("blaschke-M16", 0), ("monomial-M256", 0), ("monomial-M0", 0),
+    ("blaschke-bump0", 1), ("monomial-bump3", 1), ("monomial-signed-zero", 1),
+    ("dense-noise", 4), ("special", 4)])
+def test_each_block_takes_the_route_its_structure_allows(monkeypatch, name, distinct):
+    """A Toeplitz or Hankel block is written and read through its 2n - 1
+    sequence cells; a block that is neither (a single-entry bump, noise)
+    through its distinct numbers and its n * n cells."""
+    op, n = OPERATORS[name], OPERATORS[name].M + 1
+    written = _calls(monkeypatch, "_write_distinct_cells")
+    text = "".join(cli._payload_pieces(op))
+    read = _calls(monkeypatch, "_read_cells")
+    assert read_operator_text(text) is not None
+    assert len(written) == distinct
+    assert sorted(map(len, read)) == [2 * n - 1] * (4 - distinct) + [n * n] * distinct
 
 
 @pytest.mark.parametrize("label", list(PAIRS))
@@ -129,6 +176,8 @@ def test_compact_reader_matches_the_generic_reader(name):
     for text in texts:
         assert read_operator_text(text) is not None
         _assert_same_operator(_compact(text), _generic(text))
+        _assert_same_operator(_compact(text), BlockOperator.from_json(
+            distinct_read_operator_text(text)))
 
 
 # -- adversarial texts: the compact reader declines or agrees ------------------
@@ -215,6 +264,10 @@ def test_repeated_blocks_key_reads_the_last_one():
     ("[[[1,[2]]]]", 1), ('[[["1",2]]]', 1), ("[[[1,2]]] ", 1), ("[[[1,2],[3,4]]]", 1),
     ("[[[1,2,3],[4]]]", 2), ("[[[1,2]]]", 10 ** 9), ("[[[1e999,0]]]", 1),
     ("[[[" + "9" * 5000 + ",0]]]", 1), ("[[[NaN,0]]]", 1), ("[[[-0,0.0]]]x", 1),
+    # the row shift holds on the text, but the new cell holds a bracket
+    ("[[[1,2],[3,4]],[[5],[6],[1,2]]]", 2), ("[[[1,2],[3,4]],[[3,4],[5],[6]]]", 2),
+    ("[[[1,2],[3,4]],[[[5,6],[1,2]]]", 2), ("[[[1,2],[3,4]],[[3,4],[5,6]]]]", 2),
+    ("[[[1,2],[3,4]],[[5,6],[1,2]]]", 3),
 ])
 def test_block_reader_declines_what_it_does_not_parse(text, n):
     assert _read_block_text(text, n) is None
@@ -226,6 +279,18 @@ def test_block_reader_keeps_the_json_number_grammar():
     assert not np.signbit(a.real[0, 0]) and np.signbit(a.imag[0, 0])
     b = _read_block_text("[[[1E2,2e-1],[3,4]],[[1E2,2e-1],[3,4]]]", 2)
     assert np.array_equal(b, [[100 + 0.2j, 3 + 4j], [100 + 0.2j, 3 + 4j]])
+
+
+@pytest.mark.parametrize("text, block", [
+    ("[[[1,2],[3,4],[5,6]],[[7,8],[1,2],[3,4]],[[9,0],[7,8],[1,2]]]",
+     [[1 + 2j, 3 + 4j, 5 + 6j], [7 + 8j, 1 + 2j, 3 + 4j], [9, 7 + 8j, 1 + 2j]]),
+    ("[[[1,2],[3,4],[5,6]],[[3,4],[5,6],[7,8]],[[5,6],[7,8],[9,0]]]",
+     [[1 + 2j, 3 + 4j, 5 + 6j], [3 + 4j, 5 + 6j, 7 + 8j], [5 + 6j, 7 + 8j, 9]]),
+    # Toeplitz by value, not by text: read as a flat list
+    ("[[[1,2],[3,4]],[[5,6],[1.0,2]]]", [[1 + 2j, 3 + 4j], [5 + 6j, 1 + 2j]]),
+], ids=["toeplitz", "hankel", "toeplitz-by-value"])
+def test_block_reader_gathers_the_sequence_of_the_text(text, block):
+    assert np.array_equal(_read_block_text(text, len(block)), block)
 
 
 def test_huge_claimed_depth_allocates_nothing_large(tmp_path, capsys):
@@ -245,3 +310,28 @@ def test_huge_claimed_depth_allocates_nothing_large(tmp_path, capsys):
     assert code == 2 and captured.out == ""
     assert captured.err == "error: That has shape (13, 13), expected (1000001, 1000001)\n"
     assert peak < 50e6
+
+
+def _peak_mb(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_payload_routes_hold_one_block_of_text_at_a_time(tmp_path):
+    """At M = 256 the payload text is 5.1 MB and the four blocks 4.2 MB.
+    The reader holds the blocks it has read, plus one block's text and
+    rows; build holds the operator, plus one block's sequence text. Peaks
+    measured: 7.9 and 5.5 MB; the routes that cut out all four block texts
+    and concatenated the whole document peaked at 20.4 and 24.8 MB."""
+    theta, alpha = PAIRS["blaschke"]
+    text = dumps_payload(OPERATORS["blaschke-M256"])
+    assert _peak_mb(lambda: read_operator_text(text)) < 9.0
+    argv = ["build", "dtto", "--theta", json.dumps(theta.to_json()),
+            "--alpha", json.dumps(alpha.to_json()), "--symbol", json.dumps(SYMBOL.to_json()),
+            "--M", "256", "--out", str(tmp_path / "op.json")]
+    assert _peak_mb(lambda: main(argv)) < 7.0
+    assert (tmp_path / "op.json").read_text() == text + "\n"
