@@ -327,8 +327,11 @@ def _residual_bands(D: BlockOperator, rebuilt: BlockOperator):
     to bottom, each written into one buffer: use a band before taking the
     next."""
     n = D.M + 1
-    quadrants = ((D.that, rebuilt.that, 0, 0), (D.gamma_check, rebuilt.gamma_check, 0, n),
-                 (D.gamma_hat, rebuilt.gamma_hat, n, 0), (D.t_check, rebuilt.t_check, n, n))
+    # each block pair with the row and column where its difference sits in E
+    quadrants = ((D.that, rebuilt.that, 0, 0),
+                 (D.gamma_check, rebuilt.gamma_check, 0, n),
+                 (D.gamma_hat, rebuilt.gamma_hat, n, 0),
+                 (D.t_check, rebuilt.t_check, n, n))
     buffer = np.empty((min(_BAND_ROWS, 2 * n), 2 * n), dtype=np.complex128)
     for start in range(0, 2 * n, _BAND_ROWS):
         stop = min(start + _BAND_ROWS, 2 * n)
