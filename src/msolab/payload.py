@@ -9,12 +9,13 @@ A block operator payload as `build` writes it (compact, sorted keys) has its
 own writer and reader, `write_operator_text` and `read_operator_text`. Each
 block is a Toeplitz or Hankel matrix, fixed by a sequence of 2M + 1
 numbers. The writer sees that in the float64 bits: it formats the sequence
-once and slices every row out of its text, and hands the payload out in
+once and joins every row from its cells, and hands the payload out in
 pieces, one block at a time. The reader sees it in the text, where each row
 is the one above shifted by one cell: it parses the sequence once and
 gathers the block from it, and keeps the blocks as offsets into the text
-until it reads them. A block of any other shape is written per distinct
-number and read as one flat list. Both give the same text and the same
+until it reads them. The writer gives a block of any other shape to
+json.dumps; the reader declines a payload holding one, which json.loads
+and the typed readers then read. Both give the same text and the same
 float64 bits as json.dumps and json.loads through `write_matrix` and
 `read_matrix`.
 """
@@ -24,7 +25,7 @@ from __future__ import annotations
 import json
 import reprlib
 from collections.abc import Iterator
-from itertools import accumulate, chain
+from itertools import chain
 
 import numpy as np
 
@@ -159,11 +160,11 @@ def _key(k: int, name: str) -> str:
 
 
 def _block_pieces(a: np.ndarray) -> Iterator[str]:
-    """json.dumps(write_matrix(a), separators=(",", ":")) in pieces, with one
-    repr per float64 (so -0.0 keeps its sign). A block that is Toeplitz or
-    Hankel bit for bit formats its 2n - 1 sequence cells once and hands out
-    each row as a slice of their joined text; any other block comes as one
-    piece from _write_distinct_cells."""
+    """json.dumps(write_matrix(a), separators=(",", ":")) in pieces. A block
+    that is Toeplitz or Hankel bit for bit formats its 2n - 1 sequence cells
+    once, with one repr per float64 (so -0.0 keeps its sign), and hands out
+    each row as a join of n of them; any other block comes as one piece
+    from json.dumps."""
     a = np.ascontiguousarray(a, dtype=np.complex128)
     n = len(a)
     bits = a.view(np.uint64).reshape(n, n, 2)
@@ -174,40 +175,21 @@ def _block_pieces(a: np.ndarray) -> Iterator[str]:
         # Hankel: row i is cells i .. i+n-1 of row 0, then the last column
         sequence, starts = np.concatenate([a[0], a[1:, -1]]), range(n)
     else:
-        yield _write_distinct_cells(a)
+        yield json.dumps(write_matrix(a), **_COMPACT)
         return
     cells = [f"[{re!r},{im!r}]" for re, im in
              sequence.view(np.float64).reshape(-1, 2).tolist()]
-    text = ",".join(cells)
-    # offsets[t]: where cell t starts in text, or one past the end for t = 2n - 1
-    offsets = list(accumulate((len(c) + 1 for c in cells), initial=0))
     for k, s in enumerate(starts):
-        yield ("],[" if k else "[[") + text[offsets[s]:offsets[s + n] - 1]
+        yield ("],[" if k else "[[") + ",".join(cells[s:s + n])
     yield "]]"
-
-
-def _write_distinct_cells(a: np.ndarray) -> str:
-    """_block_pieces's text, with one repr per distinct float64 bit
-    pattern and one "[re,im]" per distinct pair of them."""
-    bits = a.view(np.uint64)
-    floats, which = np.unique(bits, return_inverse=True)
-    text = list(map(repr, floats.view(np.float64).tolist()))
-    k = len(floats)
-    which = which.reshape(-1, 2)
-    codes, cell = np.unique(which[:, 0] * k + which[:, 1], return_inverse=True)
-    cells = np.array([f"[{text[c // k]},{text[c % k]}]" for c in codes.tolist()],
-                     dtype=object)
-    rows = cells[cell.reshape(-1)].reshape(a.shape).tolist()
-    return "[" + ",".join("[" + ",".join(row) + "]" for row in rows) + "]"
 
 
 def _read_block_text(text: str, n: int) -> np.ndarray | None:
     """The n x n complex128 matrix of a block in _block_pieces's layout:
-    n rows of n [re, im] pairs, no whitespace. When the text shows the block
-    Toeplitz or Hankel (_shifted_cells), only its 2n - 1 sequence cells go
-    through json.loads and the block is gathered from them; otherwise all
-    n * n cells go through one flat json.loads. None when the text is in
-    any other layout or has an entry read_matrix would reject."""
+    n rows of n [re, im] pairs, no whitespace, each row the one above
+    shifted by one cell (_shifted_cells). Only its 2n - 1 sequence cells go
+    through json.loads, and the block is gathered from them. None when the
+    text is in any other layout or has an entry read_matrix would reject."""
     # the shortest such text has every number one digit long; checked
     # first so a large n allocates nothing
     if len(text) < 6 * n * n + 2 * n + 1 or not (
@@ -219,18 +201,11 @@ def _read_block_text(text: str, n: int) -> np.ndarray | None:
     rows[0] = rows[0][3:]
     rows[-1] = rows[-1][:-3]
     shifted = _shifted_cells(rows)
-    if shifted is not None:
-        cells, index = shifted
-        values = _read_cells(cells)
-        return None if values is None else values[index]
-    cells = []
-    for row in rows:
-        row = row.split("],[")
-        if len(row) != n:
-            return None
-        cells += row
+    if shifted is None:
+        return None
+    cells, index = shifted
     values = _read_cells(cells)
-    return None if values is None else values.reshape(n, n)
+    return None if values is None else values[index]
 
 
 def _shifted_cells(rows: list) -> tuple[list, np.ndarray] | None:

@@ -34,8 +34,7 @@ from msolab.inner import expand, expansion_degree, tm_basis
 from msolab.laurent import (LaurentPolynomial, conj_function, inner_product,
                             involution_J, minus_part, monomial, multiply)
 from msolab.operators import BlockOperator, SymbolFunction
-from msolab.payload import (_BLOCKS, _COMPACT, BLOCK_NAMES, _read_cells,
-                            _write_distinct_cells)
+from msolab.payload import _BLOCKS, _COMPACT, BLOCK_NAMES, _read_cells
 from msolab.spaces import (SHIFT_KERNEL_TOL, admissible_for_shift, basis_Kperp,
                            conjugation_C, project, section_expansion,
                            section_shift_index)
@@ -352,6 +351,21 @@ def distinct_write_operator_text(op: BlockOperator) -> str:
     document = op.to_json_with(
         lambda a: _write_distinct_cells(np.ascontiguousarray(a, dtype=np.complex128)))
     return _spliced(document, document.pop("blocks"))
+
+
+def _write_distinct_cells(a: np.ndarray) -> str:
+    """A block's compact text with one repr per distinct float64 bit
+    pattern and one "[re,im]" per distinct pair of them."""
+    bits = a.view(np.uint64)
+    floats, which = np.unique(bits, return_inverse=True)
+    text = list(map(repr, floats.view(np.float64).tolist()))
+    k = len(floats)
+    which = which.reshape(-1, 2)
+    codes, cell = np.unique(which[:, 0] * k + which[:, 1], return_inverse=True)
+    cells = np.array([f"[{text[c // k]},{text[c % k]}]" for c in codes.tolist()],
+                     dtype=object)
+    rows = cells[cell.reshape(-1)].reshape(a.shape).tolist()
+    return "[" + ",".join("[" + ",".join(row) + "]" for row in rows) + "]"
 
 
 def distinct_read_operator_text(text: str) -> dict | None:

@@ -2,7 +2,8 @@
 sequences (the CLI's compact route through payload.write_operator_text and
 payload.read_operator_text) against json.dumps and json.loads of the whole
 tree, and against the routes that write and read each distinct number once
-(tests/oracles.py)."""
+(tests/oracles.py). A block without the Toeplitz or Hankel shift is written
+by json.dumps, and a payload holding one is read by json.loads."""
 
 import json
 import tracemalloc
@@ -94,6 +95,19 @@ def _operators():
 OPERATORS = _operators()
 
 
+def _unshifted(op: BlockOperator) -> int:
+    """How many blocks of op are neither Toeplitz nor Hankel, bit for bit."""
+    count = 0
+    for b in (op.that, op.gamma_check, op.gamma_hat, op.t_check):
+        n = len(b)
+        i, j = np.ogrid[:n, :n]
+        shifted = (np.concatenate([b[::-1, 0], b[0, 1:]])[j - i + (n - 1)],
+                   np.concatenate([b[0], b[1:, -1]])[i + j])
+        count += not any(np.array_equal(b.view(np.int64), m.view(np.int64))
+                         for m in shifted)
+    return count
+
+
 @pytest.mark.parametrize("name", list(OPERATORS))
 def test_writer_matches_the_whole_tree_dumps(name):
     op = OPERATORS[name]
@@ -113,21 +127,24 @@ def _calls(monkeypatch, name: str) -> list:
     return seen
 
 
-@pytest.mark.parametrize("name, distinct", [
+@pytest.mark.parametrize("name, unshifted", [
     ("blaschke-M16", 0), ("monomial-M256", 0), ("monomial-M0", 0),
     ("blaschke-bump0", 1), ("monomial-bump3", 1), ("monomial-signed-zero", 1),
     ("dense-noise", 4), ("special", 4)])
-def test_each_block_takes_the_route_its_structure_allows(monkeypatch, name, distinct):
+def test_each_block_takes_the_route_its_structure_allows(monkeypatch, name, unshifted):
     """A Toeplitz or Hankel block is written and read through its 2n - 1
     sequence cells; a block that is neither (a single-entry bump, noise)
-    through its distinct numbers and its n * n cells."""
+    is written by json.dumps, and the compact reader declines its payload."""
     op, n = OPERATORS[name], OPERATORS[name].M + 1
-    written = _calls(monkeypatch, "_write_distinct_cells")
+    assert _unshifted(op) == unshifted
+    dumped = _calls(monkeypatch, "write_matrix")
     text = "".join(cli._payload_pieces(op))
     read = _calls(monkeypatch, "_read_cells")
-    assert read_operator_text(text) is not None
-    assert len(written) == distinct
-    assert sorted(map(len, read)) == [2 * n - 1] * (4 - distinct) + [n * n] * distinct
+    compact = read_operator_text(text)
+    assert len(dumped) == unshifted
+    assert (compact is None) == (unshifted > 0)
+    assert set(map(len, read)) <= {2 * n - 1}
+    assert len(read) == 4 or unshifted
 
 
 @pytest.mark.parametrize("label", list(PAIRS))
@@ -167,17 +184,22 @@ def _as_ints(text: str) -> str:
 
 
 @pytest.mark.parametrize("name", list(OPERATORS))
-def test_compact_reader_matches_the_generic_reader(name):
-    op = OPERATORS[name]
+def test_compact_reader_matches_the_generic_reader(tmp_path, name):
+    """The CLI reads the operator json.loads reads, bit for bit; the compact
+    reader takes exactly the payloads whose blocks all show the shift."""
+    op, path = OPERATORS[name], tmp_path / "op.json"
     texts = [dumps_payload(op) + "\n"]
     if op.M < 256:  # the variants take seconds through the generic reader
         texts += [dumps_payload(_with_blocks(op, lambda b: b + 1e-3 * (1 + 1j))),
                   _as_ints(texts[0])]
     for text in texts:
-        assert read_operator_text(text) is not None
-        _assert_same_operator(_compact(text), _generic(text))
-        _assert_same_operator(_compact(text), BlockOperator.from_json(
-            distinct_read_operator_text(text)))
+        path.write_text(text)
+        generic = _generic(text)
+        _assert_same_operator(cli._read_operator(str(path)), generic)
+        assert (read_operator_text(text) is None) == (_unshifted(generic) > 0)
+        if not _unshifted(generic):
+            _assert_same_operator(_compact(text), BlockOperator.from_json(
+                distinct_read_operator_text(text)))
 
 
 # -- adversarial texts: the compact reader declines or agrees ------------------
@@ -268,6 +290,8 @@ def test_repeated_blocks_key_reads_the_last_one():
     ("[[[1,2],[3,4]],[[5],[6],[1,2]]]", 2), ("[[[1,2],[3,4]],[[3,4],[5],[6]]]", 2),
     ("[[[1,2],[3,4]],[[[5,6],[1,2]]]", 2), ("[[[1,2],[3,4]],[[3,4],[5,6]]]]", 2),
     ("[[[1,2],[3,4]],[[5,6],[1,2]]]", 3),
+    # Toeplitz by value, not by text
+    ("[[[1,2],[3,4]],[[5,6],[1.0,2]]]", 2),
 ])
 def test_block_reader_declines_what_it_does_not_parse(text, n):
     assert _read_block_text(text, n) is None
@@ -277,8 +301,8 @@ def test_block_reader_keeps_the_json_number_grammar():
     # -0 is the integer zero to json.loads, so it reads as +0.0
     a = _read_block_text("[[[-0,-0.0]]]", 1)
     assert not np.signbit(a.real[0, 0]) and np.signbit(a.imag[0, 0])
-    b = _read_block_text("[[[1E2,2e-1],[3,4]],[[1E2,2e-1],[3,4]]]", 2)
-    assert np.array_equal(b, [[100 + 0.2j, 3 + 4j], [100 + 0.2j, 3 + 4j]])
+    b = _read_block_text("[[[1E2,2e-1],[3,4]],[[5,6],[1E2,2e-1]]]", 2)
+    assert np.array_equal(b, [[100 + 0.2j, 3 + 4j], [5 + 6j, 100 + 0.2j]])
 
 
 @pytest.mark.parametrize("text, block", [
@@ -286,9 +310,7 @@ def test_block_reader_keeps_the_json_number_grammar():
      [[1 + 2j, 3 + 4j, 5 + 6j], [7 + 8j, 1 + 2j, 3 + 4j], [9, 7 + 8j, 1 + 2j]]),
     ("[[[1,2],[3,4],[5,6]],[[3,4],[5,6],[7,8]],[[5,6],[7,8],[9,0]]]",
      [[1 + 2j, 3 + 4j, 5 + 6j], [3 + 4j, 5 + 6j, 7 + 8j], [5 + 6j, 7 + 8j, 9]]),
-    # Toeplitz by value, not by text: read as a flat list
-    ("[[[1,2],[3,4]],[[5,6],[1.0,2]]]", [[1 + 2j, 3 + 4j], [5 + 6j, 1 + 2j]]),
-], ids=["toeplitz", "hankel", "toeplitz-by-value"])
+], ids=["toeplitz", "hankel"])
 def test_block_reader_gathers_the_sequence_of_the_text(text, block):
     assert np.array_equal(_read_block_text(text, len(block)), block)
 
