@@ -34,8 +34,7 @@ from .inner import BlaschkeProduct, expand, expansion_degree, tm_basis
 from .laurent import (LaurentPolynomial, conj_function, multiply,
                       project_band)
 from .operators import (BlockOperator, DenseComplexMatrix, SymbolFunction,
-                        block_degrees, build_dtto, coefficient_matrix,
-                        guard_depth)
+                        block_views, build_dtto, guard_depth)
 from .spaces import SHIFT_KERNEL_TOL, compressed_shift
 
 
@@ -87,7 +86,11 @@ class DefectReport:
 def _report(condition: str, residual: np.ndarray, tol: float) -> DefectReport:
     """Largest entry of |residual| as the defect; the witnesses are the
     entries above tol, largest first, ties in row-major order, at most 3."""
-    dev = np.abs(np.atleast_2d(residual))
+    return _abs_report(condition, np.abs(np.atleast_2d(residual)), tol)
+
+
+def _abs_report(condition: str, dev: np.ndarray, tol: float) -> DefectReport:
+    """_report from dev = |residual|, a 2-d array."""
     flat = dev.ravel()
     over = np.flatnonzero(flat > tol)
     top = over[np.argsort(-flat[over], kind="stable")[:3]]
@@ -171,13 +174,19 @@ def distance_to_span(op: DenseComplexMatrix, family: list) -> float:
 
 # -- blockwise structure (shift sandwiches and intertwinings) -----------------
 
-def _shift_residuals(D: BlockOperator) -> list[list[np.ndarray]]:
-    """<D(z f), z g> - <D f, g> over the admissible section vectors in block
-    layout [[That, GammaCheck], [GammaHat, TCheck]], rows g and columns f:
-    z moves each to a neighbour, so each is two slices of one block."""
+def _shift_terms(D: BlockOperator) -> list[list[tuple[np.ndarray, np.ndarray]]]:
+    """<D(z f), z g> and <D f, g> over the admissible section vectors in
+    block layout [[That, GammaCheck], [GammaHat, TCheck]], rows g and
+    columns f: z moves each to a neighbour, so each is a slice of one
+    block."""
     that, gc, gh, tc = D.that, D.gamma_check, D.gamma_hat, D.t_check
-    return [[that[1:, 1:] - that[:-1, :-1], gc[1:, :-1] - gc[:-1, 1:]],
-            [gh[:-1, 1:] - gh[1:, :-1], tc[:-1, :-1] - tc[1:, 1:]]]
+    return [[(that[1:, 1:], that[:-1, :-1]), (gc[1:, :-1], gc[:-1, 1:])],
+            [(gh[:-1, 1:], gh[1:, :-1]), (tc[:-1, :-1], tc[1:, 1:])]]
+
+
+def _shift_residuals(D: BlockOperator) -> list[list[np.ndarray]]:
+    """<D(z f), z g> - <D f, g> in the layout of _shift_terms."""
+    return [[a - b for a, b in row] for row in _shift_terms(D)]
 
 
 def check_block_conditions(D: BlockOperator, *,
@@ -185,13 +194,22 @@ def check_block_conditions(D: BlockOperator, *,
     """The four structural conditions: the diagonal blocks must be fixed by
     the one-step shift sandwich, the antidiagonal blocks must intertwine the
     shifts. Each residual is an exact entrywise identity; the sandwich drops
-    the outermost row/column. GammaCheck's is indexed like GammaCheck^H."""
+    the outermost row/column. GammaCheck's is indexed like GammaCheck^H and
+    taken from the transposed slices, so it lands row-major. The four
+    residuals and their moduli share one (M, M) buffer each, reused from
+    residual to residual."""
     tol = _tolerance(tol, D.theta, D.alpha)
-    [[r1, r4], [r3, r2]] = _shift_residuals(D)
-    return [_report("that-shift-sandwich", r1, tol),
-            _report("tcheck-shift-sandwich", r2, tol),
-            _report("gammahat-intertwine", r3, tol),
-            _report("gammacheck-intertwine", r4.T, tol)]
+    [[t1, (a4, b4)], [t3, t2]] = _shift_terms(D)
+    residual = np.empty((D.M, D.M), dtype=np.complex128)
+    dev = np.empty((D.M, D.M))
+    reports = []
+    for condition, (a, b) in (("that-shift-sandwich", t1),
+                              ("tcheck-shift-sandwich", t2),
+                              ("gammahat-intertwine", t3),
+                              ("gammacheck-intertwine", (a4.T, b4.T))):
+        np.subtract(a, b, out=residual)
+        reports.append(_abs_report(condition, np.abs(residual, out=dev), tol))
+    return reports
 
 
 # -- full membership ----------------------------------------------------------
@@ -240,10 +258,7 @@ def check_adtto(D: BlockOperator, *, tol: float | None = None) -> AdttoVerdict:
     # coupling: the zbar-corner symbol, pushed through theta*conj(alpha),
     # must reproduce That entrywise
     phi_z = _zbar_symbol(D)
-    th = expand(D.theta, 2 * M + 4)
-    al = expand(D.alpha, 2 * M + 4)
-    g = multiply(phi_z.value, multiply(th, conj_function(al)))
-    predicted = coefficient_matrix(g, next(block_degrees(M)))
+    predicted, minus_theta, minus_alpha = _zbar_predictions(D, phi_z)
     coupling = _report("tcheck-coupling", D.that - predicted, tol)
     r2 = _merged("tcheck-coupling", coupling, blocks[1])
     r3 = _merged("hankel-intertwine", blocks[2], blocks[3])
@@ -251,11 +266,8 @@ def check_adtto(D: BlockOperator, *, tol: float | None = None) -> AdttoVerdict:
     # corner consistency: D(theta) is column 0 of D and D*(alpha) the
     # conjugate of row 0, so their Hminus parts are the first column of
     # GammaHat and the conjugated first row of GammaCheck
-    minus_degrees = -np.arange(1, M + 2)
-    res_a = D.gamma_hat[:, 0] - coefficient_matrix(
-        multiply(phi_z.value, th), minus_degrees)
-    res_b = D.gamma_check[0].conj() - coefficient_matrix(
-        multiply(conj_function(phi_z.value), al), minus_degrees)
+    res_a = D.gamma_hat[:, 0] - minus_theta
+    res_b = D.gamma_check[0].conj() - minus_alpha
     defect4 = float(max(np.linalg.norm(res_a), np.linalg.norm(res_b)))
     witnesses4 = []
     if defect4 > tol:
@@ -268,6 +280,20 @@ def check_adtto(D: BlockOperator, *, tol: float | None = None) -> AdttoVerdict:
 
     reports = [r1, r2, r3, r4]
     return AdttoVerdict(reports, all(r.passed for r in reports), phi_z)
+
+
+def _zbar_predictions(D: BlockOperator, phi_z: SymbolFunction):
+    """What the zbar-corner symbol phi_z predicts for check_adtto: That, the
+    Toeplitz view of g = phi_z theta conj(alpha) at degrees -M..M, and the
+    Hminus parts of D(theta) and D*(alpha) at degrees -1..-(M+1), the
+    coefficients of phi_z theta and conj(phi_z) alpha read backwards."""
+    M = D.M
+    th = expand(D.theta, 2 * M + 4)
+    al = expand(D.alpha, 2 * M + 4)
+    g = multiply(phi_z.value, multiply(th, conj_function(al)))
+    return (next(block_views(M, (g,))),
+            multiply(phi_z.value, th).dense(-M - 1, -1)[::-1],
+            multiply(conj_function(phi_z.value), al).dense(-M - 1, -1)[::-1])
 
 
 # -- symbol recovery ----------------------------------------------------------
@@ -291,24 +317,33 @@ def _certified_norm(D: BlockOperator, rebuilt: BlockOperator, tol: float) -> flo
     row sum comes from its band. Each column sum adds the rows in sequence
     onto the sums of the bands above, which is numpy's order for axis 0 of
     the whole E, so the bracket is the same to the bit. A band of zeros
-    adds nothing and is skipped. Only the SVD builds E whole."""
-    cols = np.zeros((2, D.dim))   # column sums of |E| and |E|^2
+    adds nothing and is skipped. Only the SVD builds E whole.
+
+    One call allocates its buffers once: two stacks of _BAND_ROWS + 1 rows
+    hold the column sums so far in row 0 and |band| and |band|^2 below, and
+    each column sum is one axis-0 sum of a stack's leading rows."""
+    # stacks[m, 0]: column sums of |E| (m = 0) and |E|^2 (m = 1) so far
+    stacks = np.empty((2, min(_BAND_ROWS, D.dim) + 1, D.dim))
+    stacks[:, 0] = 0.0
     rows = np.zeros(2)            # largest row sums of |E| and |E|^2
     nonzero = False
     for band in _residual_bands(D, rebuilt):
         if not band.any():
             continue
         nonzero = True
-        A = np.abs(band)
+        k = len(band) + 1
+        A = np.abs(band, out=stacks[0, 1:k])
         # sums that overflow make an end inf, which keeps the verdict: a
         # column or row norm beyond the float range exceeds every tol
         with np.errstate(over="ignore"):
-            for m, part in enumerate((A, A * A)):
-                rows[m] = max(rows[m], part.sum(axis=1).max())
-                cols[m] = np.vstack((cols[m], part)).sum(axis=0)
+            np.multiply(A, A, out=stacks[1, 1:k])
+            for m, stack in enumerate(stacks):
+                rows[m] = max(rows[m], stack[1:k].sum(axis=1).max())
+                stack[0] = stack[:k].sum(axis=0)
     # an exact rebuild leaves E all zeros, whose 2-norm is 0.0: skip the SVD
     if not nonzero:
         return 0.0
+    cols = stacks[:, 0]
     with np.errstate(over="ignore"):
         lo = np.sqrt(np.maximum(cols[1].max(), rows[1]))
         # a product of square roots neither overflows nor underflows first

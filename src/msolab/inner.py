@@ -134,8 +134,13 @@ class BlaschkeProduct:
     # -- encoding ----------------------------------------------------------
 
     def to_json(self) -> dict:
-        return {"zeros": [write_complex(a) for a in self.zeros],
-                "constant": write_complex(self.constant)}
+        """The zeros and the constant; `allow_near_boundary` only when true,
+        so a payload read back accepts the zeros it was built from."""
+        out = {"zeros": [write_complex(a) for a in self.zeros],
+               "constant": write_complex(self.constant)}
+        if self.allow_near_boundary:
+            out["allow_near_boundary"] = True
+        return out
 
     @classmethod
     def from_json(cls, obj) -> "BlaschkeProduct":

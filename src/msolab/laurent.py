@@ -19,7 +19,7 @@ import numpy as np
 
 from . import kernels
 from .errors import InputError
-from .payload import read_complex, read_int, read_typed, write_complex
+from .payload import read_complex, read_int, read_typed
 
 _ZERO = np.zeros(0, dtype=np.complex128)
 
@@ -160,8 +160,10 @@ class LaurentPolynomial:
     # -- encoding -----------------------------------------------------------
 
     def to_json(self) -> dict:
-        return {"coeffs": [[k, *write_complex(c)]
-                           for k, c in sorted(self.coeffs.items())]}
+        """[k, re, im] for every nonzero coefficient, by degree."""
+        nz = np.flatnonzero(self._data)
+        pairs = self._data[nz].view(np.float64).reshape(-1, 2).tolist()
+        return {"coeffs": [[k, *c] for k, c in zip((nz + self._lo).tolist(), pairs)]}
 
     @classmethod
     def from_json(cls, obj) -> "LaurentPolynomial":

@@ -18,7 +18,8 @@ and 0 <= i, j <= M:
     GammaHat[i, j]   = coefficient -(i + j + 1) of phi * th
     TCheck[i, j]     = coefficient j - i       of phi
 
-so `build_dtto` forms three products and gathers at `block_degrees`. Entries
+so `build_dtto` forms three products and copies each block from a strided
+view of its sequence (`block_views`): no index array is built. Entries
 are exact pairings (up to expansion tails), so truncation shows up only
 structurally: identities involving products of blocks are reliable on
 interior indices, at distance >= (symbol reach + deg theta + deg alpha) from
@@ -269,29 +270,33 @@ def build_dtto(theta: BlaschkeProduct, alpha: BlaschkeProduct, phi,
     al_bar = conj_function(section_expansion(alpha, M))
     sequences = (multiply(phi_th, al_bar), multiply(phi.value, al_bar),
                  phi_th, phi.value)
-    return BlockOperator(*(coefficient_matrix(p, degrees) for p, degrees
-                           in zip(sequences, block_degrees(M))),
+    # each block a C-contiguous copy that callers may write: `apply` on the
+    # strided views would leave the BLAS path and change the bits
+    return BlockOperator(*(np.array(view, order="C")
+                           for view in block_views(M, sequences)),
                          theta=theta, alpha=alpha, M=M, edge=phi.reach)
 
 
-def block_degrees(M: int) -> Iterator[np.ndarray]:
-    """The degree each entry (i, j) of a depth-M block reads, in block order
-    That, GammaCheck, GammaHat, TCheck: i - j, i + j + 1, -(i + j + 1) and
-    j - i, made one at a time, so a gather holds one of these arrays.
-    Entries of one block that share a degree share their value in every
-    compressed multiplication operator."""
-    i, j = np.ogrid[:M + 1, :M + 1]
-    yield i - j
-    yield i + j + 1
-    yield -(i + j + 1)
-    yield j - i
+# entry (i, j) of each block reads degree d0 + di * i + dj * j of its
+# sequence, in block order That, GammaCheck, GammaHat, TCheck
+_BLOCK_DEGREES = ((0, 1, -1), (1, 1, 1), (-1, -1, -1), (0, -1, 1))
 
 
-def coefficient_matrix(p: LaurentPolynomial, degrees: np.ndarray) -> np.ndarray:
-    """Coefficients of p at an integer array of degrees (a Toeplitz matrix
-    for degrees i - j, a Hankel matrix for degrees +-(i + j + 1))."""
-    lo = int(np.min(degrees))
-    return p.dense(lo, int(np.max(degrees)))[degrees - lo]
+def block_views(M: int, sequences) -> Iterator[np.ndarray]:
+    """Each sequence as a depth-M block in block order, a read-only
+    (M+1, M+1) view into the 2M+1 coefficients the block reads: That and
+    TCheck are Toeplitz views of degrees -M..M, GammaCheck a Hankel view of
+    1..2M+1 and GammaHat one of -2M-1..-1. Fewer sequences give the leading
+    blocks. Entries of one block that share a degree share their value in
+    every compressed multiplication operator."""
+    for p, (d0, di, dj) in zip(sequences, _BLOCK_DEGREES):
+        lo = d0 + M * (min(di, 0) + min(dj, 0))
+        seq = p.dense(lo, lo + 2 * M)
+        s = seq.itemsize
+        view = np.ndarray((M + 1, M + 1), np.complex128, buffer=seq,
+                          offset=(d0 - lo) * s, strides=(di * s, dj * s))
+        view.flags.writeable = False
+        yield view
 
 
 def split_blocks(full: np.ndarray, theta: BlaschkeProduct,

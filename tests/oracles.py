@@ -16,7 +16,12 @@ tests use it to check the corner identity TCheck = W1 That^T conj(W2).
 payload writer and reader that format or parse each distinct number of a
 block once and rebuild the whole document to check its layout, and
 `assembled_certified_norm` the recovery residual's norm bracket on the
-assembled difference E.
+assembled difference E. `block_degrees` and `coefficient_matrix` gather a
+block's entries at an integer array of its degrees, the route
+`gather_build_dtto` and `gather_zbar_predictions` take where the library
+copies strided views; `fresh_block_conditions` allocates each block
+residual anew where the library reuses one buffer, and `sparse_to_json`
+is a polynomial's payload through its sparse coefficient dict.
 """
 
 from __future__ import annotations
@@ -28,13 +33,15 @@ import numpy as np
 from msolab.annihilate import MEMBERSHIP_TOL, FiniteRankOperator
 from msolab.bases import OrthonormalBasis
 from msolab.characterize import (AnalyticVerdict, DefectReport, _report,
-                                 _zbar_symbol, default_tolerance)
+                                 _shift_residuals, _zbar_symbol,
+                                 default_tolerance)
 from msolab.errors import DimensionError
-from msolab.inner import expand, expansion_degree, tm_basis
+from msolab.inner import BlaschkeProduct, expand, expansion_degree, tm_basis
 from msolab.laurent import (LaurentPolynomial, conj_function, inner_product,
                             involution_J, minus_part, monomial, multiply)
 from msolab.operators import BlockOperator, SymbolFunction
-from msolab.payload import _BLOCKS, _COMPACT, BLOCK_NAMES, _read_cells
+from msolab.payload import (_BLOCKS, _COMPACT, BLOCK_NAMES, _read_cells,
+                            write_complex)
 from msolab.spaces import (SHIFT_KERNEL_TOL, admissible_for_shift, basis_Kperp,
                            conjugation_C, project, section_expansion,
                            section_shift_index)
@@ -68,6 +75,70 @@ def pairing_build_dtto(theta, alpha, phi, M) -> BlockOperator:
     return BlockOperator(that=P[:n, :n], gamma_check=P[:n, n:],
                          gamma_hat=P[n:, :n], t_check=P[n:, n:],
                          theta=theta, alpha=alpha, M=M, edge=phi.reach)
+
+
+def block_degrees(M: int) -> list[np.ndarray]:
+    """The degree each entry (i, j) of a depth-M block reads, in block order
+    That, GammaCheck, GammaHat, TCheck: i - j, i + j + 1, -(i + j + 1) and
+    j - i."""
+    i, j = np.ogrid[:M + 1, :M + 1]
+    return [i - j, i + j + 1, -(i + j + 1), j - i]
+
+
+def coefficient_matrix(p: LaurentPolynomial, degrees: np.ndarray) -> np.ndarray:
+    """Coefficients of p at an integer array of degrees (a Toeplitz matrix
+    for degrees i - j, a Hankel matrix for degrees +-(i + j + 1))."""
+    lo = int(np.min(degrees))
+    return p.dense(lo, int(np.max(degrees)))[degrees - lo]
+
+
+def dtto_sequences(theta: BlaschkeProduct, alpha: BlaschkeProduct, phi,
+                   M: int) -> tuple[LaurentPolynomial, ...]:
+    """The four sequences build_dtto reads its blocks from, in block order."""
+    phi = SymbolFunction.parse(phi)
+    phi_th = multiply(phi.value, section_expansion(theta, M))
+    al_bar = conj_function(section_expansion(alpha, M))
+    return (multiply(phi_th, al_bar), multiply(phi.value, al_bar), phi_th,
+            phi.value)
+
+
+def gather_build_dtto(theta: BlaschkeProduct, alpha: BlaschkeProduct, phi,
+                      M: int) -> BlockOperator:
+    """build_dtto with each block gathered at block_degrees (no guard)."""
+    sequences = dtto_sequences(theta, alpha, phi, M)
+    return BlockOperator(*(coefficient_matrix(p, degrees) for p, degrees
+                           in zip(sequences, block_degrees(M))),
+                         theta=theta, alpha=alpha, M=M,
+                         edge=SymbolFunction.parse(phi).reach)
+
+
+def fresh_block_conditions(D: BlockOperator, tol: float) -> list[DefectReport]:
+    """check_block_conditions with a new residual and modulus per condition,
+    GammaCheck's transposed after the subtraction."""
+    [[r1, r4], [r3, r2]] = _shift_residuals(D)
+    return [_report("that-shift-sandwich", r1, tol),
+            _report("tcheck-shift-sandwich", r2, tol),
+            _report("gammahat-intertwine", r3, tol),
+            _report("gammacheck-intertwine", r4.T, tol)]
+
+
+def gather_zbar_predictions(D: BlockOperator, phi_z: SymbolFunction):
+    """characterize._zbar_predictions gathered at block_degrees and at the
+    degrees -1..-(M+1)."""
+    M = D.M
+    th = expand(D.theta, 2 * M + 4)
+    al = expand(D.alpha, 2 * M + 4)
+    g = multiply(phi_z.value, multiply(th, conj_function(al)))
+    minus_degrees = -np.arange(1, M + 2)
+    return (coefficient_matrix(g, block_degrees(M)[0]),
+            coefficient_matrix(multiply(phi_z.value, th), minus_degrees),
+            coefficient_matrix(multiply(conj_function(phi_z.value), al),
+                               minus_degrees))
+
+
+def sparse_to_json(p: LaurentPolynomial) -> dict:
+    """LaurentPolynomial.to_json through the sparse coefficient dict."""
+    return {"coeffs": [[k, *write_complex(c)] for k, c in sorted(p.coeffs.items())]}
 
 
 def dense_coords(basis, f: LaurentPolynomial) -> np.ndarray:

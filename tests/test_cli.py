@@ -197,6 +197,21 @@ def test_recover_passes_on_built_blaschke_payloads(tmp_path, capsys, M):
         assert report["residual"] <= report["tolerance"]
 
 
+def test_near_boundary_payload_reads_back(tmp_path, capsys):
+    """A theta with a zero past RHO_SOFT_LIMIT is built only on request; the
+    payload keeps the request, so its own check and recover accept it."""
+    path = tmp_path / "op.json"
+    assert run_cli(capsys, "build", "dtto",
+                   "--theta", '{"zeros": [[0.96, 0]], "allow_near_boundary": true}',
+                   "--symbol", "z", "--M", "300", "--out", str(path))[0] == 0
+    payload = json.loads(path.read_text())
+    assert payload["theta"] == payload["alpha"] == {
+        "allow_near_boundary": True, "constant": [1.0, 0.0], "zeros": [[0.96, 0.0]]}
+    assert run_cli(capsys, "check", str(path))[0] == 0
+    for method in ("zbar", "boundary"):
+        assert run_cli(capsys, "recover", str(path), "--method", method)[0] == 0
+
+
 def test_suite_unknown_name_exits_two(capsys):
     assert run_cli(capsys, "suite", "everything")[0] == 2
 

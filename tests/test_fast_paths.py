@@ -1,8 +1,9 @@
 """The structured fast paths against their generic oracles (tests/oracles.py):
-closed-form DTTO blocks, coordinate TTO entries, slice coordinates on the
-complement sections, the batched trace pairing, the admissible vectors of
-sections and model spaces, the TCheck-border symbol, the vectorised
-shift-invariance defect and solve, and the banded recovery residual."""
+closed-form DTTO blocks and their strided views, coordinate TTO entries,
+slice coordinates on the complement sections, the batched trace pairing,
+the admissible vectors of sections and model spaces, the TCheck-border
+symbol, the vectorised shift-invariance defect and solve, the block
+conditions on one reused buffer, and the banded recovery residual."""
 
 import cmath
 import re
@@ -14,8 +15,9 @@ import pytest
 from msolab.annihilate import (FiniteRankOperator, gen_M, gen_shift_pair, pair,
                                pair_many, represent_functional)
 from msolab.bases import OrthonormalBasis
-from msolab.characterize import (_BAND_ROWS, _certified_norm, _zbar_symbol,
-                                 check_adtto, check_block_conditions,
+from msolab.characterize import (_BAND_ROWS, _certified_norm, _zbar_predictions,
+                                 _zbar_symbol, check_adtto,
+                                 check_block_conditions, default_tolerance,
                                  is_analytic_adtto, recover_symbol,
                                  shift_invariance_defect,
                                  solve_shift_invariant_space)
@@ -23,15 +25,18 @@ from msolab.errors import DimensionError, InputError
 from msolab.inner import BlaschkeProduct, expand, monomial_inner, tm_basis
 from msolab.laurent import LaurentPolynomial, monomial, multiply
 from msolab.operators import (BlockOperator, DenseComplexMatrix, SymbolFunction,
-                              build_dtto, build_tto, split_blocks)
+                              block_views, build_dtto, build_tto, guard_depth,
+                              split_blocks)
 from msolab.rng import Xoshiro256StarStar
 from msolab.spaces import SHIFT_KERNEL_TOL, admissible_for_shift, basis_Kperp
 from msolab.suites import random_inner, random_symbol
 
 from conftest import dense_noise_operator, random_poly
 from oracles import (assembled_certified_norm, dense_coords,
-                     dense_coords_and_defect, dense_reconstruct,
-                     gather_shift_invariance_defect, indexed_gen_M, loop_pair,
+                     dense_coords_and_defect, dense_reconstruct, dtto_sequences,
+                     fresh_block_conditions, gather_build_dtto,
+                     gather_shift_invariance_defect, gather_zbar_predictions,
+                     indexed_gen_M, loop_pair,
                      loop_shift_invariance_defect,
                      loop_shift_system, pairing_build_dtto, poly_corner_consistency,
                      pairing_build_tto, poly_is_analytic_adtto,
@@ -88,6 +93,44 @@ def _dtto_cases():
         phi = random_symbol(r, reach=2)
         cases.append((theta, alpha, phi, _guard(theta, alpha, phi) + 4))
     return cases
+
+
+VIEW_PAIRS = {"monomial": (monomial_inner(1), monomial_inner(2)),
+              "blaschke": (BlaschkeProduct([0.5 - 0.3j]),
+                           BlaschkeProduct([0.2 + 0.6j, -0.4]))}
+VIEW_SYMBOL = LaurentPolynomial({-2: 0.5 - 0.25j, 0: 1.0, 1: -1j, 3: 0.125})
+
+
+def _blocks(D):
+    return [D.that, D.gamma_check, D.gamma_hat, D.t_check]
+
+
+@pytest.mark.parametrize("pair", VIEW_PAIRS)
+@pytest.mark.parametrize("M", [0, 1, 2, 16, 31, 32, 64, 256])
+def test_block_views_are_the_gather_to_the_bit(M, pair):
+    """The strided views, the blocks build_dtto copies from them, and
+    check_adtto's coupling prediction and corner vectors equal the gather
+    at the degree arrays bit for bit: on a built operator (gathered without
+    the guard below the guard depth) and on a noisy one."""
+    theta, alpha = VIEW_PAIRS[pair]
+    gathered = gather_build_dtto(theta, alpha, VIEW_SYMBOL, M)
+    views = list(block_views(M, dtto_sequences(theta, alpha, VIEW_SYMBOL, M)))
+    assert [v.tobytes() for v in views] == [b.tobytes() for b in _blocks(gathered)]
+    assert not any(v.flags.writeable for v in views)
+    if M >= guard_depth(theta, alpha, SymbolFunction(VIEW_SYMBOL).reach):
+        built = build_dtto(theta, alpha, VIEW_SYMBOL, M)
+        assert [b.tobytes() for b in _blocks(built)] == \
+            [b.tobytes() for b in _blocks(gathered)]
+    noise = np.random.default_rng(M)
+    shape = (4, M + 1, M + 1)
+    noisy = BlockOperator(*(np.array(_blocks(gathered)) + 1e-3 * (
+        noise.standard_normal(shape) + 1j * noise.standard_normal(shape))),
+        theta, alpha, M)
+    for D in (gathered, noisy):
+        phi_z = _zbar_symbol(D)
+        fast, slow = _zbar_predictions(D, phi_z), gather_zbar_predictions(D, phi_z)
+        assert [a.shape for a in fast] == [a.shape for a in slow]
+        assert [a.tobytes() for a in fast] == [a.tobytes() for a in slow]
 
 
 def test_closed_form_dtto_matches_pairing_oracle():
@@ -447,24 +490,42 @@ def _structured_operator(M):
                          D.gamma_hat[:n, :n], D.t_check[:n, :n], theta, alpha, M)
 
 
+def _structured_variants(M):
+    """_structured_operator(M), a copy with dense noise, and integer blocks,
+    whose deviations tie."""
+    D = _structured_operator(M)
+    noise = np.random.default_rng(M)
+    shape = (4, M + 1, M + 1)
+    complex_noise = noise.standard_normal(shape) + 1j * noise.standard_normal(shape)
+    perturbed = BlockOperator(*(np.array(_blocks(D)) + 1e-3 * complex_noise),
+                              D.theta, D.alpha, M)
+    ties = BlockOperator(*np.round(3 * complex_noise), D.theta, D.alpha, M)
+    return D, perturbed, ties
+
+
 @pytest.mark.parametrize("M", [0, 1, 2, 14, 64])
 def test_block_shift_defect_equals_the_gather_oracle(M):
     """The four block residuals give the same defect and witnesses, bit for
     bit, as the gather from the assembled matrix: on a built operator, on
     one with dense noise, and on integer blocks, whose deviations tie."""
-    D = _structured_operator(M)
-    noise = np.random.default_rng(M)
-    shape = (4, M + 1, M + 1)
-    complex_noise = noise.standard_normal(shape) + 1j * noise.standard_normal(shape)
-    blocks = np.array([D.that, D.gamma_check, D.gamma_hat, D.t_check])
-    perturbed = BlockOperator(*(blocks + 1e-3 * complex_noise), D.theta, D.alpha, M)
-    ties = BlockOperator(*np.round(3 * complex_noise), D.theta, D.alpha, M)
-    for op in (D, perturbed, ties):
+    D, *others = _structured_variants(M)
+    for op in (D, *others):
         fast = shift_invariance_defect(op)
         slow = gather_shift_invariance_defect(op, fast.tolerance)
         assert fast.defect == slow.defect and fast.witnesses == slow.witnesses
         assert bool(fast.witnesses) == (op is not D and M > 0)
     assert shift_invariance_defect(D).defect == 0.0
+
+
+@pytest.mark.parametrize("M", [0, 1, 2, 14, 64])
+def test_block_conditions_equal_fresh_residuals(M):
+    """The four block reports from one reused residual buffer equal those
+    from a new residual per condition, defect and witnesses to the bit."""
+    for op in _structured_variants(M):
+        for tol in (default_tolerance(op.theta, op.alpha), 1e-4):
+            fast = check_block_conditions(op, tol=tol)
+            slow = fresh_block_conditions(op, tol)
+            assert [r.to_json() for r in fast] == [r.to_json() for r in slow]
 
 
 def test_built_operators_have_exactly_zero_shift_defect():
@@ -734,22 +795,63 @@ def test_banded_residual_is_the_assembled_one_to_the_bit(rebuilds):
     assert ("entries-overflow", False, True) in checked
 
 
-def test_boundary_recovery_holds_one_band_of_the_residual():
-    """At M = 256 the rebuild's four blocks take 4.2 MB. Beyond them the
-    boundary recovery holds the gather of one block and one residual band
-    of at most _BAND_ROWS rows: peak measured 5.7 MB, against 12.8 MB when
-    the whole residual E, |E| and |E|^2 were assembled."""
-    D = build_dtto(BlaschkeProduct([0.5 - 0.3j]), BlaschkeProduct([0.2 + 0.6j, -0.4]),
-                   LaurentPolynomial({-1: 2.0, 0: 0.25 - 1j, 1: 1.0, 2: -0.5j}), 256)
-    recover_symbol(D, "boundary")
+def _traced_peak(f):
+    """f's result and the peak of memory it allocates, on its second call
+    (the first fills the expansion caches)."""
+    f()
     tracemalloc.start()
     try:
-        _, residual = recover_symbol(D, "boundary")
-        peak = tracemalloc.get_traced_memory()[1]
+        out = f()
+        return out, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def _peak_case(M=256):
+    """theta, alpha, symbol and the depth of the allocation tests."""
+    return (BlaschkeProduct([0.5 - 0.3j]), BlaschkeProduct([0.2 + 0.6j, -0.4]),
+            LaurentPolynomial({-1: 2.0, 0: 0.25 - 1j, 1: 1.0, 2: -0.5j}), M)
+
+
+def test_boundary_recovery_holds_one_band_of_the_residual():
+    """At M = 256 the rebuild's four blocks take 4.2 MB. Beyond them the
+    boundary recovery holds one residual band of at most _BAND_ROWS rows:
+    peak measured 5.6 MB, against 12.8 MB when the whole residual E, |E|
+    and |E|^2 were assembled."""
+    D = build_dtto(*_peak_case())
+    (_, residual), peak = _traced_peak(lambda: recover_symbol(D, "boundary"))
     assert 0.0 < residual <= 1e-12
     assert peak < 6e6
+
+
+# numpy's ufunc buffers for two strided operands: a fixed size, not O(M^2)
+_UFUNC_BUFFERS = 2 * np.getbufsize() * 16
+
+
+def test_build_holds_its_four_blocks_and_sequences():
+    """build_dtto copies each block from a view of its 2M+1 coefficients.
+    At M = 256 it holds the four blocks (4.23 MB), the finiteness mask of
+    one block and a few sequences: peak measured 4.32 MB, against 5.32 MB
+    when each block was gathered at an int64 (M+1)^2 array of degrees."""
+    theta, alpha, phi, M = _peak_case()
+    n = M + 1
+    D, peak = _traced_peak(lambda: build_dtto(theta, alpha, phi, M))
+    assert all(b.flags.c_contiguous and b.flags.writeable and b.flags.owndata
+               for b in (D.that, D.gamma_check, D.gamma_hat, D.t_check))
+    assert peak <= 4 * n * n * 16 + n * n + 16 * (2 * M + 1) * 16
+
+
+@pytest.mark.parametrize("check", [check_block_conditions, check_adtto],
+                         ids=["blocks", "adtto"])
+def test_checks_hold_one_residual_beyond_the_operator(check):
+    """Beyond D a check holds one complex residual, its modulus and the mask
+    of entries above tol: peak measured 1.84 MB at M = 256 for both, against
+    5.31 MB when every block residual and modulus was a new array."""
+    theta, alpha, phi, M = _peak_case()
+    n = M + 1
+    D = build_dtto(theta, alpha, phi, M)
+    _, peak = _traced_peak(lambda: check(D))
+    assert peak <= n * n * (16 + 8 + 1) + _UFUNC_BUFFERS + 16 * (2 * M + 1) * 16
 
 
 # -- corner consistency and boundary recovery from the blocks ---------------------

@@ -1,4 +1,5 @@
 import cmath
+import json
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from msolab.laurent import (_ZERO, MAX_DEGREE, LaurentPolynomial, _trim,
                             project_band)
 
 from conftest import assert_poly_close, random_poly
+from oracles import sparse_to_json
 
 # -- multiply -----------------------------------------------------------------
 
@@ -179,6 +181,28 @@ def test_json_round_trip_keeps_every_bit(coeffs):
     assert _bits(g.dense(g.lo, g.hi)) == _bits(f.dense(f.lo, f.hi))
 
 
+# dense bands with zeros of either sign inside and at the ends (trimmed away)
+PARTS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308]), FLOATS)
+
+
+@given(st.integers(-MAX_DEGREE, MAX_DEGREE - 12),
+       st.lists(st.builds(complex, PARTS, PARTS), max_size=12))
+def test_json_matches_the_sparse_route(lo, data):
+    """to_json gives the payload of the sparse coefficient dict byte for
+    byte: every nonzero coefficient by degree, signed zeros and subnormals
+    as they are, zeros inside the band left out."""
+    f = LaurentPolynomial._from_dense(lo, np.array(data, dtype=np.complex128))
+    assert json.dumps(f.to_json()) == json.dumps(sparse_to_json(f))
+
+
+def test_json_leaves_out_zeros_inside_the_band():
+    f = LaurentPolynomial._from_dense(-2, np.array([1j, -0.0, complex(-0.0, 0.0),
+                                                    complex(0.0, -5e-324), -2.5]))
+    assert f.to_json() == {"coeffs": [[-2, 0.0, 1.0], [1, 0.0, -5e-324],
+                                      [2, -2.5, 0.0]]}
+    assert LaurentPolynomial().to_json() == {"coeffs": []}
+
+
 ZERO_PARTS = st.one_of(st.sampled_from([-0.0, -5e-324]), st.floats(-0.6, 0.6))
 
 
@@ -189,6 +213,17 @@ def test_blaschke_json_round_trip_keeps_every_bit(zeros, constant):
     b = BlaschkeProduct(zeros, constant)
     c = BlaschkeProduct.from_json(b.to_json())
     assert _bits([*c.zeros, c.constant]) == _bits([*b.zeros, b.constant])
+
+
+def test_blaschke_json_writes_near_boundary_only_on_request():
+    """The key appears only when true, so every other payload is unchanged,
+    and a near-boundary product reads back."""
+    assert BlaschkeProduct([0.5]).to_json() == {"zeros": [[0.5, 0.0]],
+                                                "constant": [1.0, 0.0]}
+    near = BlaschkeProduct([0.96j], allow_near_boundary=True)
+    assert near.to_json()["allow_near_boundary"] is True
+    again = BlaschkeProduct.from_json(json.loads(json.dumps(near.to_json())))
+    assert again == near and again.allow_near_boundary
 
 
 def test_repeated_degrees_sum_from_their_first_value():

@@ -1,5 +1,10 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from msolab.errors import DimensionError, InputError
 from msolab.inner import BlaschkeProduct, expand, monomial_inner
@@ -8,6 +13,7 @@ from msolab.laurent import (LaurentPolynomial, conj_function, minus_part,
 from msolab.operators import (MAX_DEPTH, BlockOperator, DenseComplexMatrix,
                               SymbolFunction, build_dtto, build_tto,
                               default_depth, guard_depth, split_blocks)
+from msolab.payload import read_operator_text, write_operator_text
 from msolab.spaces import project
 
 from conftest import assert_poly_close, random_poly
@@ -280,6 +286,57 @@ def test_tto_json_round_trip(rng):
     again = DenseComplexMatrix.from_json(payload)
     np.testing.assert_array_equal(again.entries, A.entries)
     assert again.theta == theta and again.alpha == alpha
+
+
+# every finite float64, signed zeros and subnormals drawn often
+FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+                   st.floats(allow_nan=False, allow_infinity=False))
+COMPLEX = st.builds(complex, FLOATS, FLOATS)
+INNERS = st.builds(BlaschkeProduct, st.lists(
+    st.builds(complex, st.floats(-0.6, 0.6), st.floats(-0.6, 0.6)), min_size=1,
+    max_size=3))
+
+
+def _bits(a) -> list:
+    return np.asarray(a, dtype=np.complex128).view(np.int64).tolist()
+
+
+def _through_text(payload: dict) -> dict:
+    return json.loads(json.dumps(payload))
+
+
+@given(st.dictionaries(st.integers(-40, 40), COMPLEX.filter(lambda c: c != 0),
+                       max_size=8))
+def test_symbol_json_round_trip_keeps_every_bit(coeffs):
+    """Every written coefficient keeps its bits (zeros inside the band are
+    not written, test_laurent.py checks how they read back)."""
+    phi = SymbolFunction(LaurentPolynomial(coeffs))
+    again = SymbolFunction.parse(LaurentPolynomial.from_json(_through_text(phi.to_json())))
+    for f, g in ((again.value, phi.value), (again.plus, phi.plus),
+                 (again.minus, phi.minus)):
+        assert g.band == f.band and _bits(g.dense(*g.band)) == _bits(f.dense(*f.band))
+
+
+@given(INNERS, INNERS, st.data())
+def test_tto_json_round_trip_keeps_every_bit(theta, alpha, data):
+    A = DenseComplexMatrix(data.draw(arrays(np.complex128, (alpha.degree, theta.degree),
+                                            elements=COMPLEX)), theta, alpha)
+    again = DenseComplexMatrix.from_json(_through_text(A.to_json()))
+    assert _bits(again.entries) == _bits(A.entries)
+    assert (again.theta, again.alpha) == (theta, alpha)
+
+
+@given(INNERS, INNERS, st.integers(0, 4), st.sampled_from([None, 0, 3]), st.data())
+def test_block_operator_json_round_trip_keeps_every_bit(theta, alpha, M, edge, data):
+    """Through the dict route and through the payload text build writes."""
+    blocks = data.draw(arrays(np.complex128, (4, M + 1, M + 1), elements=COMPLEX))
+    D = BlockOperator(*blocks, theta, alpha, M, edge)
+    text = "".join(write_operator_text(D))
+    for payload in (_through_text(D.to_json()), read_operator_text(text) or json.loads(text)):
+        again = BlockOperator.from_json(payload)
+        assert _bits([again.that, again.gamma_check, again.gamma_hat,
+                      again.t_check]) == _bits(blocks)
+        assert (again.theta, again.alpha, again.M, again.edge) == (theta, alpha, M, edge)
 
 
 def test_tto_rejects_entries_of_the_wrong_shape():

@@ -150,12 +150,19 @@ def test_only_the_section_modules_read_section_expansion():
     assert _readers("section_expansion") == ["operators.py", "spaces.py"]
 
 
-def test_only_the_block_modules_read_block_degrees():
-    """operators gathers the blocks at block_degrees and characterize's
-    coupling check predicts That at them; the shift-invariance suite judges
+def test_only_the_block_modules_read_block_views():
+    """operators copies the blocks from block_views and characterize's
+    coupling check predicts That as one; the shift-invariance suite judges
     the block structure against the shift's index map, never against the
     degrees the blocks were built from."""
-    assert _readers("block_degrees") == ["characterize.py", "operators.py"]
+    assert _readers("block_views") == ["characterize.py", "operators.py"]
+
+
+def test_no_module_gathers_blocks_at_an_index_array():
+    """The blocks are strided views of their sequences; the gather at an
+    (M+1)^2 array of degrees is the tests' oracle only."""
+    assert {name: _readers(name) for name in ("block_degrees", "coefficient_matrix")} \
+        == {"block_degrees": [], "coefficient_matrix": []}
 
 
 def test_only_operators_and_criterion_7_read_assemble():
