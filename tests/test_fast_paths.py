@@ -508,8 +508,9 @@ def test_block_shift_defect_equals_the_gather_oracle(M):
     """The four block residuals give the same defect and witnesses, bit for
     bit, as the gather from the assembled matrix: on a built operator, on
     one with dense noise, and on integer blocks, whose deviations tie."""
-    D, *others = _structured_variants(M)
-    for op in (D, *others):
+    variants = _structured_variants(M)
+    D = variants[0]
+    for op in variants:
         fast = shift_invariance_defect(op)
         slow = gather_shift_invariance_defect(op, fast.tolerance)
         assert fast.defect == slow.defect and fast.witnesses == slow.witnesses
