@@ -23,7 +23,7 @@ _EXPORTS = {
                      "is_analytic_adtto", "recover_symbol",
                      "shift_invariance_defect", "solve_shift_invariant_space"),
     "errors": ("AdmissibilityError", "DimensionError", "InputError", "MsolabError"),
-    "inner": ("BlaschkeProduct", "expand", "monomial_inner", "tm_basis", "verify_inner"),
+    "inner": ("BlaschkeProduct", "expand", "monomial_inner", "tm_basis"),
     "laurent": ("LaurentPolynomial", "conj_function", "inner_product",
                 "involution_J", "minus_part", "multiply", "plus_part",
                 "project_band"),

@@ -98,6 +98,39 @@ def _abs_report(condition: str, dev: np.ndarray, tol: float) -> DefectReport:
     return DefectReport(condition, float(np.max(dev, initial=0.0)), tol, witnesses)
 
 
+# rows of a residual that a check or the recovery residual holds at once
+_BAND_ROWS = 64
+
+
+def _band_buffers(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """A complex residual band and its modulus for _band_report on n x n
+    residuals."""
+    k = min(_BAND_ROWS, n)
+    return np.empty((k, n), dtype=np.complex128), np.empty((k, n))
+
+
+def _band_report(condition: str, a: np.ndarray, b: np.ndarray, tol: float,
+                 buffers: tuple[np.ndarray, np.ndarray]) -> DefectReport:
+    """_report of a - b, taken in bands of at most _BAND_ROWS rows written
+    into `buffers` (_band_buffers). The defect is the largest band defect
+    and the witnesses the top 3 of the bands' witnesses; a stable sort keeps
+    ties in row-major order, so the report is that of the whole residual,
+    bit for bit. A residual of at most _BAND_ROWS rows is one band."""
+    residual, dev = buffers
+    defects, witnesses = [], []
+    for start in range(0, len(a), _BAND_ROWS):
+        k = min(_BAND_ROWS, len(a) - start)
+        band = np.subtract(a[start:start + k], b[start:start + k], out=residual[:k])
+        report = _abs_report(condition, np.abs(band, out=dev[:k]), tol)
+        if k == len(a):
+            return report
+        defects.append(report.defect)
+        witnesses += [(i + start, j, w) for i, j, w in report.witnesses]
+    witnesses.sort(key=lambda w: -w[2])
+    return DefectReport(condition, float(np.max(defects, initial=0.0)), tol,
+                        witnesses[:3])
+
+
 # -- shift invariance ---------------------------------------------------------
 
 def shift_invariance_defect(op: BlockOperator | DenseComplexMatrix, *,
@@ -179,7 +212,7 @@ def _shift_terms(D: BlockOperator) -> list[list[tuple[np.ndarray, np.ndarray]]]:
     block layout [[That, GammaCheck], [GammaHat, TCheck]], rows g and
     columns f: z moves each to a neighbour, so each is a slice of one
     block."""
-    that, gc, gh, tc = D.that, D.gamma_check, D.gamma_hat, D.t_check
+    that, gc, gh, tc = D.blocks()
     return [[(that[1:, 1:], that[:-1, :-1]), (gc[1:, :-1], gc[:-1, 1:])],
             [(gh[:-1, 1:], gh[1:, :-1]), (tc[:-1, :-1], tc[1:, 1:])]]
 
@@ -195,21 +228,18 @@ def check_block_conditions(D: BlockOperator, *,
     the one-step shift sandwich, the antidiagonal blocks must intertwine the
     shifts. Each residual is an exact entrywise identity; the sandwich drops
     the outermost row/column. GammaCheck's is indexed like GammaCheck^H and
-    taken from the transposed slices, so it lands row-major. The four
-    residuals and their moduli share one (M, M) buffer each, reused from
-    residual to residual."""
+    taken from the transposed slices, so it lands row-major. The blocks are
+    read as held (BlockOperator.blocks), and each residual and its modulus
+    are taken in bands of _BAND_ROWS rows through one pair of buffers that
+    the four residuals share: no (M, M) array is made."""
     tol = _tolerance(tol, D.theta, D.alpha)
     [[t1, (a4, b4)], [t3, t2]] = _shift_terms(D)
-    residual = np.empty((D.M, D.M), dtype=np.complex128)
-    dev = np.empty((D.M, D.M))
-    reports = []
-    for condition, (a, b) in (("that-shift-sandwich", t1),
-                              ("tcheck-shift-sandwich", t2),
-                              ("gammahat-intertwine", t3),
-                              ("gammacheck-intertwine", (a4.T, b4.T))):
-        np.subtract(a, b, out=residual)
-        reports.append(_abs_report(condition, np.abs(residual, out=dev), tol))
-    return reports
+    buffers = _band_buffers(D.M)
+    return [_band_report(condition, a, b, tol, buffers)
+            for condition, (a, b) in (("that-shift-sandwich", t1),
+                                      ("tcheck-shift-sandwich", t2),
+                                      ("gammahat-intertwine", t3),
+                                      ("gammacheck-intertwine", (a4.T, b4.T)))]
 
 
 # -- full membership ----------------------------------------------------------
@@ -219,8 +249,8 @@ def _zbar_symbol(D: BlockOperator) -> SymbolFunction:
     (i, j) carries coefficient j - i): coefficient -t is
     t_check[t, 0] = <D zbar, zbar^(t+1)> and coefficient +j is
     t_check[0, j] = <D zbar^(j+1), zbar>. Complete on the section."""
-    M = D.M
-    border = np.concatenate([D.t_check[M:0:-1, 0], D.t_check[0]])
+    M, t_check = D.M, D.blocks()[3]
+    border = np.concatenate([t_check[M:0:-1, 0], t_check[0]])
     return SymbolFunction(LaurentPolynomial._from_dense(-M, border))
 
 
@@ -252,6 +282,7 @@ def check_adtto(D: BlockOperator, *, tol: float | None = None) -> AdttoVerdict:
     """
     tol = _tolerance(tol, D.theta, D.alpha)
     M = D.M
+    that, gamma_check, gamma_hat, _ = D.blocks()
     blocks = check_block_conditions(D, tol=tol)
     r1 = _merged("that-toeplitz", blocks[0])
 
@@ -259,15 +290,16 @@ def check_adtto(D: BlockOperator, *, tol: float | None = None) -> AdttoVerdict:
     # must reproduce That entrywise
     phi_z = _zbar_symbol(D)
     predicted, minus_theta, minus_alpha = _zbar_predictions(D, phi_z)
-    coupling = _report("tcheck-coupling", D.that - predicted, tol)
+    coupling = _band_report("tcheck-coupling", that, predicted, tol,
+                            _band_buffers(M + 1))
     r2 = _merged("tcheck-coupling", coupling, blocks[1])
     r3 = _merged("hankel-intertwine", blocks[2], blocks[3])
 
     # corner consistency: D(theta) is column 0 of D and D*(alpha) the
     # conjugate of row 0, so their Hminus parts are the first column of
     # GammaHat and the conjugated first row of GammaCheck
-    res_a = D.gamma_hat[:, 0] - minus_theta
-    res_b = D.gamma_check[0].conj() - minus_alpha
+    res_a = gamma_hat[:, 0] - minus_theta
+    res_b = gamma_check[0].conj() - minus_alpha
     defect4 = float(max(np.linalg.norm(res_a), np.linalg.norm(res_b)))
     witnesses4 = []
     if defect4 > tol:
@@ -297,9 +329,6 @@ def _zbar_predictions(D: BlockOperator, phi_z: SymbolFunction):
 
 
 # -- symbol recovery ----------------------------------------------------------
-
-# rows of the recovery residual that _certified_norm holds at once
-_BAND_ROWS = 64
 
 
 def _certified_norm(D: BlockOperator, rebuilt: BlockOperator, tol: float) -> float:
@@ -352,8 +381,8 @@ def _certified_norm(D: BlockOperator, rebuilt: BlockOperator, tol: float) -> flo
     lo, hi = float(lo) * (1 - slack), float(hi) * (1 + slack)
     if hi <= tol or lo > tol:
         return hi
-    E = np.block([[D.that - rebuilt.that, D.gamma_check - rebuilt.gamma_check],
-                  [D.gamma_hat - rebuilt.gamma_hat, D.t_check - rebuilt.t_check]])
+    d, r = D.blocks(), rebuilt.blocks()
+    E = np.block([[d[0] - r[0], d[1] - r[1]], [d[2] - r[2], d[3] - r[3]]])
     return float(np.linalg.norm(E, 2))
 
 
@@ -363,10 +392,7 @@ def _residual_bands(D: BlockOperator, rebuilt: BlockOperator):
     next."""
     n = D.M + 1
     # each block pair with the row and column where its difference sits in E
-    quadrants = ((D.that, rebuilt.that, 0, 0),
-                 (D.gamma_check, rebuilt.gamma_check, 0, n),
-                 (D.gamma_hat, rebuilt.gamma_hat, n, 0),
-                 (D.t_check, rebuilt.t_check, n, n))
+    quadrants = tuple(zip(D.blocks(), rebuilt.blocks(), (0, 0, n, n), (0, n, 0, n)))
     buffer = np.empty((min(_BAND_ROWS, 2 * n), 2 * n), dtype=np.complex128)
     for start in range(0, 2 * n, _BAND_ROWS):
         stop = min(start + _BAND_ROWS, 2 * n)
@@ -433,7 +459,8 @@ def recover_symbol(D: BlockOperator, method: str = "zbar", *,
         # w: g with degrees -M..M read off That's first row and column
         lo, hi = min(g.lo, -M), max(g.hi, M)
         w = g.dense(lo, hi)
-        w[-M - lo:M + 1 - lo] = np.concatenate([D.that[0, :0:-1], D.that[:, 0]])
+        that = D.blocks()[0]
+        w[-M - lo:M + 1 - lo] = np.concatenate([that[0, :0:-1], that[:, 0]])
         symbol = SymbolFunction(multiply(conj_function(th_al_bar),
                                          LaurentPolynomial._from_dense(lo, w)))
 

@@ -18,7 +18,6 @@ import cmath
 import functools
 import math
 import re
-from typing import NamedTuple
 
 import numpy as np
 
@@ -236,35 +235,3 @@ def _tm_basis_wrapped(B: BlaschkeProduct) -> OrthonormalBasis:
     return OrthonormalBasis(f"K({B.short_name()})",
                             (LaurentPolynomial._from_dense(0, v) for v in V),
                             kind="model", inner=B)
-
-
-class InnerCheck(NamedTuple):
-    ok: bool
-    deviation: float
-    tail_bound: float
-
-
-def verify_inner(B: BlaschkeProduct, samples: int = 256, tol: float = 1e-13, *,
-                 expansion_degree: int | None = None) -> InnerCheck:
-    """Max deviation of |B| from 1 over uniform circle samples.
-
-    By default the exact rational form is evaluated. Passing an expansion
-    degree evaluates the truncated power series instead, which fails (with
-    the tail bound reported) whenever the discarded tail is visible.
-    """
-    if samples < 8:
-        raise InputError("at least 8 samples required")
-    if expansion_degree is None:
-        values = [B.evaluate(cmath.exp(2j * cmath.pi * j / samples))
-                  for j in range(samples)]
-        tail = 0.0
-    else:
-        if expansion_degree < B.degree:
-            raise InputError(f"expansion degree {expansion_degree} below the "
-                             f"product degree {B.degree}")
-        poly = _expand_cached(B, expansion_degree)
-        values = [poly.evaluate(cmath.exp(2j * cmath.pi * j / samples))
-                  for j in range(samples)]
-        tail = B.tail_bound_at(expansion_degree)
-    deviation = max(abs(abs(v) - 1.0) for v in values)
-    return InnerCheck(deviation <= tol, deviation, tail)

@@ -18,8 +18,10 @@ and 0 <= i, j <= M:
     GammaHat[i, j]   = coefficient -(i + j + 1) of phi * th
     TCheck[i, j]     = coefficient j - i       of phi
 
-so `build_dtto` forms three products and copies each block from a strided
-view of its sequence (`block_views`): no index array is built. Entries
+so `build_dtto` forms three products and keeps each block as a read-only
+strided view of the 2M+1 coefficients it reads (`block_views`): no index
+array is built, and a block is copied only when a caller reads it by name
+(see `BlockOperator`). Entries
 are exact pairings (up to expansion tails), so truncation shows up only
 structurally: identities involving products of blocks are reliable on
 interior indices, at distance >= (symbol reach + deg theta + deg alpha) from
@@ -140,29 +142,67 @@ class BlockOperator:
     optional key). No check reads it. Construction rejects a block with a
     non-finite entry; blocks mutated afterwards are the caller's to keep
     finite.
+
+    An operator from `build_dtto` holds each block as its read-only
+    `block_views` view until the block is first read by name (`that`,
+    `gamma_check`, `gamma_hat`, `t_check`). That read copies the view into
+    an owned, C-contiguous, writable array, which replaces the view, so a
+    write through the attribute is seen by every later check, product and
+    payload. `blocks()` hands out the four blocks as held, copying nothing:
+    the checks read them through it.
     """
 
-    __slots__ = ("that", "gamma_check", "gamma_hat", "t_check",
-                 "theta", "alpha", "M", "edge")
+    __slots__ = ("_blocks", "_viewed", "theta", "alpha", "M", "edge")
 
     def __init__(self, that, gamma_check, gamma_hat, t_check,
                  theta: BlaschkeProduct, alpha: BlaschkeProduct, M: int,
                  edge: int | None = None):
         n = M + 1
-        self.that = np.asarray(that, dtype=np.complex128)
-        self.gamma_check = np.asarray(gamma_check, dtype=np.complex128)
-        self.gamma_hat = np.asarray(gamma_hat, dtype=np.complex128)
-        self.t_check = np.asarray(t_check, dtype=np.complex128)
-        for name, block in zip(BLOCK_NAMES, (self.that, self.gamma_check,
-                                              self.gamma_hat, self.t_check)):
+        blocks = [np.asarray(block, dtype=np.complex128)
+                  for block in (that, gamma_check, gamma_hat, t_check)]
+        for name, block in zip(BLOCK_NAMES, blocks):
             if block.shape != (n, n):
                 raise DimensionError(f"{name} has shape {block.shape}, expected {(n, n)}")
             if not np.isfinite(block).all():
                 raise InputError(f"{name} has a non-finite entry")
+        self._blocks, self._viewed = blocks, [False] * 4
         self.theta = theta
         self.alpha = alpha
         self.M = int(M)
         self.edge = edge
+
+    @classmethod
+    def _of_views(cls, views, theta: BlaschkeProduct, alpha: BlaschkeProduct,
+                  M: int, edge: int) -> "BlockOperator":
+        """build_dtto's operator over its four finite block views."""
+        op = cls.__new__(cls)
+        op._blocks, op._viewed = list(views), [True] * 4
+        op.theta, op.alpha, op.M, op.edge = theta, alpha, int(M), edge
+        return op
+
+    def _named(k):
+        def read(self) -> np.ndarray:
+            # a view is copied once, C-contiguous: `apply` on the strided
+            # view would leave the BLAS path and change the bits
+            if self._viewed[k]:
+                self._blocks[k] = np.array(self._blocks[k], order="C")
+                self._viewed[k] = False
+            return self._blocks[k]
+
+        def write(self, block):
+            self._blocks[k], self._viewed[k] = block, False
+        return property(read, write)
+
+    that = _named(0)
+    gamma_check = _named(1)
+    gamma_hat = _named(2)
+    t_check = _named(3)
+    del _named
+
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        """The four blocks in block order as held, views included; read
+        them only."""
+        return tuple(self._blocks)
 
     @property
     def dim(self) -> int:
@@ -178,14 +218,6 @@ class BlockOperator:
         top = np.hstack([self.that, self.gamma_check])
         bottom = np.hstack([self.gamma_hat, self.t_check])
         return np.vstack([top, bottom])
-
-    def adjoint(self) -> "BlockOperator":
-        return BlockOperator(
-            that=self.that.conj().T,
-            gamma_check=self.gamma_hat.conj().T,
-            gamma_hat=self.gamma_check.conj().T,
-            t_check=self.t_check.conj().T,
-            theta=self.alpha, alpha=self.theta, M=self.M, edge=self.edge)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """D x, blockwise, for a vector x (dim,) or a batch of columns (dim, k)."""
@@ -270,11 +302,13 @@ def build_dtto(theta: BlaschkeProduct, alpha: BlaschkeProduct, phi,
     al_bar = conj_function(section_expansion(alpha, M))
     sequences = (multiply(phi_th, al_bar), multiply(phi.value, al_bar),
                  phi_th, phi.value)
-    # each block a C-contiguous copy that callers may write: `apply` on the
-    # strided views would leave the BLAS path and change the bits
-    return BlockOperator(*(np.array(view, order="C")
-                           for view in block_views(M, sequences)),
-                         theta=theta, alpha=alpha, M=M, edge=phi.reach)
+    views = tuple(block_views(M, sequences))
+    # a view reads every one of the 2M+1 coefficients under it, so they are
+    # finite exactly when the block is
+    for name, view in zip(BLOCK_NAMES, views):
+        if not np.isfinite(view.base).all():
+            raise InputError(f"{name} has a non-finite entry")
+    return BlockOperator._of_views(views, theta, alpha, M, phi.reach)
 
 
 # entry (i, j) of each block reads degree d0 + di * i + dj * j of its

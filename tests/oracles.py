@@ -19,14 +19,19 @@ block once and rebuild the whole document to check its layout, and
 assembled difference E. `block_degrees` and `coefficient_matrix` gather a
 block's entries at an integer array of its degrees, the route
 `gather_build_dtto` and `gather_zbar_predictions` take where the library
-copies strided views; `fresh_block_conditions` allocates each block
-residual anew where the library reuses one buffer, and `sparse_to_json`
-is a polynomial's payload through its sparse coefficient dict.
+reads strided views; `fresh_block_conditions` allocates each whole block
+residual anew where the library takes it in bands through one buffer, and
+`sparse_to_json` is a polynomial's payload through its sparse coefficient
+dict. Two helpers have no library counterpart and serve the tests only:
+`adjoint`, the block operator of D^H, and `verify_inner`, which samples
+|B| on the circle from the rational form or a truncated expansion.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,8 +40,9 @@ from msolab.bases import OrthonormalBasis
 from msolab.characterize import (AnalyticVerdict, DefectReport, _report,
                                  _shift_residuals, _zbar_symbol,
                                  default_tolerance)
-from msolab.errors import DimensionError
-from msolab.inner import BlaschkeProduct, expand, expansion_degree, tm_basis
+from msolab.errors import DimensionError, InputError
+from msolab.inner import (BlaschkeProduct, _expand_cached, expand,
+                          expansion_degree, tm_basis)
 from msolab.laurent import (LaurentPolynomial, conj_function, inner_product,
                             involution_J, minus_part, monomial, multiply)
 from msolab.operators import BlockOperator, SymbolFunction
@@ -327,6 +333,14 @@ def svd_admissible_for_shift(V) -> OrthonormalBasis:
                             inner=V.inner, depth=V.depth)
 
 
+def adjoint(D: BlockOperator) -> BlockOperator:
+    """The block operator of D^H between the swapped sections: each block
+    conjugate-transposed, the antidiagonal ones swapped."""
+    return BlockOperator(that=D.that.conj().T, gamma_check=D.gamma_hat.conj().T,
+                         gamma_hat=D.gamma_check.conj().T, t_check=D.t_check.conj().T,
+                         theta=D.alpha, alpha=D.theta, M=D.M, edge=D.edge)
+
+
 def poly_apply(D: BlockOperator, f: LaurentPolynomial) -> LaurentPolynomial:
     """D applied to a function lying in its domain section: coordinates, a
     matrix-vector product, then the rebuild in the codomain section."""
@@ -337,7 +351,7 @@ def poly_zbar_symbol(D: BlockOperator) -> SymbolFunction:
     """The zbar-corner symbol from the images D(zbar) and D*(zbar): the
     antianalytic part is P-(z D(zbar)), the analytic part J P-(D*(zbar))."""
     d_zbar = poly_apply(D, monomial(-1))
-    dstar_zbar = poly_apply(D.adjoint(), monomial(-1))
+    dstar_zbar = poly_apply(adjoint(D), monomial(-1))
     return SymbolFunction(involution_J(minus_part(dstar_zbar))
                           + minus_part(d_zbar.shift(1)))
 
@@ -368,7 +382,7 @@ def poly_corner_consistency(D: BlockOperator, *,
     al = expand(D.alpha, 2 * D.M + 4)
     phi_z = _zbar_symbol(D)
     d_theta = poly_apply(D, th)
-    dstar_alpha = poly_apply(D.adjoint(), al)
+    dstar_alpha = poly_apply(adjoint(D), al)
     res_a = minus_part(d_theta) - minus_part(multiply(phi_z.value, th))
     res_b = minus_part(dstar_alpha) - minus_part(
         multiply(conj_function(phi_z.value), al))
@@ -393,7 +407,7 @@ def poly_recover_boundary(D: BlockOperator) -> SymbolFunction:
     dom, cod = D.domain_basis(), D.codomain_basis()
     phi_z = _zbar_symbol(D)
     d_theta = poly_apply(D, th)
-    dstar_alpha = poly_apply(D.adjoint(), al)
+    dstar_alpha = poly_apply(adjoint(D), al)
     g = multiply(phi_z.value, multiply(th, conj_function(al)))
     y = cod.coords(d_theta)[:n]
     tail_y = {i: g.coeff(i) for i in range(n, g.hi + 1) if g.coeff(i) != 0}
@@ -520,3 +534,35 @@ def assembled_certified_norm(D: BlockOperator, rebuilt: BlockOperator,
     if hi <= tol or lo > tol:
         return hi
     return float(np.linalg.norm(E, 2))
+
+
+class InnerCheck(NamedTuple):
+    ok: bool
+    deviation: float
+    tail_bound: float
+
+
+def verify_inner(B: BlaschkeProduct, samples: int = 256, tol: float = 1e-13, *,
+                 expansion_degree: int | None = None) -> InnerCheck:
+    """Max deviation of |B| from 1 over uniform circle samples.
+
+    By default the exact rational form is evaluated. Passing an expansion
+    degree evaluates the truncated power series instead, which fails (with
+    the tail bound reported) whenever the discarded tail is visible.
+    """
+    if samples < 8:
+        raise InputError("at least 8 samples required")
+    if expansion_degree is None:
+        values = [B.evaluate(cmath.exp(2j * cmath.pi * j / samples))
+                  for j in range(samples)]
+        tail = 0.0
+    else:
+        if expansion_degree < B.degree:
+            raise InputError(f"expansion degree {expansion_degree} below the "
+                             f"product degree {B.degree}")
+        poly = _expand_cached(B, expansion_degree)
+        values = [poly.evaluate(cmath.exp(2j * cmath.pi * j / samples))
+                  for j in range(samples)]
+        tail = B.tail_bound_at(expansion_degree)
+    deviation = max(abs(abs(v) - 1.0) for v in values)
+    return InnerCheck(deviation <= tol, deviation, tail)

@@ -3,7 +3,9 @@ closed-form DTTO blocks and their strided views, coordinate TTO entries,
 slice coordinates on the complement sections, the batched trace pairing,
 the admissible vectors of sections and model spaces, the TCheck-border
 symbol, the vectorised shift-invariance defect and solve, the block
-conditions on one reused buffer, and the banded recovery residual."""
+conditions in bands of one reused buffer, the checks and recoveries read
+from the block views of a built operator, and the banded recovery
+residual."""
 
 import cmath
 import re
@@ -24,6 +26,7 @@ from msolab.characterize import (_BAND_ROWS, _certified_norm, _zbar_predictions,
 from msolab.errors import DimensionError, InputError
 from msolab.inner import BlaschkeProduct, expand, monomial_inner, tm_basis
 from msolab.laurent import LaurentPolynomial, monomial, multiply
+from msolab.payload import write_operator_text
 from msolab.operators import (BlockOperator, DenseComplexMatrix, SymbolFunction,
                               block_views, build_dtto, build_tto, guard_depth,
                               split_blocks)
@@ -131,6 +134,113 @@ def test_block_views_are_the_gather_to_the_bit(M, pair):
         fast, slow = _zbar_predictions(D, phi_z), gather_zbar_predictions(D, phi_z)
         assert [a.shape for a in fast] == [a.shape for a in slow]
         assert [a.tobytes() for a in fast] == [a.tobytes() for a in slow]
+
+
+def _view_backed(theta, alpha, M):
+    """The operator build_dtto makes from VIEW_SYMBOL, its blocks still
+    views; below the guard depth, the same views without the guard."""
+    reach = SymbolFunction(VIEW_SYMBOL).reach
+    if M >= guard_depth(theta, alpha, reach):
+        return build_dtto(theta, alpha, VIEW_SYMBOL, M)
+    views = block_views(M, dtto_sequences(theta, alpha, VIEW_SYMBOL, M))
+    return BlockOperator._of_views(views, theta, alpha, M, reach)
+
+
+def _bump_through_names(D, rows):
+    """Equal bumps written through the named blocks: That at (k, k) for k
+    in rows, so the deviations on its diagonal tie, GammaCheck on one
+    antidiagonal and GammaHat at a corner entry. TCheck stays a view."""
+    for k in rows:
+        D.that[k, k] += 1e-3
+    D.gamma_check[0, D.M // 2] -= 2e-3
+    D.gamma_check[D.M // 2, 0] -= 2e-3
+    D.gamma_hat[min(3, D.M), 0] += 1e-3
+
+
+def _outcomes(D):
+    """Every report, verdict, symbol and residual the checks and recoveries
+    give for D, comparable with ==; a recovery below its guard depth gives
+    its error message."""
+    out = [[r.to_json() for r in check_block_conditions(D)],
+           shift_invariance_defect(D).to_json(), tuple(is_analytic_adtto(D))]
+    verdict = check_adtto(D)
+    out.append(([r.to_json() for r in verdict.reports], verdict.passed,
+                verdict.symbol.value.lo, verdict.symbol.value._data.tobytes()))
+    for method in ("zbar", "boundary"):
+        try:
+            symbol, residual = recover_symbol(D, method)
+            out.append((symbol.value.lo, symbol.value._data.tobytes(), residual))
+        except InputError as exc:
+            out.append(str(exc))
+    return out
+
+
+@pytest.mark.parametrize("pair", VIEW_PAIRS)
+@pytest.mark.parametrize("M", [0, 1, 2, 31, 32, 63, 64, 65, 128, 256])
+@pytest.mark.parametrize("rows", [None, (1, 64), (64, "M")],
+                         ids=["built", "first-band", "straddle"])
+def test_checks_on_views_equal_the_assembled_copy(M, pair, rows):
+    """Reports, verdicts, recovered symbols and residuals read from the
+    block views (banded where a residual has more than _BAND_ROWS rows)
+    equal those of the same operator cut from its assembled matrix, bit for
+    bit, and the block conditions equal the unbanded oracle. Perturbed
+    operators put witnesses above tol in the first and the last band and
+    ties on both sides of the band edge at row 64."""
+    D = _view_backed(*VIEW_PAIRS[pair], M)
+    if rows is not None:
+        _bump_through_names(D, sorted({M if k == "M" else k for k in rows} & {*range(M + 1)}))
+    fast = _outcomes(D)
+    assert not D.blocks()[3].flags.writeable
+    tol = default_tolerance(D.theta, D.alpha)
+    assert fast[0] == [r.to_json() for r in fresh_block_conditions(D, tol)]
+    assert fast == _outcomes(split_blocks(D.assemble(), D.theta, D.alpha, M))
+    if rows is not None and M > _BAND_ROWS + 1:
+        # That's sandwich deviates at rows k - 1 and k for each bump k
+        assert [w[0] for w in fast[0][0]["witnesses"]] == \
+            ([63, 64, M - 1] if rows[0] == 64 else [0, 1, 63])
+
+
+def test_a_block_read_by_name_is_copied_once():
+    """A built operator hands out read-only views through blocks(); the
+    first read by name replaces the view with an owned, C-contiguous,
+    writable copy, and later reads return that same array."""
+    D = build_dtto(*VIEW_PAIRS["blaschke"], VIEW_SYMBOL, 40)
+    views = D.blocks()
+    assert not any(v.flags.writeable or v.flags.owndata for v in views)
+    for k, block in enumerate(_blocks(D)):
+        assert block.flags.owndata and block.flags.c_contiguous and block.flags.writeable
+        assert block.tobytes() == views[k].tobytes()
+        assert D.blocks()[k] is block and _blocks(D)[k] is block
+
+
+def test_a_write_through_a_name_reaches_the_later_checks():
+    """Checks run on the views first; a write through `that` afterwards is
+    what the next block check, membership test and recovery read."""
+    D = build_dtto(*VIEW_PAIRS["blaschke"], VIEW_SYMBOL, 40)
+    assert all(r.passed for r in check_block_conditions(D)) and check_adtto(D).passed
+    D.that[5, 7] += 1e-3
+    sandwich = check_block_conditions(D)[0]
+    assert [w[:2] for w in sandwich.witnesses] == [(4, 6), (5, 7)]
+    coupling = check_adtto(D).reports[1]
+    assert not coupling.passed and coupling.witnesses[0][:2] == (5, 7)
+    assert recover_symbol(D, "zbar")[1] > 0.0
+
+
+def test_products_and_payloads_read_contiguous_copies():
+    """apply, assemble and the build payload of a view-backed operator equal,
+    byte for byte, those of the operator holding C-contiguous copies of the
+    views."""
+    theta, alpha = VIEW_PAIRS["blaschke"]
+    M = 70
+    copied = BlockOperator(*(np.array(v, order="C") for v in build_dtto(
+        theta, alpha, VIEW_SYMBOL, M).blocks()), theta, alpha, M, edge=3)
+    x = np.random.default_rng(70).standard_normal((2 * M + 2, 6)).view(np.complex128)
+    for use in (lambda op: op.apply(x), lambda op: op.apply(x[:, 0]),
+                lambda op: op.assemble(),
+                lambda op: "".join(write_operator_text(op)).encode()):
+        D = build_dtto(theta, alpha, VIEW_SYMBOL, M)
+        assert not any(v.flags.writeable for v in D.blocks())
+        assert bytes(use(D)) == bytes(use(copied))
 
 
 def test_closed_form_dtto_matches_pairing_oracle():
@@ -815,10 +925,10 @@ def _peak_case(M=256):
 
 
 def test_boundary_recovery_holds_one_band_of_the_residual():
-    """At M = 256 the rebuild's four blocks take 4.2 MB. Beyond them the
-    boundary recovery holds one residual band of at most _BAND_ROWS rows:
-    peak measured 5.6 MB, against 12.8 MB when the whole residual E, |E|
-    and |E|^2 were assembled."""
+    """The boundary recovery holds one residual band of at most _BAND_ROWS
+    rows and a rebuild of four block views: peak measured 1.6 MB at
+    M = 256, against 5.6 MB when the rebuild copied its four blocks and
+    12.8 MB when the whole residual E, |E| and |E|^2 were assembled."""
     D = build_dtto(*_peak_case())
     (_, residual), peak = _traced_peak(lambda: recover_symbol(D, "boundary"))
     assert 0.0 < residual <= 1e-12
@@ -830,10 +940,11 @@ _UFUNC_BUFFERS = 2 * np.getbufsize() * 16
 
 
 def test_build_holds_its_four_blocks_and_sequences():
-    """build_dtto copies each block from a view of its 2M+1 coefficients.
-    At M = 256 it holds the four blocks (4.23 MB), the finiteness mask of
-    one block and a few sequences: peak measured 4.32 MB, against 5.32 MB
-    when each block was gathered at an int64 (M+1)^2 array of degrees."""
+    """A block read by name is an owned, C-contiguous, writable copy of its
+    view. build_dtto itself holds a few sequences and no block: peak
+    measured 0.06 MB at M = 256, against 4.32 MB when it copied the four
+    blocks and 5.32 MB when it gathered them at (M+1)^2 arrays of degrees
+    (test_build_holds_no_block has the tight ceiling)."""
     theta, alpha, phi, M = _peak_case()
     n = M + 1
     D, peak = _traced_peak(lambda: build_dtto(theta, alpha, phi, M))
@@ -845,14 +956,44 @@ def test_build_holds_its_four_blocks_and_sequences():
 @pytest.mark.parametrize("check", [check_block_conditions, check_adtto],
                          ids=["blocks", "adtto"])
 def test_checks_hold_one_residual_beyond_the_operator(check):
-    """Beyond D a check holds one complex residual, its modulus and the mask
-    of entries above tol: peak measured 1.84 MB at M = 256 for both, against
-    5.31 MB when every block residual and modulus was a new array."""
+    """Beyond D a check holds one band of a complex residual, its modulus
+    and the mask of entries above tol: peak measured 0.66-0.68 MB at
+    M = 256, against 1.84 MB for one whole residual buffer and 5.31 MB when
+    every block residual and modulus was a new array."""
     theta, alpha, phi, M = _peak_case()
     n = M + 1
     D = build_dtto(theta, alpha, phi, M)
     _, peak = _traced_peak(lambda: check(D))
     assert peak <= n * n * (16 + 8 + 1) + _UFUNC_BUFFERS + 16 * (2 * M + 1) * 16
+
+
+def test_build_holds_no_block():
+    """build_dtto keeps each block as a view into the 2M+1 coefficients it
+    reads: at M = 256 its peak stays below one block (1.06 MB; measured
+    0.06 MB), and no block is copied until it is read by name."""
+    theta, alpha, phi, M = _peak_case()
+    D, peak = _traced_peak(lambda: build_dtto(theta, alpha, phi, M))
+    assert peak < (M + 1) ** 2 * 16
+    assert not any(b.flags.writeable for b in D.blocks())
+
+
+def test_deep_pipeline_copies_no_block():
+    """check_adtto, check_block_conditions, both recoveries and
+    is_analytic_adtto on a built operator, in the deep benchmark's order,
+    read the blocks as views and rebuild from views: peak measured 1.62 MB
+    at M = 256, against 5.55 MB when the blocks and each rebuild were
+    copied."""
+    D = build_dtto(*_peak_case())
+
+    def deep():
+        check_adtto(D)
+        check_block_conditions(D)
+        recover_symbol(D, "zbar")
+        recover_symbol(D, "boundary")
+        is_analytic_adtto(D)
+    _, peak = _traced_peak(deep)
+    assert peak <= 2e6
+    assert not any(b.flags.writeable for b in D.blocks())
 
 
 # -- corner consistency and boundary recovery from the blocks ---------------------
@@ -879,7 +1020,7 @@ def test_decision_procedures_touch_no_section_coordinates(monkeypatch):
     for owner, name in ((OrthonormalBasis, "coords"),
                         (OrthonormalBasis, "coords_and_defects"),
                         (OrthonormalBasis, "reconstruct"),
-                        (BlockOperator, "apply"), (BlockOperator, "adjoint")):
+                        (BlockOperator, "apply")):
         monkeypatch.setattr(owner, name, forbidden)
     assert check_adtto(D).passed
     for method in ("zbar", "boundary"):

@@ -17,7 +17,7 @@ from msolab.payload import read_operator_text, write_operator_text
 from msolab.spaces import project
 
 from conftest import assert_poly_close, random_poly
-from oracles import conjugation_corner_maps, poly_apply
+from oracles import adjoint, conjugation_corner_maps, poly_apply
 
 Z1, Z2, Z3 = monomial_inner(1), monomial_inner(2), monomial_inner(3)
 BLOCK_NAMES = ("That", "GammaCheck", "GammaHat", "TCheck")
@@ -100,7 +100,7 @@ def test_dtto_adjoint_is_conjugate_symbol(rng):
     phi = random_symbol(rng)
     D = build_dtto(b1, b2, phi, 10)
     Dstar = build_dtto(b2, b1, conj_function(phi), 10)
-    np.testing.assert_allclose(D.adjoint().assemble(), Dstar.assemble(),
+    np.testing.assert_allclose(adjoint(D).assemble(), Dstar.assemble(),
                                atol=1e-11)
 
 

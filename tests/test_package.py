@@ -65,7 +65,7 @@ def test_option_count():
     """Every defaulted parameter is an option a caller may set; an added one
     fails here until this count is raised on purpose."""
     modules = sorted(Path(msolab.__file__).parent.glob("*.py"))
-    assert sum(_defaulted_parameters(p) for p in modules) == 41
+    assert sum(_defaulted_parameters(p) for p in modules) == 38
 
 
 def _names(tree: ast.AST) -> set[str]:
@@ -91,18 +91,12 @@ def _names(tree: ast.AST) -> set[str]:
 def test_one_truncation_rule():
     """Only msolab.inner decides where an expansion is cut off (every other
     module goes through `expand`), and no module keeps tail bookkeeping:
-    the tail of an expansion is B.tail_bound_at(n), reported by
-    verify_inner as InnerCheck.tail_bound."""
+    the tail of an expansion is B.tail_bound_at(n)."""
     package = Path(msolab.__file__).parent
     rule = {"DEFAULT_TAIL_CAP", "cap_degree", "_expand_cached"}
     deciding, tails = {}, {}
     for path in sorted(package.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        for c in ast.walk(tree):
-            if isinstance(c, ast.ClassDef) and c.name == "InnerCheck":
-                c.body = [f for f in c.body if not (isinstance(f, ast.AnnAssign)
-                                                    and f.target.id == "tail_bound")]
-        names = _names(tree)
+        names = _names(ast.parse(path.read_text()))
         if path.name != "inner.py":
             deciding[path.name] = sorted(names & rule)
         tails[path.name] = sorted(names & {"tail_bound", "tail_cap"})
@@ -227,3 +221,15 @@ def test_characterize_reads_model_spaces_through_the_compressed_shift():
     path = Path(msolab.__file__).parent / "characterize.py"
     assert "admissible_for_shift" not in _names(ast.parse(path.read_text()))
     assert "characterize.py" not in _method_callers(path.parent, "coords")
+
+
+def test_characterize_reads_blocks_only_through_the_accessor():
+    """A built operator copies a block the first time it is read by name
+    (10.3 MB for the four at M = 400), so characterize reads blocks only
+    through BlockOperator.blocks, which copies nothing."""
+    path = Path(msolab.__file__).parent / "characterize.py"
+    named = [f"{n.attr}:{n.lineno}" for n in ast.walk(ast.parse(path.read_text()))
+             if isinstance(n, ast.Attribute)
+             and n.attr in ("that", "gamma_check", "gamma_hat", "t_check", "_blocks")]
+    assert named == []
+    assert "characterize.py" in _method_callers(path.parent, "blocks")
