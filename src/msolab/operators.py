@@ -148,8 +148,10 @@ class BlockOperator:
     `gamma_check`, `gamma_hat`, `t_check`). That read copies the view into
     an owned, C-contiguous, writable array, which replaces the view, so a
     write through the attribute is seen by every later check, product and
-    payload. `blocks()` hands out the four blocks as held, copying nothing:
-    the checks read them through it.
+    payload. That first read takes no lock: two threads making it at once
+    may each copy, and a write into the losing copy is lost. `blocks()`
+    hands out the four blocks as held, copying nothing: the checks read
+    them through it.
     """
 
     __slots__ = ("_blocks", "_viewed", "theta", "alpha", "M", "edge")
