@@ -102,6 +102,13 @@ def _abs_report(condition: str, dev: np.ndarray, tol: float) -> DefectReport:
 _BAND_ROWS = 64
 
 
+def _row_bands(n: int):
+    """(start, stop) of the bands of at most _BAND_ROWS rows that cover n
+    rows, top to bottom."""
+    for start in range(0, n, _BAND_ROWS):
+        yield start, min(start + _BAND_ROWS, n)
+
+
 def _band_buffers(n: int) -> tuple[np.ndarray, np.ndarray]:
     """A complex residual band and its modulus for _band_report on n x n
     residuals."""
@@ -115,15 +122,13 @@ def _band_report(condition: str, a: np.ndarray, b: np.ndarray, tol: float,
     into `buffers` (_band_buffers). The defect is the largest band defect
     and the witnesses the top 3 of the bands' witnesses; a stable sort keeps
     ties in row-major order, so the report is that of the whole residual,
-    bit for bit. A residual of at most _BAND_ROWS rows is one band."""
+    bit for bit."""
     residual, dev = buffers
     defects, witnesses = [], []
-    for start in range(0, len(a), _BAND_ROWS):
-        k = min(_BAND_ROWS, len(a) - start)
-        band = np.subtract(a[start:start + k], b[start:start + k], out=residual[:k])
+    for start, stop in _row_bands(len(a)):
+        k = stop - start
+        band = np.subtract(a[start:stop], b[start:stop], out=residual[:k])
         report = _abs_report(condition, np.abs(band, out=dev[:k]), tol)
-        if k == len(a):
-            return report
         defects.append(report.defect)
         witnesses += [(i + start, j, w) for i, j, w in report.witnesses]
     witnesses.sort(key=lambda w: -w[2])
@@ -394,8 +399,7 @@ def _residual_bands(D: BlockOperator, rebuilt: BlockOperator):
     # each block pair with the row and column where its difference sits in E
     quadrants = tuple(zip(D.blocks(), rebuilt.blocks(), (0, 0, n, n), (0, n, 0, n)))
     buffer = np.empty((min(_BAND_ROWS, 2 * n), 2 * n), dtype=np.complex128)
-    for start in range(0, 2 * n, _BAND_ROWS):
-        stop = min(start + _BAND_ROWS, 2 * n)
+    for start, stop in _row_bands(2 * n):
         band = buffer[:stop - start]
         for block, other, top, left in quadrants:
             a, b = max(start, top), min(stop, top + n)

@@ -224,6 +224,14 @@ def test_a_write_through_a_name_reaches_the_later_checks():
     coupling = check_adtto(D).reports[1]
     assert not coupling.passed and coupling.witnesses[0][:2] == (5, 7)
     assert recover_symbol(D, "zbar")[1] > 0.0
+    # an array assigned to a name replaces the view and is held as given
+    D = build_dtto(*VIEW_PAIRS["blaschke"], VIEW_SYMBOL, 40)
+    bumped = np.array(D.blocks()[3])
+    bumped[5, 7] += 1e-3
+    D.t_check = bumped
+    assert D.t_check is bumped and D.blocks()[3] is bumped
+    sandwich = check_block_conditions(D)[1]
+    assert sorted(w[:2] for w in sandwich.witnesses) == [(4, 6), (5, 7)]
 
 
 def test_products_and_payloads_read_contiguous_copies():
