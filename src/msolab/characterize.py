@@ -18,6 +18,13 @@ themselves exact on the section:
   D and D*(alpha) the conjugate of row 0: corner consistency and boundary
   recovery read these block entries and compute no coordinates.
 
+Each block is a Toeplitz or Hankel matrix in 2M+1 values. Where a block is
+laid out so in memory (a built operator's views, a payload read as views),
+the block conditions, the shift check, `tcheck-coupling` and an exact zbar
+recovery residual are read from those values in O(M); any other block's
+residual is taken in bands of _BAND_ROWS rows. Both routes give the report
+of the whole residual bit for bit.
+
 Membership is decided by defect thresholds, never symbolically; reports
 carry raw defects so thresholds can be re-audited.
 """
@@ -34,7 +41,8 @@ from .inner import BlaschkeProduct, expand, expansion_degree, tm_basis
 from .laurent import (LaurentPolynomial, conj_function, multiply,
                       project_band)
 from .operators import (BlockOperator, DenseComplexMatrix, SymbolFunction,
-                        block_views, build_dtto, guard_depth)
+                        block_views, build_dtto, guard_depth,
+                        strided_sequence)
 from .spaces import SHIFT_KERNEL_TOL, compressed_shift
 
 
@@ -136,6 +144,42 @@ def _band_report(condition: str, a: np.ndarray, b: np.ndarray, tol: float,
                         witnesses[:3])
 
 
+def _toeplitz_report(condition: str, dev: np.ndarray, tol: float) -> DefectReport:
+    """_report of the n x n residual whose cell (i, j) has modulus
+    dev[n-1+j-i], from its 2n - 1 values. The first three cells of a
+    diagonal come before its others in row-major order, so the top 3 lie
+    among the first three cells of the diagonals above tol."""
+    n = (len(dev) + 1) // 2
+    over = np.flatnonzero(dev > tol)
+    offsets = over[:, None] - (n - 1)                  # j - i
+    rows = np.maximum(-offsets, 0) + np.arange(3)
+    cols = rows + offsets
+    keep = np.maximum(rows, cols) < n
+    rows, cols = rows[keep], cols[keep]
+    values = np.broadcast_to(dev[over][:, None], keep.shape)[keep]
+    top = np.lexsort((rows * n + cols, -values))[:3]
+    witnesses = [(int(rows[k]), int(cols[k]), float(values[k])) for k in top]
+    return DefectReport(condition, float(np.max(dev, initial=0.0)), tol, witnesses)
+
+
+# block order That, GammaCheck, GammaHat, TCheck: whether each is Toeplitz
+_TOEPLITZ = (True, False, False, True)
+
+
+def _sequences(D: BlockOperator):
+    """Each block's 2M+1 values in turn when the block is laid out in memory
+    as its identity needs (strided_sequence: That and TCheck Toeplitz,
+    GammaCheck and GammaHat Hankel), else None."""
+    return map(strided_sequence, D.blocks(), _TOEPLITZ)
+
+
+def _self_paired(sequence: np.ndarray | None) -> bool:
+    """Whether the block behind a _sequences entry has a structure residual
+    of exact zeros: its shift sandwich or intertwining pairs every cell
+    with itself in memory, and x - x is 0 for every finite x."""
+    return sequence is not None and bool(np.isfinite(sequence).all())
+
+
 # -- shift invariance ---------------------------------------------------------
 
 def shift_invariance_defect(op: BlockOperator | DenseComplexMatrix, *,
@@ -153,6 +197,9 @@ def shift_invariance_defect(op: BlockOperator | DenseComplexMatrix, *,
     Takenaka-Malmquist basis vectors.
     """
     if isinstance(op, BlockOperator):
+        if all(map(_self_paired, _sequences(op))):
+            return DefectReport("shift-invariance", 0.0,
+                                _tolerance(tol, op.theta, op.alpha), [])
         residual = np.block(_shift_residuals(op))
     else:
         S, X = compressed_shift(op.domain_basis())
@@ -234,17 +281,24 @@ def check_block_conditions(D: BlockOperator, *,
     shifts. Each residual is an exact entrywise identity; the sandwich drops
     the outermost row/column. GammaCheck's is indexed like GammaCheck^H and
     taken from the transposed slices, so it lands row-major. The blocks are
-    read as held (BlockOperator.blocks), and each residual and its modulus
-    are taken in bands of _BAND_ROWS rows through one pair of buffers that
-    the four residuals share: no (M, M) array is made."""
+    read as held (BlockOperator.blocks).
+
+    A block laid out in memory as its identity needs, with finite values
+    (_self_paired), reports 0.0 and no witnesses without reading a cell:
+    its residual is x - x at every cell, as a block_views view or a
+    payload read as views gives. Any other block's residual and its
+    modulus are taken in bands of _BAND_ROWS rows through one pair of
+    buffers that those residuals share: no (M, M) array is made."""
     tol = _tolerance(tol, D.theta, D.alpha)
     [[t1, (a4, b4)], [t3, t2]] = _shift_terms(D)
-    buffers = _band_buffers(D.M)
-    return [_band_report(condition, a, b, tol, buffers)
-            for condition, (a, b) in (("that-shift-sandwich", t1),
-                                      ("tcheck-shift-sandwich", t2),
-                                      ("gammahat-intertwine", t3),
-                                      ("gammacheck-intertwine", (a4.T, b4.T)))]
+    exact = list(map(_self_paired, _sequences(D)))
+    buffers = None if all(exact) else _band_buffers(D.M)
+    return [DefectReport(condition, 0.0, tol, []) if exact[k]
+            else _band_report(condition, a, b, tol, buffers)
+            for condition, k, (a, b) in (("that-shift-sandwich", 0, t1),
+                                         ("tcheck-shift-sandwich", 3, t2),
+                                         ("gammahat-intertwine", 2, t3),
+                                         ("gammacheck-intertwine", 1, (a4.T, b4.T)))]
 
 
 # -- full membership ----------------------------------------------------------
@@ -295,8 +349,14 @@ def check_adtto(D: BlockOperator, *, tol: float | None = None) -> AdttoVerdict:
     # must reproduce That entrywise
     phi_z = _zbar_symbol(D)
     predicted, minus_theta, minus_alpha = _zbar_predictions(D, phi_z)
-    coupling = _band_report("tcheck-coupling", that, predicted, tol,
-                            _band_buffers(M + 1))
+    values = strided_sequence(that, toeplitz=True)
+    if values is None:
+        coupling = _band_report("tcheck-coupling", that, predicted, tol,
+                                _band_buffers(M + 1))
+    else:
+        # both are Toeplitz in memory: the residual is too, in s - g
+        coupling = _toeplitz_report("tcheck-coupling", np.abs(
+            values - strided_sequence(predicted, toeplitz=True)), tol)
     r2 = _merged("tcheck-coupling", coupling, blocks[1])
     r3 = _merged("hankel-intertwine", blocks[2], blocks[3])
 
@@ -341,6 +401,12 @@ def _certified_norm(D: BlockOperator, rebuilt: BlockOperator, tol: float) -> flo
     the verdict `<= tol` needs it: 0.0 for E all zeros, else the exact SVD
     value when tol lies inside the bracket lo <= ||E||_2 <= hi, else hi.
 
+    When every block of D and of the rebuild has the layout its slot needs
+    (_sequences) and the two blocks' 2M+1 values are equal, E is all zeros
+    and the result is 0.0 without a scan; the rebuild is finite, so equal
+    values are too. That is `recover_symbol(D, "zbar")` on a built
+    operator. Any other E is bracketed as follows.
+
     lo is the largest column or row 2-norm and hi = sqrt(||E||_1 ||E||_inf)
     (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 6.3).
     Both are widened by n + 4 ulps for the n-term sums, which covers the
@@ -356,6 +422,9 @@ def _certified_norm(D: BlockOperator, rebuilt: BlockOperator, tol: float) -> flo
     One call allocates its buffers once: two stacks of _BAND_ROWS + 1 rows
     hold the column sums so far in row 0 and |band| and |band|^2 below, and
     each column sum is one axis-0 sum of a stack's leading rows."""
+    if all(a is not None and np.array_equal(a, b)
+           for a, b in zip(_sequences(D), _sequences(rebuilt))):
+        return 0.0
     # stacks[m, 0]: column sums of |E| (m = 0) and |E|^2 (m = 1) so far
     stacks = np.empty((2, min(_BAND_ROWS, D.dim) + 1, D.dim))
     stacks[:, 0] = 0.0

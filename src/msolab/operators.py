@@ -143,15 +143,15 @@ class BlockOperator:
     non-finite entry; blocks mutated afterwards are the caller's to keep
     finite.
 
-    An operator from `build_dtto` holds each block as its read-only
-    `block_views` view until the block is first read by name (`that`,
-    `gamma_check`, `gamma_hat`, `t_check`). That read copies the view into
-    an owned, C-contiguous, writable array, which replaces the view, so a
-    write through the attribute is seen by every later check, product and
-    payload. That first read takes no lock: two threads making it at once
-    may each copy, and a write into the losing copy is lost. `blocks()`
-    hands out the four blocks as held, copying nothing: the checks read
-    them through it.
+    A read-only block, such as a `block_views` view from `build_dtto` or a
+    strided view from `payload.read_operator_text`, is held as given until
+    it is first read by name (`that`, `gamma_check`, `gamma_hat`,
+    `t_check`). That read copies it into an owned, C-contiguous, writable
+    array, which replaces it, so a write through the attribute is seen by
+    every later check, product and payload. That first read takes no lock:
+    two threads making it at once may each copy, and a write into the
+    losing copy is lost. `blocks()` hands out the four blocks as held,
+    copying nothing: the checks read them through it.
     """
 
     __slots__ = ("_blocks", "_viewed", "theta", "alpha", "M", "edge")
@@ -167,7 +167,7 @@ class BlockOperator:
                 raise DimensionError(f"{name} has shape {block.shape}, expected {(n, n)}")
             if not np.isfinite(block).all():
                 raise InputError(f"{name} has a non-finite entry")
-        self._blocks, self._viewed = blocks, [False] * 4
+        self._blocks, self._viewed = blocks, [not b.flags.writeable for b in blocks]
         self.theta = theta
         self.alpha = alpha
         self.M = int(M)
@@ -184,8 +184,8 @@ class BlockOperator:
 
     def _named(k):
         def read(self) -> np.ndarray:
-            # a view is copied once, C-contiguous: `apply` on the strided
-            # view would leave the BLAS path and change the bits
+            # a read-only block is copied once, C-contiguous: `apply` on a
+            # strided view would leave the BLAS path and change the bits
             if self._viewed[k]:
                 self._blocks[k] = np.array(self._blocks[k], order="C")
                 self._viewed[k] = False
@@ -333,6 +333,19 @@ def block_views(M: int, sequences) -> Iterator[np.ndarray]:
                           offset=(d0 - lo) * s, strides=(di * s, dj * s))
         view.flags.writeable = False
         yield view
+
+
+def strided_sequence(block: np.ndarray, toeplitz: bool) -> np.ndarray | None:
+    """The 2n - 1 values of an n x n block laid out in memory as a Toeplitz
+    matrix, strides (a, -a), or as a Hankel one, strides (a, a): cell
+    (i, j) is value n-1+j-i of a Toeplitz block and value i+j of a Hankel
+    one. None for any other layout: its cells that share a diagonal need
+    not share memory."""
+    rows, cols = block.strides
+    if rows != (-cols if toeplitz else cols):
+        return None
+    return np.concatenate([block[::-1, 0], block[0, 1:]] if toeplitz
+                          else [block[0], block[1:, -1]])
 
 
 def split_blocks(full: np.ndarray, theta: BlaschkeProduct,

@@ -12,8 +12,8 @@ numbers. The writer sees that in the float64 bits: it formats the sequence
 once and joins every row from its cells, and hands the payload out in
 pieces, one block at a time. The reader sees it in the text, where each row
 is the one above shifted by one cell: it parses the sequence once and
-gathers the block from it, and keeps the blocks as offsets into the text
-until it reads them. The writer gives a block of any other shape to
+hands out the block as a read-only strided view of it, and keeps the blocks
+as offsets into the text until it reads them. The writer gives a block of any other shape to
 json.dumps; the reader declines a payload holding one, which json.loads
 and the typed readers then read. Both give the same text and the same
 float64 bits as json.dumps and json.loads through `write_matrix` and
@@ -107,7 +107,7 @@ def write_operator_text(op) -> Iterator[str]:
 
 def read_operator_text(text: str) -> dict | None:
     """The payload document of a text in write_operator_text's layout, its
-    blocks as complex128 matrices. The four blocks are found as offsets into
+    blocks as read-only complex128 views (_read_block_text). The four blocks are found as offsets into
     `text`, the rest is read by json.loads, and each block is cut out and
     read by _read_block_text in turn. None for a text in any other layout,
     or with an entry read_matrix would reject: it is left to json.loads and
@@ -188,8 +188,10 @@ def _read_block_text(text: str, n: int) -> np.ndarray | None:
     """The n x n complex128 matrix of a block in _block_pieces's layout:
     n rows of n [re, im] pairs, no whitespace, each row the one above
     shifted by one cell (_shifted_cells). Only its 2n - 1 sequence cells go
-    through json.loads, and the block is gathered from them. None when the
-    text is in any other layout or has an entry read_matrix would reject."""
+    through json.loads, and the block is a read-only view of them in the
+    layout of the text: Toeplitz, strides (-s, s), or Hankel, strides
+    (s, s), for s the size of one value. None when the text is in any other
+    layout or has an entry read_matrix would reject."""
     # the shortest such text has every number one digit long; checked
     # first so a large n allocates nothing
     if len(text) < 6 * n * n + 2 * n + 1 or not (
@@ -203,28 +205,34 @@ def _read_block_text(text: str, n: int) -> np.ndarray | None:
     shifted = _shifted_cells(rows)
     if shifted is None:
         return None
-    cells, index = shifted
+    cells, toeplitz = shifted
     values = _read_cells(cells)
-    return None if values is None else values[index]
+    if values is None:
+        return None
+    s = values.itemsize
+    block = np.ndarray((n, n), np.complex128, buffer=values,
+                       offset=(n - 1) * s if toeplitz else 0,
+                       strides=(-s, s) if toeplitz else (s, s))
+    block.flags.writeable = False
+    return block
 
 
-def _shifted_cells(rows: list) -> tuple[list, np.ndarray] | None:
-    """The 2n - 1 sequence cells of a block's n row texts and the index that
-    gathers the block from them, when row 0 holds n cells and every row is
-    the one above shifted by one cell (_new_cells): Toeplitz, index
-    n-1+j-i, or Hankel, index i+j. Every row is then a copy of cells of row
-    0 and the new cells. None otherwise."""
+def _shifted_cells(rows: list) -> tuple[list, bool] | None:
+    """The 2n - 1 sequence cells of a block's n row texts and whether the
+    block is Toeplitz, cell (i, j) at n-1+j-i, or Hankel, at i+j, when row 0
+    holds n cells and every row is the one above shifted by one cell
+    (_new_cells). Every row is then a copy of cells of row 0 and the new
+    cells. None otherwise."""
     n = len(rows)
     first = rows[0].split("],[")
     if len(first) != n:
         return None
-    i, j = np.ogrid[:n, :n]
     new = _new_cells(rows, toeplitz=True)
     if new is not None:
-        return new[::-1] + first, j - i + (n - 1)
+        return new[::-1] + first, True
     new = _new_cells(rows, toeplitz=False)
     if new is not None:
-        return first + new, i + j
+        return first + new, False
     return None
 
 

@@ -17,8 +17,10 @@ import pytest
 from msolab.annihilate import (FiniteRankOperator, gen_M, gen_shift_pair, pair,
                                pair_many, represent_functional)
 from msolab.bases import OrthonormalBasis
-from msolab.characterize import (_BAND_ROWS, _certified_norm, _zbar_predictions,
-                                 _zbar_symbol, check_adtto,
+from msolab import characterize
+from msolab.characterize import (_BAND_ROWS, _band_buffers, _band_report,
+                                 _certified_norm, _report, _toeplitz_report,
+                                 _zbar_predictions, _zbar_symbol, check_adtto,
                                  check_block_conditions, default_tolerance,
                                  is_analytic_adtto, recover_symbol,
                                  shift_invariance_defect,
@@ -26,10 +28,10 @@ from msolab.characterize import (_BAND_ROWS, _certified_norm, _zbar_predictions,
 from msolab.errors import DimensionError, InputError
 from msolab.inner import BlaschkeProduct, expand, monomial_inner, tm_basis
 from msolab.laurent import LaurentPolynomial, monomial, multiply
-from msolab.payload import write_operator_text
+from msolab.payload import read_operator_text, write_operator_text
 from msolab.operators import (BlockOperator, DenseComplexMatrix, SymbolFunction,
                               block_views, build_dtto, build_tto, guard_depth,
-                              split_blocks)
+                              split_blocks, strided_sequence)
 from msolab.rng import Xoshiro256StarStar
 from msolab.spaces import SHIFT_KERNEL_TOL, admissible_for_shift, basis_Kperp
 from msolab.suites import random_inner, random_symbol
@@ -157,10 +159,28 @@ def _bump_through_names(D, rows):
     D.gamma_hat[min(3, D.M), 0] += 1e-3
 
 
+def _bump_tcheck_diagonal(D):
+    """A write through `t_check` alone that keeps TCheck Toeplitz: its
+    diagonal j - i = 1 (the main one at M = 0) moves, so the zbar symbol
+    and the coupling prediction move while That stays a view."""
+    k = min(1, D.M)
+    rows = np.arange(D.M + 1 - k)
+    D.t_check[rows, rows + k] += 1e-3
+
+
+def _read_as_views(D):
+    """D written by write_operator_text and read back by the compact reader:
+    its four blocks are read-only views of the sequences in the text."""
+    R = BlockOperator.from_json(read_operator_text("".join(write_operator_text(D))))
+    assert not any(b.flags.writeable or b.flags.owndata for b in R.blocks())
+    return R
+
+
 def _outcomes(D):
     """Every report, verdict, symbol and residual the checks and recoveries
     give for D, comparable with ==; a recovery below its guard depth gives
-    its error message."""
+    its error message, and one over a non-finite block the error of its
+    SVD."""
     out = [[r.to_json() for r in check_block_conditions(D)],
            shift_invariance_defect(D).to_json(), tuple(is_analytic_adtto(D))]
     verdict = check_adtto(D)
@@ -170,43 +190,158 @@ def _outcomes(D):
         try:
             symbol, residual = recover_symbol(D, method)
             out.append((symbol.value.lo, symbol.value._data.tobytes(), residual))
-        except InputError as exc:
-            out.append(str(exc))
+        except (InputError, np.linalg.LinAlgError) as exc:
+            out.append(repr(exc))
     return out
 
 
 @pytest.mark.parametrize("pair", VIEW_PAIRS)
 @pytest.mark.parametrize("M", [0, 1, 2, 31, 32, 63, 64, 65, 128, 256])
-@pytest.mark.parametrize("rows", [None, (1, 64), (64, "M")],
-                         ids=["built", "first-band", "straddle"])
+@pytest.mark.parametrize("rows", [None, (1, 64), (64, "M"), "mixed"],
+                         ids=["built", "first-band", "straddle", "mixed"])
 def test_checks_on_views_equal_the_assembled_copy(M, pair, rows):
     """Reports, verdicts, recovered symbols and residuals read from the
-    block views (banded where a residual has more than _BAND_ROWS rows)
-    equal those of the same operator cut from its assembled matrix, bit for
-    bit, and the block conditions equal the unbanded oracle. Perturbed
-    operators put witnesses above tol in the first and the last band and
-    ties on both sides of the band edge at row 64."""
+    block views (from the sequences where a block's layout allows, banded
+    where a residual has more than _BAND_ROWS rows) equal those of the same
+    operator cut from its assembled matrix, bit for bit, and the block
+    conditions equal the unbanded oracle. Perturbed operators put
+    witnesses above tol in the first and the last band and ties on both
+    sides of the band edge at row 64; a mixed one has TCheck written
+    through its name and the three other blocks still views."""
     D = _view_backed(*VIEW_PAIRS[pair], M)
-    if rows is not None:
+    if rows == "mixed":
+        _bump_tcheck_diagonal(D)
+    elif rows is not None:
         _bump_through_names(D, sorted({M if k == "M" else k for k in rows} & {*range(M + 1)}))
     fast = _outcomes(D)
-    assert not D.blocks()[3].flags.writeable
+    assert not D.blocks()[3].flags.writeable or rows == "mixed"
+    if rows == "mixed":
+        assert not any(b.flags.writeable for b in D.blocks()[:3])
+        assert not fast[3][0][1]["pass"]
     tol = default_tolerance(D.theta, D.alpha)
     assert fast[0] == [r.to_json() for r in fresh_block_conditions(D, tol)]
     assert fast == _outcomes(split_blocks(D.assemble(), D.theta, D.alpha, M))
-    if rows is not None and M > _BAND_ROWS + 1:
+    if rows not in (None, "mixed") and M > _BAND_ROWS + 1:
         # That's sandwich deviates at rows k - 1 and k for each bump k
         assert [w[0] for w in fast[0][0]["witnesses"]] == \
             ([63, 64, M - 1] if rows[0] == 64 else [0, 1, 63])
 
 
-def test_a_block_read_by_name_is_copied_once():
-    """A built operator hands out read-only views through blocks(); the
-    first read by name replaces the view with an owned, C-contiguous,
-    writable copy, and later reads return that same array."""
+@pytest.mark.parametrize("pair", VIEW_PAIRS)
+@pytest.mark.parametrize("M", [0, 1, 2, 31, 32, 63, 64, 65, 128, 256])
+@pytest.mark.parametrize("mixed", [False, True], ids=["built", "mixed"])
+def test_checks_on_payload_views_equal_the_assembled_copy(M, pair, mixed):
+    """An operator read from its payload text holds four read-only views in
+    the reader's geometry, and every report, verdict, symbol and residual
+    equals that of the operator it was written from and of its assembled
+    copy, bit for bit: as read, and with TCheck then written through its
+    name (three blocks still views)."""
+    D = _view_backed(*VIEW_PAIRS[pair], M)
+    R = _read_as_views(D)
+    if mixed:
+        _bump_tcheck_diagonal(D)
+        _bump_tcheck_diagonal(R)
+        assert not any(b.flags.writeable for b in R.blocks()[:3])
+    fast = _outcomes(R)
+    assert fast == _outcomes(split_blocks(R.assemble(), R.theta, R.alpha, M))
+    assert fast == _outcomes(D)
+
+
+def _toeplitz(values):
+    """The owned n x n matrix whose cell (i, j) is values[n-1+j-i]."""
+    n = (len(values) + 1) // 2
+    i, j = np.ogrid[:n, :n]
+    return np.array(values)[n - 1 + j - i]
+
+
+@pytest.mark.parametrize("M", [0, 1, 2, 3, 63, 64, 65])
+def test_coupling_from_the_diagonals_equals_the_banded_report(M):
+    """_toeplitz_report of the 2M+1 diagonal moduli gives the banded and the
+    whole-residual reports of the Toeplitz residual, witnesses included:
+    with ties inside and across diagonals, on the corner diagonals of one
+    and two cells, and with inf and NaN."""
+    n, tol = M + 1, 1e-10
+    noise = np.random.default_rng(M)
+    for trial in range(8):
+        # few distinct moduli, so many diagonals tie; a zero or a tiny gap is
+        # below tol
+        s = noise.choice([0.0, 1e-12, 1e-3, 2e-3, 2e-3j], 2 * M + 1) \
+            + noise.choice([0.0, 1e-3j], 2 * M + 1)
+        if trial % 2:
+            # the largest value on the shortest diagonals
+            s[np.array([0, 1, -2, -1]) % len(s)] = 5e-3
+        if trial == 6:
+            s[M] = np.inf
+        if trial == 7:
+            s[noise.integers(2 * M + 1)] = np.nan
+        g = np.zeros(2 * M + 1, dtype=np.complex128)
+        fast = _toeplitz_report("c", np.abs(s - g), tol)
+        banded = _band_report("c", _toeplitz(s), _toeplitz(g), tol, _band_buffers(n))
+        whole = _report("c", _toeplitz(s) - _toeplitz(g), tol)
+        assert repr(fast.to_json()) == repr(banded.to_json()) == repr(whole.to_json())
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("block", range(4), ids=["That", "GammaCheck", "GammaHat", "TCheck"])
+def test_a_non_finite_value_behind_a_view_takes_the_dense_route(block, value):
+    """A view over a non-finite value is not read as exact zeros: every
+    report equals that of owned copies of the blocks, read by the banded
+    route and by the unbanded oracle, for a value inside the residual and
+    for one on the outermost corner that no structure residual reads."""
+    theta, alpha = VIEW_PAIRS["blaschke"]
+    M = 70
+    tol = default_tolerance(theta, alpha)
+    for cell in (M // 2, 0):
+        D = _view_backed(theta, alpha, M)
+        D.blocks()[block].base[cell] = value
+        owned = BlockOperator._of_views([np.array(b) for b in D.blocks()], theta,
+                                        alpha, M, D.edge)
+        # inf - inf is NaN, on every route
+        with np.errstate(invalid="ignore"):
+            fast = _outcomes(D)
+            assert repr(fast) == repr(_outcomes(owned))
+            assert repr(fast[0]) == repr([r.to_json() for r in
+                                          fresh_block_conditions(owned, tol)])
+        if cell:
+            assert not fast[0][(0, 3, 2, 1)[block]]["defect"] <= tol
+
+
+def test_a_payload_with_a_hankel_that_takes_the_banded_route(monkeypatch):
+    """A payload whose That is Hankel (That and GammaCheck swapped) is read
+    as four views, That in the Hankel layout; its that-shift-sandwich and
+    coupling go through _band_report, and every outcome equals the
+    assembled copy's."""
+    D = build_dtto(*VIEW_PAIRS["blaschke"], VIEW_SYMBOL, 70)
+    that, gamma_check, gamma_hat, t_check = (np.array(b) for b in D.blocks())
+    swapped = BlockOperator(gamma_check, that, gamma_hat, t_check, D.theta,
+                            D.alpha, D.M, D.edge)
+    R = _read_as_views(swapped)
+    assert strided_sequence(R.blocks()[0], toeplitz=True) is None
+    assert strided_sequence(R.blocks()[0], toeplitz=False) is not None
+    banded = []
+    monkeypatch.setattr(characterize, "_band_report",
+                        lambda condition, *args: banded.append(condition)
+                        or _band_report(condition, *args))
+    fast = _outcomes(R)
+    # the swapped GammaCheck is Toeplitz, so its intertwining is banded too
+    assert sorted(set(banded)) == ["gammacheck-intertwine", "tcheck-coupling",
+                                   "that-shift-sandwich"]
+    assert not fast[0][0]["pass"]
+    assert fast == _outcomes(split_blocks(R.assemble(), R.theta, R.alpha, R.M))
+
+
+@pytest.mark.parametrize("read", [False, True], ids=["built", "payload"])
+def test_a_block_read_by_name_is_copied_once(read):
+    """A built operator, and one read from its payload text, hands out
+    read-only views of 2M+1 values through blocks(); the first read by name
+    replaces the view with an owned, C-contiguous, writable copy, and later
+    reads return that same array."""
     D = build_dtto(*VIEW_PAIRS["blaschke"], VIEW_SYMBOL, 40)
+    if read:
+        D = _read_as_views(D)
     views = D.blocks()
     assert not any(v.flags.writeable or v.flags.owndata for v in views)
+    assert all(v.base.nbytes == 81 * 16 for v in views)
     for k, block in enumerate(_blocks(D)):
         assert block.flags.owndata and block.flags.c_contiguous and block.flags.writeable
         assert block.tobytes() == views[k].tobytes()
@@ -964,13 +1099,15 @@ def test_build_holds_its_four_blocks_and_sequences():
 @pytest.mark.parametrize("check", [check_block_conditions, check_adtto],
                          ids=["blocks", "adtto"])
 def test_checks_hold_one_residual_beyond_the_operator(check):
-    """Beyond D a check holds one band of a complex residual, its modulus
-    and the mask of entries above tol: peak measured 0.66-0.68 MB at
-    M = 256, against 1.84 MB for one whole residual buffer and 5.31 MB when
-    every block residual and modulus was a new array."""
+    """Beyond D a check on owned blocks, which take the banded route, holds
+    one band of a complex residual, its modulus and the mask of entries
+    above tol: peak measured 0.66 MB at M = 256, against 1.84 MB for one
+    whole residual buffer and 5.31 MB when every block residual and modulus
+    was a new array."""
     theta, alpha, phi, M = _peak_case()
     n = M + 1
-    D = build_dtto(theta, alpha, phi, M)
+    D = BlockOperator(*(np.array(b) for b in build_dtto(theta, alpha, phi, M).blocks()),
+                      theta, alpha, M)
     _, peak = _traced_peak(lambda: check(D))
     assert peak <= n * n * (16 + 8 + 1) + _UFUNC_BUFFERS + 16 * (2 * M + 1) * 16
 
@@ -1001,6 +1138,21 @@ def test_deep_pipeline_copies_no_block():
         is_analytic_adtto(D)
     _, peak = _traced_peak(deep)
     assert peak <= 2e6
+    assert not any(b.flags.writeable for b in D.blocks())
+
+
+@pytest.mark.parametrize("check", [
+    check_block_conditions, check_adtto, lambda D: recover_symbol(D, "zbar"),
+    shift_invariance_defect], ids=["blocks", "adtto", "zbar", "shift"])
+def test_checks_on_a_built_operator_read_the_sequences(check):
+    """On a built operator at M = 400 the block conditions, the coupling
+    and the zbar recovery residual come from the 2M+1 values of each block,
+    and the shift check from the same test: each peak stays below 0.25 MB
+    (measured 0.015, 0.08, 0.12 and 0.015 MB), against 0.87, 0.92, 2.1 and
+    21 MB on the banded and assembled routes they replace."""
+    D = build_dtto(*_peak_case(400))
+    _, peak = _traced_peak(lambda: check(D))
+    assert peak < 0.25e6
     assert not any(b.flags.writeable for b in D.blocks())
 
 

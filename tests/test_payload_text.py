@@ -345,10 +345,12 @@ def _peak_mb(fn) -> float:
 
 def test_payload_routes_hold_one_block_of_text_at_a_time(tmp_path):
     """At M = 256 the payload text is 5.1 MB and the four blocks 4.2 MB.
-    The reader holds the blocks it has read, plus one block's text and
-    rows; build holds the operator, plus one block's sequence text. Peaks
-    measured: 7.9 and 5.5 MB; the routes that cut out all four block texts
-    and concatenated the whole document peaked at 20.4 and 24.8 MB."""
+    The reader holds the sequences of the blocks it has read (views, 0.03
+    MB), plus one block's text and rows; build holds the operator, plus
+    one block's sequence text. Peaks measured: 6.4 and 5.5 MB; 7.9 MB when
+    the reader gathered each block, and the routes that cut out all four
+    block texts and concatenated the whole document peaked at 20.4 and
+    24.8 MB."""
     theta, alpha = PAIRS["blaschke"]
     text = dumps_payload(OPERATORS["blaschke-M256"])
     assert _peak_mb(lambda: read_operator_text(text)) < 9.0
