@@ -12,12 +12,12 @@ numbers. The writer sees that in the float64 bits: it formats the sequence
 once and joins every row from its cells, and hands the payload out in
 pieces, one block at a time. The reader sees it in the text, where each row
 is the one above shifted by one cell: it parses the sequence once and
-hands out the block as a read-only strided view of it, and keeps the blocks
-as offsets into the text until it reads them. The writer gives a block of any other shape to
-json.dumps; the reader declines a payload holding one, which json.loads
-and the typed readers then read. Both give the same text and the same
-float64 bits as json.dumps and json.loads through `write_matrix` and
-`read_matrix`.
+hands out the block as a read-only strided view of it, and keeps the
+blocks as offsets into the text until it reads them. The writer gives a
+block of any other shape to json.dumps; the reader declines a payload
+holding one, which json.loads and the typed readers then read. Both give
+the same text and the same float64 bits as json.dumps and json.loads
+through `write_matrix` and `read_matrix`.
 """
 
 from __future__ import annotations
@@ -107,11 +107,12 @@ def write_operator_text(op) -> Iterator[str]:
 
 def read_operator_text(text: str) -> dict | None:
     """The payload document of a text in write_operator_text's layout, its
-    blocks as read-only complex128 views (_read_block_text). The four blocks are found as offsets into
-    `text`, the rest is read by json.loads, and each block is cut out and
-    read by _read_block_text in turn. None for a text in any other layout,
-    or with an entry read_matrix would reject: it is left to json.loads and
-    the typed readers, which give the error message."""
+    blocks as read-only complex128 views (_read_block_text). The four
+    blocks are found as offsets into `text`, the rest is read by
+    json.loads, and each block is cut out and read by _read_block_text in
+    turn. None for a text in any other layout, or with an entry read_matrix
+    would reject: it is left to json.loads and the typed readers, which
+    give the error message."""
     start = text.find(_BLOCKS)
     if start < 0:
         return None
