@@ -20,10 +20,14 @@ themselves exact on the section:
 
 Each block is a Toeplitz or Hankel matrix in 2M+1 values. Where a block is
 laid out so in memory (a built operator's views, a payload read as views),
-the block conditions, the shift check, `tcheck-coupling` and an exact zbar
-recovery residual are read from those values in O(M); any other block's
-residual is taken in bands of _BAND_ROWS rows. Both routes give the report
-of the whole residual bit for bit.
+the block conditions, the shift check and `tcheck-coupling` are read from
+those values in O(M); any other block's residual is taken in bands of
+_BAND_ROWS rows. Both routes give the report of the whole residual bit for
+bit. The recovery residual's norm bracket comes from window sums of the
+four difference sequences when all eight blocks of the operator and of its
+rebuild are laid out so, and from bands of the residual otherwise; the two
+add their sums in other orders, so the bracket's ends differ in the last
+ulps, and the verdict never does.
 
 Membership is decided by defect thresholds, never symbolically; reports
 carry raw defects so thresholds can be re-audited.
@@ -399,32 +403,111 @@ def _zbar_predictions(D: BlockOperator, phi_z: SymbolFunction):
 def _certified_norm(D: BlockOperator, rebuilt: BlockOperator, tol: float) -> float:
     """||E||_2 for E = D - rebuilt, assembled as np.block would, as far as
     the verdict `<= tol` needs it: 0.0 for E all zeros, else the exact SVD
-    value when tol lies inside the bracket lo <= ||E||_2 <= hi, else hi.
+    value when tol lies inside the bracket lo <= ||E||_2 <= hi of
+    _norm_bracket, else hi. A NaN in E makes the bracket NaN, which fails
+    both comparisons: the result is NaN, and the SVD, which would not
+    converge, never runs. Only the SVD builds E whole."""
+    bracket = _norm_bracket(D, rebuilt)
+    # an exact rebuild leaves E all zeros, whose 2-norm is 0.0: skip the SVD
+    if bracket is None:
+        return 0.0
+    lo, hi = bracket
+    if not lo <= tol < hi:
+        return hi
+    d, r = D.blocks(), rebuilt.blocks()
+    E = np.block([[d[0] - r[0], d[1] - r[1]], [d[2] - r[2], d[3] - r[3]]])
+    return float(np.linalg.norm(E, 2))
 
-    When every block of D and of the rebuild has the layout its slot needs
-    (_sequences) and the two blocks' 2M+1 values are equal, E is all zeros
-    and the result is 0.0 without a scan; the rebuild is finite, so equal
-    values are too. That is `recover_symbol(D, "zbar")` on a built
-    operator. Any other E is bracketed as follows.
+
+def _norm_bracket(D: BlockOperator, rebuilt: BlockOperator) -> tuple[float, float] | None:
+    """(lo, hi) with lo <= ||E||_2 <= hi for E = D - rebuilt, None when E
+    is all zeros.
 
     lo is the largest column or row 2-norm and hi = sqrt(||E||_1 ||E||_inf)
     (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 6.3).
     Both are widened by n + 4 ulps for the n-term sums, which covers the
-    rounding of the sums and of the SVD, so the result is never below the
-    computed SVD value and `<= tol` gives the SVD verdict for every E.
+    rounding of the sums and of the SVD, so hi is never below the computed
+    SVD value and lo never above it. Every sum adds nonnegative terms only,
+    so the widening holds in any order of addition.
+
+    When all eight blocks of D and of the rebuild have their slot's layout
+    (_sequences), the column and row sums come from E's four difference
+    sequences in O(M) (_window_sums): `recover_symbol` on a built operator
+    or on a payload read as views. Any other E is read in bands
+    (_band_sums), which give the sums of the assembled E to the bit."""
+    # a difference or a sum that overflows makes an end inf, which keeps
+    # the verdict: a column or row norm beyond the float range exceeds
+    # every tol
+    with np.errstate(over="ignore"):
+        differences = _difference_sequences(D, rebuilt)
+        sums = (_band_sums(D, rebuilt) if differences is None
+                else _window_sums(differences))
+        if sums is None:
+            return None
+        cols, rows = sums
+        lo = np.sqrt(np.maximum(cols[1], rows[1]))
+        # a product of square roots neither overflows nor underflows first
+        hi = np.sqrt(cols[0]) * np.sqrt(rows[0])
+    slack = (D.dim + 4) * float(np.finfo(float).eps)
+    return float(lo) * (1 - slack), float(hi) * (1 + slack)
+
+
+def _difference_sequences(D: BlockOperator, rebuilt: BlockOperator) -> np.ndarray | None:
+    """The (4, 2M+1) values of E = D - rebuilt block by block, each block's
+    values of D minus those of the rebuild, when all eight blocks have their
+    slot's layout (_sequences), else None. Every cell of a block of E is
+    that subtraction of the same two values, so E's cells are these values
+    bit for bit. The sequences are read a pair at a time."""
+    e = np.empty((4, 2 * D.M + 1), dtype=np.complex128)
+    for row, a, b in zip(e, _sequences(D), _sequences(rebuilt)):
+        if a is None or b is None:
+            return None
+        np.subtract(a, b, out=row)
+    return e
+
+
+def _window_sums(e: np.ndarray):
+    """The largest column and row sums of |E| and of |E|^2, as _band_sums
+    gives them, from E's difference sequences e (_difference_sequences);
+    None when e is all zeros.
+
+    With n = M + 1, window a of a block is its n values from index a on,
+    a = 0..M. Row i <= M of E reads window M - i of That and window i of
+    GammaCheck, row n + i window i of GammaHat and window M - i of TCheck;
+    column j reads window j of That and of GammaHat, column n + j window j
+    of GammaCheck and of TCheck. Every window holds index M, so its sum is
+    the sum of its values up to M, a reversed cumulative sum, plus the sum
+    of those beyond M, a cumulative sum: no difference of prefix sums,
+    which would cancel. The four sequences go through as one stacked
+    array."""
+    if not e.any():
+        return None
+    n = (e.shape[1] + 1) // 2
+    x = np.empty((2, *e.shape))              # |e| and |e|^2
+    np.abs(e, out=x[0])
+    np.multiply(x[0], x[0], out=x[1])
+    windows = np.cumsum(x[..., n - 1::-1], axis=-1)[..., ::-1]
+    windows[..., 1:] += np.cumsum(x[..., n:], axis=-1)
+    that, gamma_check, gamma_hat, t_check = windows.swapaxes(0, 1)
+    rows = np.maximum(that[:, ::-1] + gamma_check, gamma_hat + t_check[:, ::-1])
+    cols = np.maximum(that + gamma_hat, gamma_check + t_check)
+    return cols.max(axis=1), rows.max(axis=1)
+
+
+def _band_sums(D: BlockOperator, rebuilt: BlockOperator):
+    """The largest column and row sums of |E| and of |E|^2 for
+    E = D - rebuilt, each as a pair (|E|, |E|^2), or None when E is all
+    zeros.
 
     E is read in bands of at most _BAND_ROWS rows (_residual_bands). Each
     row sum comes from its band. Each column sum adds the rows in sequence
     onto the sums of the bands above, which is numpy's order for axis 0 of
-    the whole E, so the bracket is the same to the bit. A band of zeros
-    adds nothing and is skipped. Only the SVD builds E whole.
+    the whole E, so the sums are those of the assembled E to the bit. A
+    band of zeros adds nothing and is skipped.
 
     One call allocates its buffers once: two stacks of _BAND_ROWS + 1 rows
     hold the column sums so far in row 0 and |band| and |band|^2 below, and
     each column sum is one axis-0 sum of a stack's leading rows."""
-    if all(a is not None and np.array_equal(a, b)
-           for a, b in zip(_sequences(D), _sequences(rebuilt))):
-        return 0.0
     # stacks[m, 0]: column sums of |E| (m = 0) and |E|^2 (m = 1) so far
     stacks = np.empty((2, min(_BAND_ROWS, D.dim) + 1, D.dim))
     stacks[:, 0] = 0.0
@@ -436,34 +519,18 @@ def _certified_norm(D: BlockOperator, rebuilt: BlockOperator, tol: float) -> flo
         nonzero = True
         k = len(band) + 1
         A = np.abs(band, out=stacks[0, 1:k])
-        # sums that overflow make an end inf, which keeps the verdict: a
-        # column or row norm beyond the float range exceeds every tol
-        with np.errstate(over="ignore"):
-            np.multiply(A, A, out=stacks[1, 1:k])
-            for m, stack in enumerate(stacks):
-                rows[m] = max(rows[m], stack[1:k].sum(axis=1).max())
-                stack[0] = stack[:k].sum(axis=0)
-    # an exact rebuild leaves E all zeros, whose 2-norm is 0.0: skip the SVD
-    if not nonzero:
-        return 0.0
-    cols = stacks[:, 0]
-    with np.errstate(over="ignore"):
-        lo = np.sqrt(np.maximum(cols[1].max(), rows[1]))
-        # a product of square roots neither overflows nor underflows first
-        hi = np.sqrt(cols[0].max()) * np.sqrt(rows[0])
-    slack = (D.dim + 4) * float(np.finfo(float).eps)
-    lo, hi = float(lo) * (1 - slack), float(hi) * (1 + slack)
-    if hi <= tol or lo > tol:
-        return hi
-    d, r = D.blocks(), rebuilt.blocks()
-    E = np.block([[d[0] - r[0], d[1] - r[1]], [d[2] - r[2], d[3] - r[3]]])
-    return float(np.linalg.norm(E, 2))
+        np.multiply(A, A, out=stacks[1, 1:k])
+        for m, stack in enumerate(stacks):
+            rows[m] = max(rows[m], stack[1:k].sum(axis=1).max())
+            stack[0] = stack[:k].sum(axis=0)
+    return (stacks[:, 0].max(axis=1), rows) if nonzero else None
 
 
 def _residual_bands(D: BlockOperator, rebuilt: BlockOperator):
     """The rows of E = D - rebuilt in bands of at most _BAND_ROWS rows, top
     to bottom, each written into one buffer: use a band before taking the
-    next."""
+    next. _band_sums reads E so when a block lacks its slot's layout (a
+    block written through its name, a dense payload)."""
     n = D.M + 1
     # each block pair with the row and column where its difference sits in E
     quadrants = tuple(zip(D.blocks(), rebuilt.blocks(), (0, 0, n, n), (0, n, 0, n)))

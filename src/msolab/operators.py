@@ -340,9 +340,10 @@ def strided_sequence(block: np.ndarray, toeplitz: bool) -> np.ndarray | None:
     matrix, strides (a, -a), or as a Hankel one, strides (a, a): cell
     (i, j) is value n-1+j-i of a Toeplitz block and value i+j of a Hankel
     one. None for any other layout: its cells that share a diagonal need
-    not share memory."""
+    not share memory. A 1 x 1 block has both layouts, whatever its
+    strides."""
     rows, cols = block.strides
-    if rows != (-cols if toeplitz else cols):
+    if len(block) > 1 and rows != (-cols if toeplitz else cols):
         return None
     return np.concatenate([block[::-1, 0], block[0, 1:]] if toeplitz
                           else [block[0], block[1:, -1]])

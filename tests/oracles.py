@@ -15,8 +15,9 @@ tests use it to check the corner identity TCheck = W1 That^T conj(W2).
 `distinct_write_operator_text` and `distinct_read_operator_text` are the
 payload writer and reader that format or parse each distinct number of a
 block once and rebuild the whole document to check its layout, and
-`assembled_certified_norm` the recovery residual's norm bracket on the
-assembled difference E. `block_degrees` and `coefficient_matrix` gather a
+`assembled_certified_norm` and `assembled_norm_bracket` the recovery
+residual and its norm bracket on the difference E assembled whole
+(`assembled_difference`). `block_degrees` and `coefficient_matrix` gather a
 block's entries at an integer array of its degrees, the route
 `gather_build_dtto` and `gather_zbar_predictions` take where the library
 reads strided views; `fresh_block_conditions` allocates each whole block
@@ -519,21 +520,36 @@ def distinct_read_block_text(text: str, n: int) -> np.ndarray | None:
 def assembled_certified_norm(D: BlockOperator, rebuilt: BlockOperator,
                              tol: float) -> float:
     """characterize._certified_norm on E = D - rebuilt assembled whole by
-    np.block, with its sums over the whole of |E| and |E|^2."""
-    E = np.block([[D.that - rebuilt.that, D.gamma_check - rebuilt.gamma_check],
-                  [D.gamma_hat - rebuilt.gamma_hat, D.t_check - rebuilt.t_check]])
-    if not E.any():
+    np.block, with the bracket of assembled_norm_bracket: NaN, without the
+    SVD, for a NaN bracket."""
+    bracket = assembled_norm_bracket(D, rebuilt)
+    if bracket is None:
         return 0.0
+    lo, hi = bracket
+    if hi <= tol or lo > tol or np.isnan(hi):
+        return hi
+    return float(np.linalg.norm(assembled_difference(D, rebuilt), 2))
+
+
+def assembled_norm_bracket(D: BlockOperator, rebuilt: BlockOperator):
+    """characterize._norm_bracket from sums over the whole of |E| and |E|^2
+    for E = D - rebuilt assembled whole."""
+    E = assembled_difference(D, rebuilt)
+    if not E.any():
+        return None
     A = np.abs(E)
     with np.errstate(over="ignore"):
         sq = A * A
         lo = np.sqrt(np.maximum(sq.sum(axis=0).max(), sq.sum(axis=1).max()))
         hi = np.sqrt(A.sum(axis=0).max()) * np.sqrt(A.sum(axis=1).max())
     slack = (max(E.shape) + 4) * float(np.finfo(float).eps)
-    lo, hi = float(lo) * (1 - slack), float(hi) * (1 + slack)
-    if hi <= tol or lo > tol:
-        return hi
-    return float(np.linalg.norm(E, 2))
+    return float(lo) * (1 - slack), float(hi) * (1 + slack)
+
+
+def assembled_difference(D: BlockOperator, rebuilt: BlockOperator) -> np.ndarray:
+    """D - rebuilt assembled by np.block from the blocks as held."""
+    d, r = D.blocks(), rebuilt.blocks()
+    return np.block([[d[0] - r[0], d[1] - r[1]], [d[2] - r[2], d[3] - r[3]]])
 
 
 class InnerCheck(NamedTuple):

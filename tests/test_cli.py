@@ -272,7 +272,11 @@ def test_build_payload_is_one_compact_line(capsys, argv):
 @pytest.mark.parametrize("M", [16, 64])
 def test_indented_payloads_give_the_same_reports(tmp_path, capsys, M):
     """Check and recover read a compact payload and its indented re-dump (the
-    layout build wrote before) to the same bytes and exit code."""
+    layout build wrote before) to the same bytes and exit code. The one
+    exception is the boundary residual: the compact payload is read as
+    views, whose residual comes from window sums of the difference
+    sequences, and the indented one as dense blocks, read in bands; the two
+    sums are added in other orders and agree within 2 (dim + 4) ulps."""
     compact, indented = tmp_path / "compact.json", tmp_path / "indented.json"
     assert run_cli(capsys, "build", "dtto", *BLASCHKE_CASE, "--M", str(M),
                    "--out", str(compact))[0] == 0
@@ -283,7 +287,13 @@ def test_indented_payloads_give_the_same_reports(tmp_path, capsys, M):
                  ("recover", "--method", "zbar"), ("recover", "--method", "boundary")):
         runs = [run_cli(capsys, argv[0], str(path), *argv[1:])
                 for path in (compact, indented)]
-        assert runs[0][:2] == runs[1][:2]
+        if argv[-1] == "boundary":
+            sequenced, banded = (json.loads(out) for _, out, _ in runs)
+            a, b = sequenced.pop("residual"), banded.pop("residual")
+            assert abs(a - b) <= 2 * (2 * M + 6) * np.finfo(float).eps * b
+            assert (runs[0][0], sequenced) == (runs[1][0], banded)
+        else:
+            assert runs[0][:2] == runs[1][:2]
         codes.add(runs[0][0])
     # the analytic check fails on the zbar term of the symbol
     assert codes == {0, 1}

@@ -4,8 +4,8 @@ slice coordinates on the complement sections, the batched trace pairing,
 the admissible vectors of sections and model spaces, the TCheck-border
 symbol, the vectorised shift-invariance defect and solve, the block
 conditions in bands of one reused buffer, the checks and recoveries read
-from the block views of a built operator, and the banded recovery
-residual."""
+from the block views of a built operator, and the recovery residual's
+norm bracket, banded and from the difference sequences."""
 
 import cmath
 import re
@@ -18,6 +18,7 @@ from msolab.annihilate import (FiniteRankOperator, gen_M, gen_shift_pair, pair,
                                pair_many, represent_functional)
 from msolab.bases import OrthonormalBasis
 from msolab import characterize
+from msolab.cli import main
 from msolab.characterize import (_BAND_ROWS, _band_buffers, _band_report,
                                  _certified_norm, _report, _toeplitz_report,
                                  _zbar_predictions, _zbar_symbol, check_adtto,
@@ -37,7 +38,8 @@ from msolab.spaces import SHIFT_KERNEL_TOL, admissible_for_shift, basis_Kperp
 from msolab.suites import random_inner, random_symbol
 
 from conftest import dense_noise_operator, random_poly
-from oracles import (assembled_certified_norm, dense_coords,
+from oracles import (assembled_certified_norm, assembled_difference,
+                     assembled_norm_bracket, dense_coords,
                      dense_coords_and_defect, dense_reconstruct, dtto_sequences,
                      fresh_block_conditions, gather_build_dtto,
                      gather_shift_invariance_defect, gather_zbar_predictions,
@@ -179,8 +181,7 @@ def _read_as_views(D):
 def _outcomes(D):
     """Every report, verdict, symbol and residual the checks and recoveries
     give for D, comparable with ==; a recovery below its guard depth gives
-    its error message, and one over a non-finite block the error of its
-    SVD."""
+    its error message, and one whose residual holds a NaN a NaN residual."""
     out = [[r.to_json() for r in check_block_conditions(D)],
            shift_invariance_defect(D).to_json(), tuple(is_analytic_adtto(D))]
     verdict = check_adtto(D)
@@ -190,9 +191,30 @@ def _outcomes(D):
         try:
             symbol, residual = recover_symbol(D, method)
             out.append((symbol.value.lo, symbol.value._data.tobytes(), residual))
-        except (InputError, np.linalg.LinAlgError) as exc:
+        except InputError as exc:
             out.append(repr(exc))
     return out
+
+
+def _within_ulps(a, b, dim):
+    """a equals b, or lies within 2 (dim + 4) ulps of it, relative."""
+    return a == b or abs(a - b) <= 2 * (dim + 4) * np.finfo(float).eps * abs(b)
+
+
+def _assert_matches_assembled_copy(fast, D):
+    """fast, the _outcomes of D, equals those of D cut from its assembled
+    matrix, whose blocks take the banded route, bit for bit. Where all of
+    D's blocks have their slot's layout, D's boundary residual comes from
+    window sums of the difference sequences instead, added in another
+    order: it lies within 2 (dim + 4) ulps of the banded one."""
+    sequenced = all(s is not None for s in characterize._sequences(D))
+    banded = _outcomes(split_blocks(D.assemble(), D.theta, D.alpha, D.M))
+    if sequenced and isinstance(fast[-1], tuple):
+        *fast, (lo, data, residual) = fast
+        *banded, (banded_lo, banded_data, banded_residual) = banded
+        assert (lo, data) == (banded_lo, banded_data)
+        assert _within_ulps(residual, banded_residual, D.dim)
+    assert fast == banded
 
 
 @pytest.mark.parametrize("pair", VIEW_PAIRS)
@@ -203,8 +225,8 @@ def test_checks_on_views_equal_the_assembled_copy(M, pair, rows):
     """Reports, verdicts, recovered symbols and residuals read from the
     block views (from the sequences where a block's layout allows, banded
     where a residual has more than _BAND_ROWS rows) equal those of the same
-    operator cut from its assembled matrix, bit for bit, and the block
-    conditions equal the unbanded oracle. Perturbed operators put
+    operator cut from its assembled matrix (_assert_matches_assembled_copy),
+    and the block conditions equal the unbanded oracle. Perturbed operators put
     witnesses above tol in the first and the last band and ties on both
     sides of the band edge at row 64; a mixed one has TCheck written
     through its name and the three other blocks still views."""
@@ -220,7 +242,7 @@ def test_checks_on_views_equal_the_assembled_copy(M, pair, rows):
         assert not fast[3][0][1]["pass"]
     tol = default_tolerance(D.theta, D.alpha)
     assert fast[0] == [r.to_json() for r in fresh_block_conditions(D, tol)]
-    assert fast == _outcomes(split_blocks(D.assemble(), D.theta, D.alpha, M))
+    _assert_matches_assembled_copy(fast, D)
     if rows not in (None, "mixed") and M > _BAND_ROWS + 1:
         # That's sandwich deviates at rows k - 1 and k for each bump k
         assert [w[0] for w in fast[0][0]["witnesses"]] == \
@@ -233,17 +255,19 @@ def test_checks_on_views_equal_the_assembled_copy(M, pair, rows):
 def test_checks_on_payload_views_equal_the_assembled_copy(M, pair, mixed):
     """An operator read from its payload text holds four read-only views in
     the reader's geometry, and every report, verdict, symbol and residual
-    equals that of the operator it was written from and of its assembled
-    copy, bit for bit: as read, and with TCheck then written through its
-    name (three blocks still views)."""
+    equals that of the built operator it was written from, bit for bit,
+    and that of its assembled copy (_assert_matches_assembled_copy): as
+    read, and with TCheck then written through its name (three blocks still
+    views). Writing the text reads the blocks by name, so the built
+    operator is built anew to keep its views."""
+    R = _read_as_views(_view_backed(*VIEW_PAIRS[pair], M))
     D = _view_backed(*VIEW_PAIRS[pair], M)
-    R = _read_as_views(D)
     if mixed:
         _bump_tcheck_diagonal(D)
         _bump_tcheck_diagonal(R)
         assert not any(b.flags.writeable for b in R.blocks()[:3])
     fast = _outcomes(R)
-    assert fast == _outcomes(split_blocks(R.assemble(), R.theta, R.alpha, M))
+    _assert_matches_assembled_copy(fast, R)
     assert fast == _outcomes(D)
 
 
@@ -1048,6 +1072,132 @@ def test_banded_residual_is_the_assembled_one_to_the_bit(rebuilds):
     assert ("entries-overflow", False, True) in checked
 
 
+def _sequence_operator(values, theta, alpha):
+    """The operator whose block k is a read-only view of values[k], its
+    2M+1 values, in the payload reader's layout: Toeplitz strides (-s, s),
+    Hankel (s, s). A built operator's Toeplitz blocks are (s, -s)."""
+    values = np.array(values, dtype=np.complex128)
+    n = (values.shape[1] + 1) // 2
+    s = values.itemsize
+    views = [np.lib.stride_tricks.as_strided(row[n - 1:], (n, n), (-s, s), writeable=False)
+             if toeplitz else
+             np.lib.stride_tricks.as_strided(row, (n, n), (s, s), writeable=False)
+             for row, toeplitz in zip(values, characterize._TOEPLITZ)]
+    return BlockOperator._of_views(views, theta, alpha, n - 1, 0)
+
+
+def _sequence_pairs(M):
+    """(label, D, rebuilt) at depth M whose eight blocks all have their
+    slot's layout: the exact rebuild, a roundoff one, one sequence value of
+    one block bumped (a whole diagonal or antidiagonal of E), values whose
+    squares overflow, differences that overflow, and D read from its
+    payload text, whose Toeplitz strides are the reverse of the build's."""
+    theta, alpha = VIEW_PAIRS["blaschke"]
+    D = _view_backed(theta, alpha, M)
+    d = np.array([strided_sequence(b, t) for b, t in zip(D.blocks(), characterize._TOEPLITZ)])
+    noise = np.random.default_rng(M)
+    roundoff = d + 1e-15 * np.abs(d) * noise.standard_normal(d.shape)
+    bumped = d.copy()
+    bumped[M % 4, noise.integers(2 * M + 1)] += 1e-3
+    return [("exact", D, _view_backed(theta, alpha, M)),
+            ("roundoff", D, _sequence_operator(roundoff, theta, alpha)),
+            ("bumped", _sequence_operator(bumped, theta, alpha), D),
+            ("squares-overflow", _sequence_operator(np.full_like(d, 1e200 + 3e199j),
+                                                    theta, alpha), D),
+            ("differences-overflow", _sequence_operator(np.full_like(d, 1.5e308), theta, alpha),
+             _sequence_operator(np.full_like(d, -1.5e308), theta, alpha)),
+            ("payload", _read_as_views(_view_backed(theta, alpha, M)),
+             _sequence_operator(roundoff, theta, alpha))]
+
+
+@pytest.mark.parametrize("M", [0, 1, 2, 31, 32, 63, 64, 65, 256])
+def test_residual_from_the_sequences_matches_the_assembled_one(M, monkeypatch):
+    """Where all eight blocks have their slot's layout, the norm bracket
+    comes from window sums of the difference sequences, not from bands of
+    E: its ends lie within 2 (dim + 4) ulps of the assembled E's, they hold
+    the SVD value between them, the residual gives the oracle's verdict at
+    every tol and lies within the same ulps of the oracle's residual, and
+    tol at the SVD value returns the SVD value."""
+    def banded(*args):
+        raise AssertionError("the banded route ran")
+    monkeypatch.setattr(characterize, "_residual_bands", banded)
+    seen = set()
+    for label, D, rebuilt in _sequence_pairs(M):
+        with np.errstate(over="ignore", invalid="ignore"):
+            bracket = characterize._norm_bracket(D, rebuilt)
+            oracle = assembled_norm_bracket(D, rebuilt)
+            assert (bracket is None) == (oracle is None) == (label == "exact"), label
+            if bracket is not None:
+                assert all(_within_ulps(a, b, D.dim) for a, b in zip(bracket, oracle)), label
+            for tol in (1e-300, 1e-12, 1e300):
+                got = _certified_norm(D, rebuilt, tol)
+                want = assembled_certified_norm(D, rebuilt, tol)
+                assert (got <= tol) == (want <= tol), (label, tol)
+                assert _within_ulps(got, want, D.dim), (label, tol)
+                seen.add((label, got <= tol, np.isinf(got)))
+            if "overflow" in label or bracket is None:
+                continue
+            svd = float(np.linalg.norm(assembled_difference(D, rebuilt), 2))
+            assert bracket[0] <= svd <= bracket[1], label
+            assert _certified_norm(D, rebuilt, svd) == svd, label
+    assert {("exact", True, False), ("roundoff", True, False), ("bumped", False, False),
+            ("squares-overflow", False, False), ("differences-overflow", False, True)} <= seen
+
+
+def test_recovery_takes_the_banded_route_only_off_the_layout(monkeypatch, tmp_path, capsys):
+    """recover_symbol, both methods, on built operators and on operators
+    read from their payload text, and the CLI `recover` at M = 256, never
+    read E in bands; an operator with one block written through its name
+    does."""
+    calls = []
+    real = characterize._residual_bands
+    monkeypatch.setattr(characterize, "_residual_bands",
+                        lambda *args: calls.append(args) or real(*args))
+    theta, alpha = VIEW_PAIRS["blaschke"]
+    for M in (8, 31, 64, 65, 256):
+        for D in (build_dtto(theta, alpha, VIEW_SYMBOL, M),
+                  _read_as_views(build_dtto(theta, alpha, VIEW_SYMBOL, M))):
+            for method in ("zbar", "boundary"):
+                assert recover_symbol(D, method)[1] <= 1e-12
+    path = str(tmp_path / "op.json")
+    assert main(["build", "dtto", "--theta", '{"zeros": [[0.5, -0.3]]}',
+                 "--alpha", '{"zeros": [[0.2, 0.6], [-0.4, 0.0]]}',
+                 "--symbol", '{"coeffs": [[1, 1, 0], [-1, 2, 0]]}', "--M", "256",
+                 "--out", path]) == 0
+    for method in ("zbar", "boundary"):
+        assert main(["recover", path, "--method", method]) == 0
+    capsys.readouterr()
+    assert calls == []
+    D = build_dtto(theta, alpha, VIEW_SYMBOL, 64)
+    _bump_tcheck_diagonal(D)
+    for method in ("zbar", "boundary"):
+        recover_symbol(D, method)
+        assert len(calls) == 1
+        calls.clear()
+
+
+@pytest.mark.parametrize("block", [1, 2], ids=["GammaCheck", "GammaHat"])
+def test_a_nan_in_a_block_gives_a_nan_residual(block, monkeypatch):
+    """A NaN behind a Hankel block, which neither recovery reads for its
+    symbol, makes the residual NaN with both methods, on the view and on
+    owned copies, and the SVD, which would not converge, never runs."""
+    spectral = []
+    real_norm = np.linalg.norm
+    monkeypatch.setattr(np.linalg, "norm", lambda x, ord=None, *args, **kwargs:
+                        (ord == 2 and spectral.append(x.shape))
+                        or real_norm(x, ord, *args, **kwargs))
+    theta, alpha = VIEW_PAIRS["blaschke"]
+    D = build_dtto(theta, alpha, VIEW_SYMBOL, 12)
+    D.blocks()[block].base[5] = np.nan
+    owned = BlockOperator._of_views([np.array(b) for b in D.blocks()], theta,
+                                    alpha, 12, D.edge)
+    for op in (D, owned):
+        for method in ("zbar", "boundary"):
+            with np.errstate(invalid="ignore"):
+                assert np.isnan(recover_symbol(op, method)[1])
+    assert spectral == []
+
+
 def _traced_peak(f):
     """f's result and the peak of memory it allocates, on its second call
     (the first fills the expansion caches)."""
@@ -1067,14 +1217,28 @@ def _peak_case(M=256):
 
 
 def test_boundary_recovery_holds_one_band_of_the_residual():
-    """The boundary recovery holds one residual band of at most _BAND_ROWS
-    rows and a rebuild of four block views: peak measured 1.6 MB at
-    M = 256, against 5.6 MB when the rebuild copied its four blocks and
-    12.8 MB when the whole residual E, |E| and |E|^2 were assembled."""
-    D = build_dtto(*_peak_case())
+    """On owned blocks, which take the banded route, the boundary recovery
+    holds one residual band of at most _BAND_ROWS rows and a rebuild of
+    four block views: peak measured 1.49 MB at M = 256, against 5.6 MB
+    when the rebuild copied its four blocks and 12.8 MB when the whole
+    residual E, |E| and |E|^2 were assembled."""
+    theta, alpha, phi, M = _peak_case()
+    D = BlockOperator(*(np.array(b) for b in build_dtto(theta, alpha, phi, M).blocks()),
+                      theta, alpha, M)
     (_, residual), peak = _traced_peak(lambda: recover_symbol(D, "boundary"))
     assert 0.0 < residual <= 1e-12
     assert peak < 6e6
+
+
+def test_boundary_recovery_reads_the_difference_sequences():
+    """On a built operator the boundary recovery takes its norm bracket
+    from the four difference sequences and holds no band of the residual:
+    peak measured 0.30 MB at M = 256, against 1.6 MB on the banded route."""
+    D = build_dtto(*_peak_case())
+    (_, residual), peak = _traced_peak(lambda: recover_symbol(D, "boundary"))
+    assert 0.0 < residual <= 1e-12
+    assert peak < 0.4e6
+    assert not any(b.flags.writeable for b in D.blocks())
 
 
 # numpy's ufunc buffers for two strided operands: a fixed size, not O(M^2)
@@ -1124,9 +1288,9 @@ def test_build_holds_no_block():
 def test_deep_pipeline_copies_no_block():
     """check_adtto, check_block_conditions, both recoveries and
     is_analytic_adtto on a built operator, in the deep benchmark's order,
-    read the blocks as views and rebuild from views: peak measured 1.62 MB
-    at M = 256, against 5.55 MB when the blocks and each rebuild were
-    copied."""
+    read the blocks as views and rebuild from views: peak measured 0.30 MB
+    at M = 256, against 1.62 MB while the boundary residual was read in
+    bands and 5.55 MB when the blocks and each rebuild were copied."""
     D = build_dtto(*_peak_case())
 
     def deep():
@@ -1147,7 +1311,7 @@ def test_checks_on_a_built_operator_read_the_sequences(check):
     """On a built operator at M = 400 the block conditions, the coupling
     and the zbar recovery residual come from the 2M+1 values of each block,
     and the shift check from the same test: each peak stays below 0.25 MB
-    (measured 0.015, 0.08, 0.12 and 0.015 MB), against 0.87, 0.92, 2.1 and
+    (measured 0.016, 0.08, 0.17 and 0.015 MB), against 0.87, 0.92, 2.1 and
     21 MB on the banded and assembled routes they replace."""
     D = build_dtto(*_peak_case(400))
     _, peak = _traced_peak(lambda: check(D))
