@@ -44,12 +44,8 @@ class FiniteRankOperator:
     def __init__(self, dyads):
         self.dyads = tuple((f, g) for f, g in dyads)
 
-    @property
-    def rank_bound(self) -> int:
-        return len(self.dyads)
-
     def __repr__(self):
-        return f"FiniteRankOperator(rank<={self.rank_bound})"
+        return f"FiniteRankOperator(rank<={len(self.dyads)})"
 
 
 def _bases(T) -> tuple[OrthonormalBasis, OrthonormalBasis]:

@@ -91,14 +91,6 @@ class OrthonormalBasis:
             self._stack_cache = cached
         return cached
 
-    def gram(self) -> np.ndarray:
-        V = self.stacked()
-        return V @ V.conj().T
-
-    def gram_defect(self) -> float:
-        g = self.gram()
-        return float(np.max(np.abs(g - np.eye(self.dim)), initial=0.0))
-
     # -- coefficient slices of the complement section ------------------------
 
     def _is_section(self) -> bool:
@@ -189,10 +181,6 @@ class OrthonormalBasis:
         component outside the span: the batch of one."""
         X, defects, _ = self.coords_and_defects([f])
         return X[0], float(defects[0])
-
-    def membership_defect(self, f: LaurentPolynomial) -> float:
-        """Norm of the component of f outside the span."""
-        return self.coords_and_defect(f)[1]
 
     def __repr__(self) -> str:
         return f"OrthonormalBasis({self.label!r}, dim={self.dim})"

@@ -20,14 +20,16 @@ themselves exact on the section:
 
 Each block is a Toeplitz or Hankel matrix in 2M+1 values. Where a block is
 laid out so in memory (a built operator's views, a payload read as views),
-the block conditions, the shift check and `tcheck-coupling` are read from
-those values in O(M); any other block's residual is taken in bands of
-_BAND_ROWS rows. Both routes give the report of the whole residual bit for
-bit. The recovery residual's norm bracket comes from window sums of the
-four difference sequences when all eight blocks of the operator and of its
-rebuild are laid out so, and from bands of the residual otherwise; the two
-add their sums in other orders, so the bracket's ends differ in the last
-ulps, and the verdict never does.
+the block conditions and `tcheck-coupling` are read from those values in
+O(M); any other block's residual is taken in bands of _BAND_ROWS rows. Both
+routes give the report of the whole residual bit for bit. The shift check
+on a section takes the block conditions so, each transposed and placed in
+[[That, GammaHat], [GammaCheck, TCheck]] at (0, 0), (0, M), (M, 0), (M, M),
+ties in row-major order of that layout. The recovery residual's norm
+bracket comes from window sums of the four difference sequences when all
+eight blocks of the operator and of its rebuild are laid out so, and from
+bands of the residual otherwise; the two add their sums in other orders,
+so the bracket's ends differ in the last ulps, and the verdict never does.
 
 Membership is decided by defect thresholds, never symbolically; reports
 carry raw defects so thresholds can be re-audited.
@@ -192,25 +194,35 @@ def shift_invariance_defect(op: BlockOperator | DenseComplexMatrix, *,
     the admissible vectors f of the domain and g of the codomain.
 
     On the complement sections z f is again a section vector, so the
-    deviations are |the four block residuals of check_block_conditions| in
-    block layout, indexed by admissible pairs. On model spaces, with (S, X)
-    and (T, Y) the compressed shifts of domain and codomain, they are the
-    entries of |P_alpha (T^H A S - A) P_theta|^T, where P_alpha = Y Y^H and
-    P_theta = X X^H project onto the admissible coordinates: no choice of
-    the orthonormal X or Y changes them, and the witnesses index
-    Takenaka-Malmquist basis vectors.
+    deviations are |the four block residuals of check_block_conditions|,
+    each transposed, laid out as [[That, GammaHat], [GammaCheck, TCheck]] at
+    offsets (0, 0), (0, M), (M, 0), (M, M) and indexed by admissible pairs.
+    Each block is reported as its condition is (_block_reports): the defect
+    is the largest of the four and the witnesses the top 3 of theirs, ties
+    in row-major order of the layout, which an offset keeps within a block.
+    On model spaces, with (S, X) and (T, Y) the compressed shifts of domain
+    and codomain, they are the entries of |P_alpha (T^H A S - A) P_theta|^T,
+    where P_alpha = Y Y^H and P_theta = X X^H project onto the admissible
+    coordinates: no choice of the orthonormal X or Y changes them, and the
+    witnesses index Takenaka-Malmquist basis vectors.
     """
-    if isinstance(op, BlockOperator):
-        if all(map(_self_paired, _sequences(op))):
-            return DefectReport("shift-invariance", 0.0,
-                                _tolerance(tol, op.theta, op.alpha), [])
-        residual = np.block(_shift_residuals(op))
-    else:
+    if not isinstance(op, BlockOperator):
         S, X = compressed_shift(op.domain_basis())
         T, Y = compressed_shift(op.codomain_basis())
         A = op.entries
         residual = Y @ (Y.conj().T @ (T.conj().T @ A @ S - A) @ X) @ X.conj().T
-    return _report("shift-invariance", residual.T, _tolerance(tol, op.theta, op.alpha))
+        return _report("shift-invariance", residual.T, _tolerance(tol, op.theta, op.alpha))
+    tol, M = _tolerance(tol, op.theta, op.alpha), op.M
+    # block k = 2r + c of _shift_terms, transposed, sits at (c M, r M)
+    terms = [(a.T, b.T) for row in _shift_terms(op) for a, b in row]
+    reports = _block_reports(op, tol, [("shift-invariance", k, pair)
+                                       for k, pair in enumerate(terms)])
+    witnesses = sorted(((i + k % 2 * M, j + k // 2 * M, w)
+                        for k, report in enumerate(reports)
+                        for i, j, w in report.witnesses),
+                       key=lambda w: (-w[2], w[0], w[1]))
+    defect = float(np.max([report.defect for report in reports]))
+    return DefectReport("shift-invariance", defect, tol, witnesses[:3])
 
 
 class ShiftInvariantSolution(NamedTuple):
@@ -273,9 +285,18 @@ def _shift_terms(D: BlockOperator) -> list[list[tuple[np.ndarray, np.ndarray]]]:
             [(gh[:-1, 1:], gh[1:, :-1]), (tc[:-1, :-1], tc[1:, 1:])]]
 
 
-def _shift_residuals(D: BlockOperator) -> list[list[np.ndarray]]:
-    """<D(z f), z g> - <D f, g> in the layout of _shift_terms."""
-    return [[a - b for a, b in row] for row in _shift_terms(D)]
+def _block_reports(D: BlockOperator, tol: float, checks) -> list[DefectReport]:
+    """The report of each (condition, k, (a, b)) of checks, a - b the
+    structure residual of block k (_sequences order), maybe transposed. A
+    _self_paired block, its residual x - x at every cell, reports 0.0 and
+    no witnesses without reading a cell; any other block's residual and
+    modulus go in bands through one pair of _band_buffers, allocated only
+    when some block takes them: no (M, M) array is made."""
+    exact = list(map(_self_paired, _sequences(D)))
+    buffers = None if all(exact) else _band_buffers(D.M)
+    return [DefectReport(condition, 0.0, tol, []) if exact[k]
+            else _band_report(condition, a, b, tol, buffers)
+            for condition, k, (a, b) in checks]
 
 
 def check_block_conditions(D: BlockOperator, *,
@@ -285,24 +306,14 @@ def check_block_conditions(D: BlockOperator, *,
     shifts. Each residual is an exact entrywise identity; the sandwich drops
     the outermost row/column. GammaCheck's is indexed like GammaCheck^H and
     taken from the transposed slices, so it lands row-major. The blocks are
-    read as held (BlockOperator.blocks).
-
-    A block laid out in memory as its identity needs, with finite values
-    (_self_paired), reports 0.0 and no witnesses without reading a cell:
-    its residual is x - x at every cell, as a block_views view or a
-    payload read as views gives. Any other block's residual and its
-    modulus are taken in bands of _BAND_ROWS rows through one pair of
-    buffers that those residuals share: no (M, M) array is made."""
+    read as held (BlockOperator.blocks), each block with a residual of
+    exact zeros or in bands (_block_reports)."""
     tol = _tolerance(tol, D.theta, D.alpha)
     [[t1, (a4, b4)], [t3, t2]] = _shift_terms(D)
-    exact = list(map(_self_paired, _sequences(D)))
-    buffers = None if all(exact) else _band_buffers(D.M)
-    return [DefectReport(condition, 0.0, tol, []) if exact[k]
-            else _band_report(condition, a, b, tol, buffers)
-            for condition, k, (a, b) in (("that-shift-sandwich", 0, t1),
-                                         ("tcheck-shift-sandwich", 3, t2),
-                                         ("gammahat-intertwine", 2, t3),
-                                         ("gammacheck-intertwine", 1, (a4.T, b4.T)))]
+    return _block_reports(D, tol, (("that-shift-sandwich", 0, t1),
+                                   ("tcheck-shift-sandwich", 3, t2),
+                                   ("gammahat-intertwine", 2, t3),
+                                   ("gammacheck-intertwine", 1, (a4.T, b4.T))))
 
 
 # -- full membership ----------------------------------------------------------
@@ -319,8 +330,8 @@ def _zbar_symbol(D: BlockOperator) -> SymbolFunction:
 
 def _merged(condition: str, *reports: DefectReport) -> DefectReport:
     """One or more reports as one under a new name: the defect and the
-    witnesses of the report with the largest defect, the first on a tie."""
-    worst = max(reports, key=lambda rep: rep.defect)
+    witnesses of the first NaN report, else of the first largest defect."""
+    worst = reports[int(np.argmax([rep.defect for rep in reports]))]
     return DefectReport(condition, worst.defect, worst.tolerance, worst.witnesses)
 
 

@@ -23,9 +23,13 @@ block's entries at an integer array of its degrees, the route
 reads strided views; `fresh_block_conditions` allocates each whole block
 residual anew where the library takes it in bands through one buffer, and
 `sparse_to_json` is a polynomial's payload through its sparse coefficient
-dict. Two helpers have no library counterpart and serve the tests only:
-`adjoint`, the block operator of D^H, and `verify_inner`, which samples
-|B| on the circle from the rational form or a truncated expansion.
+dict. `dense_shift_invariance_defect` is the shift check on a section
+from the four block residuals (`_shift_residuals`) assembled by np.block
+and transposed whole. Four helpers have no library counterpart and serve
+the tests only: `adjoint`, the block operator of D^H; `verify_inner`,
+which samples |B| on the circle from the rational form or a truncated
+expansion; and `gram_defect` and `membership_defect`, how far a basis is
+from orthonormal and a polynomial from its span.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ import numpy as np
 from msolab.annihilate import MEMBERSHIP_TOL, FiniteRankOperator
 from msolab.bases import OrthonormalBasis
 from msolab.characterize import (AnalyticVerdict, DefectReport, _report,
-                                 _shift_residuals, _zbar_symbol,
+                                 _shift_terms, _zbar_symbol,
                                  default_tolerance)
 from msolab.errors import DimensionError, InputError
 from msolab.inner import (BlaschkeProduct, _expand_cached, expand,
@@ -119,6 +123,18 @@ def gather_build_dtto(theta: BlaschkeProduct, alpha: BlaschkeProduct, phi,
                          edge=SymbolFunction.parse(phi).reach)
 
 
+def _shift_residuals(D: BlockOperator) -> list[list[np.ndarray]]:
+    """<D(z f), z g> - <D f, g> in the layout of characterize._shift_terms,
+    each block residual a new array."""
+    return [[a - b for a, b in row] for row in _shift_terms(D)]
+
+
+def dense_shift_invariance_defect(D: BlockOperator, tol: float) -> DefectReport:
+    """shift_invariance_defect on a block operator from the four block
+    residuals assembled by np.block and transposed whole."""
+    return _report("shift-invariance", np.block(_shift_residuals(D)).T, tol)
+
+
 def fresh_block_conditions(D: BlockOperator, tol: float) -> list[DefectReport]:
     """check_block_conditions with a new residual and modulus per condition,
     GammaCheck's transposed after the subtraction."""
@@ -146,6 +162,17 @@ def gather_zbar_predictions(D: BlockOperator, phi_z: SymbolFunction):
 def sparse_to_json(p: LaurentPolynomial) -> dict:
     """LaurentPolynomial.to_json through the sparse coefficient dict."""
     return {"coeffs": [[k, *write_complex(c)] for k, c in sorted(p.coeffs.items())]}
+
+
+def gram_defect(basis) -> float:
+    """Largest entry of |V V^H - I| over the stacked basis vectors V."""
+    V = basis.stacked()
+    return float(np.max(np.abs(V @ V.conj().T - np.eye(basis.dim)), initial=0.0))
+
+
+def membership_defect(basis, f: LaurentPolynomial) -> float:
+    """Norm of the component of f outside the span of the basis."""
+    return basis.coords_and_defect(f)[1]
 
 
 def dense_coords(basis, f: LaurentPolynomial) -> np.ndarray:

@@ -179,7 +179,7 @@ def test_representer_hand_examples():
     t0 = represent_functional(one(), Z2, Z2)
     assert [(f.coeffs, g.coeffs) for f, g in t0.dyads] == [
         ({4: (1 + 0j)}, {4: (1 + 0j)})]
-    assert represent_functional(LaurentPolynomial(), Z2, Z2).rank_bound == 0
+    assert represent_functional(LaurentPolynomial(), Z2, Z2).dyads == ()
 
 
 def test_representer_reproduces_moments(rng):

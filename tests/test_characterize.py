@@ -219,6 +219,21 @@ def test_merged_conditions_take_the_witnesses_of_the_larger_residual():
     assert check_adtto(D).reports[1].witnesses == []
 
 
+@pytest.mark.parametrize("name", ["that", "gamma_check", "gamma_hat", "t_check"])
+def test_a_nan_written_through_a_name_fails_the_membership_test(name):
+    """A NaN in any block makes a merged report NaN, never a finite report
+    of another residual, so check_adtto fails: the block conditions, which
+    report the NaN, and the membership test agree."""
+    D = build_dtto(BlaschkeProduct([0.4 - 0.2j, 0.1j]), BlaschkeProduct([0.6]),
+                   LaurentPolynomial({-2: .5, 0: 1, 3: -1j}), 20)
+    assert check_adtto(D).passed
+    getattr(D, name)[5, 5] = np.nan
+    assert not all(r.passed for r in check_block_conditions(D))
+    verdict = check_adtto(D)
+    assert not verdict.passed
+    assert any(np.isnan(r.defect) for r in verdict.reports)
+
+
 def test_membership_discriminates_small_perturbations(rng):
     D = build_dtto(Z2, Z2, LaurentPolynomial({1: 1, -1: 2}), 10)
     n = 2 * (D.M + 1)

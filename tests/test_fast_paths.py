@@ -40,12 +40,14 @@ from msolab.suites import random_inner, random_symbol
 from conftest import dense_noise_operator, random_poly
 from oracles import (assembled_certified_norm, assembled_difference,
                      assembled_norm_bracket, dense_coords,
-                     dense_coords_and_defect, dense_reconstruct, dtto_sequences,
+                     dense_coords_and_defect, dense_reconstruct,
+                     dense_shift_invariance_defect, dtto_sequences,
                      fresh_block_conditions, gather_build_dtto,
                      gather_shift_invariance_defect, gather_zbar_predictions,
                      indexed_gen_M, loop_pair,
                      loop_shift_invariance_defect,
-                     loop_shift_system, pairing_build_dtto, poly_corner_consistency,
+                     loop_shift_system, membership_defect, pairing_build_dtto,
+                     poly_corner_consistency,
                      pairing_build_tto, poly_is_analytic_adtto,
                      poly_recover_boundary,
                      poly_zbar_symbol, svd_admissible_for_shift,
@@ -347,9 +349,10 @@ def test_a_payload_with_a_hankel_that_takes_the_banded_route(monkeypatch):
                         lambda condition, *args: banded.append(condition)
                         or _band_report(condition, *args))
     fast = _outcomes(R)
-    # the swapped GammaCheck is Toeplitz, so its intertwining is banded too
-    assert sorted(set(banded)) == ["gammacheck-intertwine", "tcheck-coupling",
-                                   "that-shift-sandwich"]
+    # the swapped GammaCheck is Toeplitz, so its intertwining is banded too,
+    # and the shift check bands the same two blocks
+    assert sorted(set(banded)) == ["gammacheck-intertwine", "shift-invariance",
+                                   "tcheck-coupling", "that-shift-sandwich"]
     assert not fast[0][0]["pass"]
     assert fast == _outcomes(split_blocks(R.assemble(), R.theta, R.alpha, R.M))
 
@@ -470,9 +473,9 @@ def test_section_slices_match_dense_stack(theta, M, rng):
         x_slow, d_slow = dense_coords_and_defect(basis, f)
         np.testing.assert_allclose(x_fast, x_slow, rtol=0, atol=ORACLE_TOL)
         assert d_fast == pytest.approx(d_slow, rel=1e-9, abs=ORACLE_TOL)
-    assert basis.membership_defect(rebuilt) <= 1e-12
+    assert membership_defect(basis, rebuilt) <= 1e-12
     for v in outside:
-        assert basis.membership_defect(rebuilt + v.scale(1e-6)) == \
+        assert membership_defect(basis, rebuilt + v.scale(1e-6)) == \
             pytest.approx(1e-6 * v.norm(), rel=1e-6)
 
 
@@ -779,19 +782,62 @@ def _structured_variants(M):
     return D, perturbed, ties
 
 
-@pytest.mark.parametrize("M", [0, 1, 2, 14, 64])
+def _assert_shift_oracles(op, tol=None):
+    """shift_invariance_defect on op equals, in its JSON repr, the gather
+    from the assembled matrix and the four block residuals assembled by
+    np.block and transposed whole; returns the report."""
+    fast = shift_invariance_defect(op, tol=tol)
+    for slow in (gather_shift_invariance_defect(op, fast.tolerance),
+                 dense_shift_invariance_defect(op, fast.tolerance)):
+        assert repr(fast.to_json()) == repr(slow.to_json())
+    return fast
+
+
+@pytest.mark.parametrize("M", [0, 1, 2, 14, 31, 32, 63, 64, 65, 256])
 def test_block_shift_defect_equals_the_gather_oracle(M):
-    """The four block residuals give the same defect and witnesses, bit for
-    bit, as the gather from the assembled matrix: on a built operator, on
-    one with dense noise, and on integer blocks, whose deviations tie."""
-    variants = _structured_variants(M)
-    D = variants[0]
-    for op in variants:
-        fast = shift_invariance_defect(op)
-        slow = gather_shift_invariance_defect(op, fast.tolerance)
-        assert fast.defect == slow.defect and fast.witnesses == slow.witnesses
-        assert bool(fast.witnesses) == (op is not D and M > 0)
+    """The four block reports give the same defect and witnesses, bit for
+    bit, as the gather from the assembled matrix and the np.block layout:
+    on a built operator, on one read back from its payload as views, on
+    owned copies of its blocks, on one with dense noise, and on integer
+    blocks, whose deviations tie; at the default tolerance and at 0.5."""
+    D, perturbed, ties = _structured_variants(M)
+    built = _view_backed(*VIEW_PAIRS["blaschke"], M)
+    for op, noisy in ((D, False), (built, False), (_read_as_views(built), False),
+                      (perturbed, True), (ties, True)):
+        assert bool(_assert_shift_oracles(op).witnesses) == (noisy and M > 0)
+        _assert_shift_oracles(op, 0.5)
     assert shift_invariance_defect(D).defect == 0.0
+
+
+def test_block_shift_ties_cross_blocks_and_band_edges():
+    """Equal deviations in all four blocks, several on rows and columns 63
+    to 65 about the band edge: the witnesses are the first three of the
+    whole layout in row-major order, wherever the blocks put them."""
+    M = 130
+    zero = np.zeros((M + 1, M + 1), dtype=np.complex128)
+    cells = [((64, 64), (130, 0)), ((65, 2), (63, 64)), ((2, 65), (64, 0)),
+             ((0, 64), (64, 63))]
+    blocks = [zero.copy() for _ in range(4)]
+    for block, block_cells in zip(blocks, cells):
+        for cell in block_cells:
+            block[cell] = 2.0
+    op = BlockOperator(*blocks, *VIEW_PAIRS["blaschke"], M)
+    fast = _assert_shift_oracles(op)
+    assert [w[2] for w in fast.witnesses] == [2.0] * 3
+    # the three witnesses come from more than one block of the layout
+    assert len({(i // M, j // M) for i, j, _ in fast.witnesses}) > 1
+
+
+@pytest.mark.parametrize("name", ["that", "gamma_check", "gamma_hat", "t_check"])
+def test_a_nan_in_a_block_is_the_shift_defect(name):
+    """A NaN written through a block's name makes the shift defect NaN on
+    every route; the witnesses are those of the other, finite entries."""
+    D = build_dtto(*VIEW_PAIRS["blaschke"], VIEW_SYMBOL, 70)
+    block = getattr(D, name)
+    block[5, 5] = np.nan
+    block[40, 3] += 1e-3
+    fast = _assert_shift_oracles(D)
+    assert np.isnan(fast.defect) and not fast.passed and fast.witnesses
 
 
 @pytest.mark.parametrize("M", [0, 1, 2, 14, 64])
@@ -1259,14 +1305,15 @@ def test_build_holds_its_four_blocks_and_sequences():
     assert peak <= 4 * n * n * 16 + n * n + 16 * (2 * M + 1) * 16
 
 
-@pytest.mark.parametrize("check", [check_block_conditions, check_adtto],
-                         ids=["blocks", "adtto"])
+@pytest.mark.parametrize("check", [check_block_conditions, check_adtto,
+                                   shift_invariance_defect],
+                         ids=["blocks", "adtto", "shift"])
 def test_checks_hold_one_residual_beyond_the_operator(check):
     """Beyond D a check on owned blocks, which take the banded route, holds
     one band of a complex residual, its modulus and the mask of entries
     above tol: peak measured 0.66 MB at M = 256, against 1.84 MB for one
-    whole residual buffer and 5.31 MB when every block residual and modulus
-    was a new array."""
+    whole residual buffer, 5.31 MB when every block residual and modulus
+    was a new array, and 12.6 MB for the shift check's np.block layout."""
     theta, alpha, phi, M = _peak_case()
     n = M + 1
     D = BlockOperator(*(np.array(b) for b in build_dtto(theta, alpha, phi, M).blocks()),

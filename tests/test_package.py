@@ -165,6 +165,23 @@ def test_only_operators_and_criterion_7_read_assemble():
     assert _readers("assemble") == ["operators.py", "suites.py"]
 
 
+def test_only_the_certified_norms_svd_assembles_with_np_block():
+    """Every check reads a residual block by block, in bands or from the
+    sequences; np.block appears once, in the SVD fallback of
+    characterize._certified_norm, which needs E whole."""
+    package = Path(msolab.__file__).parent
+    uses = [(path.name, n.lineno) for path in sorted(package.glob("*.py"))
+            for n in ast.walk(ast.parse(path.read_text()))
+            if isinstance(n, ast.Attribute) and n.attr == "block"
+            and isinstance(n.value, ast.Name) and n.value.id in ("np", "numpy")]
+    tree = ast.parse((package / "characterize.py").read_text())
+    norm = next(n for n in ast.walk(tree)
+                if isinstance(n, ast.FunctionDef) and n.name == "_certified_norm")
+    assert len(uses) == 1
+    assert uses[0][0] == "characterize.py"
+    assert norm.lineno <= uses[0][1] <= norm.end_lineno
+
+
 def test_only_spaces_and_criterion_4_read_section_shift_index():
     """spaces defines where the shift moves the section vectors and
     criterion 4 builds its system from that map; the shift check reads the
