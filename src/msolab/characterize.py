@@ -586,7 +586,10 @@ def recover_symbol(D: BlockOperator, method: str = "zbar", *,
     bracket is conj(That[0, 0]), so the formula is conj(theta) alpha w with
     w = w+ + w- - That[0, 0]: That[:, 0] at degrees 0..M, That[0, j] at
     degree -j and g outside [-M, M]. conj(theta) alpha is the conjugate of
-    theta conj(alpha), so the branch forms three products.
+    theta conj(alpha), so the branch forms three products. theta and alpha
+    are expanded to one shared reach, at least 2M + 4, and each stops at
+    its floor degree (msolab.inner), so g and w end where their
+    coefficients fall below roundoff.
     """
     if method not in ("zbar", "boundary"):
         raise InputError(f"unknown recovery method {method!r}")
@@ -601,7 +604,8 @@ def recover_symbol(D: BlockOperator, method: str = "zbar", *,
     if method == "zbar":
         symbol = phi_z
     else:
-        # theta and alpha expanded to one shared degree
+        # theta and alpha expanded to one shared reach, each cut at its
+        # floor degree
         n_shared = max(expansion_degree(D.theta, 2 * M + 4),
                        expansion_degree(D.alpha, 2 * M + 4))
         th_al_bar = multiply(expand(D.theta, n_shared),

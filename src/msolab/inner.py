@@ -7,9 +7,13 @@ need an explicit opt-in because the expansion degree required for a given
 tail cap grows like log(eps)/log(rho).
 
 The only approximation in the package is where the power series of a
-product is cut off, and `expand` is the one rule that decides it: every
-expansion reaches the degree its caller needs and at least the degree
-whose geometric tail bound meets DEFAULT_TAIL_CAP.
+product is cut off, and `expand` is the one rule that decides it: an
+expansion reaches the degree its caller needs, at least `cap_degree`
+(where the geometric tail bound meets DEFAULT_TAIL_CAP) and at most
+`floor_degree` (where the tail's L2 mass is below TAIL_FLOOR). Past the
+floor a coefficient of a product f * B moves by at most ||f||_2 TAIL_FLOOR
+(Cauchy-Schwarz), 13 orders below ulp(1), so a longer expansion only adds
+arithmetic on values below roundoff, many of them subnormal.
 """
 
 from __future__ import annotations
@@ -27,9 +31,12 @@ from .laurent import MAX_DEGREE, LaurentPolynomial
 from .payload import read_complex, read_typed, write_complex
 
 DEFAULT_TAIL_CAP = 1e-13
+# L2 mass of a tail that no coefficient of a product can feel: the tail cap
+# scaled by the unit roundoff of a float
+TAIL_FLOOR = float(np.finfo(np.float64).eps) * DEFAULT_TAIL_CAP
 RHO_SOFT_LIMIT = 0.95
-# margin added to the tail-derived expansion degree; keeps roundoff in the
-# discarded range even when zeros cluster
+# margin added to the degree where the geometric tail bound is met; the
+# bound leaves out the polynomial factor of clustered zeros (tail_bound_at)
 _DEGREE_MARGIN = 8
 # Largest expansion degree an inner function may need at the default tail
 # cap. A zero of modulus 0.999 needs 36,832 coefficients and is accepted;
@@ -44,10 +51,13 @@ class BlaschkeProduct:
     Zero order is preserved (it fixes the Takenaka-Malmquist basis order and
     hence every matrix downstream). Instances are immutable and hashable.
     `cap_degree` is the smallest expansion degree whose tail bound meets
-    DEFAULT_TAIL_CAP.
+    DEFAULT_TAIL_CAP, and `floor_degree` a degree past which the tail's L2
+    mass is at most TAIL_FLOOR, never below `cap_degree`; both equal the
+    degree for a monomial, whose expansion is exact.
     """
 
-    __slots__ = ("zeros", "constant", "allow_near_boundary", "cap_degree", "_key")
+    __slots__ = ("zeros", "constant", "allow_near_boundary", "cap_degree",
+                 "floor_degree", "_key")
 
     def __init__(self, zeros, constant: complex = 1.0, *,
                  allow_near_boundary: bool = False):
@@ -74,16 +84,15 @@ class BlaschkeProduct:
         # caches never hand back a product that encodes differently
         object.__setattr__(self, "_key",
                            np.array([*zeros, constant], dtype=np.complex128).tobytes())
-        rho, degree = self.rho, self.degree
-        if rho > 0.0:
-            n = degree + math.ceil(math.log(DEFAULT_TAIL_CAP * (1.0 - rho) / degree)
-                                   / math.log(rho))
-            degree = max(n, degree) + _DEGREE_MARGIN
-        object.__setattr__(self, "cap_degree", degree)
+        degree = _geometric_degree(self, DEFAULT_TAIL_CAP)
         if degree > MAX_EXPANSION_DEGREE:
             raise InputError(
                 f"zeros up to modulus {self.rho} need expansion degree {degree}, "
                 f"above the cap MAX_EXPANSION_DEGREE={MAX_EXPANSION_DEGREE}")
+        object.__setattr__(self, "cap_degree", degree)
+        object.__setattr__(self, "floor_degree",
+                           max(_geometric_degree(self, TAIL_FLOOR),
+                               _parseval_degree(self, TAIL_FLOOR)))
 
     def __setattr__(self, name, value):
         raise AttributeError("BlaschkeProduct is immutable")
@@ -107,7 +116,11 @@ class BlaschkeProduct:
         return value
 
     def tail_bound_at(self, n: int) -> float:
-        """Geometric bound on the L2 mass of the expansion beyond degree n."""
+        """Geometric bound on the L2 mass of the expansion beyond degree n.
+
+        It holds at the decay rate of distinct zeros; zeros that repeat or
+        cluster add a polynomial factor that it does not carry, so
+        `floor_degree` also takes the Parseval bound of `_parseval_degree`."""
         rho = self.rho
         if rho == 0.0:
             return 0.0
@@ -167,6 +180,40 @@ class BlaschkeProduct:
         raise InputError(f"cannot parse inner function spec {spec!r}")
 
 
+def _geometric_degree(B: BlaschkeProduct, bound: float) -> int:
+    """The smallest n with B.tail_bound_at(n) <= bound, plus _DEGREE_MARGIN;
+    the degree itself for a monomial."""
+    rho, degree = B.rho, B.degree
+    if rho == 0.0:
+        return degree
+    n = degree + math.ceil(math.log(bound * (1.0 - rho) / degree) / math.log(rho))
+    return max(n, degree) + _DEGREE_MARGIN
+
+
+def _parseval_degree(B: BlaschkeProduct, bound: float) -> int:
+    """A degree n past which the tail of B has L2 mass at most bound, for any
+    zeros, repeated ones included.
+
+    On the circle |z| = R with 1 < R < 1/rho each factor has modulus at most
+    (R + |a|)/(1 - |a| R), so by Parseval the tail past n has L2 mass at
+    most R^-(n+1) prod (R + |a|)/(1 - |a| R). R = rho^(s-1) with s =
+    deg B / -log(bound) sits near the radius that minimises that bound for
+    the n it gives. Logarithms keep every zero modulus, subnormal ones
+    included, in range."""
+    moduli = [abs(a) for a in B.zeros]
+    rho, degree = B.rho, B.degree
+    if rho == 0.0:
+        return degree
+    s = min(0.5, degree / -math.log(bound))
+    log_r = (s - 1.0) * math.log(rho)
+    # log((R + m)/(1 - m R)) = log R + log1p(m / R) - log1p(-m R), with
+    # m / R = m rho^(1-s) and m R = (m / rho) rho^s: no power of R is formed
+    below, above = rho ** (1.0 - s), rho ** s
+    log_p = degree * log_r + sum(math.log1p(m * below) - math.log1p(-(m / rho) * above)
+                                 for m in moduli)
+    return max(math.ceil((log_p - math.log(bound)) / log_r) - 1, degree)
+
+
 def _check_degree(degree: int) -> None:
     if degree > MAX_DEGREE:
         raise InputError(f"{degree} zeros exceed the cap MAX_DEGREE={MAX_DEGREE}")
@@ -192,16 +239,22 @@ def _expand_cached(B: BlaschkeProduct, n: int) -> LaurentPolynomial:
 
 
 def expansion_degree(B: BlaschkeProduct, reach: int) -> int:
-    """The degree `expand(B, reach)` expands to: reach, or more where the
-    geometric tail bound needs it to meet DEFAULT_TAIL_CAP."""
-    return max(int(reach), B.cap_degree)
+    """The degree `expand(B, reach)` expands to: reach, raised to
+    B.cap_degree where the geometric tail bound needs it to meet
+    DEFAULT_TAIL_CAP, and cut to B.floor_degree, past which the tail is
+    below TAIL_FLOOR."""
+    return min(max(int(reach), B.cap_degree), B.floor_degree)
 
 
 def expand(B: BlaschkeProduct, reach: int = 0) -> LaurentPolynomial:
     """Power-series coefficients c_0..c_n of B with band [0, n], for
-    n = expansion_degree(B, reach): every coefficient up to degree reach,
-    and a discarded tail of L2 mass at most B.tail_bound_at(n) <=
-    DEFAULT_TAIL_CAP."""
+    n = expansion_degree(B, reach): every coefficient up to degree
+    min(reach, B.floor_degree). The discarded tail has L2 mass at most
+    B.tail_bound_at(n) <= DEFAULT_TAIL_CAP where the zeros do not cluster,
+    and at most TAIL_FLOOR for any zeros where the reach passes the floor:
+    there a coefficient of a product f * expand(B, reach) differs from the
+    one with the series taken to degree reach by at most ||f||_2
+    TAIL_FLOOR."""
     return _expand_cached(B, expansion_degree(B, reach))
 
 

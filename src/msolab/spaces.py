@@ -69,7 +69,9 @@ def _expansion_for(theta: BlaschkeProduct, f: LaurentPolynomial) -> LaurentPolyn
 
 def section_expansion(theta: BlaschkeProduct, M: int) -> LaurentPolynomial:
     """The truncated expansion th behind the depth-M theta*H2 section: it
-    reaches past the section itself."""
+    reaches past the section itself, or stops at theta.floor_degree where
+    that comes first, so a coefficient of a product f * th read on the
+    section moves by at most ||f||_2 TAIL_FLOOR (msolab.inner)."""
     return expand(theta, M + theta.degree + 2)
 
 

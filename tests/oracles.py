@@ -25,11 +25,14 @@ residual anew where the library takes it in bands through one buffer, and
 `sparse_to_json` is a polynomial's payload through its sparse coefficient
 dict. `dense_shift_invariance_defect` is the shift check on a section
 from the four block residuals (`_shift_residuals`) assembled by np.block
-and transposed whole. Four helpers have no library counterpart and serve
-the tests only: `adjoint`, the block operator of D^H; `verify_inner`,
-which samples |B| on the circle from the rational form or a truncated
-expansion; and `gram_defect` and `membership_defect`, how far a basis is
-from orthonormal and a polynomial from its span.
+and transposed whole. `uncut_expand` expands an inner function to
+`uncut_expansion_degree`, the larger of the reach and the cap degree,
+with no cut at the floor degree where `expand` stops. Four helpers have
+no library counterpart and serve the tests only: `adjoint`, the block
+operator of D^H; `verify_inner`, which samples |B| on the circle from the
+rational form or a truncated expansion; and `gram_defect` and
+`membership_defect`, how far a basis is from orthonormal and a polynomial
+from its span.
 """
 
 from __future__ import annotations
@@ -577,6 +580,16 @@ def assembled_difference(D: BlockOperator, rebuilt: BlockOperator) -> np.ndarray
     """D - rebuilt assembled by np.block from the blocks as held."""
     d, r = D.blocks(), rebuilt.blocks()
     return np.block([[d[0] - r[0], d[1] - r[1]], [d[2] - r[2], d[3] - r[3]]])
+
+
+def uncut_expansion_degree(B: BlaschkeProduct, reach: int) -> int:
+    """The reach, raised to B.cap_degree, and never cut at B.floor_degree."""
+    return max(int(reach), B.cap_degree)
+
+
+def uncut_expand(B: BlaschkeProduct, reach: int = 0) -> LaurentPolynomial:
+    """The power series of B to uncut_expansion_degree(B, reach)."""
+    return _expand_cached(B, uncut_expansion_degree(B, reach))
 
 
 class InnerCheck(NamedTuple):

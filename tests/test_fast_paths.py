@@ -4,8 +4,9 @@ slice coordinates on the complement sections, the batched trace pairing,
 the admissible vectors of sections and model spaces, the TCheck-border
 symbol, the vectorised shift-invariance defect and solve, the block
 conditions in bands of one reused buffer, the checks and recoveries read
-from the block views of a built operator, and the recovery residual's
-norm bracket, banded and from the difference sequences."""
+from the block views of a built operator, the recovery residual's norm
+bracket, banded and from the difference sequences, and the deep pipeline
+on expansions cut at their floor degree against the uncut expansions."""
 
 import cmath
 import re
@@ -17,7 +18,7 @@ import pytest
 from msolab.annihilate import (FiniteRankOperator, gen_M, gen_shift_pair, pair,
                                pair_many, represent_functional)
 from msolab.bases import OrthonormalBasis
-from msolab import characterize
+from msolab import characterize, inner
 from msolab.cli import main
 from msolab.characterize import (_BAND_ROWS, _band_buffers, _band_report,
                                  _certified_norm, _report, _toeplitz_report,
@@ -51,7 +52,7 @@ from oracles import (assembled_certified_norm, assembled_difference,
                      pairing_build_tto, poly_is_analytic_adtto,
                      poly_recover_boundary,
                      poly_zbar_symbol, svd_admissible_for_shift,
-                     svd_rebuild_residual)
+                     svd_rebuild_residual, uncut_expansion_degree)
 
 ORACLE_TOL = 1e-13
 
@@ -1462,3 +1463,67 @@ def test_multiply_without_tails_is_exact_convolution(rng):
     f, g = random_poly(rng, -3, 5), random_poly(rng, 0, 7)
     np.testing.assert_array_equal(multiply(f, g).dense(-3, 12),
                                   np.convolve(f.dense(-3, 5), g.dense(0, 7)))
+
+
+# -- expansions cut at the floor degree -----------------------------------------------
+
+def _subnormal_count(p: LaurentPolynomial) -> int:
+    parts = np.abs(p._data.view(np.float64))
+    return int(np.count_nonzero((parts > 0) & (parts < np.finfo(np.float64).tiny)))
+
+
+def _deep_pipeline(theta, alpha, phi, M):
+    """The deep benchmark's steps on one case: the build, the checks and
+    both recoveries."""
+    D = build_dtto(theta, alpha, phi, M)
+    return (D, check_adtto(D), check_block_conditions(D), recover_symbol(D, "zbar"),
+            recover_symbol(D, "boundary"), is_analytic_adtto(D))
+
+
+def _recorded_pipeline(monkeypatch, case):
+    """The pipeline's outcome and every (B, n, expansion) it asked for."""
+    expansions, expand_to = [], inner._expand_cached
+
+    def recorded(B, n):
+        out = expand_to(B, n)
+        expansions.append((B, n, out))
+        return out
+    with monkeypatch.context() as m:
+        m.setattr(inner, "_expand_cached", recorded)
+        return _deep_pipeline(*case), expansions
+
+
+@pytest.mark.parametrize("case", [
+    (BlaschkeProduct([0.35 - 0.1j]), BlaschkeProduct([0.6 + 0.3j, -0.5j]),
+     LaurentPolynomial({-2: 0.5 - 0.2j, -1: 1j, 0: 0.25, 1: -0.7, 3: 0.3j}), 400),
+    (BlaschkeProduct([0.7j, 0.2, -0.45]), BlaschkeProduct([0.3]),
+     LaurentPolynomial({0: 1.0 - 0.5j, 2: 0.4, 4: -0.2j}), 400),
+], ids=["non-analytic", "analytic"])
+def test_the_floor_cut_keeps_the_deep_pipeline_and_leaves_no_subnormal(monkeypatch, case):
+    """At M = 400 the deep pipeline with every expansion cut at its floor
+    degree gives the verdicts of the uncut expansions (the reach raised to
+    the cap degree and no further), with block sequences, recovered
+    symbols and residuals within roundoff. No expansion it asks for passes
+    a floor degree or holds a subnormal value; the uncut ones do both."""
+    cut, cut_expansions = _recorded_pipeline(monkeypatch, case)
+    monkeypatch.setattr(inner, "expansion_degree", uncut_expansion_degree)
+    monkeypatch.setattr(characterize, "expansion_degree", uncut_expansion_degree)
+    uncut, uncut_expansions = _recorded_pipeline(monkeypatch, case)
+
+    (D, adtto, blocks, zbar, boundary, analytic) = cut
+    (D0, adtto0, blocks0, zbar0, boundary0, analytic0) = uncut
+    assert [r.passed for r in adtto.reports] == [r.passed for r in adtto0.reports]
+    assert adtto.passed and all(r.passed for r in blocks)
+    assert [r.passed for r in blocks] == [r.passed for r in blocks0]
+    assert analytic.analytic == analytic0.analytic
+    scale = max(float(np.abs(b).max()) for b in D0.blocks())
+    for b, b0 in zip(D.blocks(), D0.blocks()):
+        assert np.abs(b - b0).max() <= 1e-15 * scale
+    for (symbol, residual), (symbol0, residual0) in ((zbar, zbar0), (boundary, boundary0)):
+        assert _max_gap(symbol.value, symbol0.value) <= 1e-15 * scale
+        assert residual <= 1e-12 and residual0 <= 1e-12
+
+    assert all(n <= B.floor_degree for B, n, _ in cut_expansions)
+    assert sum(_subnormal_count(p) for _, _, p in cut_expansions) == 0
+    assert any(n > B.floor_degree for B, n, _ in uncut_expansions)
+    assert sum(_subnormal_count(p) for _, _, p in uncut_expansions) > 0

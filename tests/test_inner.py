@@ -3,13 +3,17 @@ import cmath
 import numpy as np
 import pytest
 
+from msolab import inner
 from msolab.errors import InputError
-from msolab.inner import (DEFAULT_TAIL_CAP, MAX_EXPANSION_DEGREE, BlaschkeProduct,
+from msolab.inner import (DEFAULT_TAIL_CAP, MAX_EXPANSION_DEGREE, TAIL_FLOOR,
+                          BlaschkeProduct, _geometric_degree, _tm_basis_wrapped,
                           expand, expansion_degree, monomial_inner, tm_basis)
 from msolab.laurent import MAX_DEGREE, inner_product, monomial, multiply
+from msolab.operators import MAX_DEPTH
 
 from conftest import assert_poly_close
-from oracles import gram_defect, verify_inner
+from oracles import (gram_defect, uncut_expand, uncut_expansion_degree,
+                     verify_inner)
 
 
 def test_construction_validation():
@@ -40,6 +44,74 @@ def test_expand_reaches_the_larger_of_reach_and_cap_degree():
     assert expansion_degree(b, n + 7) == n + 7
     assert expand(b).hi == n and expand(b, n + 7).hi == n + 7
     assert b.tail_bound_at(n) <= DEFAULT_TAIL_CAP
+    # a reach past the floor stops at it
+    floor = b.floor_degree
+    assert n + 7 < floor == expansion_degree(b, floor + 7) == expand(b, floor + 7).hi
+
+
+# a zero at 0 among others, a zero of modulus 1e-300, a repeated zero, and
+# one of modulus 0.999, whose floor lies beyond every reach a section needs
+_FLOOR_CASES = [[0.5, -0.3j], [0.0, 0.5, 0.3 - 0.6j], [1e-300j], [0.6, 0.6, 0.6],
+                [0.7] * 6, [0.999]]
+
+
+@pytest.mark.parametrize("zeros", _FLOOR_CASES)
+def test_expand_stops_where_the_tail_is_below_the_floor(zeros):
+    """Past floor_degree the tail has L2 mass at most TAIL_FLOOR, so every
+    coefficient it drops, and every move of a kept one, is below it."""
+    b = BlaschkeProduct(zeros, allow_near_boundary=True)
+    floor = b.floor_degree
+    assert b.cap_degree <= floor
+    assert b.tail_bound_at(floor) <= TAIL_FLOOR
+    reach = floor + 2 * b.degree + 40
+    cut, uncut = expand(b, reach), uncut_expand(b, reach)
+    assert cut.hi <= floor and uncut.hi <= reach
+    kept = np.abs(cut.dense(0, reach) - uncut.dense(0, reach))
+    assert kept[:floor + 1].max() <= TAIL_FLOOR
+    # the dropped tail, whole and coefficient by coefficient
+    assert np.linalg.norm(kept[floor + 1:]) <= TAIL_FLOOR
+
+
+def test_repeated_zeros_raise_the_floor_past_the_geometric_degree():
+    """Three zeros at 0.6 decay like k^2 0.6^k, past the geometric bound's
+    rate: cut at its degree, a coefficient above TAIL_FLOOR is dropped."""
+    b = BlaschkeProduct([0.6, 0.6, 0.6])
+    geometric = _geometric_degree(b, TAIL_FLOOR)
+    assert b.floor_degree > geometric
+    dropped = uncut_expand(b, 2 * b.floor_degree).dense(geometric + 1, 2 * b.floor_degree)
+    assert np.abs(dropped).max() > TAIL_FLOOR
+
+
+@pytest.mark.parametrize("zeros", _FLOOR_CASES)
+def test_a_reach_within_the_floor_is_expanded_uncut(zeros):
+    """Up to the floor, expand is the uncut expansion to the bit: past the
+    cap, at the floor, and at the reach 2M + 4 of the deepest section where
+    the floor lies beyond it, as it does for the zero of modulus 0.999."""
+    b = BlaschkeProduct(zeros, allow_near_boundary=True)
+    floor = b.floor_degree
+    for reach in (0, min(b.cap_degree + 3, floor), floor, min(2 * MAX_DEPTH + 4, floor)):
+        assert expansion_degree(b, reach) == uncut_expansion_degree(b, reach)
+        cut, uncut = expand(b, reach), uncut_expand(b, reach)
+        assert (cut.lo, cut.hi) == (uncut.lo, uncut.hi)
+        assert np.array_equal(cut.dense(cut.lo, cut.hi), uncut.dense(cut.lo, cut.hi))
+
+
+def test_monomials_and_tm_basis_are_uncut(monkeypatch):
+    """A monomial's floor is its degree and its expansion is exact at every
+    reach; tm_basis expands to cap_degree, so the uncut rule gives the same
+    vectors to the bit."""
+    for m in (1, 3, 40):
+        z = monomial_inner(m)
+        assert z.cap_degree == z.floor_degree == m
+        assert expand(z, 5 * m + 9).coeffs == uncut_expand(z, 5 * m + 9).coeffs == {m: 1}
+    zeros = [[0.5, -0.3j], [0.0, 0.5, 0.3 - 0.6j], [0.6, 0.6, 0.6]]
+    cut = [tm_basis(BlaschkeProduct(z)) for z in zeros]
+    monkeypatch.setattr(inner, "expansion_degree", uncut_expansion_degree)
+    for z, basis in zip(zeros, cut):
+        uncut = _tm_basis_wrapped.__wrapped__(BlaschkeProduct(z))
+        for u, v in zip(basis, uncut):
+            assert (u.lo, u.hi) == (v.lo, v.hi)
+            assert np.array_equal(u.dense(u.lo, u.hi), v.dense(v.lo, v.hi))
 
 
 def test_expand_agrees_with_rational_evaluation():

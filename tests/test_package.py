@@ -89,11 +89,13 @@ def _names(tree: ast.AST) -> set[str]:
 
 
 def test_one_truncation_rule():
-    """Only msolab.inner decides where an expansion is cut off (every other
-    module goes through `expand`), and no module keeps tail bookkeeping:
-    the tail of an expansion is B.tail_bound_at(n)."""
+    """Only msolab.inner decides where an expansion is cut off, at the cap
+    and at the floor (every other module goes through `expand`), and no
+    module keeps tail bookkeeping: the tail of an expansion is
+    B.tail_bound_at(n)."""
     package = Path(msolab.__file__).parent
-    rule = {"DEFAULT_TAIL_CAP", "cap_degree", "_expand_cached"}
+    rule = {"DEFAULT_TAIL_CAP", "TAIL_FLOOR", "cap_degree", "floor_degree",
+            "_expand_cached"}
     deciding, tails = {}, {}
     for path in sorted(package.glob("*.py")):
         names = _names(ast.parse(path.read_text()))
