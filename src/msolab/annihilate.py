@@ -54,21 +54,34 @@ def _bases(T) -> tuple[OrthonormalBasis, OrthonormalBasis]:
     return T.domain_basis(), T.codomain_basis()
 
 
+def _distinct(polys) -> tuple[list, np.ndarray]:
+    """The distinct polynomials of `polys` in order of first appearance,
+    keyed on band start and coefficient bytes, and the index of each
+    polynomial of `polys` among them."""
+    first = {}
+    owner = [first.setdefault((p.lo, p._data.tobytes()), (len(first), p))[0]
+             for p in polys]
+    return [p for _, p in first.values()], np.array(owner, dtype=np.intp)
+
+
 def _dyad_coords(dom, cod, dyads) -> tuple[np.ndarray, np.ndarray]:
     """Coordinates X (domain side) and Y (codomain side) of the dyad
-    vectors, one batch per side. Raises when a dyad vector fails to lie in
-    the matching section span (its mass would silently be dropped
-    otherwise)."""
-    X, dx, nx = dom.coords_and_defects(f for f, _ in dyads)
-    Y, dy, ny = cod.coords_and_defects(g for _, g in dyads)
-    bad_x = dx > MEMBERSHIP_TOL * np.maximum(1.0, nx)
-    bad_y = dy > MEMBERSHIP_TOL * np.maximum(1.0, ny)
+    vectors, in dyad order, from one coordinate pass per side over the
+    distinct vectors. Raises when a dyad vector fails to lie in the
+    matching section span (its mass would silently be dropped otherwise),
+    naming the first such dyad."""
+    fs, ix = _distinct(f for f, _ in dyads)
+    gs, iy = _distinct(g for _, g in dyads)
+    X, dx, nx = dom.coords_and_defects(fs)
+    Y, dy, ny = cod.coords_and_defects(gs)
+    bad_x = (dx > MEMBERSHIP_TOL * np.maximum(1.0, nx))[ix]
+    bad_y = (dy > MEMBERSHIP_TOL * np.maximum(1.0, ny))[iy]
     if bad_x.any() or bad_y.any():
         r = int(np.argmax(bad_x | bad_y))
-        side, basis, defect = ("f", dom, dx[r]) if bad_x[r] else ("g", cod, dy[r])
+        side, basis, defect = ("f", dom, dx[ix[r]]) if bad_x[r] else ("g", cod, dy[iy[r]])
         raise DimensionError(
             f"dyad vector {side} leaves the {basis.label} span by {defect:.2e}")
-    return X, Y
+    return X[ix], Y[iy]
 
 
 def _family_sums(AX, Y, counts) -> np.ndarray:
@@ -83,10 +96,13 @@ def _family_sums(AX, Y, counts) -> np.ndarray:
 def pair_many(T, families) -> np.ndarray:
     """Trace pairings sum_n <T f_n, g_n> of a list of finite-rank operators.
 
-    The dyad vectors of all families go through one coordinate pass per
-    side and one product with the operator, blockwise on a BlockOperator;
-    the dyads of each family are then summed in order. Raises when a dyad
-    vector fails to lie in the matching section span.
+    The distinct dyad vectors of all families go through one coordinate
+    pass per side. Their coordinates, gathered back in dyad order, go
+    through one product with the operator, blockwise on a BlockOperator:
+    over the distinct ones alone, BLAS would take the trailing columns of
+    a batch through another kernel, and images would move in the last
+    bits. The dyads of each family are then summed in order. Raises when a
+    dyad vector fails to lie in the matching section span.
     """
     families = list(families)
     X, Y = _dyad_coords(*_bases(T), [fg for t in families for fg in t.dyads])

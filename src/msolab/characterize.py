@@ -354,10 +354,15 @@ def check_adtto(D: BlockOperator, *, tol: float | None = None) -> AdttoVerdict:
        D*(alpha), GammaHat[:, 0] and conj(GammaCheck[0]), match the ones
        predicted by the zbar-corner symbol (defect: the larger 2-norm).
     """
-    tol = _tolerance(tol, D.theta, D.alpha)
-    M = D.M
+    return adtto_verdict(D, check_block_conditions(D, tol=tol))
+
+
+def adtto_verdict(D: BlockOperator, blocks: list[DefectReport]) -> AdttoVerdict:
+    """check_adtto from the four reports of check_block_conditions(D), at
+    their tolerance: a caller that reports both takes the block residuals
+    once."""
+    tol, M = blocks[0].tolerance, D.M
     that, gamma_check, gamma_hat, _ = D.blocks()
-    blocks = check_block_conditions(D, tol=tol)
     r1 = _merged("that-toeplitz", blocks[0])
 
     # coupling: the zbar-corner symbol, pushed through theta*conj(alpha),

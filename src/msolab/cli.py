@@ -185,13 +185,17 @@ def _cmd_check(args) -> int:
     tol = characterize.validated_tolerance(args.tol)
     reports = []
     extra = {}
+    # with "blocks" selected, "adtto" takes its reports instead of its own
+    blocks = (characterize.check_block_conditions(op, tol=tol)
+              if "blocks" in selected else None)
     for name in selected:
         if name == "shift":
             reports.append(characterize.shift_invariance_defect(op, tol=tol))
         elif name == "blocks":
-            reports.extend(characterize.check_block_conditions(op, tol=tol))
+            reports.extend(blocks)
         elif name == "adtto":
-            verdict = characterize.check_adtto(op, tol=tol)
+            verdict = (characterize.check_adtto(op, tol=tol) if blocks is None
+                       else characterize.adtto_verdict(op, blocks))
             reports.extend(verdict.reports)
         else:
             verdict = characterize.is_analytic_adtto(op, tol=tol)

@@ -22,6 +22,8 @@ import cmath
 import functools
 import math
 import re
+import threading
+from collections import OrderedDict
 
 import numpy as np
 
@@ -224,18 +226,32 @@ def monomial_inner(m: int) -> BlaschkeProduct:
     return BlaschkeProduct([0.0] * m)
 
 
+# each inner function's longest series so far, least recently used first;
+# an _expand_cached miss slices from it. A coefficient does not depend on
+# where the series is cut, so a slice has the bits of a shorter series.
+_series: OrderedDict = OrderedDict()
+_SERIES_HELD = 32
+_series_lock = threading.Lock()
+
+
 @functools.lru_cache(maxsize=256)
 def _expand_cached(B: BlaschkeProduct, n: int) -> LaurentPolynomial:
-    # series of one factor (z-a)/(1-conj(a) z): b_0 = -a,
-    # b_k = conj(a)^(k-1) (1-|a|^2) for k >= 1
-    acc = np.array([B.constant], dtype=np.complex128)
-    for a in B.zeros:
-        factor = np.zeros(n + 1, dtype=np.complex128)
-        factor[0] = -a
-        if n >= 1:
-            factor[1:] = (1.0 - abs(a) ** 2) * (a.conjugate() ** np.arange(n))
-        acc = np.convolve(acc, factor)[:n + 1]
-    return LaurentPolynomial._from_dense(0, acc)
+    with _series_lock:
+        series = _series.pop(B, None)
+        if series is None or len(series) <= n:
+            # series of one factor (z-a)/(1-conj(a) z): b_0 = -a,
+            # b_k = conj(a)^(k-1) (1-|a|^2) for k >= 1
+            series = np.array([B.constant], dtype=np.complex128)
+            for a in B.zeros:
+                factor = np.zeros(n + 1, dtype=np.complex128)
+                factor[0] = -a
+                if n >= 1:
+                    factor[1:] = (1.0 - abs(a) ** 2) * (a.conjugate() ** np.arange(n))
+                series = np.convolve(series, factor)[:n + 1]
+        _series[B] = series
+        if len(_series) > _SERIES_HELD:
+            _series.popitem(last=False)
+    return LaurentPolynomial._from_dense(0, series[:n + 1])
 
 
 def expansion_degree(B: BlaschkeProduct, reach: int) -> int:

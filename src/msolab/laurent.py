@@ -21,7 +21,8 @@ from . import kernels
 from .errors import InputError
 from .payload import read_complex, read_int, read_typed
 
-_ZERO = np.zeros(0, dtype=np.complex128)
+_COMPLEX = np.dtype(np.complex128)
+_ZERO = np.zeros(0, dtype=_COMPLEX)
 
 # Largest degree accepted at a parse boundary: the number of zeros of an
 # inner function, and |k| for every coefficient of a function payload (so a
@@ -49,8 +50,11 @@ class LaurentPolynomial:
 
     @classmethod
     def _from_dense(cls, lo: int, data: np.ndarray) -> "LaurentPolynomial":
+        # most callers hand over a C-contiguous complex128 array, kept as is
+        if data.dtype is not _COMPLEX or not data.flags.c_contiguous:
+            data = np.ascontiguousarray(data, dtype=np.complex128)
         p = cls.__new__(cls)
-        lo, data = _trim(lo, np.ascontiguousarray(data, dtype=np.complex128))
+        lo, data = _trim(lo, data)
         p._lo = lo
         p._data = data
         return p

@@ -151,7 +151,7 @@ class BlockOperator:
     every later check, product and payload. That first read takes no lock:
     two threads making it at once may each copy, and a write into the
     losing copy is lost. `blocks()` hands out the four blocks as held,
-    copying nothing: the checks read them through it.
+    copying nothing: the checks and `assemble` read them through it.
     """
 
     __slots__ = ("_blocks", "_viewed", "theta", "alpha", "M", "edge")
@@ -217,9 +217,12 @@ class BlockOperator:
         return basis_Kperp(self.alpha, self.M)
 
     def assemble(self) -> np.ndarray:
-        top = np.hstack([self.that, self.gamma_check])
-        bottom = np.hstack([self.gamma_hat, self.t_check])
-        return np.vstack([top, bottom])
+        """The (dim, dim) matrix, filled from the blocks as held: a view is
+        read in place, not copied into an owned block."""
+        n = self.M + 1
+        out = np.empty((2 * n, 2 * n), dtype=np.complex128)
+        out[:n, :n], out[:n, n:], out[n:, :n], out[n:, n:] = self.blocks()
+        return out
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """D x, blockwise, for a vector x (dim,) or a batch of columns (dim, k)."""

@@ -109,7 +109,7 @@ def read_operator_text(text: str) -> dict | None:
     """The payload document of a text in write_operator_text's layout, its
     blocks as read-only complex128 views (_read_block_text). The four
     blocks are found as offsets into `text`, the rest is read by
-    json.loads, and each block is cut out and read by _read_block_text in
+    json.loads, and each block is read in place by _read_block_text in
     turn. None for a text in any other layout, or with an entry read_matrix
     would reject: it is left to json.loads and the typed readers, which
     give the error message."""
@@ -139,7 +139,7 @@ def read_operator_text(text: str) -> dict | None:
         return None
     blocks = {}
     for name in BLOCK_NAMES:
-        blocks[name] = _read_block_text(text[slice(*spans[name])], rest["M"] + 1)
+        blocks[name] = _read_block_text(text, *spans[name], rest["M"] + 1)
         if blocks[name] is None:
             return None
     return {**rest, "blocks": blocks}
@@ -185,29 +185,43 @@ def _block_pieces(a: np.ndarray) -> Iterator[str]:
     yield "]]"
 
 
-def _read_block_text(text: str, n: int) -> np.ndarray | None:
-    """The n x n complex128 matrix of a block in _block_pieces's layout:
-    n rows of n [re, im] pairs, no whitespace, each row the one above
-    shifted by one cell (_shifted_cells). Only its 2n - 1 sequence cells go
-    through json.loads, and the block is a read-only view of them in the
-    layout of the text: Toeplitz, strides (-s, s), or Hankel, strides
-    (s, s), for s the size of one value. None when the text is in any other
-    layout or has an entry read_matrix would reject."""
+def _read_block_text(text: str, start: int, end: int, n: int) -> np.ndarray | None:
+    """The n x n complex128 matrix of the block text[start:end] in
+    _block_pieces's layout: n rows of n [re, im] pairs, no whitespace, each
+    row the one above shifted by one cell (_new_cells), so that every row
+    is a copy of cells of row 0 and the new cells. The rows are compared
+    at their offsets in `text`, one row copied at a time. Only the 2n - 1
+    sequence cells go through json.loads, and the block is a read-only
+    view of them in the layout of the text: Toeplitz, cell (i, j) at
+    n-1+j-i and strides (-s, s), or Hankel, at i+j and strides (s, s), for
+    s the size of one value. None when the text is in any other layout or
+    has an entry read_matrix would reject."""
     # the shortest such text has every number one digit long; checked
     # first so a large n allocates nothing
-    if len(text) < 6 * n * n + 2 * n + 1 or not (
-            text.startswith("[[[") and text.endswith("]]]")):
+    if end - start < 6 * n * n + 2 * n + 1 or not (
+            text.startswith("[[[", start, end) and text.endswith("]]]", start, end)):
         return None
-    rows = text.split("]],[[")
-    if len(rows) != n:
+    # (start, end) of each row's text between its "[[" and "]]"
+    rows, a = [], start + 3
+    for _ in range(n - 1):
+        b = text.find("]],[[", a, end)
+        if b < 0:
+            return None
+        rows.append((a, b))
+        a = b + 5
+    if text.find("]],[[", a, end) >= 0:
         return None
-    rows[0] = rows[0][3:]
-    rows[-1] = rows[-1][:-3]
-    shifted = _shifted_cells(rows)
-    if shifted is None:
+    rows.append((a, end - 3))
+    first = text[slice(*rows[0])].split("],[")
+    if len(first) != n:
         return None
-    cells, toeplitz = shifted
-    values = _read_cells(cells)
+    new = _new_cells(text, rows, toeplitz=True)
+    toeplitz = new is not None
+    if not toeplitz:
+        new = _new_cells(text, rows, toeplitz=False)
+        if new is None:
+            return None
+    values = _read_cells(new[::-1] + first if toeplitz else first + new)
     if values is None:
         return None
     s = values.itemsize
@@ -218,38 +232,25 @@ def _read_block_text(text: str, n: int) -> np.ndarray | None:
     return block
 
 
-def _shifted_cells(rows: list) -> tuple[list, bool] | None:
-    """The 2n - 1 sequence cells of a block's n row texts and whether the
-    block is Toeplitz, cell (i, j) at n-1+j-i, or Hankel, at i+j, when row 0
-    holds n cells and every row is the one above shifted by one cell
-    (_new_cells). Every row is then a copy of cells of row 0 and the new
-    cells. None otherwise."""
-    n = len(rows)
-    first = rows[0].split("],[")
-    if len(first) != n:
-        return None
-    new = _new_cells(rows, toeplitz=True)
-    if new is not None:
-        return new[::-1] + first, True
-    new = _new_cells(rows, toeplitz=False)
-    if new is not None:
-        return first + new, False
-    return None
-
-
-def _new_cells(rows: list, toeplitz: bool) -> list | None:
-    """The cell each row r + 1 adds to row r, when row r + 1 is one new
-    cell, "],[" and row r without its last cell (Toeplitz), or row r
-    without its first cell, "],[" and one new cell (Hankel). None when a
-    row is not so."""
+def _new_cells(text: str, rows: list, toeplitz: bool) -> list | None:
+    """The cell each row r + 1 adds to row r, for rows at the (start, end)
+    offsets `rows` of `text`, when row r + 1 is one new cell, "],[" and
+    row r without its last cell (Toeplitz), or row r without its first
+    cell, "],[" and one new cell (Hankel). None when a row is not so."""
     new = []
-    for above, row in zip(rows, rows[1:]):
+    for (a, b), (c, d) in zip(rows, rows[1:]):
         if toeplitz:
-            kept = "],[" + above[:above.rfind("],[")]
-            cell = row[:-len(kept)] if row.endswith(kept) else None
+            # row r without its last cell is text[a:p]; it ends row r + 1
+            p = text.rfind("],[", a, b)
+            k = d - 3 - (p - a)
+            cell = text[c:k] if k >= c and text.startswith("],[", k) \
+                and text.startswith(text[a:p], k + 3) else None
         else:
-            kept = above[above.find("],[") + 3:] + "],["
-            cell = row[len(kept):] if row.startswith(kept) else None
+            # row r without its first cell is text[q:b]; it starts row r + 1
+            q = text.find("],[", a, b) + 3
+            k = c + b - q
+            cell = text[k + 3:d] if k + 3 <= d and text.startswith(text[q:b], c) \
+                and text.startswith("],[", k) else None
         if cell is None:
             return None
         new.append(cell)

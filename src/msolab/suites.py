@@ -277,10 +277,8 @@ def isometry_convergence(symbol: LaurentPolynomial | None = None,
     depths, samples = (16, 32, 64, 128, 256), 512
     sup = max(abs(symbol.evaluate(cmath.exp(2j * cmath.pi * k / samples)))
               for k in range(samples))
-    sigmas = []
-    for M in depths:
-        D = build_dtto(theta, alpha, symbol, M)
-        sigmas.append(float(np.linalg.norm(D.assemble(), 2)))
+    sigmas = [_spectral_norm(build_dtto(theta, alpha, symbol, M).assemble())
+              for M in depths]
     monotone = all(b >= a - 1e-12 for a, b in zip(sigmas, sigmas[1:]))
     bounded = all(s <= sup + 1e-12 for s in sigmas)
     gap = abs(sup - sigmas[-1])
@@ -288,6 +286,13 @@ def isometry_convergence(symbol: LaurentPolynomial | None = None,
     return {"criterion": "isometry-convergence", "depths": list(depths),
             "singular_values": sigmas, "sup_norm": sup, "final_gap": gap,
             "monotone": monotone, "bounded": bounded, "pass": ok}
+
+
+def _spectral_norm(A: np.ndarray) -> float:
+    """||A||_2 by LAPACK's SVD, the real one when A has no imaginary part
+    (as z + zbar on z^2 sections gives): a third of the time and half the
+    workspace of the complex one, and the same value up to a few ulps."""
+    return float(np.linalg.norm(A if A.imag.any() else A.real, 2))
 
 
 def functional_representation(seed: int = DEFAULT_SEED) -> dict:

@@ -27,7 +27,9 @@ dict. `dense_shift_invariance_defect` is the shift check on a section
 from the four block residuals (`_shift_residuals`) assembled by np.block
 and transposed whole. `uncut_expand` expands an inner function to
 `uncut_expansion_degree`, the larger of the reach and the cap degree,
-with no cut at the floor degree where `expand` stops. Four helpers have
+with no cut at the floor degree where `expand` stops, and
+`fresh_expansion` computes a series anew where `expand` may slice a
+longer one it kept. Four helpers have
 no library counterpart and serve the tests only: `adjoint`, the block
 operator of D^H; `verify_inner`, which samples |B| on the circle from the
 rational form or a truncated expansion; and `gram_defect` and
@@ -212,6 +214,27 @@ def loop_pair(T, t) -> complex:
                     f"dyad vector {side} leaves the {basis.label} span by {defect:.2e}")
         acc += np.vdot(y, A @ x)
     return complex(acc)
+
+
+def all_dyads_pair_many(T, families) -> np.ndarray:
+    """pair_many with one coordinate pass over every dyad vector, repeated
+    vectors included, and the operator applied to every domain-side one."""
+    dyads = [fg for t in families for fg in t.dyads]
+    dom, cod = T.domain_basis(), T.codomain_basis()
+    X, dx, nx = dom.coords_and_defects(f for f, _ in dyads)
+    Y, dy, ny = cod.coords_and_defects(g for _, g in dyads)
+    bad_x = dx > MEMBERSHIP_TOL * np.maximum(1.0, nx)
+    bad_y = dy > MEMBERSHIP_TOL * np.maximum(1.0, ny)
+    if bad_x.any() or bad_y.any():
+        r = int(np.argmax(bad_x | bad_y))
+        side, basis, defect = ("f", dom, dx[r]) if bad_x[r] else ("g", cod, dy[r])
+        raise DimensionError(
+            f"dyad vector {side} leaves the {basis.label} span by {defect:.2e}")
+    counts = [len(t.dyads) for t in families]
+    out = np.zeros(len(counts), dtype=np.complex128)
+    np.add.at(out, np.repeat(np.arange(len(counts)), counts),
+              np.einsum("ri,ri->r", Y.conj(), T.apply(X.T).T))
+    return out
 
 
 def indexed_gen_M(index, theta, alpha, h, g) -> FiniteRankOperator:
@@ -590,6 +613,19 @@ def uncut_expansion_degree(B: BlaschkeProduct, reach: int) -> int:
 def uncut_expand(B: BlaschkeProduct, reach: int = 0) -> LaurentPolynomial:
     """The power series of B to uncut_expansion_degree(B, reach)."""
     return _expand_cached(B, uncut_expansion_degree(B, reach))
+
+
+def fresh_expansion(B: BlaschkeProduct, n: int) -> LaurentPolynomial:
+    """The power series of B to degree n computed anew, one factor at a
+    time, with no series kept from an earlier call."""
+    acc = np.array([B.constant], dtype=np.complex128)
+    for a in B.zeros:
+        factor = np.zeros(n + 1, dtype=np.complex128)
+        factor[0] = -a
+        if n >= 1:
+            factor[1:] = (1.0 - abs(a) ** 2) * (a.conjugate() ** np.arange(n))
+        acc = np.convolve(acc, factor)[:n + 1]
+    return LaurentPolynomial._from_dense(0, acc)
 
 
 class InnerCheck(NamedTuple):

@@ -809,3 +809,37 @@ def test_repeated_check_names_run_and_report_once(tmp_path, capsys, monkeypatch)
     assert calls == ["shift_invariance_defect", "check_adtto"]
     conditions = [rep["condition"] for rep in report["reports"]]
     assert len(conditions) == len(set(conditions)) == 5
+
+
+@pytest.mark.parametrize("checks", ["blocks,adtto", "adtto,blocks", "shift,blocks,adtto,analytic"])
+@pytest.mark.parametrize("source", ["built-compact", "built-indented", "noise-indented"])
+def test_blocks_and_adtto_take_the_block_residuals_once(tmp_path, capsys, monkeypatch,
+                                                        checks, source):
+    """With blocks and adtto both selected, check runs the block conditions
+    once and reports, to the bit, what the separate calls give: on the
+    views of a compact payload and on the owned blocks of an indented one,
+    exact and noisy."""
+    name, layout = source.split("-")
+    op = (build_dtto(BlaschkeProduct([0.5, -0.3j]), BlaschkeProduct([0.4 + 0.2j]),
+                     LaurentPolynomial({-1: 1.0, 2: 0.5j}), 24)
+          if name == "built" else dense_noise_operator())
+    path = tmp_path / "op.json"
+    path.write_text("".join(cli._payload_pieces(op)) if layout == "compact"
+                    else json.dumps(op.to_json(), indent=1))
+    read = cli._read_operator(str(path))
+    assert all(not b.flags.writeable for b in read.blocks()) == (layout == "compact")
+    separate = {"shift": lambda: [characterize.shift_invariance_defect(read)],
+                "blocks": lambda: characterize.check_block_conditions(read),
+                "adtto": lambda: characterize.check_adtto(read).reports,
+                "analytic": lambda: []}
+    want = [rep.to_json() for c in checks.split(",") for rep in separate[c]()]
+    calls = []
+
+    def counted(*args, _fn=characterize.check_block_conditions, **kwargs):
+        calls.append(args[0])
+        return _fn(*args, **kwargs)
+    monkeypatch.setattr(characterize, "check_block_conditions", counted)
+    code, out, _ = run_cli(capsys, "check", str(path), "--checks", checks)
+    assert json.dumps(json.loads(out)["reports"], sort_keys=True) == \
+        json.dumps(want, sort_keys=True)
+    assert len(calls) == 1

@@ -36,14 +36,16 @@ from msolab.operators import (BlockOperator, DenseComplexMatrix, SymbolFunction,
                               split_blocks, strided_sequence)
 from msolab.rng import Xoshiro256StarStar
 from msolab.spaces import SHIFT_KERNEL_TOL, admissible_for_shift, basis_Kperp
-from msolab.suites import random_inner, random_symbol
+from msolab.suites import (_scripted_perturbations, _spectral_norm, random_inner,
+                           random_symbol)
 
 from conftest import dense_noise_operator, random_poly
-from oracles import (assembled_certified_norm, assembled_difference,
+from oracles import (all_dyads_pair_many, assembled_certified_norm,
+                     assembled_difference,
                      assembled_norm_bracket, dense_coords,
                      dense_coords_and_defect, dense_reconstruct,
                      dense_shift_invariance_defect, dtto_sequences,
-                     fresh_block_conditions, gather_build_dtto,
+                     fresh_block_conditions, fresh_expansion, gather_build_dtto,
                      gather_shift_invariance_defect, gather_zbar_predictions,
                      indexed_gen_M, loop_pair,
                      loop_shift_invariance_defect,
@@ -670,6 +672,118 @@ def test_pair_many_empty_batches():
     assert pair(D, empty) == 0
     with pytest.raises(InputError):
         pair_many(D.assemble(), [t])
+
+
+def _criterion_5_batches(seed: int, cases: int):
+    """The batches criterion 5 pairs (suites.annihilator_families): the
+    first `cases` built operators, each with the 54 gen_M families over
+    monomial h, g of degree <= 2 and two shifted dyads (112 dyads), then the
+    six scripted perturbations of the z^2 operator, owned blocks, each
+    with the families of its condition."""
+    root = Xoshiro256StarStar(seed)
+    monomial_pairs = [(monomial(p), monomial(q)) for p in range(3) for q in range(3)]
+    out = []
+    for i in range(cases):
+        r = root.spawn(i)
+        theta, alpha = random_inner(r, rho=0.6), random_inner(r, rho=0.6)
+        phi = random_symbol(r, reach=3)
+        M = SymbolFunction(phi).reach + theta.degree + alpha.degree + 58
+        D = build_dtto(theta, alpha, phi, M)
+        sixes = [gen_M(theta, alpha, h, g) for h, g in monomial_pairs]
+        dom, cod = D.domain_basis(), D.codomain_basis()
+        out.append((D, [six[l] for l in range(6) for six in sixes]
+                    + [gen_shift_pair(dom.vectors[fi], cod.vectors[gi])
+                       for fi, gi in ((0, 1), (M + 2, M + 3))]))
+    z2 = monomial_inner(2)
+    base = build_dtto(z2, z2, LaurentPolynomial({1: 1.0, -1: 2.0}), 10)
+    sixes = [gen_M(z2, z2, h, g) for h, g in monomial_pairs]
+    out += [(Dp, [six[l - 1] for six in sixes])
+            for l, Dp in _scripted_perturbations(base).items()]
+    return out
+
+
+@pytest.mark.parametrize("seed", [42, 7, 1234])
+def test_pair_many_takes_each_distinct_vector_once_to_the_bit(monkeypatch, seed):
+    """pair_many maps each distinct dyad vector once (at most 25 per side of
+    a criterion-5 case's 112 dyads) and gives the all-dyads pass, bit for
+    bit, on criterion 5's batches."""
+    batches, sizes = _criterion_5_batches(seed, 6), []
+    real = OrthonormalBasis.coords_and_defects
+
+    def counted(self, polys):
+        polys = list(polys)
+        sizes.append(len(polys))
+        return real(self, polys)
+    for T, families in batches:
+        slow = all_dyads_pair_many(T, families)
+        with monkeypatch.context() as m:
+            m.setattr(OrthonormalBasis, "coords_and_defects", counted)
+            fast = pair_many(T, families)
+        assert fast.view(np.uint64).tolist() == slow.view(np.uint64).tolist()
+        dyads = [fg for t in families for fg in t.dyads]
+        distinct = [len({(p.lo, p.dense(*p.band).tobytes()) for p in side})
+                    for side in zip(*dyads)]
+        assert sizes[-2:] == distinct and max(distinct) < len(dyads)
+    assert max(sizes[:2 * 6]) <= 25
+
+
+def test_a_repeated_vector_leaving_its_span_raises_the_same_error():
+    """A dyad vector outside its span that repeats, on one side or both,
+    raises the DimensionError of the all-dyads pass: the first such dyad,
+    its side and its defect."""
+    theta, alpha, M = BlaschkeProduct([0.5, -0.3j]), BlaschkeProduct([0.4 + 0.2j]), 40
+    D = build_dtto(theta, alpha, LaurentPolynomial({-1: 1.0, 2: 0.5j}), M)
+    families = [gen_M(theta, alpha, monomial(p), monomial(q))[l - 1]
+                for l in range(1, 7) for p in range(3) for q in range(3)]
+    (f1, g1), (f2, g2) = families[20].dyads
+    bad_f = f1 + tm_basis(theta).reconstruct(np.ones(theta.degree)).scale(1e-6)
+    bad_g = g2 + monomial(-(M + 2)).scale(1e-5)
+    for extra in ([(f1, g1), (bad_f, g2), (bad_f, g1)],
+                  [(f1, bad_g), (bad_f, g2), (bad_f, bad_g)],
+                  [(bad_f, bad_g), (f2, bad_g)],
+                  [(f2, g1), (f1, bad_g), (bad_f, g1), (f1, bad_g)]):
+        batch = families[:20] + [FiniteRankOperator(extra)] + families
+        errors = []
+        for route in (pair_many, all_dyads_pair_many):
+            with pytest.raises(DimensionError) as caught:
+                route(D, batch)
+            errors.append(str(caught.value))
+        assert errors[0] == errors[1]
+
+
+def test_assemble_reads_the_held_blocks():
+    """assemble() is np.block of owned copies of the blocks, bit for bit,
+    on a built operator's views, on a payload's views, with one block owned
+    through its name, and on owned blocks; no block changes hands."""
+    D = build_dtto(BlaschkeProduct([0.5, -0.3j]), BlaschkeProduct([0.4 + 0.2j]),
+                   LaurentPolynomial({-1: 1.0, 2: complex(-0.0, 0.5)}), 30)
+    written = build_dtto(D.theta, D.alpha, LaurentPolynomial({-1: 1.0, 2: 0.5j}), 30)
+    read = BlockOperator.from_json(read_operator_text("".join(write_operator_text(written))))
+    mixed = build_dtto(D.theta, D.alpha, LaurentPolynomial({-1: 1.0, 2: 0.5j}), 30)
+    mixed.gamma_hat  # a read by name copies the view into an owned block
+    owned = split_blocks(D.assemble(), D.theta, D.alpha, D.M)
+    for op, viewed in ((D, [True] * 4), (read, [True] * 4),
+                       (mixed, [True, True, False, True]), (owned, [False] * 4)):
+        assert op._viewed == viewed
+        b = [np.array(block) for block in op.blocks()]
+        want = np.block([[b[0], b[1]], [b[2], b[3]]])
+        assert op.assemble().view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        assert op._viewed == viewed
+
+
+@pytest.mark.parametrize("M", [16, 32, 64, 128, 256])
+def test_criterion_7_takes_the_real_svd_within_8_ulp(M):
+    """Criterion 7's z + zbar sections on z^2 have no imaginary part: the
+    real SVD gives their norm within 8 ulps of the complex one. One nonzero
+    imaginary part, however small, keeps the complex SVD."""
+    A = build_dtto(monomial_inner(2), monomial_inner(2),
+                   LaurentPolynomial({1: 1.0, -1: 1.0}), M).assemble()
+    assert not A.imag.any()
+    complex_route = float(np.linalg.norm(A, 2))
+    assert _spectral_norm(A) == float(np.linalg.norm(A.real, 2))
+    assert abs(_spectral_norm(A) - complex_route) <= 8 * np.spacing(complex_route)
+    A[M // 2, 3] += 5e-324j
+    assert _spectral_norm(A) == float(np.linalg.norm(A, 2))
 
 
 # -- admissible vectors and the zbar corner on the sections ------------------------
@@ -1463,6 +1577,44 @@ def test_multiply_without_tails_is_exact_convolution(rng):
     f, g = random_poly(rng, -3, 5), random_poly(rng, 0, 7)
     np.testing.assert_array_equal(multiply(f, g).dense(-3, 12),
                                   np.convolve(f.dense(-3, 5), g.dense(0, 7)))
+
+
+# -- one series per inner function ----------------------------------------------------
+
+@pytest.mark.parametrize("B", [
+    monomial_inner(3), BlaschkeProduct([0.35 - 0.1j]),
+    BlaschkeProduct([0.6 + 0.3j, -0.5j, 0.2]), BlaschkeProduct([0.7j, 0.7j, 0.7j]),
+    BlaschkeProduct([0.95j, 0.9], allow_near_boundary=True)],
+    ids=["z^3", "one-zero", "three-zeros", "repeated", "rho=0.95"])
+def test_a_shorter_expansion_is_a_slice_of_the_longest_to_the_bit(B):
+    """After an expansion to the floor degree, every shorter one is sliced
+    from the kept series and equals the series computed anew, bit for bit;
+    a longer request replaces the kept series."""
+    inner._expand_cached.cache_clear()
+    inner._series.clear()
+    longest = B.floor_degree
+    expand(B, longest)
+    assert len(inner._series[B]) == longest + 1
+    r = Xoshiro256StarStar(20261022)
+    for n in sorted({0, 1, B.degree, B.cap_degree, longest - 1,
+                     *(r.integer(0, longest) for _ in range(20))}):
+        got, want = inner._expand_cached(B, n), fresh_expansion(B, n)
+        assert got.lo == want.lo
+        assert got._data.view(np.uint64).tolist() == want._data.view(np.uint64).tolist()
+    assert inner._expand_cached(B, longest + 7)._data.tolist() == \
+        fresh_expansion(B, longest + 7)._data.tolist()
+    assert len(inner._series[B]) == longest + 8
+
+
+def test_the_series_store_holds_the_last_inner_functions_within_its_bound():
+    inner._series.clear()
+    r = Xoshiro256StarStar(20261023)
+    inners = [random_inner(r) for _ in range(300)]
+    assert len(set(inners)) == 300
+    for B in inners:
+        expand(B)
+        assert len(inner._series) <= inner._SERIES_HELD
+    assert list(inner._series) == inners[-inner._SERIES_HELD:]
 
 
 # -- expansions cut at the floor degree -----------------------------------------------

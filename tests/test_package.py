@@ -90,12 +90,12 @@ def _names(tree: ast.AST) -> set[str]:
 
 def test_one_truncation_rule():
     """Only msolab.inner decides where an expansion is cut off, at the cap
-    and at the floor (every other module goes through `expand`), and no
-    module keeps tail bookkeeping: the tail of an expansion is
-    B.tail_bound_at(n)."""
+    and at the floor (every other module goes through `expand`), only it
+    holds a store of series to slice expansions from, and no module keeps
+    tail bookkeeping: the tail of an expansion is B.tail_bound_at(n)."""
     package = Path(msolab.__file__).parent
     rule = {"DEFAULT_TAIL_CAP", "TAIL_FLOOR", "cap_degree", "floor_degree",
-            "_expand_cached"}
+            "_expand_cached", "_series", "_SERIES_HELD", "OrderedDict"}
     deciding, tails = {}, {}
     for path in sorted(package.glob("*.py")):
         names = _names(ast.parse(path.read_text()))
@@ -103,6 +103,7 @@ def test_one_truncation_rule():
             deciding[path.name] = sorted(names & rule)
         tails[path.name] = sorted(names & {"tail_bound", "tail_cap"})
     assert len(deciding) > 5
+    assert rule <= _names(ast.parse((package / "inner.py").read_text()))
     assert {k: v for k, v in deciding.items() if v} == {}
     assert {k: v for k, v in tails.items() if v} == {}
 

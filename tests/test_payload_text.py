@@ -17,6 +17,8 @@ from msolab.inner import BlaschkeProduct, monomial_inner
 from msolab.laurent import LaurentPolynomial
 from msolab.operators import BlockOperator, build_dtto
 from msolab.payload import _read_block_text, read_operator_text
+from msolab.rng import Xoshiro256StarStar
+from msolab.suites import random_inner, random_symbol
 
 from conftest import dense_noise_operator
 from oracles import (distinct_read_operator_text, distinct_write_operator_text,
@@ -294,14 +296,15 @@ def test_repeated_blocks_key_reads_the_last_one():
     ("[[[1,2],[3,4]],[[5,6],[1.0,2]]]", 2),
 ])
 def test_block_reader_declines_what_it_does_not_parse(text, n):
-    assert _read_block_text(text, n) is None
+    assert _read_block_text(text, 0, len(text), n) is None
 
 
 def test_block_reader_keeps_the_json_number_grammar():
     # -0 is the integer zero to json.loads, so it reads as +0.0
-    a = _read_block_text("[[[-0,-0.0]]]", 1)
+    a = _read_block_text("[[[-0,-0.0]]]", 0, 13, 1)
     assert not np.signbit(a.real[0, 0]) and np.signbit(a.imag[0, 0])
-    b = _read_block_text("[[[1E2,2e-1],[3,4]],[[5,6],[1E2,2e-1]]]", 2)
+    text = "[[[1E2,2e-1],[3,4]],[[5,6],[1E2,2e-1]]]"
+    b = _read_block_text(text, 0, len(text), 2)
     assert np.array_equal(b, [[100 + 0.2j, 3 + 4j], [5 + 6j, 100 + 0.2j]])
 
 
@@ -312,7 +315,7 @@ def test_block_reader_keeps_the_json_number_grammar():
      [[1 + 2j, 3 + 4j, 5 + 6j], [3 + 4j, 5 + 6j, 7 + 8j], [5 + 6j, 7 + 8j, 9]]),
 ], ids=["toeplitz", "hankel"])
 def test_block_reader_gathers_the_sequence_of_the_text(text, block):
-    assert np.array_equal(_read_block_text(text, len(block)), block)
+    assert np.array_equal(_read_block_text(text, 0, len(text), len(block)), block)
 
 
 def test_huge_claimed_depth_allocates_nothing_large(tmp_path, capsys):
@@ -346,11 +349,12 @@ def _peak_mb(fn) -> float:
 def test_payload_routes_hold_one_block_of_text_at_a_time(tmp_path):
     """At M = 256 the payload text is 5.1 MB and the four blocks 4.2 MB.
     The reader holds the sequences of the blocks it has read (views, 0.03
-    MB), plus one block's text and rows; build holds the operator, plus
-    one block's sequence text. Peaks measured: 6.4 and 5.5 MB; 7.9 MB when
-    the reader gathered each block, and the routes that cut out all four
-    block texts and concatenated the whole document peaked at 20.4 and
-    24.8 MB."""
+    MB), plus one row of a block's text; build holds the operator, plus
+    one block's sequence text. Peaks measured: 0.14 and 5.5 MB; 6.4 MB
+    when the reader cut out each block's text and split it into rows, 7.9
+    MB when it also gathered each block, and the routes that cut out all
+    four block texts and concatenated the whole document peaked at 20.4
+    and 24.8 MB."""
     theta, alpha = PAIRS["blaschke"]
     text = dumps_payload(OPERATORS["blaschke-M256"])
     assert _peak_mb(lambda: read_operator_text(text)) < 9.0
@@ -359,3 +363,23 @@ def test_payload_routes_hold_one_block_of_text_at_a_time(tmp_path):
             "--M", "256", "--out", str(tmp_path / "op.json")]
     assert _peak_mb(lambda: main(argv)) < 7.0
     assert (tmp_path / "op.json").read_text() == text + "\n"
+
+
+def test_the_reader_copies_one_row_of_a_block_at_a_time():
+    """The reader finds a block's rows at their offsets in the text and
+    compares each with the one above in place. On seeded M = 256 build
+    payloads (4.5-5.1 MB of text) it peaks at 0.13-0.14 MB, where cutting
+    out each block and splitting it into row strings peaked at 5.1-6.2 MB;
+    the views it returns are read-only sequence layouts with the values of
+    the route that parses each distinct number once."""
+    r = Xoshiro256StarStar(20261024)
+    for _ in range(3):
+        op = build_dtto(random_inner(r), random_inner(r), random_symbol(r), 256)
+        text = "".join(cli._payload_pieces(op))
+        assert _peak_mb(lambda: read_operator_text(text)) < 0.25
+        views = read_operator_text(text)["blocks"]
+        s = np.dtype(np.complex128).itemsize
+        assert {view.strides for view in views.values()} <= {(-s, s), (s, s)}
+        assert not any(view.flags.writeable for view in views.values())
+        _assert_same_operator(_compact(text), BlockOperator.from_json(
+            distinct_read_operator_text(text)))

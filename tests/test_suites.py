@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from msolab import annihilate, kernels, suites
+from msolab import annihilate, inner, kernels, spaces, suites
 from msolab.errors import InputError
 from msolab.inner import monomial_inner
 from msolab.laurent import LaurentPolynomial
@@ -194,3 +194,26 @@ def test_reports_are_plain_json():
                    run_suite("fuzz", SuiteConfig(cases=2)),
                    suites.isometry_convergence()):
         assert json.loads(json.dumps(report, sort_keys=True)) == report
+
+
+def _cold_caches():
+    """Empty every cache an acceptance run fills: the expansions and the
+    series they slice, the model-space bases and the complement sections."""
+    for cache in (inner._expand_cached, inner._tm_basis_wrapped, spaces.basis_Kperp,
+                  spaces._tail_monomials):
+        cache.cache_clear()
+    inner._series.clear()
+
+
+def test_acceptance_report_is_the_same_from_cold_and_warm_caches():
+    """The acceptance report at seed 7 from empty caches and again from the
+    caches the first run left: expansions the first run computed anew, the
+    second takes from the lru cache or slices from a longer kept series."""
+    _cold_caches()
+    reports = []
+    for _ in range(2):
+        misses = inner._expand_cached.cache_info().misses
+        reports.append(json.dumps(run_suite("acceptance", SuiteConfig(seed=7)),
+                                  sort_keys=True, indent=2))
+        assert inner._expand_cached.cache_info().misses > misses
+    assert reports[0] == reports[1]
