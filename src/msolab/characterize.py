@@ -43,12 +43,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError
-from .inner import BlaschkeProduct, expand, expansion_degree, tm_basis
+from .inner import (BlaschkeProduct, cut_below_floor, expand, expansion_degree,
+                    tm_basis)
 from .laurent import (LaurentPolynomial, conj_function, multiply,
                       project_band)
 from .operators import (BlockOperator, DenseComplexMatrix, SymbolFunction,
-                        block_views, build_dtto, guard_depth,
-                        strided_sequence)
+                        block_views, build_dtto, guard_depth)
 from .spaces import SHIFT_KERNEL_TOL, compressed_shift
 
 
@@ -168,21 +168,11 @@ def _toeplitz_report(condition: str, dev: np.ndarray, tol: float) -> DefectRepor
     return DefectReport(condition, float(np.max(dev, initial=0.0)), tol, witnesses)
 
 
-# block order That, GammaCheck, GammaHat, TCheck: whether each is Toeplitz
-_TOEPLITZ = (True, False, False, True)
-
-
-def _sequences(D: BlockOperator):
-    """Each block's 2M+1 values in turn when the block is laid out in memory
-    as its identity needs (strided_sequence: That and TCheck Toeplitz,
-    GammaCheck and GammaHat Hankel), else None."""
-    return map(strided_sequence, D.blocks(), _TOEPLITZ)
-
-
 def _self_paired(sequence: np.ndarray | None) -> bool:
-    """Whether the block behind a _sequences entry has a structure residual
-    of exact zeros: its shift sandwich or intertwining pairs every cell
-    with itself in memory, and x - x is 0 for every finite x."""
+    """Whether the block behind a BlockOperator.sequences entry has a
+    structure residual of exact zeros: its shift sandwich or intertwining
+    pairs every cell with itself in memory, and x - x is 0 for every
+    finite x."""
     return sequence is not None and bool(np.isfinite(sequence).all())
 
 
@@ -287,12 +277,12 @@ def _shift_terms(D: BlockOperator) -> list[list[tuple[np.ndarray, np.ndarray]]]:
 
 def _block_reports(D: BlockOperator, tol: float, checks) -> list[DefectReport]:
     """The report of each (condition, k, (a, b)) of checks, a - b the
-    structure residual of block k (_sequences order), maybe transposed. A
+    structure residual of block k (block order), maybe transposed. A
     _self_paired block, its residual x - x at every cell, reports 0.0 and
     no witnesses without reading a cell; any other block's residual and
     modulus go in bands through one pair of _band_buffers, allocated only
     when some block takes them: no (M, M) array is made."""
-    exact = list(map(_self_paired, _sequences(D)))
+    exact = list(map(_self_paired, D.sequences()))
     buffers = None if all(exact) else _band_buffers(D.M)
     return [DefectReport(condition, 0.0, tol, []) if exact[k]
             else _band_report(condition, a, b, tol, buffers)
@@ -368,15 +358,16 @@ def adtto_verdict(D: BlockOperator, blocks: list[DefectReport]) -> AdttoVerdict:
     # coupling: the zbar-corner symbol, pushed through theta*conj(alpha),
     # must reproduce That entrywise
     phi_z = _zbar_symbol(D)
-    predicted, minus_theta, minus_alpha = _zbar_predictions(D, phi_z)
-    values = strided_sequence(that, toeplitz=True)
+    g, minus_theta, minus_alpha = _zbar_predictions(D, phi_z)
+    values = D.sequences()[0]
     if values is None:
-        coupling = _band_report("tcheck-coupling", that, predicted, tol,
-                                _band_buffers(M + 1))
+        coupling = _band_report("tcheck-coupling", that, next(block_views(M, (g,))),
+                                tol, _band_buffers(M + 1))
     else:
-        # both are Toeplitz in memory: the residual is too, in s - g
+        # That's Toeplitz values run from degree M down to -M: the residual
+        # is Toeplitz too, in s - g
         coupling = _toeplitz_report("tcheck-coupling", np.abs(
-            values - strided_sequence(predicted, toeplitz=True)), tol)
+            values - g.dense(-M, M)[::-1]), tol)
     r2 = _merged("tcheck-coupling", coupling, blocks[1])
     r3 = _merged("hankel-intertwine", blocks[2], blocks[3])
 
@@ -401,15 +392,14 @@ def adtto_verdict(D: BlockOperator, blocks: list[DefectReport]) -> AdttoVerdict:
 
 def _zbar_predictions(D: BlockOperator, phi_z: SymbolFunction):
     """What the zbar-corner symbol phi_z predicts for check_adtto: That, the
-    Toeplitz view of g = phi_z theta conj(alpha) at degrees -M..M, and the
+    Toeplitz matrix of g = phi_z theta conj(alpha) at degrees -M..M, and the
     Hminus parts of D(theta) and D*(alpha) at degrees -1..-(M+1), the
     coefficients of phi_z theta and conj(phi_z) alpha read backwards."""
     M = D.M
     th = expand(D.theta, 2 * M + 4)
     al = expand(D.alpha, 2 * M + 4)
     g = multiply(phi_z.value, multiply(th, conj_function(al)))
-    return (next(block_views(M, (g,))),
-            multiply(phi_z.value, th).dense(-M - 1, -1)[::-1],
+    return (g, multiply(phi_z.value, th).dense(-M - 1, -1)[::-1],
             multiply(conj_function(phi_z.value), al).dense(-M - 1, -1)[::-1])
 
 
@@ -447,9 +437,9 @@ def _norm_bracket(D: BlockOperator, rebuilt: BlockOperator) -> tuple[float, floa
     so the widening holds in any order of addition.
 
     When all eight blocks of D and of the rebuild have their slot's layout
-    (_sequences), the column and row sums come from E's four difference
-    sequences in O(M) (_window_sums): `recover_symbol` on a built operator
-    or on a payload read as views. Any other E is read in bands
+    (BlockOperator.sequences), the column and row sums come from E's four
+    difference sequences in O(M) (_window_sums): `recover_symbol` on a
+    built operator or on a payload read as views. Any other E is read in bands
     (_band_sums), which give the sums of the assembled E to the bit."""
     # a difference or a sum that overflows makes an end inf, which keeps
     # the verdict: a column or row norm beyond the float range exceeds
@@ -471,11 +461,11 @@ def _norm_bracket(D: BlockOperator, rebuilt: BlockOperator) -> tuple[float, floa
 def _difference_sequences(D: BlockOperator, rebuilt: BlockOperator) -> np.ndarray | None:
     """The (4, 2M+1) values of E = D - rebuilt block by block, each block's
     values of D minus those of the rebuild, when all eight blocks have their
-    slot's layout (_sequences), else None. Every cell of a block of E is
-    that subtraction of the same two values, so E's cells are these values
-    bit for bit. The sequences are read a pair at a time."""
+    slot's layout (BlockOperator.sequences), else None. Every cell of a
+    block of E is that subtraction of the same two values, so E's cells are
+    these values bit for bit."""
     e = np.empty((4, 2 * D.M + 1), dtype=np.complex128)
-    for row, a, b in zip(e, _sequences(D), _sequences(rebuilt)):
+    for row, a, b in zip(e, D.sequences(), rebuilt.sequences()):
         if a is None or b is None:
             return None
         np.subtract(a, b, out=row)
@@ -546,7 +536,7 @@ def _residual_bands(D: BlockOperator, rebuilt: BlockOperator):
     """The rows of E = D - rebuilt in bands of at most _BAND_ROWS rows, top
     to bottom, each written into one buffer: use a band before taking the
     next. _band_sums reads E so when a block lacks its slot's layout (a
-    block written through its name, a dense payload)."""
+    block assigned through its name, a dense payload)."""
     n = D.M + 1
     # each block pair with the row and column where its difference sits in E
     quadrants = tuple(zip(D.blocks(), rebuilt.blocks(), (0, 0, n, n), (0, n, 0, n)))
@@ -594,7 +584,9 @@ def recover_symbol(D: BlockOperator, method: str = "zbar", *,
     theta conj(alpha), so the branch forms three products. theta and alpha
     are expanded to one shared reach, at least 2M + 4, and each stops at
     its floor degree (msolab.inner), so g and w end where their
-    coefficients fall below roundoff.
+    coefficients fall below roundoff. The rebuild reads the symbol as
+    formed; the symbol returned drops its end coefficients of modulus at
+    most TAIL_FLOOR times its norm (inner.cut_below_floor).
     """
     if method not in ("zbar", "boundary"):
         raise InputError(f"unknown recovery method {method!r}")
@@ -629,7 +621,12 @@ def recover_symbol(D: BlockOperator, method: str = "zbar", *,
     max_reach = M - guard
     clipped = project_band(symbol.value, -max_reach, max_reach)
     rebuilt = build_dtto(D.theta, D.alpha, SymbolFunction(clipped), M)
-    return symbol, _certified_norm(D, rebuilt, tol)
+    residual = _certified_norm(D, rebuilt, tol)
+    if method == "boundary":
+        # the ends of conj(theta) alpha w lie below roundoff at the symbol's
+        # scale; they are cut after the rebuild, which keeps its bits
+        symbol = SymbolFunction(cut_below_floor(symbol.value))
+    return symbol, residual
 
 
 class AnalyticVerdict(NamedTuple):

@@ -234,20 +234,23 @@ _SERIES_HELD = 32
 _series_lock = threading.Lock()
 
 
+def _factor_series(a: complex, n: int) -> np.ndarray:
+    """Coefficients 0..n of one factor (z-a)/(1-conj(a) z): b_0 = -a,
+    b_k = conj(a)^(k-1) (1-|a|^2) for k >= 1."""
+    factor = np.empty(n + 1, dtype=np.complex128)
+    factor[0] = -a
+    factor[1:] = (1.0 - abs(a) ** 2) * (a.conjugate() ** np.arange(n))
+    return factor
+
+
 @functools.lru_cache(maxsize=256)
 def _expand_cached(B: BlaschkeProduct, n: int) -> LaurentPolynomial:
     with _series_lock:
         series = _series.pop(B, None)
         if series is None or len(series) <= n:
-            # series of one factor (z-a)/(1-conj(a) z): b_0 = -a,
-            # b_k = conj(a)^(k-1) (1-|a|^2) for k >= 1
             series = np.array([B.constant], dtype=np.complex128)
             for a in B.zeros:
-                factor = np.zeros(n + 1, dtype=np.complex128)
-                factor[0] = -a
-                if n >= 1:
-                    factor[1:] = (1.0 - abs(a) ** 2) * (a.conjugate() ** np.arange(n))
-                series = np.convolve(series, factor)[:n + 1]
+                series = np.convolve(series, _factor_series(a, n))[:n + 1]
         _series[B] = series
         if len(_series) > _SERIES_HELD:
             _series.popitem(last=False)
@@ -274,6 +277,20 @@ def expand(B: BlaschkeProduct, reach: int = 0) -> LaurentPolynomial:
     return _expand_cached(B, expansion_degree(B, reach))
 
 
+def cut_below_floor(p: LaurentPolynomial) -> LaurentPolynomial:
+    """p without its end coefficients of modulus at most TAIL_FLOOR ||p||_2:
+    what a series cut at its floor degree leaves out, at p's own scale.
+    Coefficients inside the band are kept, however small, and so is all of
+    p when its norm is not finite."""
+    data = p.dense(p.lo, p.hi)
+    kept = np.flatnonzero(np.abs(data) > TAIL_FLOOR * p.norm())
+    if len(kept) == 0:
+        # p is zero, or no modulus exceeds an infinite or NaN floor
+        return p
+    first, last = int(kept[0]), int(kept[-1])
+    return LaurentPolynomial._from_dense(p.lo + first, data[first:last + 1])
+
+
 def tm_basis(B: BlaschkeProduct) -> OrthonormalBasis:
     """Takenaka-Malmquist orthonormal basis of the model space of B at the
     default tail cap. Vector order follows the zero order; no re-sorting,
@@ -292,10 +309,7 @@ def _tm_basis_wrapped(B: BlaschkeProduct) -> OrthonormalBasis:
         cauchy = ac ** np.arange(n + 1)  # 1/(1 - conj(a) z)
         vec = np.convolve(running, cauchy)[:n + 1] * math.sqrt(1.0 - abs(a) ** 2)
         kernel_parts.append(vec)
-        factor = np.zeros(n + 1, dtype=np.complex128)
-        factor[0] = -a
-        factor[1:] = (1.0 - abs(a) ** 2) * (ac ** np.arange(n))
-        running = np.convolve(running, factor)[:n + 1]
+        running = np.convolve(running, _factor_series(a, n))[:n + 1]
     V = np.vstack([np.pad(v, (0, n + 1 - len(v))) for v in kernel_parts])
     # one re-orthonormalization pass against the numerically computed Gram
     G = V @ V.conj().T

@@ -20,13 +20,12 @@ and 0 <= i, j <= M:
 
 so `build_dtto` forms three products and keeps each block as a read-only
 strided view of the 2M+1 coefficients it reads (`block_views`): no index
-array is built, and a block is copied only when a caller reads it by name
-(see `BlockOperator`). Entries
-are exact pairings (up to expansion tails), so truncation shows up only
-structurally: identities involving products of blocks are reliable on
-interior indices, at distance >= (symbol reach + deg theta + deg alpha) from
-the truncation edge. Builders record the symbol reach as `edge`, a
-non-negative integer of provenance that payloads carry and no check reads.
+array is built and no block is copied. Entries are exact pairings (up to
+expansion tails), so truncation shows up only structurally: identities
+involving products of blocks are reliable on interior indices, at distance
+>= (symbol reach + deg theta + deg alpha) from the truncation edge.
+Builders record the symbol reach as `edge`, a non-negative integer of
+provenance that payloads carry and no check reads.
 """
 
 from __future__ import annotations
@@ -49,6 +48,12 @@ from .spaces import basis_Kperp, section_expansion
 # and at this cap one block is 1025 x 1025 complex (17 MB), the assembled
 # operator 68 MB.
 MAX_DEPTH = 1024
+
+# entry (i, j) of each block reads degree d0 + di * i + dj * j of its
+# sequence, in block order That, GammaCheck, GammaHat, TCheck: That and
+# TCheck are Toeplitz (di = -dj), GammaCheck and GammaHat Hankel
+_BLOCK_DEGREES = ((0, 1, -1), (1, 1, 1), (-1, -1, -1), (0, -1, 1))
+_TOEPLITZ = tuple(di == -dj for _, di, dj in _BLOCK_DEGREES)
 
 
 class SymbolFunction:
@@ -137,24 +142,21 @@ class DenseComplexMatrix:
 class BlockOperator:
     """The four compressions of an operator between complement sections.
 
+    `that`, `gamma_check`, `gamma_hat` and `t_check` hold the blocks
+    exactly as they were given: a read-only view, such as a `block_views`
+    view from `build_dtto` or a strided view from
+    `payload.read_operator_text`, stays a view, and an in-place write into
+    it raises. Assigning an array to a name replaces that block.
+    Construction rejects a block with a non-finite entry; a block assigned
+    afterwards is the caller's to keep finite.
+
     `edge` is provenance metadata: the symbol reach a builder used, None
     for operators of unknown provenance (e.g. loaded from JSON without the
-    optional key). No check reads it. Construction rejects a block with a
-    non-finite entry; blocks mutated afterwards are the caller's to keep
-    finite.
-
-    A read-only block, such as a `block_views` view from `build_dtto` or a
-    strided view from `payload.read_operator_text`, is held as given until
-    it is first read by name (`that`, `gamma_check`, `gamma_hat`,
-    `t_check`). That read copies it into an owned, C-contiguous, writable
-    array, which replaces it, so a write through the attribute is seen by
-    every later check, product and payload. That first read takes no lock:
-    two threads making it at once may each copy, and a write into the
-    losing copy is lost. `blocks()` hands out the four blocks as held,
-    copying nothing: the checks and `assemble` read them through it.
+    optional key). No check reads it.
     """
 
-    __slots__ = ("_blocks", "_viewed", "theta", "alpha", "M", "edge")
+    __slots__ = ("that", "gamma_check", "gamma_hat", "t_check", "theta",
+                 "alpha", "M", "edge")
 
     def __init__(self, that, gamma_check, gamma_hat, t_check,
                  theta: BlaschkeProduct, alpha: BlaschkeProduct, M: int,
@@ -162,49 +164,28 @@ class BlockOperator:
         n = M + 1
         blocks = [np.asarray(block, dtype=np.complex128)
                   for block in (that, gamma_check, gamma_hat, t_check)]
-        for name, block in zip(BLOCK_NAMES, blocks):
+        for name, block, toeplitz in zip(BLOCK_NAMES, blocks, _TOEPLITZ):
             if block.shape != (n, n):
                 raise DimensionError(f"{name} has shape {block.shape}, expected {(n, n)}")
-            if not np.isfinite(block).all():
+            # a block in its slot's layout reads only its 2M+1 values
+            values = strided_sequence(block, toeplitz)
+            if not np.isfinite(block if values is None else values).all():
                 raise InputError(f"{name} has a non-finite entry")
-        self._blocks, self._viewed = blocks, [not b.flags.writeable for b in blocks]
+        self.that, self.gamma_check, self.gamma_hat, self.t_check = blocks
         self.theta = theta
         self.alpha = alpha
         self.M = int(M)
         self.edge = edge
 
-    @classmethod
-    def _of_views(cls, views, theta: BlaschkeProduct, alpha: BlaschkeProduct,
-                  M: int, edge: int) -> "BlockOperator":
-        """build_dtto's operator over its four finite block views."""
-        op = cls.__new__(cls)
-        op._blocks, op._viewed = list(views), [True] * 4
-        op.theta, op.alpha, op.M, op.edge = theta, alpha, int(M), edge
-        return op
-
-    def _named(k):
-        def read(self) -> np.ndarray:
-            # a read-only block is copied once, C-contiguous: `apply` on a
-            # strided view would leave the BLAS path and change the bits
-            if self._viewed[k]:
-                self._blocks[k] = np.array(self._blocks[k], order="C")
-                self._viewed[k] = False
-            return self._blocks[k]
-
-        def write(self, block):
-            self._blocks[k], self._viewed[k] = block, False
-        return property(read, write)
-
-    that = _named(0)
-    gamma_check = _named(1)
-    gamma_hat = _named(2)
-    t_check = _named(3)
-    del _named
-
     def blocks(self) -> tuple[np.ndarray, ...]:
-        """The four blocks in block order as held, views included; read
-        them only."""
-        return tuple(self._blocks)
+        """The four blocks in block order, as held."""
+        return (self.that, self.gamma_check, self.gamma_hat, self.t_check)
+
+    def sequences(self) -> tuple[np.ndarray | None, ...]:
+        """Each block's 2M+1 values in block order when the block is laid
+        out in memory as its identity needs (strided_sequence: That and
+        TCheck Toeplitz, GammaCheck and GammaHat Hankel), else None."""
+        return tuple(map(strided_sequence, self.blocks(), _TOEPLITZ))
 
     @property
     def dim(self) -> int:
@@ -230,8 +211,10 @@ class BlockOperator:
         if x.ndim not in (1, 2) or x.shape[0] != self.dim:
             raise DimensionError(f"input of shape {x.shape} for dimension {self.dim}")
         head, tail = x[:self.M + 1], x[self.M + 1:]
-        return np.concatenate([self.that @ head + self.gamma_check @ tail,
-                               self.gamma_hat @ head + self.t_check @ tail])
+        # a strided view would leave the BLAS path and change the bits
+        that, gamma_check, gamma_hat, t_check = map(np.ascontiguousarray, self.blocks())
+        return np.concatenate([that @ head + gamma_check @ tail,
+                               gamma_hat @ head + t_check @ tail])
 
     def to_json(self) -> dict:
         return self.to_json_with(write_matrix)
@@ -244,9 +227,8 @@ class BlockOperator:
             "theta": self.theta.to_json(),
             "alpha": self.alpha.to_json(),
             "M": self.M,
-            "blocks": {name: write(block) for name, block in zip(
-                BLOCK_NAMES, (self.that, self.gamma_check, self.gamma_hat,
-                               self.t_check))},
+            "blocks": {name: write(block)
+                       for name, block in zip(BLOCK_NAMES, self.blocks())},
         }
         if self.edge is not None:
             out["edge"] = self.edge
@@ -307,18 +289,7 @@ def build_dtto(theta: BlaschkeProduct, alpha: BlaschkeProduct, phi,
     al_bar = conj_function(section_expansion(alpha, M))
     sequences = (multiply(phi_th, al_bar), multiply(phi.value, al_bar),
                  phi_th, phi.value)
-    views = tuple(block_views(M, sequences))
-    # a view reads every one of the 2M+1 coefficients under it, so they are
-    # finite exactly when the block is
-    for name, view in zip(BLOCK_NAMES, views):
-        if not np.isfinite(view.base).all():
-            raise InputError(f"{name} has a non-finite entry")
-    return BlockOperator._of_views(views, theta, alpha, M, phi.reach)
-
-
-# entry (i, j) of each block reads degree d0 + di * i + dj * j of its
-# sequence, in block order That, GammaCheck, GammaHat, TCheck
-_BLOCK_DEGREES = ((0, 1, -1), (1, 1, 1), (-1, -1, -1), (0, -1, 1))
+    return BlockOperator(*block_views(M, sequences), theta, alpha, M, phi.reach)
 
 
 def block_views(M: int, sequences) -> Iterator[np.ndarray]:

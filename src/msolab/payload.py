@@ -8,14 +8,16 @@ Keys no reader asks for are ignored.
 A block operator payload as `build` writes it (compact, sorted keys) has its
 own writer and reader, `write_operator_text` and `read_operator_text`. Each
 block is a Toeplitz or Hankel matrix, fixed by a sequence of 2M + 1
-numbers. The writer sees that in the float64 bits: it formats the sequence
-once and joins every row from its cells, and hands the payload out in
-pieces, one block at a time. The reader sees it in the text, where each row
-is the one above shifted by one cell: it parses the sequence once and
-hands out the block as a read-only strided view of it, and keeps the
-blocks as offsets into the text until it reads them. The writer gives a
-block of any other shape to json.dumps; the reader declines a payload
-holding one, which json.loads and the typed readers then read. Both give
+numbers. The writer takes the sequence from the operator
+(`BlockOperator.sequences`) where a block is held in that layout: it
+formats the sequence once and joins every row from its cells, and hands
+the payload out in pieces, one block at a time. The reader sees it in the
+text, where each row is the one above shifted by one cell: it parses the
+sequence once and hands out the block as a read-only strided view of it,
+and keeps the blocks as offsets into the text until it reads them. The
+writer gives any other block to json.dumps; the reader declines a payload
+holding a block of any other shape, which json.loads and the typed
+readers then read. Both give
 the same text and the same float64 bits as json.dumps and json.loads
 through `write_matrix` and `read_matrix`.
 """
@@ -93,15 +95,19 @@ def write_matrix(a: np.ndarray) -> list:
 def write_operator_text(op) -> Iterator[str]:
     """json.dumps(op.to_json(), sort_keys=True, separators=(",", ":")) for a
     BlockOperator `op`, in pieces: the text around the blocks from _frame,
-    each block's key and its text from _block_pieces. A block is formatted
-    only when its pieces are asked for."""
+    each block's key and its text from _block_pieces, given the block's
+    sequence and layout as the operator holds it (op.sequences()). A block
+    is formatted only when its pieces are asked for."""
+    # operators imports this module, so its layout table is read at call time
+    from .operators import _TOEPLITZ
     document = op.to_json_with(lambda block: block)
     blocks = document.pop("blocks")
+    layouts = dict(zip(BLOCK_NAMES, zip(op.sequences(), _TOEPLITZ)))
     head, tail = _frame(document)
     yield head
     for k, name in enumerate(sorted(blocks)):
         yield _key(k, name)
-        yield from _block_pieces(blocks[name])
+        yield from _block_pieces(blocks[name], *layouts[name])
     yield tail
 
 
@@ -160,24 +166,19 @@ def _key(k: int, name: str) -> str:
     return ("," if k else "") + f'"{name}":'
 
 
-def _block_pieces(a: np.ndarray) -> Iterator[str]:
+def _block_pieces(a: np.ndarray, sequence: np.ndarray | None,
+                  toeplitz: bool) -> Iterator[str]:
     """json.dumps(write_matrix(a), separators=(",", ":")) in pieces. A block
-    that is Toeplitz or Hankel bit for bit formats its 2n - 1 sequence cells
-    once, with one repr per float64 (so -0.0 keeps its sign), and hands out
-    each row as a join of n of them; any other block comes as one piece
+    held as a view of its 2n - 1 values, `sequence` (Toeplitz: cell (i, j)
+    is value n-1+j-i; Hankel: value i+j), formats those cells once, with
+    one repr per float64 (so -0.0 keeps its sign), and hands out each row
+    as a join of n of them; a block with no sequence comes as one piece
     from json.dumps."""
-    a = np.ascontiguousarray(a, dtype=np.complex128)
-    n = len(a)
-    bits = a.view(np.uint64).reshape(n, n, 2)
-    if (bits[1:, 1:] == bits[:-1, :-1]).all():
-        # Toeplitz: row i is cells n-1-i .. 2n-2-i of column 0 bottom up, then row 0
-        sequence, starts = np.concatenate([a[::-1, 0], a[0, 1:]]), range(n - 1, -1, -1)
-    elif (bits[1:, :-1] == bits[:-1, 1:]).all():
-        # Hankel: row i is cells i .. i+n-1 of row 0, then the last column
-        sequence, starts = np.concatenate([a[0], a[1:, -1]]), range(n)
-    else:
+    if sequence is None:
         yield json.dumps(write_matrix(a), **_COMPACT)
         return
+    n = len(a)
+    starts = range(n - 1, -1, -1) if toeplitz else range(n)
     cells = [f"[{re!r},{im!r}]" for re, im in
              sequence.view(np.float64).reshape(-1, 2).tolist()]
     for k, s in enumerate(starts):

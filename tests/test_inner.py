@@ -7,8 +7,10 @@ from msolab import inner
 from msolab.errors import InputError
 from msolab.inner import (DEFAULT_TAIL_CAP, MAX_EXPANSION_DEGREE, TAIL_FLOOR,
                           BlaschkeProduct, _geometric_degree, _tm_basis_wrapped,
-                          expand, expansion_degree, monomial_inner, tm_basis)
-from msolab.laurent import MAX_DEGREE, inner_product, monomial, multiply
+                          cut_below_floor, expand, expansion_degree, monomial_inner,
+                          tm_basis)
+from msolab.laurent import (MAX_DEGREE, LaurentPolynomial, inner_product, monomial,
+                            multiply)
 from msolab.operators import MAX_DEPTH
 
 from conftest import assert_poly_close
@@ -94,6 +96,27 @@ def test_a_reach_within_the_floor_is_expanded_uncut(zeros):
         cut, uncut = expand(b, reach), uncut_expand(b, reach)
         assert (cut.lo, cut.hi) == (uncut.lo, uncut.hi)
         assert np.array_equal(cut.dense(cut.lo, cut.hi), uncut.dense(cut.lo, cut.hi))
+
+
+def test_cut_below_floor_drops_only_the_ends_at_the_floor():
+    """cut_below_floor drops end coefficients of modulus at most TAIL_FLOOR
+    ||p||_2 from both ends, one exactly at it included, keeps the bits of
+    every other coefficient, a tiny one inside the band too, and leaves the
+    zero function and a function of non-finite norm as they are."""
+    middle = [1.0, 0.0, 1e-40, -0.5j, complex(-0.0, 1e-28)]
+    floor = TAIL_FLOOR * LaurentPolynomial._from_dense(0, np.array(middle)).norm()
+    data = np.array([1e-70, floor, *middle, 1e-50 + 1e-60j, -0.0], dtype=np.complex128)
+    p = LaurentPolynomial._from_dense(-3, data)
+    assert TAIL_FLOOR * p.norm() == floor
+    cut = cut_below_floor(p)
+    assert (cut.lo, cut.hi) == (-1, 3)
+    assert cut.dense(-1, 3).tobytes() == np.array(middle, dtype=np.complex128).tobytes()
+    zero = LaurentPolynomial()
+    assert cut_below_floor(zero).is_zero()
+    for big in (np.inf, 1e200):
+        p = LaurentPolynomial._from_dense(0, np.array([1e-300, big, 1e-300]))
+        with np.errstate(over="ignore"):
+            assert cut_below_floor(p) is p
 
 
 def test_monomials_and_tm_basis_are_uncut(monkeypatch):

@@ -167,6 +167,39 @@ def test_block_operator_rejects_non_finite_entries(block, bad):
         split_blocks(full, D.theta, D.alpha, D.M)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("block", range(4), ids=BLOCK_NAMES)
+def test_block_operator_rejects_a_view_over_non_finite_values(block, bad, monkeypatch):
+    """A block given as a view of its 2M+1 values, in the build's layout or
+    in the payload reader's, is rejected when any value its view reads is
+    not finite, first, last or inside; the check reads those 2M+1 values
+    only. A view in the other slot's layout is checked over all its
+    (M+1)^2 cells."""
+    M = 10
+    D = build_dtto(BlaschkeProduct([0.5]), BlaschkeProduct([0.3j]),
+                   LaurentPolynomial({-1: 1.0, 1: 0.5j}), M)
+    text = "".join(write_operator_text(D))
+    sizes = []
+    real = np.isfinite
+    monkeypatch.setattr(np, "isfinite", lambda a: sizes.append(np.size(a)) or real(a))
+    name = BLOCK_NAMES[block]
+    for views in (D.blocks(), BlockOperator.from_json(read_operator_text(text)).blocks()):
+        sizes.clear()
+        BlockOperator(*views, D.theta, D.alpha, M)
+        assert sizes == [2 * M + 1] * 4
+        for cell in (0, M, 2 * M):
+            values = views[block].base
+            kept, values[cell] = values[cell], bad
+            with pytest.raises(InputError, match=f"^{name} has a non-finite entry$"):
+                BlockOperator(*views, D.theta, D.alpha, M)
+            values[cell] = kept
+    sizes.clear()
+    # That and GammaCheck swapped: each is in the other's layout
+    that, gamma_check, gamma_hat, t_check = D.blocks()
+    BlockOperator(gamma_check, that, gamma_hat, t_check, D.theta, D.alpha, M)
+    assert sizes == [(M + 1) ** 2] * 2 + [2 * M + 1] * 2
+
+
 # -- entrywise structure for monomial inner functions ------------------------------
 
 def test_monomial_block_entries_follow_symbol(rng):

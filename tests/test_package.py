@@ -244,12 +244,27 @@ def test_characterize_reads_model_spaces_through_the_compressed_shift():
 
 
 def test_characterize_reads_blocks_only_through_the_accessor():
-    """A built operator copies a block the first time it is read by name
-    (10.3 MB for the four at M = 400), so characterize reads blocks only
-    through BlockOperator.blocks, which copies nothing."""
+    """characterize reads the blocks, as held, only through
+    BlockOperator.blocks, in block order, and their layout only through
+    BlockOperator.sequences: no check names a block."""
     path = Path(msolab.__file__).parent / "characterize.py"
     named = [f"{n.attr}:{n.lineno}" for n in ast.walk(ast.parse(path.read_text()))
              if isinstance(n, ast.Attribute)
              and n.attr in ("that", "gamma_check", "gamma_hat", "t_check", "_blocks")]
     assert named == []
     assert "characterize.py" in _method_callers(path.parent, "blocks")
+
+
+def test_one_module_holds_the_block_layout():
+    """operators alone says which block is Toeplitz and which Hankel
+    (_TOEPLITZ, next to _BLOCK_DEGREES) and reads a block's layout from its
+    strides (strided_sequence); characterize and the payload writer take
+    it from BlockOperator.sequences, and the writer tests no float bits."""
+    package = Path(msolab.__file__).parent
+    assert _readers("strided_sequence") == ["operators.py"]
+    assert "uint64" not in _names(ast.parse((package / "payload.py").read_text()))
+    defined = [path.name for path in sorted(package.glob("*.py"))
+               for n in ast.walk(ast.parse(path.read_text()))
+               if isinstance(n, ast.Assign)
+               and any(isinstance(t, ast.Name) and t.id == "_TOEPLITZ" for t in n.targets)]
+    assert defined == ["operators.py"]
