@@ -21,11 +21,11 @@ themselves exact on the section:
 Each block is a Toeplitz or Hankel matrix in 2M+1 values. Where a block is
 laid out so in memory (a built operator's views, a payload read as views),
 the block conditions and `tcheck-coupling` are read from those values in
-O(M); any other block's residual is taken in bands of _BAND_ROWS rows. Both
-routes give the report of the whole residual bit for bit. The shift check
-on a section takes the block conditions so, each transposed and placed in
-[[That, GammaHat], [GammaCheck, TCheck]] at (0, 0), (0, M), (M, 0), (M, M),
-ties in row-major order of that layout. The recovery residual's norm
+O(M), with the report of the whole residual bit for bit; any other block's
+residual is taken whole. The shift check on a section takes the block
+conditions so, each transposed and placed in [[That, GammaHat],
+[GammaCheck, TCheck]] at (0, 0), (0, M), (M, 0), (M, M), ties in
+row-major order of that layout. The recovery residual's norm
 bracket comes from window sums of the four difference sequences when all
 eight blocks of the operator and of its rebuild are laid out so, and from
 bands of the residual otherwise; the two add their sums in other orders,
@@ -112,7 +112,7 @@ def _abs_report(condition: str, dev: np.ndarray, tol: float) -> DefectReport:
     return DefectReport(condition, float(np.max(dev, initial=0.0)), tol, witnesses)
 
 
-# rows of a residual that a check or the recovery residual holds at once
+# rows of the recovery residual E that _band_sums holds at once
 _BAND_ROWS = 64
 
 
@@ -121,33 +121,6 @@ def _row_bands(n: int):
     rows, top to bottom."""
     for start in range(0, n, _BAND_ROWS):
         yield start, min(start + _BAND_ROWS, n)
-
-
-def _band_buffers(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """A complex residual band and its modulus for _band_report on n x n
-    residuals."""
-    k = min(_BAND_ROWS, n)
-    return np.empty((k, n), dtype=np.complex128), np.empty((k, n))
-
-
-def _band_report(condition: str, a: np.ndarray, b: np.ndarray, tol: float,
-                 buffers: tuple[np.ndarray, np.ndarray]) -> DefectReport:
-    """_report of a - b, taken in bands of at most _BAND_ROWS rows written
-    into `buffers` (_band_buffers). The defect is the largest band defect
-    and the witnesses the top 3 of the bands' witnesses; a stable sort keeps
-    ties in row-major order, so the report is that of the whole residual,
-    bit for bit."""
-    residual, dev = buffers
-    defects, witnesses = [], []
-    for start, stop in _row_bands(len(a)):
-        k = stop - start
-        band = np.subtract(a[start:stop], b[start:stop], out=residual[:k])
-        report = _abs_report(condition, np.abs(band, out=dev[:k]), tol)
-        defects.append(report.defect)
-        witnesses += [(i + start, j, w) for i, j, w in report.witnesses]
-    witnesses.sort(key=lambda w: -w[2])
-    return DefectReport(condition, float(np.max(defects, initial=0.0)), tol,
-                        witnesses[:3])
 
 
 def _toeplitz_report(condition: str, dev: np.ndarray, tol: float) -> DefectReport:
@@ -279,13 +252,11 @@ def _block_reports(D: BlockOperator, tol: float, checks) -> list[DefectReport]:
     """The report of each (condition, k, (a, b)) of checks, a - b the
     structure residual of block k (block order), maybe transposed. A
     _self_paired block, its residual x - x at every cell, reports 0.0 and
-    no witnesses without reading a cell; any other block's residual and
-    modulus go in bands through one pair of _band_buffers, allocated only
-    when some block takes them: no (M, M) array is made."""
+    no witnesses without reading a cell; any other block's residual is
+    taken whole, and freed before its modulus is scanned."""
     exact = list(map(_self_paired, D.sequences()))
-    buffers = None if all(exact) else _band_buffers(D.M)
     return [DefectReport(condition, 0.0, tol, []) if exact[k]
-            else _band_report(condition, a, b, tol, buffers)
+            else _abs_report(condition, np.abs(a - b), tol)
             for condition, k, (a, b) in checks]
 
 
@@ -297,7 +268,7 @@ def check_block_conditions(D: BlockOperator, *,
     the outermost row/column. GammaCheck's is indexed like GammaCheck^H and
     taken from the transposed slices, so it lands row-major. The blocks are
     read as held (BlockOperator.blocks), each block with a residual of
-    exact zeros or in bands (_block_reports)."""
+    exact zeros or whole (_block_reports)."""
     tol = _tolerance(tol, D.theta, D.alpha)
     [[t1, (a4, b4)], [t3, t2]] = _shift_terms(D)
     return _block_reports(D, tol, (("that-shift-sandwich", 0, t1),
@@ -361,8 +332,8 @@ def adtto_verdict(D: BlockOperator, blocks: list[DefectReport]) -> AdttoVerdict:
     g, minus_theta, minus_alpha = _zbar_predictions(D, phi_z)
     values = D.sequences()[0]
     if values is None:
-        coupling = _band_report("tcheck-coupling", that, next(block_views(M, (g,))),
-                                tol, _band_buffers(M + 1))
+        coupling = _abs_report("tcheck-coupling",
+                               np.abs(that - next(block_views(M, (g,)))), tol)
     else:
         # That's Toeplitz values run from degree M down to -M: the residual
         # is Toeplitz too, in s - g

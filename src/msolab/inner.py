@@ -22,8 +22,6 @@ import cmath
 import functools
 import math
 import re
-import threading
-from collections import OrderedDict
 
 import numpy as np
 
@@ -226,14 +224,6 @@ def monomial_inner(m: int) -> BlaschkeProduct:
     return BlaschkeProduct([0.0] * m)
 
 
-# each inner function's longest series so far, least recently used first;
-# an _expand_cached miss slices from it. A coefficient does not depend on
-# where the series is cut, so a slice has the bits of a shorter series.
-_series: OrderedDict = OrderedDict()
-_SERIES_HELD = 32
-_series_lock = threading.Lock()
-
-
 def _factor_series(a: complex, n: int) -> np.ndarray:
     """Coefficients 0..n of one factor (z-a)/(1-conj(a) z): b_0 = -a,
     b_k = conj(a)^(k-1) (1-|a|^2) for k >= 1."""
@@ -245,16 +235,10 @@ def _factor_series(a: complex, n: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=256)
 def _expand_cached(B: BlaschkeProduct, n: int) -> LaurentPolynomial:
-    with _series_lock:
-        series = _series.pop(B, None)
-        if series is None or len(series) <= n:
-            series = np.array([B.constant], dtype=np.complex128)
-            for a in B.zeros:
-                series = np.convolve(series, _factor_series(a, n))[:n + 1]
-        _series[B] = series
-        if len(_series) > _SERIES_HELD:
-            _series.popitem(last=False)
-    return LaurentPolynomial._from_dense(0, series[:n + 1])
+    series = np.array([B.constant], dtype=np.complex128)
+    for a in B.zeros:
+        series = np.convolve(series, _factor_series(a, n))[:n + 1]
+    return LaurentPolynomial._from_dense(0, series)
 
 
 def expansion_degree(B: BlaschkeProduct, reach: int) -> int:

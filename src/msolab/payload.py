@@ -116,9 +116,12 @@ def read_operator_text(text: str) -> dict | None:
     blocks as read-only complex128 views (_read_block_text). The four
     blocks are found as offsets into `text`, the rest is read by
     json.loads, and each block is read in place by _read_block_text in
-    turn. None for a text in any other layout, or with an entry read_matrix
-    would reject: it is left to json.loads and the typed readers, which
-    give the error message."""
+    turn, in its slot's layout where its text has both. None for a text in
+    any other layout, or with an entry read_matrix would reject: it is
+    left to json.loads and the typed readers, which give the error
+    message."""
+    # operators imports this module, so its layout table is read at call time
+    from .operators import _TOEPLITZ
     start = text.find(_BLOCKS)
     if start < 0:
         return None
@@ -144,8 +147,8 @@ def read_operator_text(text: str) -> dict | None:
     except (ValueError, RecursionError):
         return None
     blocks = {}
-    for name in BLOCK_NAMES:
-        blocks[name] = _read_block_text(text, *spans[name], rest["M"] + 1)
+    for name, toeplitz in zip(BLOCK_NAMES, _TOEPLITZ):
+        blocks[name] = _read_block_text(text, *spans[name], rest["M"] + 1, toeplitz)
         if blocks[name] is None:
             return None
     return {**rest, "blocks": blocks}
@@ -186,7 +189,8 @@ def _block_pieces(a: np.ndarray, sequence: np.ndarray | None,
     yield "]]"
 
 
-def _read_block_text(text: str, start: int, end: int, n: int) -> np.ndarray | None:
+def _read_block_text(text: str, start: int, end: int, n: int,
+                     toeplitz: bool) -> np.ndarray | None:
     """The n x n complex128 matrix of the block text[start:end] in
     _block_pieces's layout: n rows of n [re, im] pairs, no whitespace, each
     row the one above shifted by one cell (_new_cells), so that every row
@@ -195,8 +199,10 @@ def _read_block_text(text: str, start: int, end: int, n: int) -> np.ndarray | No
     sequence cells go through json.loads, and the block is a read-only
     view of them in the layout of the text: Toeplitz, cell (i, j) at
     n-1+j-i and strides (-s, s), or Hankel, at i+j and strides (s, s), for
-    s the size of one value. None when the text is in any other layout or
-    has an entry read_matrix would reject."""
+    s the size of one value. The layout `toeplitz` names is tried first,
+    so a block whose text has both, such as a constant one, is read in it.
+    None when the text is in any other layout or has an entry read_matrix
+    would reject."""
     # the shortest such text has every number one digit long; checked
     # first so a large n allocates nothing
     if end - start < 6 * n * n + 2 * n + 1 or not (
@@ -216,10 +222,10 @@ def _read_block_text(text: str, start: int, end: int, n: int) -> np.ndarray | No
     first = text[slice(*rows[0])].split("],[")
     if len(first) != n:
         return None
-    new = _new_cells(text, rows, toeplitz=True)
-    toeplitz = new is not None
-    if not toeplitz:
-        new = _new_cells(text, rows, toeplitz=False)
+    new = _new_cells(text, rows, toeplitz)
+    if new is None:
+        toeplitz = not toeplitz
+        new = _new_cells(text, rows, toeplitz)
         if new is None:
             return None
     values = _read_cells(new[::-1] + first if toeplitz else first + new)

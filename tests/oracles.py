@@ -20,21 +20,20 @@ residual and its norm bracket on the difference E assembled whole
 (`assembled_difference`). `block_degrees` and `coefficient_matrix` gather a
 block's entries at an integer array of its degrees, the route
 `gather_build_dtto` and `gather_zbar_predictions` take where the library
-reads strided views; `fresh_block_conditions` allocates each whole block
-residual anew where the library takes it in bands through one buffer, and
-`sparse_to_json` is a polynomial's payload through its sparse coefficient
-dict. `dense_shift_invariance_defect` is the shift check on a section
-from the four block residuals (`_shift_residuals`) assembled by np.block
-and transposed whole. `uncut_expand` expands an inner function to
-`uncut_expansion_degree`, the larger of the reach and the cap degree,
-with no cut at the floor degree where `expand` stops, and
-`fresh_expansion` computes a series anew where `expand` may slice a
-longer one it kept. Four helpers have
-no library counterpart and serve the tests only: `adjoint`, the block
-operator of D^H; `verify_inner`, which samples |B| on the circle from the
-rational form or a truncated expansion; and `gram_defect` and
-`membership_defect`, how far a basis is from orthonormal and a polynomial
-from its span.
+reads strided views; `fresh_block_conditions` allocates every block
+residual anew where the library reads a block in its slot's layout as
+exact zeros, and `sparse_to_json` is a polynomial's payload through its
+sparse coefficient dict. `dense_shift_invariance_defect` is the shift
+check on a section from the four block residuals (`_shift_residuals`)
+assembled by np.block and transposed whole. `fresh_expansion` computes a
+series anew, one factor at a time, outside the library's expansion
+cache; `uncut_expand` takes it to `uncut_expansion_degree`, the larger of
+the reach and the cap degree, with no cut at the floor degree where
+`expand` stops. Four helpers have no library counterpart and serve the
+tests only: `adjoint`, the block operator of D^H; `verify_inner`, which
+samples |B| on the circle from the rational form or a truncated
+`fresh_expansion`; and `gram_defect` and `membership_defect`, how far a
+basis is from orthonormal and a polynomial from its span.
 """
 
 from __future__ import annotations
@@ -51,8 +50,7 @@ from msolab.characterize import (AnalyticVerdict, DefectReport, _report,
                                  _shift_terms, _zbar_symbol,
                                  default_tolerance)
 from msolab.errors import DimensionError, InputError
-from msolab.inner import (BlaschkeProduct, _expand_cached, expand,
-                          expansion_degree, tm_basis)
+from msolab.inner import BlaschkeProduct, expand, expansion_degree, tm_basis
 from msolab.laurent import (LaurentPolynomial, conj_function, inner_product,
                             involution_J, minus_part, monomial, multiply)
 from msolab.operators import BlockOperator, SymbolFunction
@@ -612,7 +610,7 @@ def uncut_expansion_degree(B: BlaschkeProduct, reach: int) -> int:
 
 def uncut_expand(B: BlaschkeProduct, reach: int = 0) -> LaurentPolynomial:
     """The power series of B to uncut_expansion_degree(B, reach)."""
-    return _expand_cached(B, uncut_expansion_degree(B, reach))
+    return fresh_expansion(B, uncut_expansion_degree(B, reach))
 
 
 def fresh_expansion(B: BlaschkeProduct, n: int) -> LaurentPolynomial:
@@ -652,7 +650,7 @@ def verify_inner(B: BlaschkeProduct, samples: int = 256, tol: float = 1e-13, *,
         if expansion_degree < B.degree:
             raise InputError(f"expansion degree {expansion_degree} below the "
                              f"product degree {B.degree}")
-        poly = _expand_cached(B, expansion_degree)
+        poly = fresh_expansion(B, expansion_degree)
         values = [poly.evaluate(cmath.exp(2j * cmath.pi * j / samples))
                   for j in range(samples)]
         tail = B.tail_bound_at(expansion_degree)

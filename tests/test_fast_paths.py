@@ -3,7 +3,7 @@ closed-form DTTO blocks and their strided views, coordinate TTO entries,
 slice coordinates on the complement sections, the batched trace pairing,
 the admissible vectors of sections and model spaces, the TCheck-border
 symbol, the vectorised shift-invariance defect and solve, the block
-conditions in bands of one reused buffer, the checks and recoveries read
+conditions from the sequences and whole, the checks and recoveries read
 from the block views of a built operator, the recovery residual's norm
 bracket, banded and from the difference sequences, and the deep pipeline
 on expansions cut at their floor degree against the uncut expansions."""
@@ -21,9 +21,9 @@ from msolab.annihilate import (FiniteRankOperator, gen_M, gen_shift_pair, pair,
 from msolab.bases import OrthonormalBasis
 from msolab import characterize, inner
 from msolab.cli import main
-from msolab.characterize import (_BAND_ROWS, _band_buffers, _band_report,
-                                 _certified_norm, _report, _toeplitz_report,
-                                 _zbar_predictions, _zbar_symbol, check_adtto,
+from msolab.characterize import (_BAND_ROWS, _certified_norm, _report,
+                                 _toeplitz_report, _zbar_predictions,
+                                 _zbar_symbol, check_adtto,
                                  check_block_conditions, default_tolerance,
                                  is_analytic_adtto, recover_symbol,
                                  shift_invariance_defect,
@@ -112,6 +112,7 @@ VIEW_PAIRS = {"monomial": (monomial_inner(1), monomial_inner(2)),
               "blaschke": (BlaschkeProduct([0.5 - 0.3j]),
                            BlaschkeProduct([0.2 + 0.6j, -0.4]))}
 VIEW_SYMBOL = LaurentPolynomial({-2: 0.5 - 0.25j, 0: 1.0, 1: -1j, 3: 0.125})
+ANALYTIC_SYMBOL = LaurentPolynomial({0: 1.0, 1: -1j, 3: 0.125})
 
 
 def _blocks(D):
@@ -235,7 +236,7 @@ def _within_ulps(a, b, dim):
 
 def _assert_matches_assembled_copy(fast, D):
     """fast, the _outcomes of D, equals those of D cut from its assembled
-    matrix, whose blocks take the banded route, bit for bit. Where all of
+    matrix, whose blocks have no slot's layout, bit for bit. Where all of
     D's blocks have their slot's layout, D's boundary residual comes from
     window sums of the difference sequences instead, added in another
     order: it lies within 2 (dim + 4) ulps of the banded one."""
@@ -255,13 +256,13 @@ def _assert_matches_assembled_copy(fast, D):
                          ids=["built", "first-band", "straddle", "mixed"])
 def test_checks_on_views_equal_the_assembled_copy(M, pair, rows):
     """Reports, verdicts, recovered symbols and residuals read from the
-    block views (from the sequences where a block's layout allows, banded
-    where a residual has more than _BAND_ROWS rows) equal those of the same
-    operator cut from its assembled matrix (_assert_matches_assembled_copy),
-    and the block conditions equal the unbanded oracle. Perturbed operators put
-    witnesses above tol in the first and the last band and ties on both
-    sides of the band edge at row 64; a mixed one has a bumped copy
-    assigned to TCheck and the three other blocks still views."""
+    block views (from the sequences where a block's layout allows, whole
+    otherwise) equal those of the same operator cut from its assembled
+    matrix (_assert_matches_assembled_copy), and the block conditions equal
+    the oracle's fresh residuals. Perturbed operators put witnesses above
+    tol in the first and the last of the recovery residual's bands and
+    ties on both sides of its band edge at row 64; a mixed one has a bumped
+    copy assigned to TCheck and the three other blocks still views."""
     D = _view_backed(*VIEW_PAIRS[pair], M)
     if rows == "mixed":
         _bump_tcheck_diagonal(D)
@@ -312,11 +313,11 @@ def _toeplitz(values):
 
 @pytest.mark.parametrize("M", [0, 1, 2, 3, 63, 64, 65])
 def test_coupling_from_the_diagonals_equals_the_banded_report(M):
-    """_toeplitz_report of the 2M+1 diagonal moduli gives the banded and the
-    whole-residual reports of the Toeplitz residual, witnesses included:
-    with ties inside and across diagonals, on the corner diagonals of one
-    and two cells, and with inf and NaN."""
-    n, tol = M + 1, 1e-10
+    """_toeplitz_report of the 2M+1 diagonal moduli gives the report of the
+    whole Toeplitz residual, witnesses included: with ties inside and
+    across diagonals, on the corner diagonals of one and two cells, and
+    with inf and NaN."""
+    tol = 1e-10
     noise = np.random.default_rng(M)
     for trial in range(8):
         # few distinct moduli, so many diagonals tie; a zero or a tiny gap is
@@ -332,17 +333,16 @@ def test_coupling_from_the_diagonals_equals_the_banded_report(M):
             s[noise.integers(2 * M + 1)] = np.nan
         g = np.zeros(2 * M + 1, dtype=np.complex128)
         fast = _toeplitz_report("c", np.abs(s - g), tol)
-        banded = _band_report("c", _toeplitz(s), _toeplitz(g), tol, _band_buffers(n))
         whole = _report("c", _toeplitz(s) - _toeplitz(g), tol)
-        assert repr(fast.to_json()) == repr(banded.to_json()) == repr(whole.to_json())
+        assert repr(fast.to_json()) == repr(whole.to_json())
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("block", range(4), ids=["That", "GammaCheck", "GammaHat", "TCheck"])
 def test_a_non_finite_value_behind_a_view_takes_the_dense_route(block, value):
     """A view over a non-finite value is not read as exact zeros: every
-    report equals that of owned copies of the blocks, read by the banded
-    route and by the unbanded oracle, for a value inside the residual and
+    report equals that of owned copies of the blocks, read whole and by
+    the oracle's fresh residuals, for a value inside the residual and
     for one on the outermost corner that no structure residual reads."""
     theta, alpha = VIEW_PAIRS["blaschke"]
     M = 70
@@ -364,8 +364,8 @@ def test_a_non_finite_value_behind_a_view_takes_the_dense_route(block, value):
 def test_a_payload_with_a_hankel_that_takes_the_banded_route(monkeypatch):
     """A payload whose That is Hankel (That and GammaCheck swapped) is read
     as four views, That in the Hankel layout; its that-shift-sandwich and
-    coupling go through _band_report, and every outcome equals the
-    assembled copy's."""
+    coupling take the whole residual (_abs_report), and every outcome
+    equals the assembled copy's."""
     D = build_dtto(*VIEW_PAIRS["blaschke"], VIEW_SYMBOL, 70)
     that, gamma_check, gamma_hat, t_check = (np.array(b) for b in D.blocks())
     swapped = BlockOperator(gamma_check, that, gamma_hat, t_check, D.theta,
@@ -373,17 +373,39 @@ def test_a_payload_with_a_hankel_that_takes_the_banded_route(monkeypatch):
     R = _read_as_views(swapped)
     assert strided_sequence(R.blocks()[0], toeplitz=True) is None
     assert strided_sequence(R.blocks()[0], toeplitz=False) is not None
-    banded = []
-    monkeypatch.setattr(characterize, "_band_report",
-                        lambda condition, *args: banded.append(condition)
-                        or _band_report(condition, *args))
+    dense = []
+    real = characterize._abs_report
+    monkeypatch.setattr(characterize, "_abs_report",
+                        lambda condition, *args: dense.append(condition)
+                        or real(condition, *args))
     fast = _outcomes(R)
-    # the swapped GammaCheck is Toeplitz, so its intertwining is banded too,
-    # and the shift check bands the same two blocks
-    assert sorted(set(banded)) == ["gammacheck-intertwine", "shift-invariance",
-                                   "tcheck-coupling", "that-shift-sandwich"]
+    # the swapped GammaCheck is Toeplitz, so its intertwining is dense too,
+    # and the shift check takes the same two blocks whole
+    assert sorted(set(dense)) == ["gammacheck-intertwine", "shift-invariance",
+                                  "tcheck-coupling", "that-shift-sandwich"]
     assert not fast[0][0]["pass"]
     assert fast == _outcomes(split_blocks(R.assemble(), R.theta, R.alpha, R.M))
+
+
+@pytest.mark.parametrize("M", [16, 64, 256])
+@pytest.mark.parametrize("symbol", [VIEW_SYMBOL, ANALYTIC_SYMBOL], ids=["non-analytic", "analytic"])
+def test_a_build_payload_reads_back_in_its_slots_layouts(M, symbol, tmp_path):
+    """A `build` payload reads back with every block in its slot's layout:
+    for an analytic symbol GammaHat is all zeros, whose text is Toeplitz
+    and Hankel at once, and it still reads as a Hankel view. The checks
+    and both recoveries on the payload equal those on the built operator,
+    bit for bit."""
+    theta, alpha = VIEW_PAIRS["blaschke"]
+    path = tmp_path / "op.json"
+    assert main(["build", "dtto", "--theta", json.dumps(theta.to_json()),
+                 "--alpha", json.dumps(alpha.to_json()),
+                 "--symbol", json.dumps(symbol.to_json()), "--M", str(M),
+                 "--out", str(path)]) == 0
+    R = BlockOperator.from_json(read_operator_text(path.read_text()))
+    D = build_dtto(theta, alpha, symbol, M)
+    assert not D.gamma_hat.any() or symbol is VIEW_SYMBOL
+    assert all(s is not None for s in R.sequences())
+    assert _outcomes(R) == _outcomes(D)
 
 
 def test_a_block_read_by_name_is_the_held_view():
@@ -1412,7 +1434,7 @@ def _peak_case(M=256):
 def test_boundary_recovery_holds_one_band_of_the_residual():
     """On owned blocks, which take the banded route, the boundary recovery
     holds one residual band of at most _BAND_ROWS rows and a rebuild of
-    four block views: peak measured 1.49 MB at M = 256, against 5.6 MB
+    four block views: peak measured 1.41 MB at M = 256, against 5.6 MB
     when the rebuild copied its four blocks and 12.8 MB when the whole
     residual E, |E| and |E|^2 were assembled."""
     theta, alpha, phi, M = _peak_case()
@@ -1454,7 +1476,7 @@ def test_boundary_recovery_cuts_the_ends_below_the_floor(M, monkeypatch, tmp_pat
 def test_boundary_recovery_reads_the_difference_sequences():
     """On a built operator the boundary recovery takes its norm bracket
     from the four difference sequences and holds no band of the residual:
-    peak measured 0.30 MB at M = 256, against 1.6 MB on the banded route."""
+    peak measured 0.22 MB at M = 256, against 1.41 MB on the banded route."""
     D = build_dtto(*_peak_case())
     (_, residual), peak = _traced_peak(lambda: recover_symbol(D, "boundary"))
     assert 0.0 < residual <= 1e-12
@@ -1484,11 +1506,12 @@ def test_build_holds_its_four_blocks_and_sequences():
                                    shift_invariance_defect],
                          ids=["blocks", "adtto", "shift"])
 def test_checks_hold_one_residual_beyond_the_operator(check):
-    """Beyond D a check on owned blocks, which take the banded route, holds
-    one band of a complex residual, its modulus and the mask of entries
-    above tol: peak measured 0.66 MB at M = 256, against 1.84 MB for one
-    whole residual buffer, 5.31 MB when every block residual and modulus
-    was a new array, and 12.6 MB for the shift check's np.block layout."""
+    """Beyond D a check on owned blocks, whose residuals are taken whole,
+    holds one complex block residual and its modulus, then the modulus and
+    the mask of entries above tol: peak measured 1.58-1.61 MB at M = 256,
+    against 0.66 MB when residuals were taken in bands of 64 rows, 5.31 MB
+    when every block residual and modulus was kept at once, and 12.6 MB
+    for the shift check's np.block layout."""
     theta, alpha, phi, M = _peak_case()
     n = M + 1
     D = BlockOperator(*(np.array(b) for b in build_dtto(theta, alpha, phi, M).blocks()),
@@ -1510,7 +1533,7 @@ def test_build_holds_no_block():
 def test_deep_pipeline_copies_no_block():
     """check_adtto, check_block_conditions, both recoveries and
     is_analytic_adtto on a built operator, in the deep benchmark's order,
-    read the blocks as views and rebuild from views: peak measured 0.30 MB
+    read the blocks as views and rebuild from views: peak measured 0.22 MB
     at M = 256, against 1.62 MB while the boundary residual was read in
     bands and 5.55 MB when the blocks and each rebuild were copied."""
     D = build_dtto(*_peak_case())
@@ -1533,8 +1556,8 @@ def test_checks_on_a_built_operator_read_the_sequences(check):
     """On a built operator at M = 400 the block conditions, the coupling
     and the zbar recovery residual come from the 2M+1 values of each block,
     and the shift check from the same test: each peak stays below 0.25 MB
-    (measured 0.016, 0.08, 0.17 and 0.015 MB), against 0.87, 0.92, 2.1 and
-    21 MB on the banded and assembled routes they replace."""
+    (measured 0.055, 0.085, 0.22 and 0.055 MB), against 0.87, 0.92, 2.1 and
+    21 MB on the banded and assembled routes they replaced."""
     D = build_dtto(*_peak_case(400))
     _, peak = _traced_peak(lambda: check(D))
     assert peak < 0.25e6
@@ -1639,7 +1662,7 @@ def test_multiply_without_tails_is_exact_convolution(rng):
                                   np.convolve(f.dense(-3, 5), g.dense(0, 7)))
 
 
-# -- one series per inner function ----------------------------------------------------
+# -- one series per request -----------------------------------------------------------
 
 @pytest.mark.parametrize("B", [
     monomial_inner(3), BlaschkeProduct([0.35 - 0.1j]),
@@ -1647,34 +1670,22 @@ def test_multiply_without_tails_is_exact_convolution(rng):
     BlaschkeProduct([0.95j, 0.9], allow_near_boundary=True)],
     ids=["z^3", "one-zero", "three-zeros", "repeated", "rho=0.95"])
 def test_a_shorter_expansion_is_a_slice_of_the_longest_to_the_bit(B):
-    """After an expansion to the floor degree, every shorter one is sliced
-    from the kept series and equals the series computed anew, bit for bit;
-    a longer request replaces the kept series."""
+    """Every _expand_cached(B, n) equals the series computed anew to n, bit
+    for bit, whatever was asked before: the floor degree first, then
+    shorter ones in rising order, then one past the floor. A coefficient
+    does not depend on where the series is cut, so each is also a slice
+    of the longest."""
     inner._expand_cached.cache_clear()
-    inner._series.clear()
     longest = B.floor_degree
-    expand(B, longest)
-    assert len(inner._series[B]) == longest + 1
     r = Xoshiro256StarStar(20261022)
-    for n in sorted({0, 1, B.degree, B.cap_degree, longest - 1,
-                     *(r.integer(0, longest) for _ in range(20))}):
+    degrees = sorted({0, 1, B.degree, B.cap_degree, longest - 1,
+                      *(r.integer(0, longest) for _ in range(20))})
+    full = fresh_expansion(B, longest + 7)
+    for n in [longest, *degrees, longest + 7]:
         got, want = inner._expand_cached(B, n), fresh_expansion(B, n)
         assert got.lo == want.lo
         assert got._data.view(np.uint64).tolist() == want._data.view(np.uint64).tolist()
-    assert inner._expand_cached(B, longest + 7)._data.tolist() == \
-        fresh_expansion(B, longest + 7)._data.tolist()
-    assert len(inner._series[B]) == longest + 8
-
-
-def test_the_series_store_holds_the_last_inner_functions_within_its_bound():
-    inner._series.clear()
-    r = Xoshiro256StarStar(20261023)
-    inners = [random_inner(r) for _ in range(300)]
-    assert len(set(inners)) == 300
-    for B in inners:
-        expand(B)
-        assert len(inner._series) <= inner._SERIES_HELD
-    assert list(inner._series) == inners[-inner._SERIES_HELD:]
+        assert got.dense(0, n).tobytes() == full.dense(0, n).tobytes()
 
 
 # -- expansions cut at the floor degree -----------------------------------------------

@@ -90,22 +90,26 @@ def _names(tree: ast.AST) -> set[str]:
 
 def test_one_truncation_rule():
     """Only msolab.inner decides where an expansion is cut off, at the cap
-    and at the floor (every other module goes through `expand`), only it
-    holds a store of series to slice expansions from, and no module keeps
-    tail bookkeeping: the tail of an expansion is B.tail_bound_at(n)."""
+    and at the floor (every other module goes through `expand`), and no
+    module keeps tail bookkeeping: the tail of an expansion is
+    B.tail_bound_at(n). No module imports threading or OrderedDict: a
+    cache is a functools.lru_cache, with no lock and no hand-written
+    eviction."""
     package = Path(msolab.__file__).parent
     rule = {"DEFAULT_TAIL_CAP", "TAIL_FLOOR", "cap_degree", "floor_degree",
-            "_expand_cached", "_series", "_SERIES_HELD", "OrderedDict"}
-    deciding, tails = {}, {}
+            "_expand_cached"}
+    deciding, tails, stores = {}, {}, {}
     for path in sorted(package.glob("*.py")):
         names = _names(ast.parse(path.read_text()))
         if path.name != "inner.py":
             deciding[path.name] = sorted(names & rule)
         tails[path.name] = sorted(names & {"tail_bound", "tail_cap"})
+        stores[path.name] = sorted(names & {"threading", "OrderedDict"})
     assert len(deciding) > 5
     assert rule <= _names(ast.parse((package / "inner.py").read_text()))
     assert {k: v for k, v in deciding.items() if v} == {}
     assert {k: v for k, v in tails.items() if v} == {}
+    assert {k: v for k, v in stores.items() if v} == {}
 
 
 def test_both_operator_kinds_share_one_interface():

@@ -302,15 +302,16 @@ def test_repeated_blocks_key_reads_the_last_one():
     ("[[[1,2],[3,4]],[[5,6],[1.0,2]]]", 2),
 ])
 def test_block_reader_declines_what_it_does_not_parse(text, n):
-    assert _read_block_text(text, 0, len(text), n) is None
+    for toeplitz in (True, False):
+        assert _read_block_text(text, 0, len(text), n, toeplitz) is None
 
 
 def test_block_reader_keeps_the_json_number_grammar():
     # -0 is the integer zero to json.loads, so it reads as +0.0
-    a = _read_block_text("[[[-0,-0.0]]]", 0, 13, 1)
+    a = _read_block_text("[[[-0,-0.0]]]", 0, 13, 1, True)
     assert not np.signbit(a.real[0, 0]) and np.signbit(a.imag[0, 0])
     text = "[[[1E2,2e-1],[3,4]],[[5,6],[1E2,2e-1]]]"
-    b = _read_block_text(text, 0, len(text), 2)
+    b = _read_block_text(text, 0, len(text), 2, True)
     assert np.array_equal(b, [[100 + 0.2j, 3 + 4j], [5 + 6j, 100 + 0.2j]])
 
 
@@ -321,7 +322,11 @@ def test_block_reader_keeps_the_json_number_grammar():
      [[1 + 2j, 3 + 4j, 5 + 6j], [3 + 4j, 5 + 6j, 7 + 8j], [5 + 6j, 7 + 8j, 9]]),
 ], ids=["toeplitz", "hankel"])
 def test_block_reader_gathers_the_sequence_of_the_text(text, block):
-    assert np.array_equal(_read_block_text(text, 0, len(text), len(block)), block)
+    """A text in one layout reads as that block whichever layout the
+    reader tries first."""
+    for toeplitz in (True, False):
+        assert np.array_equal(_read_block_text(text, 0, len(text), len(block), toeplitz),
+                              block)
 
 
 def test_huge_claimed_depth_allocates_nothing_large(tmp_path, capsys):

@@ -197,18 +197,17 @@ def test_reports_are_plain_json():
 
 
 def _cold_caches():
-    """Empty every cache an acceptance run fills: the expansions and the
-    series they slice, the model-space bases and the complement sections."""
+    """Empty every cache an acceptance run fills: the expansions, the
+    model-space bases and the complement sections."""
     for cache in (inner._expand_cached, inner._tm_basis_wrapped, spaces.basis_Kperp,
                   spaces._tail_monomials):
         cache.cache_clear()
-    inner._series.clear()
 
 
 def test_acceptance_report_is_the_same_from_cold_and_warm_caches():
     """The acceptance report at seed 7 from empty caches and again from the
-    caches the first run left: expansions the first run computed anew, the
-    second takes from the lru cache or slices from a longer kept series."""
+    caches the first run left: expansions the first run computed, the
+    second takes from the lru cache or computes again once evicted."""
     _cold_caches()
     reports = []
     for _ in range(2):
